@@ -248,6 +248,7 @@ void Core::save(Snapshot& out) const {
   out.swi_pending = swi_pending_;
   out.suppress_traps = suppress_traps_;
   out.status = status_;
+  out.traces = trace_cache_ != nullptr ? trace_cache_->share() : nullptr;
 }
 
 void Core::restore(const Snapshot& snapshot) {
@@ -284,9 +285,9 @@ void Core::restore(const Snapshot& snapshot) {
   quantum_break_ = false;  // never set between scheduling rounds
   run_exit_ = RunExit::kNone;
   image_ = nullptr;        // may belong to another SoC's registry; re-lookup
-  // Traces are derived state (never captured): drop them so a restored or
-  // forked session re-records from its own execution, trivially bit-exact.
-  if (trace_cache_ != nullptr) trace_cache_->flush();
+  // Continue from the saver's traces, so this core evolves exactly as the
+  // saver did from here; without tables (a snapshot from a file) start cold.
+  if (trace_cache_ != nullptr) trace_cache_->adopt(snapshot.traces);
 }
 
 u64 Core::read_csr(u16 csr) const {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <memory>
 
 #include "arch/arch_state.h"
 #include "arch/config.h"
@@ -20,6 +21,7 @@
 namespace flexstep::arch {
 
 struct Trace;
+struct TraceTables;
 class TraceCache;
 
 /// "No cycle bound" sentinel for Core::run_until.
@@ -59,6 +61,7 @@ class Core : private ReservationObserver {
   /// clocks and counters. Does NOT include the extension seams (hooks, trap
   /// handler, memory port) — those are ownership wiring, re-established by
   /// whoever restores the snapshot (fs::CoreUnit, soc::VerifiedExecution).
+  /// The trace tables ride along by reference, host-only.
   struct Snapshot {
     // Architectural state.
     std::array<u64, 32> regs{};
@@ -88,6 +91,12 @@ class Core : private ReservationObserver {
     bool swi_pending = false;
     bool suppress_traps = false;
     Status status = Status::kRunning;
+
+    /// The trace cache's tables, shared with the core that saved them (and
+    /// every other holder). Host-only: never serialized, never digested, not
+    /// counted by bytes(). nullptr when tracing is off, the cache is empty,
+    /// or the snapshot was decoded from a file.
+    std::shared_ptr<const TraceTables> traces;
 
     std::size_t bytes() const { return sizeof(*this) + caches.bytes() + bpred.bytes(); }
 
@@ -223,7 +232,8 @@ class Core : private ReservationObserver {
   u64 mispredicts() const { return mispredicts_; }
 
   /// Superinstruction trace cache (nullptr when disabled by CoreConfig).
-  /// Purely derived state: flushed on restore, never part of snapshots.
+  /// Host-only state: save() shares its tables into the snapshot, restore()
+  /// adopts them (or flushes when the snapshot carries none).
   const TraceCache* trace_cache() const { return trace_cache_.get(); }
 
   /// Pre-record traces at statically-identified hot block entries (analysis

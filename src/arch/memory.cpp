@@ -40,13 +40,16 @@ void Memory::Snapshot::deserialize(io::ArchiveReader& ar) {
 }
 
 void Memory::save(Snapshot& out) const {
-  out.pages.clear();
-  out.pages.reserve(pages_.size());
-  for (const auto& [id, page] : pages_) out.pages.emplace_back(id, *page);
   // Id-sorted so a snapshot's layout depends only on the touched pages, not on
-  // the hash map's iteration order.
-  std::sort(out.pages.begin(), out.pages.end(),
+  // the hash map's iteration order. Sort the ids, then copy each page once.
+  std::vector<std::pair<u64, const Page*>> order;
+  order.reserve(pages_.size());
+  for (const auto& [id, page] : pages_) order.emplace_back(id, page.get());
+  std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  out.pages.clear();
+  out.pages.reserve(order.size());
+  for (const auto& [id, page] : order) out.pages.emplace_back(id, *page);
 }
 
 void Memory::restore(const Snapshot& snapshot) {
@@ -61,9 +64,10 @@ void Memory::restore(const Snapshot& snapshot) {
   for (const auto& [id, contents] : snapshot.pages) {
     auto it = pages_.find(id);
     if (it == pages_.end()) {
-      it = pages_.emplace(id, std::make_unique<Page>()).first;
+      pages_.emplace(id, std::make_unique<Page>(contents));
+    } else {
+      *it->second = contents;
     }
-    *it->second = contents;
   }
   // Cached page pointers may reference erased pages.
   ptr_cache_.fill(PtrSlot{});

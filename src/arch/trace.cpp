@@ -45,18 +45,54 @@ int alu_pair_index(Opcode op) {
 
 i32 alu_pair_imm(Opcode op, i32 imm) { return op == Opcode::kSlli ? (imm & 63) : imm; }
 
+/// What lookups read while a cache has no tables: never matches a pc (pcs
+/// are 4-aligned), so an empty cache needs neither tables nor a null check.
+const TraceTables::Slot kNoSlot{};
+
 }  // namespace
 
 TraceCache::TraceCache(const TraceConfig& config, Memory& memory,
                        const TraceCostModel& cost)
-    : config_(config), memory_(memory), cost_(cost) {
-  const std::size_t slots = std::size_t{1} << config_.slots_log2;
-  slot_mask_ = slots - 1;
-  slots_.resize(slots);
-  heat_.resize(slots);
-}
+    : config_(config), memory_(memory), cost_(cost), slots_(&kNoSlot) {}
 
 TraceCache::~TraceCache() { memory_.unwatch_code_pages(this); }
+
+void TraceCache::bind_tables() {
+  slots_ = tables_ != nullptr ? tables_->slots.data() : &kNoSlot;
+  slot_mask_ = tables_ != nullptr ? tables_->slots.size() - 1 : 0;
+}
+
+TraceTables& TraceCache::writable() {
+  if (own_ == nullptr) {
+    auto copy = tables_ != nullptr ? std::make_shared<TraceTables>(*tables_)
+                                   : std::make_shared<TraceTables>(slot_count());
+    own_ = copy.get();
+    tables_ = std::move(copy);
+    bind_tables();
+  }
+  return *own_;
+}
+
+std::shared_ptr<const TraceTables> TraceCache::share() {
+  if (pending_invalidation_) process_pending_invalidation();
+  own_ = nullptr;
+  return tables_;
+}
+
+void TraceCache::adopt(std::shared_ptr<const TraceTables> tables) {
+  if (tables == nullptr || tables->slots.size() != slot_count()) {
+    flush();
+    return;
+  }
+  tables_ = std::move(tables);
+  own_ = nullptr;
+  bind_tables();
+  dirty_pages_.clear();
+  pending_invalidation_ = false;
+  if (tables_->first_page <= tables_->last_page) {
+    memory_.watch_code_pages(this, tables_->first_page, tables_->last_page);
+  }
+}
 
 void TraceCache::on_code_page_written(u64 page_id) {
   // Deferred: the store may execute inside the very trace it invalidates, so
@@ -70,16 +106,19 @@ void TraceCache::on_code_page_written(u64 page_id) {
 }
 
 void TraceCache::process_pending_invalidation() {
-  for (Slot& slot : slots_) {
-    if (slot.trace == nullptr) continue;
-    const bool dirty = std::any_of(
-        dirty_pages_.begin(), dirty_pages_.end(), [&](u64 page) {
-          return page >= slot.trace->first_page && page <= slot.trace->last_page;
-        });
-    if (dirty) {
-      slot.entry_pc = ~Addr{0};
-      slot.trace.reset();
-      ++stats_.code_write_flushes;
+  const auto dirty = [&](const TraceTables::Slot& slot) {
+    return slot.trace != nullptr &&
+           std::any_of(dirty_pages_.begin(), dirty_pages_.end(), [&](u64 page) {
+             return page >= slot.trace->first_page && page <= slot.trace->last_page;
+           });
+  };
+  // Copy shared tables only when a covered page was actually written.
+  if (tables_ != nullptr && std::any_of(tables_->slots.begin(), tables_->slots.end(), dirty)) {
+    for (TraceTables::Slot& slot : writable().slots) {
+      if (dirty(slot)) {
+        slot = TraceTables::Slot{};
+        ++stats_.code_write_flushes;
+      }
     }
   }
   dirty_pages_.clear();
@@ -87,20 +126,34 @@ void TraceCache::process_pending_invalidation() {
 }
 
 void TraceCache::flush() {
-  for (Slot& slot : slots_) {
-    slot.entry_pc = ~Addr{0};
-    slot.trace.reset();
-  }
-  for (Heat& heat : heat_) heat = Heat{};
+  tables_.reset();
+  own_ = nullptr;
+  bind_tables();
   dirty_pages_.clear();
   pending_invalidation_ = false;
   ++stats_.full_flushes;
 }
 
+const Trace* TraceCache::install(TraceTables& tables, std::shared_ptr<const Trace> trace) {
+  memory_.watch_code_pages(this, trace->first_page, trace->last_page);
+  tables.first_page = std::min(tables.first_page, trace->first_page);
+  tables.last_page = std::max(tables.last_page, trace->last_page);
+  TraceTables::Slot& slot = tables.slots[slot_index(trace->entry_pc)];
+  slot.entry_pc = trace->entry_pc;
+  slot.trace = std::move(trace);
+  ++stats_.recorded;
+  return slot.trace.get();
+}
+
 const Trace* TraceCache::notice_entry(Addr pc, const isa::Instruction* code,
                                       Addr base, Addr end) {
   if (pending_invalidation_) process_pending_invalidation();
-  Heat& heat = heat_[slot_index(pc)];
+  if (tables_ != nullptr) {
+    const TraceTables::Heat& heat = tables_->heat[slot_index(pc)];
+    if (heat.pc == pc && heat.count == kRefused) return nullptr;  // read-only
+  }
+  TraceTables& tables = writable();
+  TraceTables::Heat& heat = tables.heat[slot_index(pc)];
   if (heat.pc != pc) {
     // Cold (or aliased) entry: start counting afresh.
     heat.pc = pc;
@@ -108,43 +161,33 @@ const Trace* TraceCache::notice_entry(Addr pc, const isa::Instruction* code,
     ++stats_.heat_misses;
     return nullptr;
   }
-  if (heat.count == kRefused) return nullptr;
   if (++heat.count < config_.heat_threshold) {
     ++stats_.heat_misses;
     return nullptr;
   }
 
-  auto trace = std::make_unique<Trace>();
+  auto trace = std::make_shared<Trace>();
   if (!record(pc, code, base, end, *trace)) {
     heat.count = kRefused;  // too short / starts at a slow op: never re-walk
     ++stats_.refused;
     return nullptr;
   }
-  memory_.watch_code_pages(this, trace->first_page, trace->last_page);
-  Slot& slot = slots_[slot_index(pc)];
-  slot.entry_pc = pc;
-  slot.trace = std::move(trace);
-  ++stats_.recorded;
-  return slot.trace.get();
+  return install(tables, std::move(trace));
 }
 
 bool TraceCache::seed(Addr pc, const isa::Instruction* code, Addr base, Addr end) {
-  if (pending_invalidation_) process_pending_invalidation();
-  Slot& slot = slots_[slot_index(pc)];
-  if (slot.entry_pc == pc) return true;  // already covered
-  auto trace = std::make_unique<Trace>();
+  if (lookup(pc) != nullptr) return true;  // already covered
+  auto trace = std::make_shared<Trace>();
+  TraceTables& tables = writable();
   if (!record(pc, code, base, end, *trace)) {
     // Same terminal state a hot entry would reach: never re-walk this pc.
-    Heat& heat = heat_[slot_index(pc)];
+    TraceTables::Heat& heat = tables.heat[slot_index(pc)];
     heat.pc = pc;
     heat.count = kRefused;
     ++stats_.refused;
     return false;
   }
-  memory_.watch_code_pages(this, trace->first_page, trace->last_page);
-  slot.entry_pc = pc;
-  slot.trace = std::move(trace);
-  ++stats_.recorded;
+  install(tables, std::move(trace));
   ++stats_.seeded;
   return true;
 }

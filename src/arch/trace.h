@@ -23,11 +23,15 @@
 //     D-cache per access, BHT/BTB/RAS per control transfer) execute in
 //     program order inside the replay loop.
 //
-// Traces are derived state: flushed on snapshot restore (forks stay
-// bit-exact trivially — they never influence outcomes, only host speed) and
-// invalidated when any agent stores to a code page they cover. Invalidation
-// is deferred to the next lookup boundary because the write may originate
-// from inside the executing trace itself.
+// Traces are host-only state: they never influence simulated outcomes, only
+// host speed and where a budgeted advance() happens to stop. A cache keeps
+// its traces and heat counters in immutable, reference-counted TraceTables,
+// so a snapshot captures them by reference and a restored or forked core
+// adopts them instead of re-recording — a fork then evolves exactly like its
+// origin. A snapshot loaded from a file carries no tables; restoring it
+// flushes the cache. Traces are invalidated when any agent stores to a code
+// page they cover; invalidation is deferred to the next lookup boundary
+// because the write may originate from inside the executing trace itself.
 #pragma once
 
 #include <memory>
@@ -184,6 +188,31 @@ struct TraceCostModel {
   Cycle mispredict = 0;
 };
 
+/// A trace cache's contents: the direct-mapped trace table keyed by entry
+/// pc, the heat table in front of it, and the code pages they cover. Never
+/// modified once shared — a cache writes only tables nobody else holds and
+/// copies shared ones first — so snapshots, forks and threads can hold the
+/// same tables by reference.
+struct TraceTables {
+  struct Slot {
+    Addr entry_pc = ~Addr{0};
+    std::shared_ptr<const Trace> trace;
+  };
+  struct Heat {
+    Addr pc = ~Addr{0};
+    u32 count = 0;
+  };
+
+  explicit TraceTables(std::size_t slot_count) : slots(slot_count), heat(slot_count) {}
+
+  std::vector<Slot> slots;
+  std::vector<Heat> heat;
+  /// Union of the code pages every trace ever installed here covers; a cache
+  /// adopting the tables watches these pages for invalidating stores.
+  u64 first_page = ~u64{0};
+  u64 last_page = 0;
+};
+
 /// Per-core trace store: direct-mapped table keyed by entry pc, with a heat
 /// table in front so only genuinely hot block entries get recorded.
 class TraceCache final : public CodeWriteListener {
@@ -196,7 +225,7 @@ class TraceCache final : public CodeWriteListener {
     u64 seeded = 0;           ///< Traces installed by static seeding.
     u64 heat_misses = 0;      ///< Entry misses spent warming heat counters.
     u64 code_write_flushes = 0;  ///< Traces dropped by stores to code pages.
-    u64 full_flushes = 0;        ///< flush() calls (snapshot restore).
+    u64 full_flushes = 0;        ///< flush() calls (restore without tables).
   };
 
   TraceCache(const TraceConfig& config, Memory& memory, const TraceCostModel& cost);
@@ -210,7 +239,7 @@ class TraceCache final : public CodeWriteListener {
   /// pointer across lookups.
   const Trace* lookup(Addr pc) {
     if (pending_invalidation_) [[unlikely]] process_pending_invalidation();
-    const Slot& slot = slots_[slot_index(pc)];
+    const TraceTables::Slot& slot = slots_[slot_index(pc)];
     return slot.entry_pc == pc ? slot.trace.get() : nullptr;
   }
 
@@ -228,7 +257,20 @@ class TraceCache final : public CodeWriteListener {
   /// evictable by genuine heat through the normal direct-mapped slot path.
   bool seed(Addr pc, const isa::Instruction* code, Addr base, Addr end);
 
-  /// Drop every trace (snapshot restore: traces are derived state).
+  /// The current tables, frozen: this cache copies them before its next
+  /// write. Settles any deferred code-page invalidation first (never called
+  /// mid-trace: snapshots are taken between scheduling rounds). nullptr while
+  /// the cache has never recorded or counted anything.
+  std::shared_ptr<const TraceTables> share();
+
+  /// Continue from `tables` (taken by share(), possibly by another core of
+  /// another SoC running the same images): lookups hit exactly what the
+  /// sharer's did, and the sharer's tables are never modified. Watches the
+  /// code pages the tables cover in this cache's Memory. Tables of another
+  /// geometry (or nullptr) flush instead.
+  void adopt(std::shared_ptr<const TraceTables> tables);
+
+  /// Drop every trace and heat counter.
   void flush();
 
   void count_dispatch(u32 insts) {
@@ -237,31 +279,38 @@ class TraceCache final : public CodeWriteListener {
   }
 
   const Stats& stats() const { return stats_; }
+  /// The tables lookups currently read (nullptr when empty).
+  const TraceTables* tables() const { return tables_.get(); }
 
   // CodeWriteListener: deferred — the store may run inside a live trace.
   void on_code_page_written(u64 page_id) override;
 
  private:
-  struct Slot {
-    Addr entry_pc = ~Addr{0};
-    std::unique_ptr<Trace> trace;
-  };
-  struct Heat {
-    Addr pc = ~Addr{0};
-    u32 count = 0;
-  };
   static constexpr u32 kRefused = ~u32{0};
 
+  std::size_t slot_count() const { return std::size_t{1} << config_.slots_log2; }
   std::size_t slot_index(Addr pc) const { return (pc >> 2) & slot_mask_; }
   bool record(Addr pc, const isa::Instruction* code, Addr base, Addr end, Trace& out) const;
+  /// Install a freshly recorded trace at its entry pc's slot.
+  const Trace* install(TraceTables& tables, std::shared_ptr<const Trace> trace);
+  /// Tables this cache may write in place: a private copy of shared tables
+  /// (fresh empty ones when there are none) is made on first use.
+  TraceTables& writable();
+  /// Point lookups at `tables_` (the empty sentinel when null).
+  void bind_tables();
   void process_pending_invalidation();
 
   TraceConfig config_;
   Memory& memory_;
   TraceCostModel cost_;
-  std::size_t slot_mask_;
-  std::vector<Slot> slots_;
-  std::vector<Heat> heat_;
+  std::shared_ptr<const TraceTables> tables_;  ///< nullptr = empty.
+  /// tables_ while this cache alone holds them (writable in place); nullptr
+  /// once share() handed them out or adopt() took them in.
+  TraceTables* own_ = nullptr;
+  /// Lookup view of tables_: its slot array and index mask, or a single
+  /// never-matching slot with mask 0 while there are no tables.
+  const TraceTables::Slot* slots_;
+  std::size_t slot_mask_ = 0;
   bool pending_invalidation_ = false;
   std::vector<u64> dirty_pages_;
   Stats stats_;

@@ -1,7 +1,7 @@
 // Growable power-of-two ring buffer (SPSC queue storage).
 //
 // std::deque pays a block-map indirection and an allocation every few dozen
-// elements; the DBC channels push/pop one StreamItem per logged memory access,
+// elements; the DBC channels push/pop one record per logged memory access,
 // which made deque traffic a visible slice of simulator time. The ring keeps a
 // contiguous power-of-two array indexed with a mask, growing (rarely) by
 // doubling when a DMA spill pushes occupancy past the allocated capacity.
@@ -54,28 +54,11 @@ class Ring {
     return buf_[(head_ + i) & mask_];
   }
 
-  /// Append a freshly value-initialised element and return it.
-  T& emplace_back() {
+  void push_back(const T& value) {
     if (count_ == buf_.size()) [[unlikely]] grow();
-    T& slot = buf_[(head_ + count_) & mask_];
-    slot = T{};
+    buf_[(head_ + count_) & mask_] = value;
     ++count_;
-    return slot;
   }
-
-  /// Append WITHOUT re-initialising the slot: the returned element holds
-  /// whatever a previously popped element left there. Callers must overwrite
-  /// every field a consumer can observe. Exists because the hot DBC push
-  /// (one kMem StreamItem per logged memory access) otherwise spends most of
-  /// its time zeroing a ~300-byte ArchState that kMem entries never read.
-  T& emplace_back_raw() {
-    if (count_ == buf_.size()) [[unlikely]] grow();
-    T& slot = buf_[(head_ + count_) & mask_];
-    ++count_;
-    return slot;
-  }
-
-  void push_back(const T& value) { emplace_back() = value; }
 
   void pop_front() {
     FLEX_DCHECK(count_ > 0);

@@ -37,8 +37,10 @@ constexpr u32 kShardPayloadSection = 2;
 
 /// Persisted-baseline archive: app tag "FBAS", one meta section (the
 /// BaselineStore tag fingerprint) followed by the soc::Snapshot sections.
+/// The meta section is fixed, so the version follows the snapshot format's:
+/// a baseline written under another format is rejected as version skew.
 constexpr u32 kBaselineTag = 0x53414246;  // "FBAS" little-endian.
-constexpr u32 kBaselineVersion = 1;
+constexpr u32 kBaselineVersion = soc::kSnapshotFormatVersion;
 constexpr u32 kBaselineMetaSection = 100;  ///< Distinct from SnapshotSection ids.
 
 constexpr u8 kKindCampaign = 0;

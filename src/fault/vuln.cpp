@@ -291,16 +291,13 @@ bool memory_equal(const arch::Memory::Snapshot& a, const arch::Memory::Snapshot&
 }
 
 /// Inject one whole-SoC fault into the (disposable) victim and classify it
-/// against a golden fork of the victim's own pre-fault state. `executed`
-/// accumulates instructions actually simulated (victim tail + golden horizon
-/// + optional root-cause forks).
-InjectionRecord run_one_injection(sim::Session& victim, Component component,
-                                  Rng& rng, const VulnConfig& config,
-                                  u64& executed) {
+/// against a golden fork of the victim's pre-fault state `snap` (the state
+/// the untouched victim is in). `executed` accumulates instructions actually
+/// simulated (victim tail + golden horizon + optional root-cause forks).
+InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& snap,
+                                  Component component, Rng& rng,
+                                  const VulnConfig& config, u64& executed) {
   // Golden reference: fork the pre-fault state and run it to the horizon.
-  // Derived from the victim in BOTH campaign modes, so the modes differ only
-  // in how the victim itself was materialised.
-  const soc::Snapshot snap = victim.snapshot();
   sim::Session golden = victim.fork(snap);
   const u64 golden_base = golden.total_instret();
   golden.advance(config.horizon);
@@ -530,15 +527,22 @@ VulnReport run_vuln_shard(const workloads::WorkloadProfile& profile,
       }
       if (!session_alive) break;
 
-      sim::Session victim = fork_mode ? baseline.fork() : scenario.build();
+      // The victim's pre-fault state, which the golden run forks from too:
+      // the baseline snapshot the victim is forked from, or the re-executed
+      // victim's own state. Either way the modes differ only in how the
+      // victim itself was materialised.
+      soc::Snapshot pre_fault;
+      if (fork_mode) pre_fault = baseline.snapshot();
+      sim::Session victim = fork_mode ? baseline.fork(pre_fault) : scenario.build();
       u64 executed = 0;
       if (!fork_mode) {
         for (u64 rounds : schedule) victim.advance(rounds);
         executed += victim.total_instret();  // the re-executed prefix
+        pre_fault = victim.snapshot();
       }
 
       const InjectionRecord rec =
-          run_one_injection(victim, comp, rng, config, executed);
+          run_one_injection(victim, pre_fault, comp, rng, config, executed);
       report.add(rec);
       report.total_instructions += executed;
       ++done;

@@ -9,20 +9,28 @@ namespace flexstep::fs {
 
 namespace {
 
-void serialize_item(io::ArchiveWriter& ar, const StreamItem& item) {
+/// Wire form of one item: the record header, then only the payload its kind
+/// carries (MAL entry, or checkpoint registers [+ IC for a SegmentEnd]).
+void serialize_item(io::ArchiveWriter& ar, const StreamItem& item,
+                    const Checkpoint* payload) {
   ar.put_u8(static_cast<u8>(item.kind));
   ar.put_varint(item.seq);
   ar.put_varint(item.visible_at);
-  ar.put_u8(static_cast<u8>(item.mem.kind));
-  ar.put_u8(item.mem.bytes);
-  ar.put_u64(item.mem.addr);
-  ar.put_u64(item.mem.data);
-  ar.put_u64(item.state.pc);
-  for (u64 r : item.state.regs) ar.put_u64(r);
-  ar.put_varint(item.inst_count);
+  if (item.kind == StreamItem::Kind::kMem) {
+    ar.put_u8(static_cast<u8>(item.mem.kind));
+    ar.put_u8(item.mem.bytes);
+    ar.put_u64(item.mem.addr);
+    ar.put_u64(item.mem.data);
+    return;
+  }
+  ar.put_u64(payload->state.pc);
+  for (u64 r : payload->state.regs) ar.put_u64(r);
+  if (item.kind == StreamItem::Kind::kSegmentEnd) ar.put_varint(payload->inst_count);
 }
 
-StreamItem deserialize_item(io::ArchiveReader& ar) {
+/// Mirrors serialize_item; a checkpoint item's payload is appended to
+/// `checkpoints`, so the two vectors stay consistent by construction.
+StreamItem deserialize_item(io::ArchiveReader& ar, std::vector<Checkpoint>& checkpoints) {
   StreamItem item;
   const u8 kind = ar.take_u8();
   if (ar.ok() && kind > static_cast<u8>(StreamItem::Kind::kSegmentEnd)) {
@@ -31,17 +39,21 @@ StreamItem deserialize_item(io::ArchiveReader& ar) {
   item.kind = static_cast<StreamItem::Kind>(kind);
   item.seq = ar.take_varint();
   item.visible_at = ar.take_varint();
-  const u8 mem_kind = ar.take_u8();
-  if (ar.ok() && mem_kind > static_cast<u8>(MemEntryKind::kAmoStore)) {
-    ar.fail(io::ArchiveStatus::kMalformed, "MAL entry kind out of domain");
+  if (item.kind == StreamItem::Kind::kMem) {
+    const u8 mem_kind = ar.take_u8();
+    if (ar.ok() && mem_kind > static_cast<u8>(MemEntryKind::kAmoStore)) {
+      ar.fail(io::ArchiveStatus::kMalformed, "MAL entry kind out of domain");
+    }
+    item.mem.kind = static_cast<MemEntryKind>(mem_kind);
+    item.mem.bytes = ar.take_u8();
+    item.mem.addr = ar.take_u64();
+    item.mem.data = ar.take_u64();
+    return item;
   }
-  item.mem.kind = static_cast<MemEntryKind>(mem_kind);
-  item.mem.bytes = ar.take_u8();
-  item.mem.addr = ar.take_u64();
-  item.mem.data = ar.take_u64();
-  item.state.pc = ar.take_u64();
-  for (u64& r : item.state.regs) r = ar.take_u64();
-  item.inst_count = ar.take_varint();
+  Checkpoint& checkpoint = checkpoints.emplace_back();
+  checkpoint.state.pc = ar.take_u64();
+  for (u64& r : checkpoint.state.regs) r = ar.take_u64();
+  if (item.kind == StreamItem::Kind::kSegmentEnd) checkpoint.inst_count = ar.take_varint();
   return item;
 }
 
@@ -51,7 +63,9 @@ void Channel::Snapshot::serialize(io::ArchiveWriter& ar) const {
   ar.put_varint(main_id);
   ar.put_varint(checker_id);
   ar.put_varint(items.size());
-  for (const StreamItem& item : items) serialize_item(ar, item);
+  for_each_item([&](const StreamItem& item, const Checkpoint* payload) {
+    serialize_item(ar, item, payload);
+  });
   ar.put_varint(segments.size());
   for (const SegmentMeta& seg : segments) {
     ar.put_varint(seg.inst_count);
@@ -76,13 +90,16 @@ void Channel::Snapshot::serialize(io::ArchiveWriter& ar) const {
 
 void Channel::Snapshot::deserialize(io::ArchiveReader& ar) {
   items.clear();
+  checkpoints.clear();
   segments.clear();
   fault.reset();
   main_id = static_cast<CoreId>(ar.take_varint());
   checker_id = static_cast<CoreId>(ar.take_varint());
-  const u64 item_count = ar.take_count(1 + 1 + 1 + 1 + 16 + 8 + 256 + 1);
+  // The smallest item on the wire is a MAL entry: kind, two varints, entry
+  // kind and width, address and data.
+  const u64 item_count = ar.take_count(1 + 1 + 1 + 1 + 1 + 16);
   for (u64 i = 0; ar.ok() && i < item_count; ++i) {
-    items.push_back(deserialize_item(ar));
+    items.push_back(deserialize_item(ar, checkpoints));
   }
   const u64 seg_count = ar.take_count(3);
   for (u64 i = 0; ar.ok() && i < seg_count; ++i) {
@@ -127,29 +144,36 @@ u64 Channel::producer_headroom_entries() const {
                                               : 0;
 }
 
-StreamItem& Channel::push_raw(StreamItem::Kind kind, Cycle now) {
+u64 Channel::push_checkpoint(StreamItem::Kind kind, const Checkpoint& payload,
+                             Cycle now) {
   FLEX_CHECK_MSG(!closed_, "push on closed channel");
-  StreamItem& item = items_.emplace_back();
-  item.kind = kind;
-  item.seq = next_seq_++;
-  item.visible_at = now + config_.channel_latency;
+  const u64 seq = next_seq_++;
+  items_.push_back({kind, seq, now + config_.channel_latency, {}});
+  checkpoints_.push_back(payload);
   max_occupancy_ = std::max<u64>(max_occupancy_, items_.size());
-  return item;
+  return seq;
 }
 
 void Channel::push_scp(const arch::ArchState& scp, Cycle now) {
-  push_raw(StreamItem::Kind::kScp, now).state = scp;
+  push_checkpoint(StreamItem::Kind::kScp, {scp, 0}, now);
 }
 
 void Channel::push_segment_end(const arch::ArchState& ecp, u64 inst_count, Cycle now) {
-  StreamItem& item = push_raw(StreamItem::Kind::kSegmentEnd, now);
-  item.state = ecp;
-  item.inst_count = inst_count;
-  segments_.push_back({inst_count, item.visible_at, item.seq});
+  const u64 seq = push_checkpoint(StreamItem::Kind::kSegmentEnd, {ecp, inst_count}, now);
+  segments_.push_back({inst_count, now + config_.channel_latency, seq});
   // A fault injected into a then-open segment resolves against this boundary.
   if (fault_.has_value() && fault_->segment_end_seq == kUnresolvedSegmentEnd) {
-    fault_->segment_end_seq = item.seq;
+    fault_->segment_end_seq = seq;
   }
+}
+
+std::size_t Channel::checkpoint_slot(std::size_t index) const {
+  FLEX_CHECK(index < items_.size() && items_[index].kind != StreamItem::Kind::kMem);
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i < index; ++i) {
+    slot += items_[i].kind != StreamItem::Kind::kMem ? 1 : 0;
+  }
+  return slot;
 }
 
 bool Channel::segment_ready(Cycle now) const {
@@ -167,10 +191,11 @@ u64 Channel::front_segment_ic() const {
 
 StreamItem Channel::pop(Cycle now) {
   FLEX_CHECK_MSG(!items_.empty(), "pop on empty channel");
-  StreamItem item = items_.front();
+  const StreamItem item = items_.front();
   items_.pop_front();
   last_popped_seq_ = item.seq;
   last_pop_cycle_ = now;
+  if (item.kind != StreamItem::Kind::kMem) checkpoints_.pop_front();
   if (item.kind == StreamItem::Kind::kSegmentEnd) {
     FLEX_CHECK(!segments_.empty());
     segments_.pop_front();
@@ -214,15 +239,16 @@ std::optional<InjectedFault> Channel::corrupt_item(std::size_t index, Rng& rng,
     case StreamItem::Kind::kScp:
     case StreamItem::Kind::kSegmentEnd: {
       // Corrupt one architectural word: a register (x1..x31) or the PC.
+      arch::ArchState& state = checkpoints_[checkpoint_slot(index)].state;
       const u64 which = rng.next_below(32);
       if (which == 0) {
         // PC corruption restricted to bits 2..17: a misaligned or wildly
         // out-of-range PC would be caught trivially by the fetch stage.
         fault.bit = static_cast<u8>(2 + rng.next_below(16));
-        item.state.pc ^= u64{1} << fault.bit;
+        state.pc ^= u64{1} << fault.bit;
       } else {
         fault.bit = static_cast<u8>(rng.next_below(64));
-        item.state.regs[which] ^= u64{1} << fault.bit;
+        state.regs[which] ^= u64{1} << fault.bit;
       }
       break;
     }
@@ -259,27 +285,21 @@ void Channel::flip_entry_bit(std::size_t index, u64 bit) {
   FLEX_CHECK(index < items_.size());
   StreamItem& item = items_[index];
   FLEX_CHECK(bit < entry_bit_count(index));
-  switch (item.kind) {
-    case StreamItem::Kind::kMem:
-      if (bit < 64) {
-        item.mem.addr ^= u64{1} << bit;
-      } else {
-        item.mem.data ^= u64{1} << (bit - 64);
-      }
-      return;
-    case StreamItem::Kind::kSegmentEnd:
-      if (bit >= 64 + 31 * 64) {
-        item.inst_count ^= u64{1} << (bit - (64 + 31 * 64));
-        return;
-      }
-      [[fallthrough]];
-    case StreamItem::Kind::kScp:
-      if (bit < 64) {
-        item.state.pc ^= u64{1} << bit;
-      } else {
-        item.state.regs[1 + (bit - 64) / 64] ^= u64{1} << (bit % 64);
-      }
-      return;
+  if (item.kind == StreamItem::Kind::kMem) {
+    if (bit < 64) {
+      item.mem.addr ^= u64{1} << bit;
+    } else {
+      item.mem.data ^= u64{1} << (bit - 64);
+    }
+    return;
+  }
+  Checkpoint& checkpoint = checkpoints_[checkpoint_slot(index)];
+  if (bit >= 64 + 31 * 64) {  // kSegmentEnd only: the IC field
+    checkpoint.inst_count ^= u64{1} << (bit - (64 + 31 * 64));
+  } else if (bit < 64) {
+    checkpoint.state.pc ^= u64{1} << bit;
+  } else {
+    checkpoint.state.regs[1 + (bit - 64) / 64] ^= u64{1} << (bit % 64);
   }
 }
 
@@ -302,6 +322,11 @@ void Channel::save(Snapshot& out) const {
   out.items.clear();
   out.items.reserve(items_.size());
   for (std::size_t i = 0; i < items_.size(); ++i) out.items.push_back(items_[i]);
+  out.checkpoints.clear();
+  out.checkpoints.reserve(checkpoints_.size());
+  for (std::size_t i = 0; i < checkpoints_.size(); ++i) {
+    out.checkpoints.push_back(checkpoints_[i]);
+  }
   out.segments.clear();
   out.segments.reserve(segments_.size());
   for (std::size_t i = 0; i < segments_.size(); ++i) out.segments.push_back(segments_[i]);
@@ -317,8 +342,15 @@ void Channel::save(Snapshot& out) const {
 void Channel::restore(const Snapshot& snapshot) {
   FLEX_CHECK_MSG(snapshot.main_id == main_id_ && snapshot.checker_id == checker_id_,
                  "channel snapshot endpoint mismatch");
+  const auto checkpoint_items = std::count_if(
+      snapshot.items.begin(), snapshot.items.end(),
+      [](const StreamItem& item) { return item.kind != StreamItem::Kind::kMem; });
+  FLEX_CHECK_MSG(static_cast<std::size_t>(checkpoint_items) == snapshot.checkpoints.size(),
+                 "channel snapshot checkpoint payloads do not match its items");
   items_.clear();
   for (const StreamItem& item : snapshot.items) items_.push_back(item);
+  checkpoints_.clear();
+  for (const Checkpoint& checkpoint : snapshot.checkpoints) checkpoints_.push_back(checkpoint);
   segments_.clear();
   for (const SegmentMeta& meta : snapshot.segments) segments_.push_back(meta);
   next_seq_ = snapshot.next_seq;

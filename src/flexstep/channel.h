@@ -58,6 +58,8 @@ class Channel {
     CoreId main_id = 0;
     CoreId checker_id = 0;
     std::vector<StreamItem> items;
+    /// Payloads of the checkpoint items in `items`, in stream order.
+    std::vector<Checkpoint> checkpoints;
     std::vector<SegmentMeta> segments;
     u64 next_seq = 0;
     u64 last_popped_seq = 0;
@@ -67,7 +69,24 @@ class Channel {
     u64 backpressure_events = 0;
     std::optional<InjectedFault> fault;
     std::size_t bytes() const {
-      return items.size() * sizeof(StreamItem) + segments.size() * sizeof(SegmentMeta);
+      return items.size() * sizeof(StreamItem) + checkpoints.size() * sizeof(Checkpoint) +
+             segments.size() * sizeof(SegmentMeta);
+    }
+
+    /// fn(item, payload) for every queued item in stream order; `payload` is
+    /// the item's checkpoint, nullptr for a MAL entry.
+    template <typename Fn>
+    void for_each_item(Fn&& fn) const {
+      std::size_t next = 0;
+      for (const StreamItem& item : items) {
+        const Checkpoint* payload = nullptr;
+        if (item.kind != StreamItem::Kind::kMem) {
+          FLEX_CHECK_MSG(next < checkpoints.size(),
+                         "channel snapshot lacks a checkpoint payload");
+          payload = &checkpoints[next++];
+        }
+        fn(item, payload);
+      }
     }
 
     void serialize(io::ArchiveWriter& ar) const;
@@ -104,18 +123,11 @@ class Channel {
   void push_scp(const arch::ArchState& scp, Cycle now);
   void push_segment_end(const arch::ArchState& ecp, u64 inst_count, Cycle now);
 
-  /// Hot path: one call per logged memory access. Inline, and writes only the
-  /// fields a kMem consumer can observe (kind/seq/visible_at/mem) — the slot's
-  /// stale ArchState is dead weight no reader, fault injector, or snapshot
-  /// consumer ever interprets for kMem items, and zeroing it dominated the
-  /// publish cost of batched segments.
+  /// Hot path: one call per logged memory access.
   void push_mem(const MemLogEntry& entry, Cycle now) {
     FLEX_CHECK_MSG(!closed_, "push on closed channel");
-    StreamItem& item = items_.emplace_back_raw();
-    item.kind = StreamItem::Kind::kMem;
-    item.seq = next_seq_++;
-    item.visible_at = now + config_.channel_latency;
-    item.mem = entry;
+    items_.push_back(
+        {StreamItem::Kind::kMem, next_seq_++, now + config_.channel_latency, entry});
     if (items_.size() > max_occupancy_) max_occupancy_ = items_.size();
   }
 
@@ -140,6 +152,13 @@ class Channel {
   const StreamItem& back() const { return items_.back(); }
   /// Queued item at `index` (0 = oldest still buffered).
   const StreamItem& item(std::size_t index) const { return items_[index]; }
+  /// Register payload of the queued checkpoint item at `index` (kScp or
+  /// kSegmentEnd). O(1) for the front item, O(index) otherwise.
+  const Checkpoint& checkpoint(std::size_t index) const {
+    return checkpoints_[checkpoint_slot(index)];
+  }
+  /// Dequeue the front item (and its checkpoint payload, which a caller that
+  /// needs it reads through checkpoint(0) first).
   StreamItem pop(Cycle now);
 
   /// Bulk-retire `count` already-consumed kMem items from the front (fused
@@ -204,7 +223,10 @@ class Channel {
   void restore(const Snapshot& snapshot);
 
  private:
-  StreamItem& push_raw(StreamItem::Kind kind, Cycle now);
+  /// Queue a checkpoint item; returns its seq.
+  u64 push_checkpoint(StreamItem::Kind kind, const Checkpoint& payload, Cycle now);
+  /// checkpoints_ index of the checkpoint item at items_ index `index`.
+  std::size_t checkpoint_slot(std::size_t index) const;
   std::optional<InjectedFault> corrupt_item(std::size_t index, Rng& rng, Cycle now);
 
   FlexStepConfig config_;
@@ -212,7 +234,8 @@ class Channel {
   CoreId checker_id_;
 
   Ring<StreamItem> items_;
-  Ring<SegmentMeta> segments_;  ///< One per queued SegmentEnd, FIFO order.
+  Ring<Checkpoint> checkpoints_;  ///< One per queued checkpoint item, FIFO order.
+  Ring<SegmentMeta> segments_;    ///< One per queued SegmentEnd, FIFO order.
   u64 next_seq_ = 0;
   u64 last_popped_seq_ = 0;
   Cycle last_pop_cycle_ = 0;

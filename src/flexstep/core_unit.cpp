@@ -537,10 +537,10 @@ Cycle CoreUnit::next_segment_ready_at() const {
 void CoreUnit::apply_scp() {
   FLEX_CHECK_MSG(segment_ready(core_.cycle()), "C.apply with no ready SCP");
   FLEX_CHECK(in_channel_->front().kind == StreamItem::Kind::kScp);
-  const StreamItem scp = pop_in(core_.cycle());
-  pending_scp_ = scp.state;
+  pending_scp_ = in_channel_->checkpoint(0).state;
+  pop_in(core_.cycle());
   expected_ic_ = in_channel_->front_segment_ic();
-  for (u8 r = 1; r < isa::kNumRegs; ++r) core_.set_reg(r, scp.state.regs[r]);
+  for (u8 r = 1; r < isa::kNumRegs; ++r) core_.set_reg(r, pending_scp_.regs[r]);
 }
 
 void CoreUnit::enter_replay() {
@@ -662,8 +662,8 @@ void CoreUnit::finish_segment(Addr checker_next_pc) {
     abandon_segment();
     return;
   }
-  const StreamItem end = pop_in(core_.cycle());
-  const ArchState& ecp = end.state;
+  const ArchState ecp = in_channel_->checkpoint(0).state;
+  pop_in(core_.cycle());
 
   // Compare the checker's architectural state with the ECP.
   bool mismatch_reported = false;

@@ -40,9 +40,14 @@ struct MemLogEntry {
   u64 data = 0;
 };
 
+/// One queued item as a DBC channel stores it. MAL entries, nearly the whole
+/// stream, carry their payload inline; a checkpoint item (kScp /
+/// kSegmentEnd, one of each per segment) carries its register payload in the
+/// channel's side ring instead (Channel::checkpoint), so the record stays
+/// small and `mem` is meaningful for kMem items only.
 struct StreamItem {
   enum class Kind : u8 {
-    kScp,         ///< Start Register Checkpoint (state.pc = segment entry PC).
+    kScp,         ///< Start Register Checkpoint (its pc = segment entry PC).
     kMem,         ///< One MAL entry.
     kSegmentEnd,  ///< Instruction count + End Register Checkpoint.
   };
@@ -51,9 +56,14 @@ struct StreamItem {
   u64 seq = 0;          ///< Channel-monotonic sequence number.
   Cycle visible_at = 0; ///< Producer push time + channel latency.
 
-  MemLogEntry mem{};            ///< kMem payload.
-  arch::ArchState state{};      ///< kScp: SCP; kSegmentEnd: ECP.
-  u64 inst_count = 0;           ///< kSegmentEnd: user instructions in segment.
+  MemLogEntry mem{};    ///< kMem payload.
+};
+static_assert(sizeof(StreamItem) <= 48, "MAL records must stay compact");
+
+/// Register payload of a checkpoint item.
+struct Checkpoint {
+  arch::ArchState state{};  ///< kScp: SCP; kSegmentEnd: ECP.
+  u64 inst_count = 0;       ///< kSegmentEnd: user instructions in segment.
 };
 
 }  // namespace flexstep::fs

@@ -324,7 +324,7 @@ Session::Session(const Scenario& scenario, std::vector<isa::Program> programs,
       bound_ = std::move(bound);
     }
     exec_->prepare(programs_);
-    apply_analysis();
+    apply_analysis(nullptr);
   } else {
     // Fork path: register the program images now; the caller restores the
     // snapshot (which contains the prepared state) on top and re-applies the
@@ -333,22 +333,25 @@ Session::Session(const Scenario& scenario, std::vector<isa::Program> programs,
   }
 }
 
-void Session::apply_analysis() {
+void Session::apply_analysis(const soc::Snapshot* restored) {
   if (analysis_ == nullptr) return;
   for (u32 i = 0; i < soc_->num_cores(); ++i) {
     // Every core replays user code (checkers included), so all trace caches
     // get the statically hot entries; the burst bound only binds on whichever
-    // unit is producing, and installing it everywhere is harmless.
-    soc_->core(i).seed_traces(analysis_->trace_seeds);
+    // unit is producing, and installing it everywhere is harmless. A core
+    // that adopted its snapshot's tables already holds the seeds and all its
+    // saver recorded since; seeding it again could diverge from the saver.
+    if (restored == nullptr || restored->cores[i].traces == nullptr) {
+      soc_->core(i).seed_traces(analysis_->trace_seeds);
+    }
     soc_->unit(i).set_static_dbc_bound(soc_->memory(), bound_);
   }
 }
 
 void Session::restore(const soc::Snapshot& snapshot) {
   exec_->restore(snapshot);
-  // restore() flushed every trace cache (traces are derived state) and
-  // rewound memory to the analysed image, so re-seed and re-arm the bound.
-  apply_analysis();
+  // Memory is rewound to the analysed image, so the bound is trusted again.
+  apply_analysis(&snapshot);
 }
 
 io::ArchiveError Session::save_file(const std::string& path) const {
@@ -399,7 +402,7 @@ Session Session::fork(const soc::Snapshot& snapshot) const {
   child.analysis_ = analysis_;  // immutable, shared across the fork tree
   child.bound_ = bound_;
   child.exec_->restore(snapshot);
-  child.apply_analysis();
+  child.apply_analysis(&snapshot);
   return child;
 }
 

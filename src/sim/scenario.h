@@ -23,7 +23,8 @@
 //
 // Determinism contract: a Scenario describes a closed system. Two sessions
 // built from equal Scenarios evolve bit-identically; a forked (or restored)
-// session evolves bit-identically to the session that took the snapshot.
+// session evolves bit-identically to the session that took the snapshot,
+// down to where each budgeted advance() stops on each core.
 #pragma once
 
 #include <memory>
@@ -209,11 +210,16 @@ class Session {
 
   // ---- state capture ----
 
+  /// Capture the full state. The cores' trace tables go in by reference and
+  /// this session copies them before its next write, so — like every other
+  /// call on a session — snapshot() must not race with other uses of it.
   soc::Snapshot snapshot() const { return exec_->save(); }
-  /// Rewind this session to a snapshot it (or a sibling fork) took. Restoring
-  /// flushes the (derived) trace caches, so the analysis seeds and the static
-  /// burst bound are re-applied afterwards — restored runs keep the same
-  /// host-speed profile as the original.
+  /// Rewind this session to a snapshot it (or a sibling fork) took. Every
+  /// core adopts the trace tables the snapshot holds by reference, so the
+  /// restored run evolves exactly as the saver did — including where each
+  /// budgeted advance() stops. A snapshot without tables (one loaded from a
+  /// file) flushes the caches and re-applies the analysis seeds instead. The
+  /// static burst bound is re-armed either way.
   void restore(const soc::Snapshot& snapshot);
 
   /// Persist the current state as a versioned, CRC-guarded snapshot archive
@@ -231,8 +237,9 @@ class Session {
   /// The static analysis backing this session (nullptr when analysis is off).
   const analysis::ProgramReport* analysis() const { return analysis_.get(); }
   /// Clone an independent session at the snapshot's state: fresh Soc, same
-  /// program (loaded, not re-generated), same driver config. The clone and
-  /// this session share no mutable state and evolve independently.
+  /// program (loaded, not re-generated), same driver config, and the
+  /// snapshot's trace tables adopted as restore() does. The clone and this
+  /// session share no mutable state and evolve independently.
   Session fork(const soc::Snapshot& snapshot) const;
   /// snapshot() + fork() in one step.
   Session fork() const { return fork(snapshot()); }
@@ -244,9 +251,10 @@ class Session {
   /// workload generator (forks happen once per campaign injection).
   Session(const Scenario& scenario, std::vector<isa::Program> programs,
           bool prepare);
-  /// Seed every core's trace cache and (re-)install the static DBC bound.
-  /// Called after prepare and after every restore (restores flush traces).
-  void apply_analysis();
+  /// Seed the trace caches and (re-)install the static DBC bound. Called
+  /// after prepare (`restored` null: every core is seeded) and after every
+  /// restore, where only cores restored without trace tables are seeded.
+  void apply_analysis(const soc::Snapshot* restored);
 
   Scenario scenario_;  ///< Copy: forks rebuild the platform from it.
   std::vector<isa::Program> programs_;  ///< One per producer role.

@@ -78,7 +78,8 @@ namespace {
 
 /// FNV-1a, fed field-by-field. Snapshot records contain padding (BtbEntry,
 /// StreamItem, Way, ...), so hashing structs as raw bytes would fold
-/// indeterminate host memory into the digest.
+/// indeterminate host memory into the digest. Host-only state (the cores'
+/// trace tables) is left out.
 struct Fnv {
   u64 h = 14695981039346656037ULL;
 
@@ -145,23 +146,30 @@ struct Fnv {
     word(static_cast<u64>(s.status));
   }
 
-  void item(const fs::StreamItem& s) {
+  /// One queued item: the record header plus only the payload its kind
+  /// carries (as on the wire), so unused bytes can never reach the digest.
+  void item(const fs::StreamItem& s, const fs::Checkpoint* payload) {
     word(static_cast<u64>(s.kind));
     word(s.seq);
     word(s.visible_at);
-    word(static_cast<u64>(s.mem.kind));
-    word(s.mem.bytes);
-    word(s.mem.addr);
-    word(s.mem.data);
-    state(s.state);
-    word(s.inst_count);
+    if (s.kind == fs::StreamItem::Kind::kMem) {
+      word(static_cast<u64>(s.mem.kind));
+      word(s.mem.bytes);
+      word(s.mem.addr);
+      word(s.mem.data);
+      return;
+    }
+    state(payload->state);
+    if (s.kind == fs::StreamItem::Kind::kSegmentEnd) word(payload->inst_count);
   }
 
   void channel(const fs::Channel::Snapshot& s) {
     word(s.main_id);
     word(s.checker_id);
     word(s.items.size());
-    for (const auto& it : s.items) item(it);
+    s.for_each_item([&](const fs::StreamItem& it, const fs::Checkpoint* payload) {
+      item(it, payload);
+    });
     word(s.segments.size());
     for (const auto& seg : s.segments) {
       word(seg.inst_count);

@@ -13,14 +13,17 @@
 //   * the VerifiedExecution driver flags.
 //
 // Not captured: decoded program images (derived data — the restoring side
-// loads the same programs, cf. sim::Session::fork), the extension-seam
+// loads the same programs, cf. sim::Session::fork) and the extension-seam
 // pointers (hooks/handlers/ports), which are re-derived by the restoring
-// owners, and the per-core superinstruction trace caches (arch/trace.h) —
-// pure host-speed state that Core::restore flushes so a restored or forked
-// session re-records from its own execution. The per-core LR/SC reservation
-// IS captured (arch::Core::Snapshot) and restore re-registers it in the
-// shared arch::Memory registry so cross-agent invalidation keeps working in
-// forks. Restoring is bit-exact: a restored SoC's subsequent execution is
+// owners. Held by reference, host-only: each core's superinstruction trace
+// tables (arch/trace.h), shared with the core that saved them. They are not
+// serialized and not digested; Core::restore adopts them, so a restored or
+// forked SoC also stops each budgeted advance() where the original did. A
+// snapshot decoded from a file has none, and restoring it flushes the trace
+// caches instead. The per-core LR/SC reservation IS captured
+// (arch::Core::Snapshot) and restore re-registers it in the shared
+// arch::Memory registry so cross-agent invalidation keeps working in forks.
+// Restoring is bit-exact: a restored SoC's subsequent execution is
 // indistinguishable from the original continuing (tests/test_sim.cpp).
 #pragma once
 
@@ -44,7 +47,9 @@ namespace flexstep::soc {
 inline constexpr u32 kSnapshotAppTag = 0x504E5346;  // "FSNP" little-endian.
 // v2: the driver section's single exec_main_halted flag became the per-core
 // exec_halted_mask for the role-based N-producer topology.
-inline constexpr u32 kSnapshotFormatVersion = 2;
+// v3: a DBC channel item carries only its kind's payload — a MAL entry, or a
+// checkpoint's registers (plus the IC for a SegmentEnd).
+inline constexpr u32 kSnapshotFormatVersion = 3;
 
 /// Section ids inside a snapshot archive, in file order. The resident-page
 /// payload gets its own section so the (large, 8-aligned, raw-span) page data
@@ -70,7 +75,8 @@ struct Snapshot {
   bool exec_prepared = false;
   u64 exec_halted_mask = 0;
 
-  /// Approximate host footprint (dominated by the resident memory pages).
+  /// Approximate host footprint (dominated by the resident memory pages;
+  /// shared trace tables are not copied and not counted).
   std::size_t bytes() const {
     std::size_t total = memory.bytes() + l2.bytes() + fabric.bytes();
     for (const auto& core : cores) total += core.bytes();

@@ -9,6 +9,9 @@
 //     bound (conservative fallback), still bit-identically.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "analysis/report.h"
 #include "analysis/validate.h"
 #include "arch/trace.h"
@@ -397,27 +400,50 @@ TEST(AnalysisClients, BoundedEngineWithAnalysisMatchesStepwise) {
   }
 }
 
-TEST(AnalysisClients, ForkAndRestoreReapplySeedsAndBound) {
-  sim::Session session = tiny_scenario("swaptions", soc::Engine::kQuantum)
-                             .analysis(true)
-                             .build();
+TEST(AnalysisClients, ForkAndRestoreAdoptTracesAndRearmBound) {
+  const sim::Scenario scenario =
+      tiny_scenario("swaptions", soc::Engine::kQuantum).analysis(true);
+  sim::Session session = scenario.build();
   session.advance(20'000);
   const soc::Snapshot warm = session.snapshot();
+  const arch::TraceTables* warm_tables = warm.cores[0].traces.get();
+  ASSERT_NE(warm_tables, nullptr);
+  const std::string path = "test_analysis_snapshot.fxar";
+  ASSERT_TRUE(session.save_file(path).ok());
 
+  // A fork adopts the snapshot's tables, seeds included, instead of seeding.
   sim::Session fork = session.fork(warm);
   ASSERT_NE(fork.analysis(), nullptr);
-  EXPECT_GT(fork.soc().core(0).trace_cache()->stats().seeded, 0u);
+  const arch::TraceCache& fork_traces = *fork.soc().core(0).trace_cache();
+  EXPECT_EQ(fork_traces.tables(), warm_tables);
+  EXPECT_EQ(fork_traces.stats().seeded, 0u);
+  EXPECT_EQ(fork_traces.stats().full_flushes, 0u);
   EXPECT_TRUE(fork.soc().unit(0).static_bound_active());
 
-  const u64 seeded_before = session.soc().core(0).trace_cache()->stats().seeded;
+  // So does an in-place restore, once the session has moved on.
+  const arch::TraceCache& traces = *session.soc().core(0).trace_cache();
+  const u64 seeded_before = traces.stats().seeded;
+  session.advance(10'000);
   session.restore(warm);
-  // restore() flushes traces, then apply_analysis re-seeds.
-  EXPECT_GT(session.soc().core(0).trace_cache()->stats().seeded, seeded_before);
+  EXPECT_EQ(traces.tables(), warm_tables);
+  EXPECT_EQ(traces.stats().seeded, seeded_before);
+  EXPECT_EQ(traces.stats().full_flushes, 0u);
   EXPECT_TRUE(session.soc().unit(0).static_bound_active());
+
+  // A snapshot loaded from a file has no tables: it flushes and re-seeds.
+  sim::Session from_file = scenario.build();
+  const u64 seeded_at_build = from_file.soc().core(0).trace_cache()->stats().seeded;
+  ASSERT_TRUE(from_file.load_file(path).ok());
+  std::remove(path.c_str());
+  const arch::TraceCache& file_traces = *from_file.soc().core(0).trace_cache();
+  EXPECT_EQ(file_traces.stats().full_flushes, 1u);
+  EXPECT_GT(file_traces.stats().seeded, seeded_at_build);
+  EXPECT_TRUE(from_file.soc().unit(0).static_bound_active());
 
   const soc::RunStats run_on = session.run();
   const soc::RunStats forked = fork.run();
   EXPECT_EQ(run_on, forked);
+  EXPECT_EQ(from_file.run(), run_on);
 }
 
 // ---------------------------------------------------------------------------
@@ -484,6 +510,28 @@ TEST(SelfModify, RestoreRearmsTheDroppedBound) {
   EXPECT_TRUE(session.soc().unit(0).static_bound_active());
   const soc::RunStats second = session.run();
   EXPECT_EQ(first, second);
+}
+
+TEST(SelfModify, CodeStoreInAForkLeavesTheOriginIntact) {
+  // The fork adopts the origin's trace tables; its own code store drops the
+  // fork's covering traces and static bound, never the origin's.
+  sim::Session origin = sim::Scenario()
+                            .program(self_writing_program())
+                            .dual()
+                            .engine(soc::Engine::kQuantumBounded)
+                            .analysis(true)
+                            .build();
+  const soc::Snapshot start = origin.snapshot();
+  sim::Session fork = origin.fork(start);
+  const soc::RunStats forked = fork.run();
+  EXPECT_GT(fork.soc().core(0).trace_cache()->stats().code_write_flushes, 0u);
+  EXPECT_FALSE(fork.soc().unit(0).static_bound_active());
+
+  const arch::TraceCache& origin_traces = *origin.soc().core(0).trace_cache();
+  EXPECT_EQ(origin_traces.tables(), start.cores[0].traces.get());
+  EXPECT_EQ(origin_traces.stats().code_write_flushes, 0u);
+  EXPECT_TRUE(origin.soc().unit(0).static_bound_active());
+  EXPECT_EQ(origin.run(), forked);
 }
 
 }  // namespace

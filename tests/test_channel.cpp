@@ -181,8 +181,8 @@ TEST(ChannelFault, ScpPcCorruptionStaysAligned) {
     Rng rng(trial);
     const auto fault = ch.inject_random_fault(rng, 1);
     ASSERT_TRUE(fault.has_value());
-    const StreamItem item = ch.pop(2);
-    EXPECT_EQ(item.state.pc % 4, 0u);  // PC flips restricted to bits 2..17
+    EXPECT_EQ(ch.checkpoint(0).state.pc % 4, 0u);  // PC flips restricted to bits 2..17
+    ch.pop(2);
     ch.clear_fault();
   }
 }

@@ -575,10 +575,48 @@ TEST(ExecEngine, StoreToTracedCodePageFlushesAndStaysIdentical) {
   EXPECT_GT(traces->stats().code_write_flushes, 0u);
 }
 
+TEST(ExecEngine, CodePageStoreInAForkDropsOnlyTheForksTraces) {
+  // A fork holds its origin's trace tables by reference. A store into a code
+  // page in the fork must drop the fork's traces covering that page — after
+  // copying the shared tables — and leave the origin's tables intact.
+  sim::Session origin =
+      sim::Scenario().workload("swaptions").iterations(40).plain().build();
+  ASSERT_TRUE(origin.advance(30'000));
+  const soc::Snapshot warm = origin.snapshot();
+  const arch::TraceTables* warm_tables = warm.cores[0].traces.get();
+  ASSERT_NE(warm_tables, nullptr);
+  const Addr code = origin.program().code_base;
+  const u64 page = code >> arch::Memory::kPageBits;
+  const auto covering = [page](const arch::TraceTables& tables) {
+    return std::count_if(tables.slots.begin(), tables.slots.end(), [page](const auto& slot) {
+      return slot.trace != nullptr && slot.trace->first_page <= page &&
+             page <= slot.trace->last_page;
+    });
+  };
+  const auto traces_on_page = covering(*warm_tables);
+  ASSERT_GT(traces_on_page, 0);
+
+  sim::Session fork = origin.fork(warm);
+  // Store a code word's own value back: the page sees a store, while the
+  // executed program (fetched from the decoded image) stays the same.
+  arch::Memory& memory = fork.soc().memory();
+  memory.write(code, 8, memory.read(code, 8));
+  const soc::RunStats forked = fork.run();
+
+  const arch::TraceCache& fork_traces = *fork.soc().core(0).trace_cache();
+  EXPECT_GE(fork_traces.stats().code_write_flushes, static_cast<u64>(traces_on_page));
+  EXPECT_NE(fork_traces.tables(), warm_tables);
+  EXPECT_EQ(covering(*warm_tables), traces_on_page);
+  const arch::TraceCache& origin_traces = *origin.soc().core(0).trace_cache();
+  EXPECT_EQ(origin_traces.tables(), warm_tables);
+  EXPECT_EQ(origin_traces.stats().code_write_flushes, 0u);
+  EXPECT_EQ(origin.run(), forked);
+}
+
 TEST(ExecEngine, SnapshotRestoreMidHotRegionBitIdentical) {
   // Land a snapshot in the middle of hot (traced) execution: run-on, a fork,
-  // and an in-place restore must all evolve bit-identically, and the restore
-  // must flush the trace cache (derived state is never captured).
+  // and an in-place restore must all evolve bit-identically, and the fork and
+  // the restore must continue from the snapshot's trace tables, not flush.
   sim::Session session =
       sim::Scenario().workload("swaptions").iterations(40).plain().build();
   ASSERT_TRUE(session.advance(30'000));
@@ -587,14 +625,18 @@ TEST(ExecEngine, SnapshotRestoreMidHotRegionBitIdentical) {
   ASSERT_GT(traces->stats().dispatches, 0u);  // snapshot lands in hot execution
   const u64 flushes_before = traces->stats().full_flushes;
   const soc::Snapshot warm = session.snapshot();
+  const arch::TraceTables* warm_tables = warm.cores[0].traces.get();
+  ASSERT_NE(warm_tables, nullptr);
 
   sim::Session fork = session.fork(warm);
+  EXPECT_EQ(fork.soc().core(0).trace_cache()->tables(), warm_tables);
   const soc::RunStats run_on = session.run();
   const soc::RunStats forked = fork.run();
   EXPECT_EQ(run_on, forked);
 
   session.restore(warm);
-  EXPECT_EQ(traces->stats().full_flushes, flushes_before + 1);
+  EXPECT_EQ(traces->stats().full_flushes, flushes_before);
+  EXPECT_EQ(traces->tables(), warm_tables);
   const soc::RunStats rerun = session.run();
   EXPECT_EQ(run_on, rerun);
 }

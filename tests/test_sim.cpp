@@ -3,6 +3,9 @@
 // The contracts under test:
 //   * Round-trip bit-identity — run N instructions, snapshot, then run-on vs
 //     restore-and-run produce identical RunStats (in-place and across forks).
+//   * Forks evolve exactly like their origin — equal advance() budgets retire
+//     the same instructions on every core and reach the same snapshot_digest
+//     (forks adopt the origin's trace tables, across threads too).
 //   * Fork isolation — a fault injected into a forked session never perturbs
 //     its sibling or the baseline.
 //   * Campaign parity — the snapshot-fork campaign reproduces the
@@ -11,10 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
+#include "common/archive.h"
 #include "common/rng.h"
 #include "fault/campaign.h"
 #include "isa/assembler.h"
+#include "runtime/parallel.h"
 #include "sim/scenario.h"
 #include "soc/snapshot.h"
 
@@ -241,6 +247,98 @@ TEST(Snapshot, ForkIsolationFaultStaysInTheFork) {
   }
   EXPECT_EQ(clean_stats.segments_failed, 0u);
   EXPECT_EQ(sibling_stats.segments_failed, 0u);
+}
+
+std::vector<u8> wire_bytes(const soc::Snapshot& snapshot) {
+  io::ArchiveWriter ar(soc::kSnapshotAppTag, soc::kSnapshotFormatVersion);
+  snapshot.serialize(ar);
+  return ar.buffer();
+}
+
+TEST(Snapshot, ForkDigestCarriesNoStaleChannelBytes) {
+  // Regression: channel ring slots are reused, and a MAL entry written into a
+  // slot a checkpoint held before used to keep that checkpoint's registers.
+  // Those dead bytes reached snapshot_digest and the wire form, so a fork and
+  // its origin with equal RunStats digested differently (13 of 857 queued
+  // entries here). The stepwise engine keeps traces out of the picture.
+  Session origin = Scenario()
+                       .workload("swaptions")
+                       .seed(3)
+                       .iterations(400)
+                       .soc(soc::SocConfig::paper_default(2))
+                       .dual()
+                       .engine(soc::Engine::kStepwise)
+                       .build();
+  ASSERT_TRUE(origin.advance(300'000));
+  Session fork = origin.fork();
+  ASSERT_TRUE(origin.advance(120'000));
+  ASSERT_TRUE(fork.advance(120'000));
+  ASSERT_NE(origin.channel(), nullptr);
+  ASSERT_GT(origin.channel()->size(), 0u);
+
+  EXPECT_EQ(origin.stats(), fork.stats());
+  const soc::Snapshot a = origin.snapshot();
+  const soc::Snapshot b = fork.snapshot();
+  EXPECT_EQ(soc::snapshot_digest(a), soc::snapshot_digest(b));
+  EXPECT_EQ(wire_bytes(a), wire_bytes(b));
+}
+
+TEST(Snapshot, ForkEvolvesExactlyLikeItsOriginPerCore) {
+  // With traces on, where a budgeted advance() stops on each core depends on
+  // which traces are recorded. A fork adopts its origin's trace tables, so
+  // equal budgets must retire equal instructions on every core and reach the
+  // same state. Forks that re-recorded their traces split differently here
+  // from the third repetition on.
+  soc::SocConfig soc = soc::SocConfig::paper_default(16);
+  soc.l2.size_bytes = 16 * 128 * 1024;
+  Session origin = Scenario()
+                       .workload("swaptions")
+                       .seed(runtime::stream_rng(2, 11).next_u64())
+                       .iterations(300)
+                       .soc(soc)
+                       .pairs(8)
+                       .engine(soc::Engine::kQuantumBounded)
+                       .trace(true)
+                       .analysis(true)
+                       .build();
+  ASSERT_TRUE(origin.advance(20'000));
+  for (int rep = 0; rep < 4; ++rep) {
+    Session fork = origin.fork(origin.snapshot());
+    ASSERT_TRUE(origin.advance(30'000));
+    ASSERT_TRUE(fork.advance(30'000));
+    for (u32 core = 0; core < soc.num_cores; ++core) {
+      EXPECT_EQ(fork.soc().core(core).instret(), origin.soc().core(core).instret())
+          << "repetition " << rep << ", core " << core;
+    }
+    EXPECT_EQ(soc::snapshot_digest(fork.snapshot()), soc::snapshot_digest(origin.snapshot()))
+        << "repetition " << rep;
+  }
+}
+
+TEST(Snapshot, ConcurrentForksOfOneSnapshotMatchTheOrigin) {
+  // Forks of one snapshot share its trace tables (and every recorded trace)
+  // across threads; each fork copies them before its first write. Run four
+  // forks to completion on four workers (the TSan job runs this suite).
+  Session origin = small_verified_scenario().build();
+  ASSERT_TRUE(origin.advance(50'000));
+  const soc::Snapshot warm = origin.snapshot();
+
+  constexpr std::size_t kForks = 4;
+  std::vector<soc::RunStats> stats(kForks);
+  std::vector<u64> digests(kForks);
+  runtime::JobPool pool(kForks);
+  runtime::parallel_for(pool, kForks, [&](std::size_t i) {
+    Session fork = origin.fork(warm);
+    stats[i] = fork.run();
+    digests[i] = soc::snapshot_digest(fork.snapshot());
+  });
+
+  const soc::RunStats expected = origin.run();
+  const u64 expected_digest = soc::snapshot_digest(origin.snapshot());
+  for (std::size_t i = 0; i < kForks; ++i) {
+    EXPECT_EQ(stats[i], expected) << "fork " << i;
+    EXPECT_EQ(digests[i], expected_digest) << "fork " << i;
+  }
 }
 
 TEST(Snapshot, ForkSurvivesItsParentsDestruction) {

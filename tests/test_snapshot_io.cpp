@@ -323,17 +323,18 @@ TEST(SnapshotWire, CampaignStatsAndVulnReportRoundTrip) {
 
 TEST(SnapshotWire, VersionSkewIsRejectedExactly) {
   // v2 widened the driver section (exec_main_halted -> exec_halted_mask for
-  // role-based topologies). There are no migration shims: a v1 archive — or
-  // any version other than the current one — must be rejected with a
-  // structured kVersionSkew before any section is decoded.
-  static_assert(soc::kSnapshotFormatVersion == 2,
+  // role-based topologies); v3 narrowed every DBC item to its kind's payload.
+  // There are no migration shims: a v1 or v2 archive — or any version other
+  // than the current one — must be rejected with a structured kVersionSkew
+  // before any section is decoded.
+  static_assert(soc::kSnapshotFormatVersion == 3,
                 "bump this test (and re-check the skew matrix) when the "
                 "snapshot format changes again");
 
   sim::Session session = warmed_session();
   const soc::Snapshot snap = session.snapshot();
 
-  for (const u32 stale : {u32{1}, soc::kSnapshotFormatVersion + 1}) {
+  for (const u32 stale : {u32{1}, u32{2}, soc::kSnapshotFormatVersion + 1}) {
     ArchiveWriter w(soc::kSnapshotAppTag, stale);
     snap.serialize(w);
     ArchiveReader r(w.buffer().data(), w.buffer().size(), soc::kSnapshotAppTag,
