@@ -133,6 +133,29 @@ void Memory::invalidate_reservations(Addr addr, std::size_t bytes) {
   });
 }
 
+bool Memory::same_contents(const Memory& other, std::optional<Addr> skip_word) const {
+  static const Page kZeroPage{};
+  const auto page_equal = [&](u64 id, const Page& a, const Page& b) {
+    if (!skip_word.has_value() || (*skip_word >> kPageBits) != id) {
+      return std::memcmp(a.data(), b.data(), kPageSize) == 0;
+    }
+    const std::size_t skip = *skip_word & (kPageSize - 1);
+    const std::size_t resume = std::min<std::size_t>(skip + 8, kPageSize);
+    return std::memcmp(a.data(), b.data(), skip) == 0 &&
+           std::memcmp(a.data() + resume, b.data() + resume, kPageSize - resume) == 0;
+  };
+  for (const auto& [id, page] : pages_) {
+    const auto it = other.pages_.find(id);
+    if (!page_equal(id, *page, it != other.pages_.end() ? *it->second : kZeroPage)) {
+      return false;
+    }
+  }
+  for (const auto& [id, page] : other.pages_) {
+    if (!pages_.contains(id) && !page_equal(id, kZeroPage, *page)) return false;
+  }
+  return true;
+}
+
 Addr Memory::fault_word_addr(std::size_t word_index) const {
   constexpr std::size_t kWordsPerPage = kPageSize / 8;
   FLEX_CHECK_MSG(word_index < fault_word_count(), "fault word index out of range");

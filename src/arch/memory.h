@@ -14,6 +14,7 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -130,6 +131,11 @@ class Memory {
 
   /// Number of materialised pages (tests / footprint accounting).
   std::size_t resident_pages() const { return pages_.size(); }
+
+  /// True when this address space and `other` hold the same bytes, except the
+  /// 8-byte word at `skip_word` (8-aligned) when one is given. A page resident
+  /// on one side only compares against zero, as a never-touched page reads.
+  bool same_contents(const Memory& other, std::optional<Addr> skip_word) const;
 
   // ---- fault-site adapter (fault/sites.h) ----
 

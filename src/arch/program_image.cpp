@@ -6,7 +6,7 @@
 namespace flexstep::arch {
 
 const LoadedImage* ImageRegistry::load(Memory& memory, const isa::Program& program) {
-  auto image = std::make_unique<LoadedImage>();
+  auto image = std::make_shared<LoadedImage>();
   image->base = program.code_base;
   image->end = program.code_end();
   image->code = program.code;
@@ -20,6 +20,11 @@ const LoadedImage* ImageRegistry::load(Memory& memory, const isa::Program& progr
 
   images_.push_back(std::move(image));
   return images_.back().get();
+}
+
+void ImageRegistry::share(const ImageRegistry& origin) {
+  FLEX_CHECK_MSG(images_.empty(), "sharing images into a non-empty registry");
+  images_ = origin.images_;
 }
 
 const LoadedImage* ImageRegistry::find(Addr pc) const {

@@ -25,11 +25,19 @@ struct LoadedImage {
   const isa::Instruction& at(Addr pc) const { return code[(pc - base) / 4]; }
 };
 
+/// Loaded images are immutable once registered, so registries of forked SoCs
+/// hold their origin's images by reference.
 class ImageRegistry {
  public:
   /// Write the program's encoded form into memory and register the decoded
   /// stream. Overlapping images are rejected.
   const LoadedImage* load(Memory& memory, const isa::Program& program);
+
+  /// Register every image `origin` holds, by reference: nothing is copied,
+  /// encoded or written to memory. For a SoC whose memory is restored to a
+  /// state that already holds their code (sim::Session::fork). This registry
+  /// must be empty.
+  void share(const ImageRegistry& origin);
 
   /// Image containing `pc`, or nullptr.
   const LoadedImage* find(Addr pc) const;
@@ -37,7 +45,7 @@ class ImageRegistry {
   std::size_t size() const { return images_.size(); }
 
  private:
-  std::vector<std::unique_ptr<LoadedImage>> images_;
+  std::vector<std::shared_ptr<const LoadedImage>> images_;
 };
 
 }  // namespace flexstep::arch

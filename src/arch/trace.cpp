@@ -45,21 +45,52 @@ int alu_pair_index(Opcode op) {
 
 i32 alu_pair_imm(Opcode op, i32 imm) { return op == Opcode::kSlli ? (imm & 63) : imm; }
 
-/// What lookups read while a cache has no tables: never matches a pc (pcs
-/// are 4-aligned), so an empty cache needs neither tables nor a null check.
-const TraceTables::Slot kNoSlot{};
+/// The chunks every fresh table starts from, and what lookups read while a
+/// cache has no tables: their slots never match a pc (pcs are 4-aligned).
+/// Never written — a cache copies any chunk it does not own before writing —
+/// and held without a reference count, so sharing them costs no atomics.
+template <typename Chunk>
+const std::shared_ptr<const Chunk>& empty_chunk() {
+  static const Chunk chunk{};
+  static const std::shared_ptr<const Chunk> ref(std::shared_ptr<const Chunk>(), &chunk);
+  return ref;
+}
+
+std::size_t chunk_count(std::size_t slot_count) {
+  return (slot_count + TraceTables::kChunkSlots - 1) / TraceTables::kChunkSlots;
+}
+
+/// Entry `index` of `chunks`, copying its chunk first unless `own` records
+/// that this cache already did (and so alone holds it).
+template <typename Chunk>
+typename Chunk::value_type& writable_entry(std::vector<std::shared_ptr<const Chunk>>& chunks,
+                                           std::vector<Chunk*>& own, std::size_t index) {
+  const std::size_t c = index >> TraceTables::kChunkBits;
+  if (own[c] == nullptr) {
+    auto copy = std::make_shared<Chunk>(*chunks[c]);
+    own[c] = copy.get();
+    chunks[c] = std::move(copy);
+  }
+  return (*own[c])[index & (TraceTables::kChunkSlots - 1)];
+}
 
 }  // namespace
 
+TraceTables::TraceTables(std::size_t slot_count)
+    : slots(chunk_count(slot_count), empty_chunk<SlotChunk>()),
+      heat(slots.size(), empty_chunk<HeatChunk>()) {}
+
 TraceCache::TraceCache(const TraceConfig& config, Memory& memory,
                        const TraceCostModel& cost)
-    : config_(config), memory_(memory), cost_(cost), slots_(&kNoSlot) {}
+    : config_(config), memory_(memory), cost_(cost),
+      slot_chunks_(&empty_chunk<TraceTables::SlotChunk>()) {}
 
 TraceCache::~TraceCache() { memory_.unwatch_code_pages(this); }
 
 void TraceCache::bind_tables() {
-  slots_ = tables_ != nullptr ? tables_->slots.data() : &kNoSlot;
-  slot_mask_ = tables_ != nullptr ? tables_->slots.size() - 1 : 0;
+  slot_chunks_ = tables_ != nullptr ? tables_->slots.data()
+                                    : &empty_chunk<TraceTables::SlotChunk>();
+  slot_mask_ = tables_ != nullptr ? slot_count() - 1 : 0;
 }
 
 TraceTables& TraceCache::writable() {
@@ -68,9 +99,19 @@ TraceTables& TraceCache::writable() {
                                    : std::make_shared<TraceTables>(slot_count());
     own_ = copy.get();
     tables_ = std::move(copy);
+    own_slots_.assign(own_->slots.size(), nullptr);
+    own_heat_.assign(own_->heat.size(), nullptr);
     bind_tables();
   }
   return *own_;
+}
+
+TraceTables::Slot& TraceCache::writable_slot(std::size_t index) {
+  return writable_entry(writable().slots, own_slots_, index);
+}
+
+TraceTables::Heat& TraceCache::writable_heat(std::size_t index) {
+  return writable_entry(writable().heat, own_heat_, index);
 }
 
 std::shared_ptr<const TraceTables> TraceCache::share() {
@@ -80,7 +121,7 @@ std::shared_ptr<const TraceTables> TraceCache::share() {
 }
 
 void TraceCache::adopt(std::shared_ptr<const TraceTables> tables) {
-  if (tables == nullptr || tables->slots.size() != slot_count()) {
+  if (tables == nullptr || tables->slots.size() != chunk_count(slot_count())) {
     flush();
     return;
   }
@@ -112,11 +153,15 @@ void TraceCache::process_pending_invalidation() {
              return page >= slot.trace->first_page && page <= slot.trace->last_page;
            });
   };
-  // Copy shared tables only when a covered page was actually written.
-  if (tables_ != nullptr && std::any_of(tables_->slots.begin(), tables_->slots.end(), dirty)) {
-    for (TraceTables::Slot& slot : writable().slots) {
-      if (dirty(slot)) {
-        slot = TraceTables::Slot{};
+  // Copy only chunks that hold a trace on a written page. Entries are re-read
+  // through tables_ each time: copying a chunk may release the original.
+  const std::size_t chunks = tables_ != nullptr ? tables_->slots.size() : 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (std::none_of(tables_->slots[c]->begin(), tables_->slots[c]->end(), dirty)) continue;
+    for (std::size_t index = c << TraceTables::kChunkBits;
+         index < (c + 1) << TraceTables::kChunkBits; ++index) {
+      if (dirty(tables_->slot(index))) {
+        writable_slot(index) = TraceTables::Slot{};
         ++stats_.code_write_flushes;
       }
     }
@@ -134,11 +179,12 @@ void TraceCache::flush() {
   ++stats_.full_flushes;
 }
 
-const Trace* TraceCache::install(TraceTables& tables, std::shared_ptr<const Trace> trace) {
+const Trace* TraceCache::install(std::shared_ptr<const Trace> trace) {
   memory_.watch_code_pages(this, trace->first_page, trace->last_page);
+  TraceTables& tables = writable();
   tables.first_page = std::min(tables.first_page, trace->first_page);
   tables.last_page = std::max(tables.last_page, trace->last_page);
-  TraceTables::Slot& slot = tables.slots[slot_index(trace->entry_pc)];
+  TraceTables::Slot& slot = writable_slot(slot_index(trace->entry_pc));
   slot.entry_pc = trace->entry_pc;
   slot.trace = std::move(trace);
   ++stats_.recorded;
@@ -148,12 +194,12 @@ const Trace* TraceCache::install(TraceTables& tables, std::shared_ptr<const Trac
 const Trace* TraceCache::notice_entry(Addr pc, const isa::Instruction* code,
                                       Addr base, Addr end) {
   if (pending_invalidation_) process_pending_invalidation();
+  const std::size_t index = slot_index(pc);
   if (tables_ != nullptr) {
-    const TraceTables::Heat& heat = tables_->heat[slot_index(pc)];
+    const TraceTables::Heat& heat = tables_->heat_at(index);
     if (heat.pc == pc && heat.count == kRefused) return nullptr;  // read-only
   }
-  TraceTables& tables = writable();
-  TraceTables::Heat& heat = tables.heat[slot_index(pc)];
+  TraceTables::Heat& heat = writable_heat(index);
   if (heat.pc != pc) {
     // Cold (or aliased) entry: start counting afresh.
     heat.pc = pc;
@@ -172,22 +218,21 @@ const Trace* TraceCache::notice_entry(Addr pc, const isa::Instruction* code,
     ++stats_.refused;
     return nullptr;
   }
-  return install(tables, std::move(trace));
+  return install(std::move(trace));
 }
 
 bool TraceCache::seed(Addr pc, const isa::Instruction* code, Addr base, Addr end) {
   if (lookup(pc) != nullptr) return true;  // already covered
   auto trace = std::make_shared<Trace>();
-  TraceTables& tables = writable();
   if (!record(pc, code, base, end, *trace)) {
     // Same terminal state a hot entry would reach: never re-walk this pc.
-    TraceTables::Heat& heat = tables.heat[slot_index(pc)];
+    TraceTables::Heat& heat = writable_heat(slot_index(pc));
     heat.pc = pc;
     heat.count = kRefused;
     ++stats_.refused;
     return false;
   }
-  install(tables, std::move(trace));
+  install(std::move(trace));
   ++stats_.seeded;
   return true;
 }

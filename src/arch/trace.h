@@ -28,12 +28,17 @@
 // its traces and heat counters in immutable, reference-counted TraceTables,
 // so a snapshot captures them by reference and a restored or forked core
 // adopts them instead of re-recording — a fork then evolves exactly like its
-// origin. A snapshot loaded from a file carries no tables; restoring it
+// origin. The tables are split into fixed 64-entry chunks, each held by
+// reference: a cache that writes after sharing copies only the chunk it
+// writes, so a short-lived fork pays for the entries it touches, not for the
+// whole table. A snapshot loaded from a file carries no tables; restoring it
 // flushes the cache. Traces are invalidated when any agent stores to a code
 // page they cover; invalidation is deferred to the next lookup boundary
-// because the write may originate from inside the executing trace itself.
+// because the write may originate from inside the executing trace itself,
+// and copies only the chunks that hold a covering trace.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -189,11 +194,16 @@ struct TraceCostModel {
 };
 
 /// A trace cache's contents: the direct-mapped trace table keyed by entry
-/// pc, the heat table in front of it, and the code pages they cover. Never
-/// modified once shared — a cache writes only tables nobody else holds and
-/// copies shared ones first — so snapshots, forks and threads can hold the
-/// same tables by reference.
+/// pc, the heat table in front of it, and the code pages they cover. Both
+/// tables are split into chunks of kChunkSlots entries held by reference.
+/// Never modified once shared — a cache writes only the chunk index and the
+/// chunks nobody else holds, and copies a shared chunk before its first write
+/// — so snapshots, forks and threads can hold the same tables and chunks by
+/// reference, and a write after sharing copies one chunk, not the table.
 struct TraceTables {
+  static constexpr std::size_t kChunkBits = 6;
+  static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkBits;
+
   struct Slot {
     Addr entry_pc = ~Addr{0};
     std::shared_ptr<const Trace> trace;
@@ -202,11 +212,22 @@ struct TraceTables {
     Addr pc = ~Addr{0};
     u32 count = 0;
   };
+  using SlotChunk = std::array<Slot, kChunkSlots>;
+  using HeatChunk = std::array<Heat, kChunkSlots>;
 
-  explicit TraceTables(std::size_t slot_count) : slots(slot_count), heat(slot_count) {}
+  /// Tables of `slot_count` slots and heat entries, every chunk the one
+  /// shared, never-written empty chunk.
+  explicit TraceTables(std::size_t slot_count);
 
-  std::vector<Slot> slots;
-  std::vector<Heat> heat;
+  const Slot& slot(std::size_t index) const {
+    return (*slots[index >> kChunkBits])[index & (kChunkSlots - 1)];
+  }
+  const Heat& heat_at(std::size_t index) const {
+    return (*heat[index >> kChunkBits])[index & (kChunkSlots - 1)];
+  }
+
+  std::vector<std::shared_ptr<const SlotChunk>> slots;  ///< Chunk index.
+  std::vector<std::shared_ptr<const HeatChunk>> heat;   ///< Chunk index.
   /// Union of the code pages every trace ever installed here covers; a cache
   /// adopting the tables watches these pages for invalidating stores.
   u64 first_page = ~u64{0};
@@ -239,7 +260,9 @@ class TraceCache final : public CodeWriteListener {
   /// pointer across lookups.
   const Trace* lookup(Addr pc) {
     if (pending_invalidation_) [[unlikely]] process_pending_invalidation();
-    const TraceTables::Slot& slot = slots_[slot_index(pc)];
+    const std::size_t index = (pc >> 2) & slot_mask_;
+    const TraceTables::Slot& slot = (*slot_chunks_[index >> TraceTables::kChunkBits])
+        [index & (TraceTables::kChunkSlots - 1)];
     return slot.entry_pc == pc ? slot.trace.get() : nullptr;
   }
 
@@ -257,10 +280,11 @@ class TraceCache final : public CodeWriteListener {
   /// evictable by genuine heat through the normal direct-mapped slot path.
   bool seed(Addr pc, const isa::Instruction* code, Addr base, Addr end);
 
-  /// The current tables, frozen: this cache copies them before its next
-  /// write. Settles any deferred code-page invalidation first (never called
-  /// mid-trace: snapshots are taken between scheduling rounds). nullptr while
-  /// the cache has never recorded or counted anything.
+  /// The current tables, frozen: before its next write this cache copies
+  /// their chunk index, and each chunk before its first write. Settles any
+  /// deferred code-page invalidation first (never called mid-trace:
+  /// snapshots are taken between scheduling rounds). nullptr while the cache
+  /// has never recorded or counted anything.
   std::shared_ptr<const TraceTables> share();
 
   /// Continue from `tables` (taken by share(), possibly by another core of
@@ -289,14 +313,19 @@ class TraceCache final : public CodeWriteListener {
   static constexpr u32 kRefused = ~u32{0};
 
   std::size_t slot_count() const { return std::size_t{1} << config_.slots_log2; }
-  std::size_t slot_index(Addr pc) const { return (pc >> 2) & slot_mask_; }
+  std::size_t slot_index(Addr pc) const { return (pc >> 2) & (slot_count() - 1); }
   bool record(Addr pc, const isa::Instruction* code, Addr base, Addr end, Trace& out) const;
   /// Install a freshly recorded trace at its entry pc's slot.
-  const Trace* install(TraceTables& tables, std::shared_ptr<const Trace> trace);
-  /// Tables this cache may write in place: a private copy of shared tables
-  /// (fresh empty ones when there are none) is made on first use.
+  const Trace* install(std::shared_ptr<const Trace> trace);
+  /// Tables whose chunk index this cache may write in place: a private copy
+  /// of shared tables (fresh empty ones when there are none) is made on first
+  /// use. Their chunks may still be shared; write entries through
+  /// writable_slot() / writable_heat().
   TraceTables& writable();
-  /// Point lookups at `tables_` (the empty sentinel when null).
+  /// Entry `index`, in a chunk this cache alone holds (copied on first write).
+  TraceTables::Slot& writable_slot(std::size_t index);
+  TraceTables::Heat& writable_heat(std::size_t index);
+  /// Point lookups at `tables_` (the empty chunk when null).
   void bind_tables();
   void process_pending_invalidation();
 
@@ -304,12 +333,16 @@ class TraceCache final : public CodeWriteListener {
   Memory& memory_;
   TraceCostModel cost_;
   std::shared_ptr<const TraceTables> tables_;  ///< nullptr = empty.
-  /// tables_ while this cache alone holds them (writable in place); nullptr
-  /// once share() handed them out or adopt() took them in.
+  /// tables_ while this cache alone holds its chunk index (writable in place);
+  /// nullptr once share() handed them out or adopt() took them in.
   TraceTables* own_ = nullptr;
-  /// Lookup view of tables_: its slot array and index mask, or a single
-  /// never-matching slot with mask 0 while there are no tables.
-  const TraceTables::Slot* slots_;
+  /// Per chunk of own_: the chunk itself once this cache has copied it (and
+  /// so alone holds it), nullptr while it may be shared.
+  std::vector<TraceTables::SlotChunk*> own_slots_;
+  std::vector<TraceTables::HeatChunk*> own_heat_;
+  /// Lookup view of tables_: its slot-chunk index and slot mask, or a single
+  /// never-matching chunk with mask 0 while there are no tables.
+  const std::shared_ptr<const TraceTables::SlotChunk>* slot_chunks_;
   std::size_t slot_mask_ = 0;
   bool pending_invalidation_ = false;
   std::vector<u64> dirty_pages_;

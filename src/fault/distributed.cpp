@@ -3,6 +3,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,7 +12,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "common/archive.h"
@@ -311,18 +312,6 @@ std::string csv(const std::vector<u32>& values) {
   return out;
 }
 
-std::vector<u32> parse_csv(const std::string& text) {
-  std::vector<u32> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) {
-      out.push_back(static_cast<u32>(std::strtoul(item.c_str(), nullptr, 10)));
-    }
-  }
-  return out;
-}
-
 /// Common spec fields of both campaign kinds. Exec-mode specs carry the
 /// workload by profile name and the platform as a core count, so exec mode
 /// supports exactly the SocConfig::paper_default platforms.
@@ -348,29 +337,107 @@ std::string write_spec_file(const DistributedConfig& dist, u32 worker,
   return path;
 }
 
-std::map<std::string, std::string> parse_spec(const std::string& text) {
-  std::map<std::string, std::string> out;
-  std::stringstream ss(text);
-  std::string line;
-  while (std::getline(ss, line)) {
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    out[line.substr(0, eq)] = line.substr(eq + 1);
+/// Reads the `key=value` lines of a worker spec, keeping the first defect.
+class SpecReader {
+ public:
+  explicit SpecReader(std::string_view text) {
+    while (!text.empty()) {
+      const std::size_t eol = std::min(text.find('\n'), text.size());
+      const std::string_view line = text.substr(0, eol);
+      text.remove_prefix(std::min(eol + 1, text.size()));
+      const std::size_t eq = line.find('=');
+      if (eq != std::string_view::npos) {
+        fields_[std::string(line.substr(0, eq))] = std::string(line.substr(eq + 1));
+      }
+    }
   }
-  return out;
+
+  const std::string& error() const { return error_; }
+  void fail(std::string message) {
+    if (error_.empty()) error_ = std::move(message);
+  }
+
+  bool has(const std::string& key) const { return fields_.count(key) != 0; }
+  std::string text(const std::string& key) const {
+    const auto it = fields_.find(key);
+    return it == fields_.end() ? std::string() : it->second;
+  }
+
+  /// A decimal number in [lo, hi]; `fallback` when the key is absent or empty.
+  u64 number(const std::string& key, u64 fallback, u64 lo, u64 hi) {
+    const std::string value = text(key);
+    u64 out = fallback;
+    if (!value.empty() && !parse(value, out)) {
+      fail(key + ": '" + value + "' is not a decimal number");
+    } else if (out < lo || out > hi) {
+      fail(key + ": " + std::to_string(out) + " is outside [" + std::to_string(lo) +
+           ", " + std::to_string(hi) + "]");
+    }
+    return out;
+  }
+
+  /// Comma-separated decimal numbers, each below `bound`.
+  std::vector<u32> list(const std::string& key, u64 bound) {
+    std::vector<u32> out;
+    const std::string value = text(key);
+    std::string_view rest = value;
+    std::string bad;
+    while (!rest.empty() && bad.empty()) {
+      const std::size_t comma = std::min(rest.find(','), rest.size());
+      std::string item(rest.substr(0, comma));
+      rest.remove_prefix(std::min(comma + 1, rest.size()));
+      u64 entry = 0;
+      if (item.empty()) continue;
+      if (!parse(item, entry) || entry >= bound) {
+        bad = std::move(item);
+      } else {
+        out.push_back(static_cast<u32>(entry));
+      }
+    }
+    if (!bad.empty()) {
+      fail(key + ": entry '" + bad + "' is not a number below " + std::to_string(bound));
+    }
+    return out;
+  }
+
+ private:
+  static bool parse(const std::string& text, u64& out) {
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
+    return ec == std::errc{} && end == text.data() + text.size();
+  }
+
+  std::map<std::string, std::string> fields_;
+  std::string error_;
+};
+
+/// The shard bodies, as the parent's fork-mode children and the exec-mode
+/// workers both run them.
+std::function<CampaignStats(u32, BaselineStore*)> campaign_shard_runner(
+    const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
+    const CampaignConfig& campaign) {
+  return [&profile, soc_config, campaign,
+          quota = detail::shard_quotas(campaign.target_faults, campaign.shards)](
+             u32 s, BaselineStore* store) {
+    return detail::run_campaign_shard(profile, soc_config, campaign, s, quota[s], store);
+  };
 }
 
-u64 spec_u64(const std::map<std::string, std::string>& kv,
-             const std::string& key, u64 fallback) {
-  const auto it = kv.find(key);
-  if (it == kv.end() || it->second.empty()) return fallback;
-  return std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-std::string spec_str(const std::map<std::string, std::string>& kv,
-                     const std::string& key) {
-  const auto it = kv.find(key);
-  return it == kv.end() ? std::string() : it->second;
+std::function<VulnReport(u32, BaselineStore*)> vuln_shard_runner(
+    const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
+    const VulnConfig& config) {
+  const std::vector<u32> quota =
+      detail::shard_quotas(config.target_faults, config.shards);
+  std::vector<u32> start(quota.size());
+  u32 assigned_faults = 0;
+  for (std::size_t s = 0; s < quota.size(); ++s) {
+    start[s] = assigned_faults;
+    assigned_faults += quota[s];
+  }
+  return [&profile, soc_config, config, quota, start,
+          comps = detail::resolve_components(config)](u32 s, BaselineStore* store) {
+    return detail::run_vuln_shard(profile, soc_config, config, comps, s, quota[s],
+                                  start[s], store);
+  };
 }
 
 }  // namespace
@@ -384,12 +451,7 @@ DistributedCampaignResult run_distributed_campaign(
     const CampaignConfig& campaign, const DistributedConfig& dist) {
   const std::vector<u32> quota =
       detail::shard_quotas(campaign.target_faults, campaign.shards);
-
-  const std::function<CampaignStats(u32, BaselineStore*)> run_shard =
-      [&](u32 s, BaselineStore* store) {
-        return detail::run_campaign_shard(profile, soc_config, campaign, s,
-                                          quota[s], store);
-      };
+  const auto run_shard = campaign_shard_runner(profile, soc_config, campaign);
   std::function<std::string(u32, const std::vector<u32>&)> spawn_exec;
   if (dist.use_exec) {
     spawn_exec = [&](u32 worker, const std::vector<u32>& assigned) {
@@ -425,19 +487,7 @@ DistributedVulnResult run_distributed_vuln_campaign(
     const VulnConfig& config, const DistributedConfig& dist) {
   const std::vector<u32> quota =
       detail::shard_quotas(config.target_faults, config.shards);
-  const std::vector<Component> comps = detail::resolve_components(config);
-  std::vector<u32> start(quota.size());
-  u32 assigned_faults = 0;
-  for (std::size_t s = 0; s < quota.size(); ++s) {
-    start[s] = assigned_faults;
-    assigned_faults += quota[s];
-  }
-
-  const std::function<VulnReport(u32, BaselineStore*)> run_shard =
-      [&](u32 s, BaselineStore* store) {
-        return detail::run_vuln_shard(profile, soc_config, config, comps, s,
-                                      quota[s], start[s], store);
-      };
+  const auto run_shard = vuln_shard_runner(profile, soc_config, config);
   std::function<std::string(u32, const std::vector<u32>&)> spawn_exec;
   if (dist.use_exec) {
     spawn_exec = [&](u32 worker, const std::vector<u32>& assigned) {
@@ -476,6 +526,71 @@ DistributedVulnResult run_distributed_vuln_campaign(
   return result;
 }
 
+ParseWorkerSpecResult parse_worker_spec(std::string_view text) {
+  SpecReader in(text);
+  WorkerSpec spec;
+  const std::string kind = in.text("kind");
+  if (kind != "campaign" && kind != "vuln") {
+    in.fail("kind: expected campaign or vuln, got '" + kind + "'");
+  }
+  spec.vuln = kind == "vuln";
+  const std::string profile = in.text("profile");
+  spec.profile = workloads::lookup_profile(profile);
+  if (spec.profile == nullptr) in.fail("profile: unknown workload '" + profile + "'");
+  // Both campaign kinds verify main core 0 with checker core 1, and the
+  // G.Configure masks hold core ids 0..63.
+  spec.soc_config =
+      soc::SocConfig::paper_default(static_cast<u32>(in.number("cores", 2, 2, 64)));
+  spec.dist.dir = in.text("dir");
+  if (spec.dist.dir.empty()) in.fail("dir: missing");
+  spec.dist.run_label = in.text("run_label");
+
+  const std::string mode = in.text("mode");
+  if (!mode.empty() && mode != "fork" && mode != "reexec") {
+    in.fail("mode: expected fork or reexec, got '" + mode + "'");
+  }
+  std::optional<soc::Engine> engine;
+  if (in.has("engine")) {
+    engine = static_cast<soc::Engine>(
+        in.number("engine", 0, 0, static_cast<u64>(soc::Engine::kQuantumBounded)));
+  }
+  constexpr u64 kU32Max = ~u32{0};
+  constexpr u64 kU64Max = ~u64{0};
+  const auto fill = [&](auto& config) {
+    config.target_faults = static_cast<u32>(in.number("target_faults", 0, 1, kU32Max));
+    config.warmup_rounds = in.number("warmup_rounds", 0, 1, kU64Max);
+    config.gap_rounds = in.number("gap_rounds", 0, 1, kU64Max);
+    config.seed = in.number("seed", 0, 0, kU64Max);
+    config.workload_iterations =
+        static_cast<u32>(in.number("workload_iterations", 0, 0, kU32Max));
+    config.shards = static_cast<u32>(in.number("shards", 1, 1, kU32Max));
+    config.mode = mode == "reexec" ? CampaignMode::kWarmupReexecution
+                                   : CampaignMode::kSnapshotFork;
+    config.engine = engine;
+    // detail::shard_quotas runs min(shards, target_faults) shards.
+    spec.assigned = in.list("assigned", std::min(config.shards, config.target_faults));
+  };
+  if (spec.vuln) {
+    VulnConfig& config = spec.vuln_config;
+    fill(config);
+    config.horizon = in.number("horizon", 0, 1, kU64Max);
+    config.root_cause = in.number("root_cause", 0, 0, 1) != 0;
+    for (u32 c : in.list("components", kComponentCount)) {
+      config.components.push_back(static_cast<Component>(c));
+    }
+  } else {
+    fill(spec.campaign);
+  }
+
+  ParseWorkerSpecResult result;
+  if (in.error().empty()) {
+    result.spec = std::move(spec);
+  } else {
+    result.error = in.error();
+  }
+  return result;
+}
+
 int campaign_worker_main(const std::string& spec_path) {
   std::vector<u8> raw;
   if (!io::read_file(spec_path, raw).ok()) {
@@ -483,93 +598,24 @@ int campaign_worker_main(const std::string& spec_path) {
                  spec_path.c_str());
     return 2;
   }
-  const auto kv = parse_spec(
-      std::string(reinterpret_cast<const char*>(raw.data()), raw.size()));
-
-  const std::string kind = spec_str(kv, "kind");
-  const std::string profile_name = spec_str(kv, "profile");
-  if ((kind != "campaign" && kind != "vuln") || profile_name.empty()) {
-    std::fprintf(stderr, "campaign worker: malformed spec %s\n",
-                 spec_path.c_str());
+  const ParseWorkerSpecResult parsed = parse_worker_spec(
+      std::string_view(reinterpret_cast<const char*>(raw.data()), raw.size()));
+  if (!parsed.spec.has_value()) {
+    std::fprintf(stderr, "campaign worker: malformed spec %s: %s\n",
+                 spec_path.c_str(), parsed.error.c_str());
     return 2;
   }
-  const workloads::WorkloadProfile& profile =
-      workloads::find_profile(profile_name);
-  const soc::SocConfig soc_config = soc::SocConfig::paper_default(
-      static_cast<u32>(spec_u64(kv, "cores", 2)));
-
-  DistributedConfig dist;
-  dist.dir = spec_str(kv, "dir");
-  dist.run_label = spec_str(kv, "run_label");
-  const std::vector<u32> assigned = parse_csv(spec_str(kv, "assigned"));
-
-  if (kind == "campaign") {
-    CampaignConfig campaign;
-    campaign.target_faults = static_cast<u32>(spec_u64(kv, "target_faults", 0));
-    campaign.warmup_rounds = spec_u64(kv, "warmup_rounds", 0);
-    campaign.gap_rounds = spec_u64(kv, "gap_rounds", 0);
-    campaign.seed = spec_u64(kv, "seed", 0);
-    campaign.workload_iterations =
-        static_cast<u32>(spec_u64(kv, "workload_iterations", 0));
-    campaign.shards = static_cast<u32>(spec_u64(kv, "shards", 1));
-    campaign.mode = spec_str(kv, "mode") == "reexec"
-                        ? CampaignMode::kWarmupReexecution
-                        : CampaignMode::kSnapshotFork;
-    if (kv.count("engine") != 0) {
-      campaign.engine =
-          static_cast<soc::Engine>(spec_u64(kv, "engine", 0));
+  const WorkerSpec& spec = *parsed.spec;
+  if (spec.vuln) {
+    const auto run_shard =
+        vuln_shard_runner(*spec.profile, spec.soc_config, spec.vuln_config);
+    for (u32 s : spec.assigned) run_and_store_shard(kKindVuln, s, spec.dist, run_shard);
+  } else {
+    const auto run_shard =
+        campaign_shard_runner(*spec.profile, spec.soc_config, spec.campaign);
+    for (u32 s : spec.assigned) {
+      run_and_store_shard(kKindCampaign, s, spec.dist, run_shard);
     }
-    const std::vector<u32> quota =
-        detail::shard_quotas(campaign.target_faults, campaign.shards);
-    const std::function<CampaignStats(u32, BaselineStore*)> run_shard =
-        [&](u32 s, BaselineStore* store) {
-          return detail::run_campaign_shard(profile, soc_config, campaign, s,
-                                            quota[s], store);
-        };
-    for (u32 s : assigned) {
-      if (s >= quota.size()) return 2;
-      run_and_store_shard(kKindCampaign, s, dist, run_shard);
-    }
-    return 0;
-  }
-
-  VulnConfig config;
-  config.target_faults = static_cast<u32>(spec_u64(kv, "target_faults", 0));
-  config.warmup_rounds = spec_u64(kv, "warmup_rounds", 0);
-  config.gap_rounds = spec_u64(kv, "gap_rounds", 0);
-  config.horizon = spec_u64(kv, "horizon", 0);
-  config.seed = spec_u64(kv, "seed", 0);
-  config.workload_iterations =
-      static_cast<u32>(spec_u64(kv, "workload_iterations", 0));
-  config.shards = static_cast<u32>(spec_u64(kv, "shards", 1));
-  config.mode = spec_str(kv, "mode") == "reexec"
-                    ? CampaignMode::kWarmupReexecution
-                    : CampaignMode::kSnapshotFork;
-  config.root_cause = spec_u64(kv, "root_cause", 0) != 0;
-  if (kv.count("engine") != 0) {
-    config.engine = static_cast<soc::Engine>(spec_u64(kv, "engine", 0));
-  }
-  for (u32 c : parse_csv(spec_str(kv, "components"))) {
-    if (c >= kComponentCount) return 2;
-    config.components.push_back(static_cast<Component>(c));
-  }
-  const std::vector<u32> quota =
-      detail::shard_quotas(config.target_faults, config.shards);
-  const std::vector<Component> comps = detail::resolve_components(config);
-  std::vector<u32> start(quota.size());
-  u32 assigned_faults = 0;
-  for (std::size_t s = 0; s < quota.size(); ++s) {
-    start[s] = assigned_faults;
-    assigned_faults += quota[s];
-  }
-  const std::function<VulnReport(u32, BaselineStore*)> run_shard =
-      [&](u32 s, BaselineStore* store) {
-        return detail::run_vuln_shard(profile, soc_config, config, comps, s,
-                                      quota[s], start[s], store);
-      };
-  for (u32 s : assigned) {
-    if (s >= quota.size()) return 2;
-    run_and_store_shard(kKindVuln, s, dist, run_shard);
   }
   return 0;
 }

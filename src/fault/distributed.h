@@ -32,7 +32,10 @@
 // atomic rename. The next driver run redoes exactly that shard.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "fault/campaign.h"
 #include "fault/vuln.h"
@@ -84,8 +87,35 @@ DistributedVulnResult run_distributed_vuln_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const VulnConfig& config, const DistributedConfig& dist);
 
+/// An exec-mode worker's assignment, decoded from its spec file.
+struct WorkerSpec {
+  bool vuln = false;  ///< kind=vuln; otherwise kind=campaign.
+  const workloads::WorkloadProfile* profile = nullptr;
+  soc::SocConfig soc_config;
+  DistributedConfig dist;     ///< dir + run_label.
+  std::vector<u32> assigned;  ///< Shard indices, each below the shard count.
+  CampaignConfig campaign;    ///< kind=campaign.
+  VulnConfig vuln_config;     ///< kind=vuln.
+};
+
+/// Outcome of parsing a worker spec: the spec on success, otherwise a
+/// diagnostic naming the field that failed. Parsing never aborts — spec files
+/// are untrusted input, so every field a campaign would FLEX_CHECK on (kind,
+/// profile, core count, engine, mode, counts, components, assigned shards) is
+/// validated here.
+struct ParseWorkerSpecResult {
+  std::optional<WorkerSpec> spec;
+  std::string error;  ///< Empty on success.
+
+  bool ok() const { return spec.has_value(); }
+};
+
+/// Parse and validate the `key=value` lines of a worker spec.
+ParseWorkerSpecResult parse_worker_spec(std::string_view text);
+
 /// Exec-mode worker entry point: parse `spec_path`, run the assigned shards,
-/// write their result files. Returns a process exit code (0 on success).
+/// write their result files. Returns a process exit code: 0 on success, 2
+/// (with a message on stderr) for an unreadable or malformed spec.
 /// Wired to `--campaign-worker <spec>` in the benchmark binary.
 int campaign_worker_main(const std::string& spec_path);
 

@@ -233,61 +233,21 @@ sim::Scenario vuln_scenario(const workloads::WorkloadProfile& profile,
   return scenario;
 }
 
-/// Main-core architectural register compare (pc + x1..x31). `excl_reg`
-/// excludes the flipped register slot itself: a flip parked in a register the
-/// program never consumed within the horizon is a latent fault (masked), and
-/// the residual flipped cell must not read as divergence.
-bool main_state_equal(const soc::Snapshot& victim, const soc::Snapshot& golden,
-                      std::optional<u8> excl_reg) {
-  const arch::Core::Snapshot& v = victim.cores[kMainCore];
-  const arch::Core::Snapshot& g = golden.cores[kMainCore];
-  if (v.pc != g.pc) return false;
+/// Architectural compare of the victim against the idle golden session:
+/// main-core pc + x1..x31, then the memory image. `excl_reg` / `excl_word`
+/// exclude the flipped register slot / 8-byte word itself: a flip parked
+/// where the program never consumed it within the horizon is a latent fault
+/// (masked), and the residual flipped cell must not read as divergence.
+bool architecturally_equal(sim::Session& victim, sim::Session& golden,
+                           std::optional<u8> excl_reg, std::optional<Addr> excl_word) {
+  const arch::Core& v = victim.soc().core(kMainCore);
+  const arch::Core& g = golden.soc().core(kMainCore);
+  if (v.pc() != g.pc()) return false;
   for (u8 r = 1; r < 32; ++r) {
-    if (excl_reg.has_value() && *excl_reg == r) continue;
-    if (v.regs[r] != g.regs[r]) return false;
+    if (excl_reg == r) continue;
+    if (v.reg(r) != g.reg(r)) return false;
   }
-  return true;
-}
-
-/// Resident-page merge walk; a page absent on one side compares as zero (a
-/// never-touched page reads as zero). `excl_word` skips the flipped 8-byte
-/// word itself (same latent-fault rationale as excl_reg).
-bool memory_equal(const arch::Memory::Snapshot& a, const arch::Memory::Snapshot& b,
-                  std::optional<Addr> excl_word) {
-  static const arch::Memory::Page kZeroPage{};
-  const auto page_equal = [&](u64 id, const arch::Memory::Page& pa,
-                              const arch::Memory::Page& pb) {
-    if (!excl_word.has_value() ||
-        (*excl_word >> arch::Memory::kPageBits) != id) {
-      return std::memcmp(pa.data(), pb.data(), pa.size()) == 0;
-    }
-    const auto skip_lo =
-        static_cast<std::size_t>(*excl_word & (arch::Memory::kPageSize - 1));
-    const std::size_t skip_hi = skip_lo + 8;
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-      if (i >= skip_lo && i < skip_hi) continue;
-      if (pa[i] != pb[i]) return false;
-    }
-    return true;
-  };
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.pages.size() || ib < b.pages.size()) {
-    const u64 id_a = ia < a.pages.size() ? a.pages[ia].first : ~u64{0};
-    const u64 id_b = ib < b.pages.size() ? b.pages[ib].first : ~u64{0};
-    if (id_a == id_b) {
-      if (!page_equal(id_a, a.pages[ia].second, b.pages[ib].second)) return false;
-      ++ia;
-      ++ib;
-    } else if (id_a < id_b) {
-      if (!page_equal(id_a, a.pages[ia].second, kZeroPage)) return false;
-      ++ia;
-    } else {
-      if (!page_equal(id_b, kZeroPage, b.pages[ib].second)) return false;
-      ++ib;
-    }
-  }
-  return true;
+  return victim.soc().memory().same_contents(golden.soc().memory(), excl_word);
 }
 
 /// Inject one whole-SoC fault into the (disposable) victim and classify it
@@ -297,13 +257,13 @@ bool memory_equal(const arch::Memory::Snapshot& a, const arch::Memory::Snapshot&
 InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& snap,
                                   Component component, Rng& rng,
                                   const VulnConfig& config, u64& executed) {
-  // Golden reference: fork the pre-fault state and run it to the horizon.
+  // Golden reference: fork the pre-fault state and run it to the horizon,
+  // where it stays idle until the victim is compared against it.
   sim::Session golden = victim.fork(snap);
   const u64 golden_base = golden.total_instret();
   golden.advance(config.horizon);
   executed += golden.total_instret() - golden_base;
   const u64 golden_main_ui = golden.soc().core(kMainCore).user_instret();
-  const soc::Snapshot golden_end = golden.snapshot();
 
   InjectionRecord rec;
   rec.site = random_site(victim.soc(), component, rng);
@@ -386,11 +346,9 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
       } else {
         // Aligned — or finished early and clean (a fault that legitimately
         // shortened the run shows up as divergence in the compare).
-        const soc::Snapshot victim_end = victim.snapshot();
-        const bool equal =
-            main_state_equal(victim_end, golden_end, excl_reg) &&
-            memory_equal(victim_end.memory, golden_end.memory, excl_word);
-        rec.outcome = equal ? OutcomeKind::kMasked : OutcomeKind::kSdc;
+        rec.outcome = architecturally_equal(victim, golden, excl_reg, excl_word)
+                          ? OutcomeKind::kMasked
+                          : OutcomeKind::kSdc;
       }
     }
   }

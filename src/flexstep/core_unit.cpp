@@ -1,6 +1,7 @@
 #include "flexstep/core_unit.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/archive.h"
 #include "common/check.h"
@@ -797,7 +798,7 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
     }
     const u64 avail = std::min<u64>(ch.size(), max_pops);
     if (avail == 0) return nullptr;
-    if (cursor_slots_.empty()) cursor_slots_.resize(kCursorSlots);
+    arch::MemRecord* const slots = cursor_staging(avail);
     u32 staged = 0;
     for (u64 i = 0; i < avail; ++i) {
       const StreamItem& item = ch.item(i);
@@ -806,7 +807,7 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
           item.mem.kind != MemEntryKind::kStoreAddrData) {
         break;  // LR/SC/AMO entries replay through the stepwise port
       }
-      arch::MemRecord& rec = cursor_slots_[staged];
+      arch::MemRecord& rec = slots[staged];
       rec.kind = static_cast<u8>(item.mem.kind);
       rec.bytes = item.mem.bytes;
       rec.addr = item.mem.addr;
@@ -814,7 +815,7 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
       ++staged;
     }
     if (staged == 0) return nullptr;
-    cursor_.slots = cursor_slots_.data();
+    cursor_.slots = slots;
     cursor_.capacity = staged;
     cursor_.produce = false;
     cursor_.load_kind = static_cast<u8>(MemEntryKind::kLoadData);
@@ -838,10 +839,9 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
       headroom = std::min(headroom, ch->producer_headroom_entries());
     }
     if (headroom == 0) return nullptr;
-    if (cursor_slots_.empty()) cursor_slots_.resize(kCursorSlots);
-    cursor_.slots = cursor_slots_.data();
     cursor_.capacity = static_cast<u32>(
         std::min<u64>(std::min<u64>(headroom, kCursorSlots), max_entries));
+    cursor_.slots = cursor_staging(cursor_.capacity);
     cursor_.produce = true;
     cursor_.load_kind = static_cast<u8>(MemEntryKind::kLoadData);
     cursor_.store_kind = static_cast<u8>(MemEntryKind::kStoreAddrData);
@@ -852,6 +852,16 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
     return &cursor_;
   }
   return nullptr;
+}
+
+arch::MemRecord* CoreUnit::cursor_staging(u64 records) {
+  if (cursor_slots_.size() < records) {
+    FLEX_DCHECK(records <= kCursorSlots);
+    // Staged records never outlive their span, so growing keeps none.
+    cursor_slots_.clear();
+    cursor_slots_.resize(std::bit_ceil(records));
+  }
+  return cursor_slots_.data();
 }
 
 void CoreUnit::publish_cursor() {

@@ -343,8 +343,13 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   static constexpr u32 kCursorSlots = 4096;
   /// Publish (producer) / retire (consumer) the staged cursor records.
   void publish_cursor();
+  /// The staging buffer, grown to hold at least `records` (<= kCursorSlots).
+  arch::MemRecord* cursor_staging(u64 records);
   static void cursor_mismatch_thunk(void* ctx, arch::ReplayMismatch kind, Cycle at);
-  std::vector<arch::MemRecord> cursor_slots_;  ///< Lazily sized to kCursorSlots.
+  /// Staging buffer, grown on demand to the next power of two a span needs
+  /// (at most kCursorSlots): a short-lived fork whose spans stage tens of
+  /// records never allocates or zero-fills the full depth.
+  std::vector<arch::MemRecord> cursor_slots_;
   arch::SegmentCursor cursor_{};
   /// Transient per-quantum driver hint (see set_bulk_consume_horizon); never
   /// snapshotted — a restored run starts conservative until its driver speaks.

@@ -281,20 +281,22 @@ std::unique_ptr<soc::Soc> Scenario::build_soc() const {
   return std::make_unique<soc::Soc>(soc_config());
 }
 
-Session Scenario::build() const { return Session(*this, /*prepare=*/true); }
+Session Scenario::build() const {
+  Session session(std::make_shared<const Scenario>(*this),
+                  std::make_shared<const std::vector<isa::Program>>(build_role_programs()));
+  session.prepare();
+  return session;
+}
 
 // ---------------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------------
 
-Session::Session(const Scenario& scenario, bool prepare)
-    : Session(scenario, scenario.build_role_programs(), prepare) {}
-
-Session::Session(const Scenario& scenario, std::vector<isa::Program> programs,
-                 bool prepare)
-    : scenario_(scenario), programs_(std::move(programs)) {
-  const soc::SocConfig soc_config = scenario_.soc_config();
-  const soc::VerifiedRunConfig run_config = scenario_.run_config();
+Session::Session(std::shared_ptr<const Scenario> scenario,
+                 std::shared_ptr<const std::vector<isa::Program>> programs)
+    : scenario_(std::move(scenario)), programs_(std::move(programs)) {
+  const soc::SocConfig soc_config = scenario_->soc_config();
+  const soc::VerifiedRunConfig run_config = scenario_->run_config();
   FLEX_CHECK_MSG(run_config.main_core < soc_config.num_cores,
                  "scenario main core outside the SoC");
   for (const soc::RoleBinding& role : run_config.roles) {
@@ -307,30 +309,27 @@ Session::Session(const Scenario& scenario, std::vector<isa::Program> programs,
   }
   soc_ = std::make_unique<soc::Soc>(soc_config);
   exec_ = std::make_unique<soc::VerifiedExecution>(*soc_, run_config);
-  if (prepare) {
-    // Static analysis backs single-program sessions; a multi-producer session
-    // skips it (conservative: dynamic trace recording and the global DBC
-    // divisor still apply — per-role reports are a follow-on).
-    if (programs_.size() == 1 &&
-        scenario_.analysis_.value_or(default_analysis_enabled())) {
-      auto report = std::make_shared<analysis::ProgramReport>(
-          analysis::analyze(programs_.front()));
-      auto bound = std::make_shared<fs::StaticDbcBound>();
-      bound->base = programs_.front().code_base;
-      bound->end = programs_.front().code_end();
-      bound->per_inst = report->fwd_entry_bound;
-      bound->global = report->global_entry_bound;
-      analysis_ = std::move(report);
-      bound_ = std::move(bound);
-    }
-    exec_->prepare(programs_);
-    apply_analysis(nullptr);
-  } else {
-    // Fork path: register the program images now; the caller restores the
-    // snapshot (which contains the prepared state) on top and re-applies the
-    // parent's analysis.
-    for (const isa::Program& program : programs_) soc_->load_program(program);
+}
+
+void Session::prepare() {
+  // Static analysis backs single-program sessions; a multi-producer session
+  // skips it (conservative: dynamic trace recording and the global DBC
+  // divisor still apply — per-role reports are a follow-on).
+  const std::vector<isa::Program>& programs = *programs_;
+  if (programs.size() == 1 &&
+      scenario_->analysis_.value_or(default_analysis_enabled())) {
+    auto report = std::make_shared<analysis::ProgramReport>(
+        analysis::analyze(programs.front()));
+    auto bound = std::make_shared<fs::StaticDbcBound>();
+    bound->base = programs.front().code_base;
+    bound->end = programs.front().code_end();
+    bound->per_inst = report->fwd_entry_bound;
+    bound->global = report->global_entry_bound;
+    analysis_ = std::move(report);
+    bound_ = std::move(bound);
   }
+  exec_->prepare(programs);
+  apply_analysis(nullptr);
 }
 
 void Session::apply_analysis(const soc::Snapshot* restored) {
@@ -398,8 +397,11 @@ fs::Channel* Session::channel() {
 }
 
 Session Session::fork(const soc::Snapshot& snapshot) const {
-  Session child(scenario_, programs_, /*prepare=*/false);
-  child.analysis_ = analysis_;  // immutable, shared across the fork tree
+  Session child(scenario_, programs_);
+  // Immutable, shared across the fork tree. The restore below writes the
+  // snapshot's memory, code pages included, so the images need no reload.
+  child.soc_->images().share(soc_->images());
+  child.analysis_ = analysis_;
   child.bound_ = bound_;
   child.exec_->restore(snapshot);
   child.apply_analysis(&snapshot);

@@ -177,11 +177,11 @@ class Session {
 
   soc::Soc& soc() { return *soc_; }
   /// First producer's program (the only one in single-role scenarios).
-  const isa::Program& program() const { return programs_.front(); }
+  const isa::Program& program() const { return programs_->front(); }
   /// One program per producer role.
-  const std::vector<isa::Program>& programs() const { return programs_; }
+  const std::vector<isa::Program>& programs() const { return *programs_; }
   soc::VerifiedExecution& exec() { return *exec_; }
-  const Scenario& scenario() const { return scenario_; }
+  const Scenario& scenario() const { return *scenario_; }
 
   // ---- execution (forwarders) ----
 
@@ -211,8 +211,9 @@ class Session {
   // ---- state capture ----
 
   /// Capture the full state. The cores' trace tables go in by reference and
-  /// this session copies them before its next write, so — like every other
-  /// call on a session — snapshot() must not race with other uses of it.
+  /// this session copies each chunk of them before its next write to it, so
+  /// — like every other call on a session — snapshot() must not race with
+  /// other uses of it.
   soc::Snapshot snapshot() const { return exec_->save(); }
   /// Rewind this session to a snapshot it (or a sibling fork) took. Every
   /// core adopts the trace tables the snapshot holds by reference, so the
@@ -237,27 +238,31 @@ class Session {
   /// The static analysis backing this session (nullptr when analysis is off).
   const analysis::ProgramReport* analysis() const { return analysis_.get(); }
   /// Clone an independent session at the snapshot's state: fresh Soc, same
-  /// program (loaded, not re-generated), same driver config, and the
-  /// snapshot's trace tables adopted as restore() does. The clone and this
-  /// session share no mutable state and evolve independently.
+  /// driver config, and the snapshot's trace tables adopted as restore()
+  /// does. The scenario, the programs and their decoded images are immutable
+  /// and shared with this session, not re-generated or reloaded: the restored
+  /// memory already holds the code. The clone and this session share no
+  /// mutable state and evolve independently.
   Session fork(const soc::Snapshot& snapshot) const;
   /// snapshot() + fork() in one step.
   Session fork() const { return fork(snapshot()); }
 
  private:
   friend class Scenario;
-  Session(const Scenario& scenario, bool prepare);
-  /// Fork path: reuse already-built programs instead of re-running the
-  /// workload generator (forks happen once per campaign injection).
-  Session(const Scenario& scenario, std::vector<isa::Program> programs,
-          bool prepare);
+  /// A fresh platform for `scenario`, not yet prepared: Scenario::build()
+  /// prepares it, fork() restores a snapshot on top.
+  Session(std::shared_ptr<const Scenario> scenario,
+          std::shared_ptr<const std::vector<isa::Program>> programs);
+  /// Load the programs, run the static analysis and seed the trace caches.
+  void prepare();
   /// Seed the trace caches and (re-)install the static DBC bound. Called
   /// after prepare (`restored` null: every core is seeded) and after every
   /// restore, where only cores restored without trace tables are seeded.
   void apply_analysis(const soc::Snapshot* restored);
 
-  Scenario scenario_;  ///< Copy: forks rebuild the platform from it.
-  std::vector<isa::Program> programs_;  ///< One per producer role.
+  // Immutable once built, and shared with forks.
+  std::shared_ptr<const Scenario> scenario_;
+  std::shared_ptr<const std::vector<isa::Program>> programs_;  ///< One per producer role.
   std::unique_ptr<soc::Soc> soc_;
   std::unique_ptr<soc::VerifiedExecution> exec_;
   /// Shared with forks — immutable once built.

@@ -13,7 +13,7 @@
 //   * the VerifiedExecution driver flags.
 //
 // Not captured: decoded program images (derived data — the restoring side
-// loads the same programs, cf. sim::Session::fork) and the extension-seam
+// registers the same images, cf. sim::Session::fork) and the extension-seam
 // pointers (hooks/handlers/ports), which are re-derived by the restoring
 // owners. Held by reference, host-only: each core's superinstruction trace
 // tables (arch/trace.h), shared with the core that saved them. They are not

@@ -32,6 +32,7 @@ class Soc {
   fs::Fabric& fabric() { return fabric_; }
   arch::Memory& memory() { return memory_; }
   arch::ImageRegistry& images() { return images_; }
+  const arch::ImageRegistry& images() const { return images_; }
   arch::Cache& l2() { return *l2_; }
 
   /// Load a program into simulated memory and register its decoded image.
@@ -44,7 +45,8 @@ class Soc {
 
   /// Capture the full SoC state (memory, caches, cores, fabric). Program
   /// images are derived data and not captured; restore into a fresh Soc
-  /// requires the same programs loaded first (sim::Session::fork does this).
+  /// requires the same images registered first (sim::Session::fork shares
+  /// its origin's).
   void save(Snapshot& out) const;
   Snapshot save() const;
 

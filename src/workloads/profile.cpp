@@ -60,16 +60,20 @@ const std::vector<WorkloadProfile>& specint_profiles() {
   return profiles;
 }
 
-const WorkloadProfile& find_profile(const std::string& name) {
+const WorkloadProfile* lookup_profile(const std::string& name) {
   for (const auto& p : parsec_profiles()) {
-    if (p.name == name) return p;
+    if (p.name == name) return &p;
   }
   for (const auto& p : specint_profiles()) {
-    if (p.name == name) return p;
+    if (p.name == name) return &p;
   }
-  FLEX_CHECK_MSG(false, "unknown workload profile");
-  static WorkloadProfile dummy;
-  return dummy;
+  return nullptr;
+}
+
+const WorkloadProfile& find_profile(const std::string& name) {
+  const WorkloadProfile* profile = lookup_profile(name);
+  FLEX_CHECK_MSG(profile != nullptr, "unknown workload profile");
+  return *profile;
 }
 
 }  // namespace flexstep::workloads

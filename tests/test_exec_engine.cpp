@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/trace.h"
@@ -578,7 +580,8 @@ TEST(ExecEngine, StoreToTracedCodePageFlushesAndStaysIdentical) {
 TEST(ExecEngine, CodePageStoreInAForkDropsOnlyTheForksTraces) {
   // A fork holds its origin's trace tables by reference. A store into a code
   // page in the fork must drop the fork's traces covering that page — after
-  // copying the shared tables — and leave the origin's tables intact.
+  // copying only the shared chunks that hold one — and leave the origin's
+  // tables intact.
   sim::Session origin =
       sim::Scenario().workload("swaptions").iterations(40).plain().build();
   ASSERT_TRUE(origin.advance(30'000));
@@ -587,11 +590,16 @@ TEST(ExecEngine, CodePageStoreInAForkDropsOnlyTheForksTraces) {
   ASSERT_NE(warm_tables, nullptr);
   const Addr code = origin.program().code_base;
   const u64 page = code >> arch::Memory::kPageBits;
-  const auto covering = [page](const arch::TraceTables& tables) {
-    return std::count_if(tables.slots.begin(), tables.slots.end(), [page](const auto& slot) {
-      return slot.trace != nullptr && slot.trace->first_page <= page &&
-             page <= slot.trace->last_page;
-    });
+  const auto covers = [page](const arch::TraceTables::Slot& slot) {
+    return slot.trace != nullptr && slot.trace->first_page <= page &&
+           page <= slot.trace->last_page;
+  };
+  const auto covering = [&covers](const arch::TraceTables& tables) {
+    std::ptrdiff_t count = 0;
+    for (const auto& chunk : tables.slots) {
+      count += std::count_if(chunk->begin(), chunk->end(), covers);
+    }
+    return count;
   };
   const auto traces_on_page = covering(*warm_tables);
   ASSERT_GT(traces_on_page, 0);
@@ -601,6 +609,23 @@ TEST(ExecEngine, CodePageStoreInAForkDropsOnlyTheForksTraces) {
   // executed program (fetched from the decoded image) stays the same.
   arch::Memory& memory = fork.soc().memory();
   memory.write(code, 8, memory.read(code, 8));
+
+  // A snapshot settles the deferred invalidation without running the fork:
+  // exactly the chunks that held a covering trace were copied.
+  const soc::Snapshot settled = fork.snapshot();
+  const arch::TraceTables& dropped = *settled.cores[0].traces;
+  EXPECT_EQ(covering(dropped), 0);
+  ASSERT_EQ(dropped.slots.size(), warm_tables->slots.size());
+  std::size_t copied = 0;
+  for (std::size_t c = 0; c < dropped.slots.size(); ++c) {
+    const auto& chunk = *warm_tables->slots[c];
+    const bool held_covering = std::any_of(chunk.begin(), chunk.end(), covers);
+    EXPECT_EQ(dropped.slots[c] != warm_tables->slots[c], held_covering) << "chunk " << c;
+    copied += held_covering ? 1 : 0;
+  }
+  EXPECT_GT(copied, 0u);
+  EXPECT_LT(copied, dropped.slots.size());
+  EXPECT_EQ(dropped.heat, warm_tables->heat);
   const soc::RunStats forked = fork.run();
 
   const arch::TraceCache& fork_traces = *fork.soc().core(0).trace_cache();
@@ -611,6 +636,76 @@ TEST(ExecEngine, CodePageStoreInAForkDropsOnlyTheForksTraces) {
   EXPECT_EQ(origin_traces.tables(), warm_tables);
   EXPECT_EQ(origin_traces.stats().code_write_flushes, 0u);
   EXPECT_EQ(origin.run(), forked);
+}
+
+TEST(ExecEngine, ForkCopiesOnlyTheTraceChunksItWrites) {
+  // A fork adopts its origin's chunked trace tables. Counting heat and
+  // recording traces copies exactly the chunks the fork writes: every chunk
+  // it did not write stays pointer-equal to the snapshot's, and the
+  // snapshot's tables never change. Without analysis seeds, the fork
+  // records the traces that turn hot after the snapshot.
+  sim::Session origin = sim::Scenario()
+                            .workload("swaptions")
+                            .iterations(400)
+                            .dual()
+                            .engine(soc::Engine::kQuantumBounded)
+                            .analysis(false)
+                            .build();
+  ASSERT_TRUE(origin.advance(6'000));
+  const soc::Snapshot warm = origin.snapshot();
+  const auto entries = [](const auto& chunk) {
+    std::vector<std::pair<u64, u64>> out;
+    for (const auto& e : chunk) {
+      if constexpr (requires { e.trace; }) {
+        out.emplace_back(e.entry_pc, reinterpret_cast<std::uintptr_t>(e.trace.get()));
+      } else {
+        out.emplace_back(e.pc, e.count);
+      }
+    }
+    return out;
+  };
+  // Per core: the slot chunks' entries, then the heat chunks'.
+  const auto all_entries = [&](const arch::TraceTables& tables) {
+    std::vector<std::vector<std::pair<u64, u64>>> out;
+    for (const auto& chunk : tables.slots) out.push_back(entries(*chunk));
+    for (const auto& chunk : tables.heat) out.push_back(entries(*chunk));
+    return out;
+  };
+  std::vector<std::vector<std::vector<std::pair<u64, u64>>>> before;
+  for (const auto& core : warm.cores) {
+    ASSERT_NE(core.traces, nullptr);
+    before.push_back(all_entries(*core.traces));
+  }
+
+  sim::Session fork = origin.fork(warm);
+  ASSERT_TRUE(fork.advance(20'000));
+  for (std::size_t c = 0; c < warm.cores.size(); ++c) {
+    SCOPED_TRACE("core " + std::to_string(c));
+    const arch::TraceCache& cache = *fork.soc().core(c).trace_cache();
+    EXPECT_GT(cache.stats().heat_misses, 0u);
+    EXPECT_GT(cache.stats().recorded, 0u);
+    const arch::TraceTables& origin_tables = *warm.cores[c].traces;
+    const arch::TraceTables& now = *cache.tables();
+    ASSERT_NE(&now, &origin_tables);
+    std::size_t shared = 0;
+    std::size_t written = 0;
+    const auto compare = [&](const auto& mine, const auto& theirs) {
+      ASSERT_EQ(mine.size(), theirs.size());
+      for (std::size_t k = 0; k < mine.size(); ++k) {
+        if (mine[k] == theirs[k]) {
+          ++shared;
+        } else {
+          ++written;  // a copied chunk was copied to be written
+          EXPECT_NE(entries(*mine[k]), entries(*theirs[k])) << "chunk " << k;
+        }
+      }
+    };
+    compare(now.slots, origin_tables.slots);
+    compare(now.heat, origin_tables.heat);
+    EXPECT_GT(written, 0u);
+    EXPECT_GT(shared, written);
+    EXPECT_EQ(all_entries(origin_tables), before[c]);
+  }
 }
 
 TEST(ExecEngine, SnapshotRestoreMidHotRegionBitIdentical) {

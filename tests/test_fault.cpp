@@ -413,6 +413,58 @@ TEST(VulnCampaign, ClassifiesEveryInjectionAcrossAllComponents) {
   }
 }
 
+TEST(CampaignRecords, ForkModeBoundedCampaignsMatchPinnedRecords) {
+  // How a fork is materialised and how its outcome is classified is host
+  // machinery: it may change neither a campaign's records (digest) nor the
+  // instructions it executes. The constants are recorded runs; only a change
+  // to simulated behaviour may re-record them.
+  struct Pin {
+    const char* profile;
+    u64 dbc_digest;
+    u64 dbc_instructions;
+    u64 vuln_digest;
+    u64 vuln_instructions;
+  };
+  constexpr Pin kPins[] = {
+      {"swaptions", 0x3e010c621fa285eeULL, 292'769, 0x78c7253a0539b61fULL, 689'622},
+      {"mcf", 0x4089c7e4570b85c7ULL, 281'761, 0xd8b0188917ef3440ULL, 701'614},
+  };
+  const auto soc_config = soc::SocConfig::paper_default(2);
+  for (const Pin& pin : kPins) {
+    SCOPED_TRACE(pin.profile);
+    const auto& profile = workloads::find_profile(pin.profile);
+    CampaignConfig dbc;
+    dbc.target_faults = 24;
+    dbc.warmup_rounds = 10'000;
+    dbc.gap_rounds = 2'000;
+    dbc.seed = 0x5EED;
+    dbc.workload_iterations = profile.iterations * 2;
+    dbc.shards = 2;
+    dbc.threads = 2;
+    dbc.mode = CampaignMode::kSnapshotFork;
+    dbc.engine = soc::Engine::kQuantumBounded;
+    const CampaignStats stats = run_fault_campaign(profile, soc_config, dbc);
+    EXPECT_EQ(stats.digest(), pin.dbc_digest);
+    EXPECT_EQ(stats.total_instructions, pin.dbc_instructions);
+
+    VulnConfig vuln;
+    vuln.target_faults = 28;
+    vuln.warmup_rounds = 10'000;
+    vuln.gap_rounds = 1'000;
+    vuln.horizon = 12'000;
+    vuln.seed = 0x5EED;
+    vuln.workload_iterations = profile.iterations * 2;
+    vuln.shards = 2;
+    vuln.threads = 2;
+    vuln.mode = CampaignMode::kSnapshotFork;
+    vuln.engine = soc::Engine::kQuantumBounded;
+    const VulnReport report = run_vuln_campaign(profile, soc_config, vuln);
+    EXPECT_EQ(report.digest(), pin.vuln_digest);
+    EXPECT_EQ(report.total_instructions, pin.vuln_instructions);
+    EXPECT_GT(report.masked, 0u);
+  }
+}
+
 TEST(VulnCampaign, DeterministicAcrossModesAndThreads) {
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);

@@ -13,9 +13,13 @@
 //     (seed, shards) while executing measurably fewer instructions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
+#include "arch/trace.h"
 #include "common/archive.h"
 #include "common/rng.h"
 #include "fault/campaign.h"
@@ -315,21 +319,47 @@ TEST(Snapshot, ForkEvolvesExactlyLikeItsOriginPerCore) {
   }
 }
 
+/// Every slot (entry pc, trace object) and heat entry (pc, count) of `tables`.
+std::vector<std::pair<u64, u64>> table_entries(const arch::TraceTables& tables) {
+  std::vector<std::pair<u64, u64>> out;
+  for (const auto& chunk : tables.slots) {
+    for (const auto& slot : *chunk) {
+      out.emplace_back(slot.entry_pc, reinterpret_cast<std::uintptr_t>(slot.trace.get()));
+    }
+  }
+  for (const auto& chunk : tables.heat) {
+    for (const auto& heat : *chunk) out.emplace_back(heat.pc, heat.count);
+  }
+  return out;
+}
+
 TEST(Snapshot, ConcurrentForksOfOneSnapshotMatchTheOrigin) {
-  // Forks of one snapshot share its trace tables (and every recorded trace)
-  // across threads; each fork copies them before its first write. Run four
-  // forks to completion on four workers (the TSan job runs this suite).
+  // Forks of one snapshot share its trace-table chunks (and every recorded
+  // trace) across threads; each fork copies a chunk before its first write to
+  // it. Run four forks to completion on four workers, every core of every
+  // fork writing heat counters into shared chunks (the TSan job runs this
+  // suite).
   Session origin = small_verified_scenario().build();
   ASSERT_TRUE(origin.advance(50'000));
   const soc::Snapshot warm = origin.snapshot();
+  std::vector<std::vector<std::pair<u64, u64>>> warm_entries;
+  for (const auto& core : warm.cores) {
+    ASSERT_NE(core.traces, nullptr);
+    warm_entries.push_back(table_entries(*core.traces));
+  }
 
   constexpr std::size_t kForks = 4;
   std::vector<soc::RunStats> stats(kForks);
   std::vector<u64> digests(kForks);
+  std::vector<u64> fewest_heat_writes(kForks, ~u64{0});  ///< Over the cores.
   runtime::JobPool pool(kForks);
   runtime::parallel_for(pool, kForks, [&](std::size_t i) {
     Session fork = origin.fork(warm);
     stats[i] = fork.run();
+    for (u32 c = 0; c < fork.soc().num_cores(); ++c) {
+      fewest_heat_writes[i] = std::min(
+          fewest_heat_writes[i], fork.soc().core(c).trace_cache()->stats().heat_misses);
+    }
     digests[i] = soc::snapshot_digest(fork.snapshot());
   });
 
@@ -338,6 +368,10 @@ TEST(Snapshot, ConcurrentForksOfOneSnapshotMatchTheOrigin) {
   for (std::size_t i = 0; i < kForks; ++i) {
     EXPECT_EQ(stats[i], expected) << "fork " << i;
     EXPECT_EQ(digests[i], expected_digest) << "fork " << i;
+    EXPECT_GT(fewest_heat_writes[i], 0u) << "fork " << i;
+  }
+  for (std::size_t c = 0; c < warm.cores.size(); ++c) {
+    EXPECT_EQ(table_entries(*warm.cores[c].traces), warm_entries[c]) << "core " << c;
   }
 }
 

@@ -17,11 +17,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/archive.h"
+#include "common/rng.h"
 #include "fault/campaign.h"
 #include "fault/distributed.h"
 #include "fault/vuln.h"
@@ -362,60 +366,181 @@ TEST(SnapshotWire, FileHelpersReportIoErrors) {
 // ---------------------------------------------------------------------------
 
 TEST(Distributed, TwoWorkerCampaignMatchesSingleProcessAndResumes) {
+  // Under the default engine and the bounded one. The warm rerun restores
+  // baselines decoded from files (no trace tables) while the single-process
+  // run forks live baselines that share trace-table chunks.
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);
-  fault::CampaignConfig campaign;
-  campaign.target_faults = 8;
-  campaign.warmup_rounds = 2'000;
-  campaign.gap_rounds = 500;
-  campaign.workload_iterations = 4'000;
-  campaign.shards = 4;
-  campaign.threads = 1;
+  for (const std::optional<soc::Engine> engine :
+       {std::optional<soc::Engine>{}, std::optional{soc::Engine::kQuantumBounded}}) {
+    SCOPED_TRACE(engine.has_value() ? soc::engine_name(*engine) : "default engine");
+    fault::CampaignConfig campaign;
+    campaign.target_faults = 8;
+    campaign.warmup_rounds = 2'000;
+    campaign.gap_rounds = 500;
+    campaign.workload_iterations = 4'000;
+    campaign.shards = 4;
+    campaign.threads = 1;
+    campaign.engine = engine;
 
-  const fault::CampaignStats single =
-      fault::run_fault_campaign(profile, soc_config, campaign);
-  ASSERT_EQ(single.injected, campaign.target_faults);
+    const fault::CampaignStats single =
+        fault::run_fault_campaign(profile, soc_config, campaign);
+    ASSERT_EQ(single.injected, campaign.target_faults);
 
-  const std::string dir = "test_snapshot_io_campaign";
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  fault::DistributedConfig dist;
-  dist.workers = 2;
-  dist.dir = dir;
+    const std::string dir = "test_snapshot_io_campaign";
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    fault::DistributedConfig dist;
+    dist.workers = 2;
+    dist.dir = dir;
 
-  // Cold two-worker run: merged result digest-identical to single-process.
-  dist.run_label = "cold";
-  const auto cold = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-  EXPECT_TRUE(cold.run.complete());
-  EXPECT_EQ(cold.stats.digest(), single.digest());
-  EXPECT_EQ(cold.stats.injected, single.injected);
+    // Cold two-worker run: merged result digest-identical to single-process.
+    dist.run_label = "cold";
+    const auto cold = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+    EXPECT_TRUE(cold.run.complete());
+    EXPECT_EQ(cold.stats.digest(), single.digest());
+    EXPECT_EQ(cold.stats.injected, single.injected);
 
-  // Kill the worker that runs shard 1 after it finishes but before it writes
-  // its result; the run is incomplete, then a resumed invocation redoes the
-  // missing shards and still merges digest-identical.
-  dist.run_label = "resume";
-  setenv("FLEX_CAMPAIGN_DIE_SHARD", "1", 1);
-  const auto killed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-  unsetenv("FLEX_CAMPAIGN_DIE_SHARD");
-  EXPECT_FALSE(killed.run.complete());
-  EXPECT_LT(killed.run.shards_completed, killed.run.shards_total);
+    // Kill the worker that runs shard 1 after it finishes but before it
+    // writes its result; the run is incomplete, then a resumed invocation
+    // redoes the missing shards and still merges digest-identical.
+    dist.run_label = "resume";
+    setenv("FLEX_CAMPAIGN_DIE_SHARD", "1", 1);
+    const auto killed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+    unsetenv("FLEX_CAMPAIGN_DIE_SHARD");
+    EXPECT_FALSE(killed.run.complete());
+    EXPECT_LT(killed.run.shards_completed, killed.run.shards_total);
 
-  const auto resumed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-  EXPECT_TRUE(resumed.run.complete());
-  EXPECT_GT(resumed.run.shards_resumed, 0u);
-  EXPECT_EQ(resumed.stats.digest(), single.digest());
+    const auto resumed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+    EXPECT_TRUE(resumed.run.complete());
+    EXPECT_GT(resumed.run.shards_resumed, 0u);
+    EXPECT_EQ(resumed.stats.digest(), single.digest());
 
-  // Warm rerun against the baselines the cold run persisted: every warmup is
-  // elided, outcomes unchanged.
-  dist.run_label = "warm";
-  const auto warm = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-  EXPECT_TRUE(warm.run.complete());
-  EXPECT_GT(warm.run.warmup_instructions_elided, 0u);
-  EXPECT_EQ(warm.stats.digest(), single.digest());
+    // Warm rerun against the baselines the cold run persisted: every warmup
+    // is elided, outcomes unchanged.
+    dist.run_label = "warm";
+    const auto warm = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+    EXPECT_TRUE(warm.run.complete());
+    EXPECT_GT(warm.run.warmup_instructions_elided, 0u);
+    EXPECT_EQ(warm.stats.digest(), single.digest());
 
-  // The resume journal names every shard.
-  EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
-  std::filesystem::remove_all(dir, ec);
+    // The resume journal names every shard.
+    EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
+    std::filesystem::remove_all(dir, ec);
+  }
+}
+
+/// A valid exec-mode worker spec, in the form the distributed driver writes.
+std::string valid_worker_spec() {
+  return "kind=vuln\nprofile=swaptions\ncores=2\ndir=test_snapshot_io_worker\n"
+         "run_label=run\nassigned=0,1\ntarget_faults=14\nwarmup_rounds=2000\n"
+         "gap_rounds=500\nhorizon=3000\nseed=5\nworkload_iterations=4000\n"
+         "shards=2\nmode=fork\nroot_cause=0\nengine=2\ncomponents=0,3,6\n";
+}
+
+/// `spec` with the value of `key` replaced (the line dropped when `value` is
+/// null).
+std::string with_field(const std::string& spec, const std::string& key,
+                       const char* value) {
+  const std::size_t at = spec.find(key + "=");
+  const std::size_t eol = spec.find('\n', at);
+  const std::string line = value != nullptr ? key + "=" + value + "\n" : "";
+  return spec.substr(0, at) + line + spec.substr(eol + 1);
+}
+
+TEST(Distributed, WorkerSpecRejectsUntrustedFieldsWithADiagnostic) {
+  const std::string good = valid_worker_spec();
+  const auto parsed = fault::parse_worker_spec(good);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const fault::WorkerSpec& spec = *parsed.spec;
+  EXPECT_TRUE(spec.vuln);
+  EXPECT_EQ(spec.profile, &workloads::find_profile("swaptions"));
+  EXPECT_EQ(spec.soc_config.num_cores, 2u);
+  EXPECT_EQ(spec.dist.dir, "test_snapshot_io_worker");
+  EXPECT_EQ(spec.assigned, (std::vector<u32>{0, 1}));
+  EXPECT_EQ(spec.vuln_config.target_faults, 14u);
+  EXPECT_EQ(spec.vuln_config.horizon, 3000u);
+  EXPECT_EQ(spec.vuln_config.engine, soc::Engine::kQuantumBounded);
+  EXPECT_EQ(spec.vuln_config.components.size(), 3u);
+
+  const struct {
+    const char* key;
+    const char* value;
+  } defects[] = {
+      {"profile", "nosuch"},    // find_profile would abort
+      {"cores", "1"},           // no checker core 1: VerifiedExecution aborts
+      {"cores", "65"},          // beyond the G.Configure masks
+      {"engine", "9"},          // not a soc::Engine
+      {"kind", "sweep"},        {"mode", "forked"},
+      {"assigned", "0,2"},      // two shards: indices 0 and 1
+      {"components", "0,7"},    // seven component classes
+      {"target_faults", "0"},   {"shards", "0"},
+      {"warmup_rounds", "0"},   {"horizon", "0"},
+      {"seed", "12x"},          {"root_cause", "2"},
+      {"target_faults", "4294967296"},
+      {"dir", nullptr},
+  };
+  for (const auto& defect : defects) {
+    const auto result =
+        fault::parse_worker_spec(with_field(good, defect.key, defect.value));
+    EXPECT_FALSE(result.ok()) << defect.key;
+    EXPECT_NE(result.error.find(defect.key), std::string::npos)
+        << defect.key << ": " << result.error;
+  }
+
+  // The worker reports a malformed spec with exit code 2 instead of aborting.
+  const std::string path = "test_snapshot_io_bad.spec";
+  const std::string bad = with_field(good, "profile", "nosuch");
+  ASSERT_TRUE(io::write_file_atomic(path, bad.data(), bad.size()).ok());
+  EXPECT_EQ(fault::campaign_worker_main(path), 2);
+  std::remove(path.c_str());
+}
+
+TEST(Distributed, WorkerSpecParseNeverAbortsOnMutatedSpecs) {
+  // Deterministic fuzz in the style of the site-description fuzz: truncate,
+  // substitute or duplicate, and require parse_worker_spec to return —
+  // rejecting with a diagnostic, or accepting only a spec a worker can run.
+  Rng rng(0x5BEC);
+  const std::string good = valid_worker_spec();
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = good;
+    switch (rng.next_below(3)) {
+      case 0:  // truncate
+        mutated.resize(rng.next_below(mutated.size() + 1));
+        break;
+      case 1:  // substitute one byte with printable noise or a newline
+        mutated[rng.next_below(mutated.size())] =
+            rng.next_below(8) == 0 ? '\n' : static_cast<char>(' ' + rng.next_below(95));
+        break;
+      default:  // duplicate a chunk
+        mutated += mutated.substr(rng.next_below(mutated.size()));
+        break;
+    }
+    const auto result = fault::parse_worker_spec(mutated);
+    if (!result.ok()) {
+      EXPECT_FALSE(result.error.empty()) << mutated;
+      continue;
+    }
+    EXPECT_TRUE(result.error.empty()) << mutated;
+    const fault::WorkerSpec& spec = *result.spec;
+    ASSERT_NE(spec.profile, nullptr) << mutated;
+    EXPECT_GE(spec.soc_config.num_cores, 2u) << mutated;
+    EXPECT_LE(spec.soc_config.num_cores, 64u) << mutated;
+    EXPECT_FALSE(spec.dist.dir.empty()) << mutated;
+    const auto& config = spec.vuln_config;  // the spec's kind=vuln may mutate away
+    const u32 shards = spec.vuln ? std::min(config.shards, config.target_faults)
+                                 : std::min(spec.campaign.shards, spec.campaign.target_faults);
+    EXPECT_GT(shards, 0u) << mutated;
+    for (u32 s : spec.assigned) EXPECT_LT(s, shards) << mutated;
+    const std::optional<soc::Engine> engine =
+        spec.vuln ? config.engine : spec.campaign.engine;
+    if (engine.has_value()) {
+      EXPECT_LE(static_cast<u32>(*engine), static_cast<u32>(soc::Engine::kQuantumBounded));
+    }
+    for (fault::Component c : config.components) {
+      EXPECT_LT(static_cast<std::size_t>(c), fault::kComponentCount) << mutated;
+    }
+  }
 }
 
 }  // namespace
