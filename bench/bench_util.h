@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,10 +22,10 @@ struct SlowdownModes {
   bool dual = true;
   bool triple = false;
   bool nzdc = false;
-  /// Co-simulation engine for every run (unset: Scenario's FLEX_ENGINE
-  /// default). Simulated results are engine-independent by the exec-engine
-  /// equivalence proofs; fig6 cross-checks that across all three.
-  std::optional<soc::Engine> engine;
+  /// Co-simulation engine for every run. These single-role runs give the
+  /// same RunStats under every engine (tests/test_exec_engine.cpp); fig6
+  /// cross-checks that across all three.
+  soc::Engine engine = soc::Engine::kQuantum;
 };
 
 struct SlowdownResult {
@@ -63,8 +62,7 @@ inline SlowdownResult measure_workload(const workloads::WorkloadProfile& profile
   // once and pinned so every mode simulates the identical instruction stream.
   sim::Scenario scenario;
   scenario.workload(profile).seed(seed).iterations(iterations).soc(
-      soc::SocConfig::paper_default(4));
-  if (modes.engine.has_value()) scenario.engine(*modes.engine);
+      soc::SocConfig::paper_default(4)).engine(modes.engine);
   const isa::Program program = scenario.build_program();
   scenario.program(program);
 

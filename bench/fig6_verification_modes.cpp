@@ -5,8 +5,8 @@
 // backpressure on the main core.
 //
 // The figure is produced under all three co-simulation engines (stepwise
-// reference, kQuantum, kQuantumBounded). Simulated results are
-// engine-independent by construction — this driver cross-checks that on the
+// reference, kQuantum, kQuantumBounded). Full-run results of these
+// single-role runs are engine-independent — this driver cross-checks that on the
 // full Parsec sweep (exit code 1 on any divergence) and reports the host-time
 // cost of each engine, so the relaxed engine shows up in the paper-figure
 // pipeline, not just in the micro benches.

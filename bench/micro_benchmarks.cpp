@@ -15,7 +15,6 @@
 //                                             # shared-checker gate + JSON
 //   ./bench/micro_benchmarks --vuln           # whole-SoC vulnerability campaign + JSON
 //   ./bench/micro_benchmarks --analyze        # static-analysis report + gates + JSON
-//   ./bench/micro_benchmarks --benchmark_...  # google-benchmark micro benches
 //   ./bench/micro_benchmarks --campaign-worker <spec>  # internal: exec-mode
 //                                             # campaign worker (see
 //                                             # fault/distributed.h)
@@ -32,19 +31,13 @@
 #include "analysis/validate.h"
 #include "arch/trace.h"
 #include "bench_util.h"
-#include "common/rng.h"
 #include "common/table.h"
 #include "fault/campaign.h"
 #include "fault/distributed.h"
 #include "fault/sites.h"
 #include "fault/vuln.h"
 #include "runtime/job_pool.h"
-#include "sched/flexstep_partition.h"
-#include "sched/hmr_partition.h"
-#include "sched/lockstep_partition.h"
-#include "sched/uunifast.h"
 #include "sim/scenario.h"
-#include "workloads/nzdc.h"
 #include "workloads/profile.h"
 #include "workloads/program_builder.h"
 
@@ -1317,103 +1310,7 @@ int run_analyze_mode() {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// google-benchmark micro benches (--benchmark_* arguments)
-// ---------------------------------------------------------------------------
-
-#ifndef FLEX_NO_GOOGLE_BENCHMARK
-#include <benchmark/benchmark.h>
-
-namespace {
-
-void BM_CoreSimulation(benchmark::State& state) {
-  const auto& profile = workloads::find_profile("swaptions");
-  workloads::BuildOptions build;
-  build.iterations_override = 50;
-  const auto program = workloads::build_workload(profile, build);
-  u64 instructions = 0;
-  for (auto _ : state) {
-    instructions +=
-        sim::Scenario().program(program).plain().build().run().main_instructions;
-  }
-  state.counters["inst/s"] = benchmark::Counter(static_cast<double>(instructions),
-                                                benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CoreSimulation)->Unit(benchmark::kMillisecond);
-
-void BM_VerifiedSimulation(benchmark::State& state) {
-  const auto& profile = workloads::find_profile("swaptions");
-  workloads::BuildOptions build;
-  build.iterations_override = 50;
-  const auto program = workloads::build_workload(profile, build);
-  u64 instructions = 0;
-  for (auto _ : state) {
-    instructions +=
-        sim::Scenario().program(program).dual().build().run().main_instructions;
-  }
-  state.counters["inst/s"] = benchmark::Counter(static_cast<double>(instructions),
-                                                benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_VerifiedSimulation)->Unit(benchmark::kMillisecond);
-
-void BM_ChannelPushPop(benchmark::State& state) {
-  fs::FlexStepConfig config;
-  fs::MemLogEntry entry;
-  entry.kind = fs::MemEntryKind::kLoadData;
-  for (auto _ : state) {
-    fs::Channel channel(0, 1, config);
-    channel.push_scp({}, 0);
-    for (int i = 0; i < 1000; ++i) channel.push_mem(entry, i);
-    channel.push_segment_end({}, 1000, 1001);
-    while (!channel.empty()) benchmark::DoNotOptimize(channel.pop(2000));
-  }
-  state.SetItemsProcessed(state.iterations() * 1002);
-}
-BENCHMARK(BM_ChannelPushPop);
-
-void BM_NzdcTransform(benchmark::State& state) {
-  const auto& profile = workloads::find_profile("bzip2");
-  const auto program = workloads::build_workload(profile);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(workloads::nzdc_transform(program));
-  }
-  state.SetItemsProcessed(state.iterations() * program.code.size());
-}
-BENCHMARK(BM_NzdcTransform);
-
-void BM_UUnifastGeneration(benchmark::State& state) {
-  Rng rng(1);
-  sched::TaskSetParams params;
-  params.n = 160;
-  params.total_utilization = 5.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::generate_task_set(params, rng));
-  }
-}
-BENCHMARK(BM_UUnifastGeneration);
-
-template <sched::PartitionResult (*Partitioner)(const sched::TaskSet&, u32)>
-void BM_Partitioner(benchmark::State& state) {
-  Rng rng(2);
-  sched::TaskSetParams params;
-  params.n = 160;
-  params.alpha = 0.125;
-  params.beta = 0.125;
-  params.total_utilization = 0.6 * 8;
-  const auto tasks = sched::generate_task_set(params, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Partitioner(tasks, 8));
-  }
-}
-BENCHMARK(BM_Partitioner<sched::flexstep_partition>)->Name("BM_FlexStepPartition");
-BENCHMARK(BM_Partitioner<sched::lockstep_partition>)->Name("BM_LockStepPartition");
-BENCHMARK(BM_Partitioner<sched::hmr_partition>)->Name("BM_HmrPartition");
-
-}  // namespace
-#endif  // FLEX_NO_GOOGLE_BENCHMARK
-
 int main(int argc, char** argv) {
-  bool gbench = false;
   bool campaign = false;
   bool snapshot = false;
   bool trace = false;
@@ -1428,7 +1325,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--campaign-worker") == 0 && i + 1 < argc) {
       return fault::campaign_worker_main(argv[i + 1]);
     }
-    if (std::strncmp(argv[i], "--benchmark", 11) == 0) gbench = true;
     if (std::strcmp(argv[i], "--campaign") == 0) campaign = true;
     if (std::strcmp(argv[i], "--snapshot") == 0) snapshot = true;
     if (std::strcmp(argv[i], "--trace") == 0) trace = true;
@@ -1444,14 +1340,5 @@ int main(int argc, char** argv) {
   if (trace) return run_trace_jit_mode();
   if (snapshot) return run_snapshot_fork_mode();
   if (campaign) return run_campaign_throughput_mode();
-  if (!gbench) return run_throughput_mode();
-#ifndef FLEX_NO_GOOGLE_BENCHMARK
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-#else
-  std::fprintf(stderr, "built without google-benchmark; only throughput mode available\n");
-  return 1;
-#endif
+  return run_throughput_mode();
 }

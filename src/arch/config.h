@@ -7,9 +7,10 @@
 
 namespace flexstep::arch {
 
-/// Superinstruction trace cache knobs (arch/trace.h). Traces are a pure host
+/// Superinstruction trace cache knobs (arch/trace.h). Traces are a host
 /// optimisation: recorded/flushed traces never change architectural outcomes,
-/// so these knobs tune speed, not semantics.
+/// so these knobs tune speed, not semantics — though they do move where a
+/// budgeted VerifiedExecution::advance() stops.
 struct TraceConfig {
   bool enabled = true;
   /// Block-entry visits before a region is recorded as a trace.

@@ -1,7 +1,5 @@
 #include "arch/core.h"
 
-#include <cstdlib>
-
 #include "arch/trace.h"
 #include "common/archive.h"
 #include "common/check.h"
@@ -144,18 +142,6 @@ void Core::release_reservation() {
 }
 
 void Core::set_mem_port(MemPort* port) { port_ = port != nullptr ? port : cache_port_.get(); }
-
-// FLEX_FUSED=0 falls back to counting-mode batches (memory ops stepwise): a
-// debugging lever for isolating fused-path issues, and the baseline the trace
-// bench measures its verified-mode speedups against. Read once, same rule as
-// FLEX_TRACE/FLEX_ENGINE; per-core overrides go through set_fused_batching.
-bool Core::default_fused_batching() {
-  static const bool enabled = [] {
-    const char* value = std::getenv("FLEX_FUSED");
-    return value == nullptr || *value != '0';
-  }();
-  return enabled;
-}
 
 MemPort& Core::cache_mem_port() { return *cache_port_; }
 

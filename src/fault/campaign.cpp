@@ -143,8 +143,8 @@ sim::Scenario campaign_scenario(const workloads::WorkloadProfile& profile,
                                                     : profile.iterations * 40)
       .soc(soc_config)
       .main_core(0)
-      .checkers({1});
-  if (campaign.engine.has_value()) scenario.engine(*campaign.engine);
+      .checkers({1})
+      .engine(campaign.engine);
   return scenario;
 }
 
@@ -230,8 +230,8 @@ u64 baseline_tag(const workloads::WorkloadProfile& profile,
   mix(session_seed);
   mix(warmup_rounds);
   mix(campaign.workload_iterations);
-  mix(soc_config.num_cores);
-  mix(static_cast<u64>(campaign.engine.value_or(soc::default_engine())));
+  mix(soc_config.fingerprint());
+  mix(static_cast<u64>(campaign.engine));
   mix(salt);
   return h;
 }

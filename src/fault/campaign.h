@@ -7,7 +7,6 @@
 // mismatch report. One long run hosts many sequential injections.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -59,11 +58,11 @@ struct CampaignConfig {
   u32 shards = kDefaultCampaignShards;  ///< Independent campaign shards (>= 1).
   u32 threads = 0;  ///< Worker threads (0 = FLEX_THREADS / hardware_concurrency).
   CampaignMode mode = CampaignMode::kSnapshotFork;
-  /// Co-simulation engine the sessions run under (FLEX_ENGINE when unset).
-  /// Injection placement keys off advance() rendezvous points, so absolute
-  /// outcomes at a given seed are engine-specific; snapshot-fork vs
-  /// re-execution parity holds within any one engine.
-  std::optional<soc::Engine> engine;
+  /// Co-simulation engine the sessions run under. Injection placement keys
+  /// off advance() rendezvous points, so absolute outcomes at a given seed
+  /// are engine-specific; snapshot-fork vs re-execution parity holds within
+  /// any one engine.
+  soc::Engine engine = soc::Engine::kQuantum;
 };
 
 /// Final classification of one injection — the four-way taxonomy of
@@ -189,9 +188,10 @@ namespace detail {
 std::vector<u32> shard_quotas(u32 target_faults, u32 shards);
 
 /// Fingerprint of everything a warmed baseline's state depends on (workload
-/// identity + build seed, shard seeding, exact warmup length, platform,
-/// engine). `salt` separates campaign kinds whose scenarios differ beyond
-/// these fields (0 = DBC-stream campaign, 1 = whole-SoC vuln campaign).
+/// identity + build seed, shard seeding, exact warmup length, every
+/// SocConfig field, engine). `salt` separates campaign kinds whose scenarios
+/// differ beyond these fields (0 = DBC-stream campaign, 1 = whole-SoC vuln
+/// campaign).
 u64 baseline_tag(const workloads::WorkloadProfile& profile,
                  const soc::SocConfig& soc_config,
                  const CampaignConfig& campaign, u32 shard_index,

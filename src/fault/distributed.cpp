@@ -133,9 +133,9 @@ class FileBaselineStore final : public BaselineStore {
     soc::Snapshot snapshot;
     snapshot.deserialize(ar);
     if (!ar.ok()) return false;
-    // The tag fingerprints the platform, so a tag-matching snapshot fits this
-    // session's geometry; restore() FLEX_CHECKs the remaining invariants.
-    session.restore(snapshot);
+    // The tag fingerprints the platform; the geometry check still guards the
+    // restore, because a file is untrusted input.
+    if (!session.restore_checked(snapshot).ok()) return false;
     elided_ += session.total_instret();
     return true;
   }
@@ -312,19 +312,28 @@ std::string csv(const std::vector<u32>& values) {
   return out;
 }
 
-/// Common spec fields of both campaign kinds. Exec-mode specs carry the
-/// workload by profile name and the platform as a core count, so exec mode
-/// supports exactly the SocConfig::paper_default platforms.
+/// Exec-mode specs carry the platform as a core count, and workers rebuild
+/// SocConfig::paper_default(cores) from it. Any other platform would run
+/// silently as the paper default, so the parent refuses it up front.
+void check_exec_platform(const soc::SocConfig& soc_config,
+                         const DistributedConfig& dist) {
+  const soc::SocConfig shipped = soc::SocConfig::paper_default(soc_config.num_cores);
+  FLEX_CHECK_MSG(!dist.use_exec || soc_config.fingerprint() == shipped.fingerprint(),
+                 "distributed campaign: exec-mode workers run only "
+                 "SocConfig::paper_default platforms; use fork mode");
+}
+
+/// Common spec fields of both campaign kinds: the workload by profile name,
+/// the platform as a core count (see check_exec_platform) and the engine.
 void spec_common(std::string& spec, const workloads::WorkloadProfile& profile,
-                 const soc::SocConfig& soc_config,
-                 const DistributedConfig& dist, u32 worker,
-                 const std::vector<u32>& assigned) {
+                 const soc::SocConfig& soc_config, soc::Engine engine,
+                 const DistributedConfig& dist, const std::vector<u32>& assigned) {
   spec += "profile=" + profile.name + "\n";
   spec += "cores=" + std::to_string(soc_config.num_cores) + "\n";
+  spec += "engine=" + std::to_string(static_cast<int>(engine)) + "\n";
   spec += "dir=" + dist.dir + "\n";
   spec += "run_label=" + dist.run_label + "\n";
   spec += "assigned=" + csv(assigned) + "\n";
-  (void)worker;
 }
 
 std::string write_spec_file(const DistributedConfig& dist, u32 worker,
@@ -357,7 +366,6 @@ class SpecReader {
     if (error_.empty()) error_ = std::move(message);
   }
 
-  bool has(const std::string& key) const { return fields_.count(key) != 0; }
   std::string text(const std::string& key) const {
     const auto it = fields_.find(key);
     return it == fields_.end() ? std::string() : it->second;
@@ -449,6 +457,7 @@ std::function<VulnReport(u32, BaselineStore*)> vuln_shard_runner(
 DistributedCampaignResult run_distributed_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const CampaignConfig& campaign, const DistributedConfig& dist) {
+  check_exec_platform(soc_config, dist);
   const std::vector<u32> quota =
       detail::shard_quotas(campaign.target_faults, campaign.shards);
   const auto run_shard = campaign_shard_runner(profile, soc_config, campaign);
@@ -456,7 +465,7 @@ DistributedCampaignResult run_distributed_campaign(
   if (dist.use_exec) {
     spawn_exec = [&](u32 worker, const std::vector<u32>& assigned) {
       std::string spec = "kind=campaign\n";
-      spec_common(spec, profile, soc_config, dist, worker, assigned);
+      spec_common(spec, profile, soc_config, campaign.engine, dist, assigned);
       spec += "target_faults=" + std::to_string(campaign.target_faults) + "\n";
       spec += "warmup_rounds=" + std::to_string(campaign.warmup_rounds) + "\n";
       spec += "gap_rounds=" + std::to_string(campaign.gap_rounds) + "\n";
@@ -467,10 +476,6 @@ DistributedCampaignResult run_distributed_campaign(
       spec += std::string("mode=") +
               (campaign.mode == CampaignMode::kSnapshotFork ? "fork" : "reexec") +
               "\n";
-      if (campaign.engine.has_value()) {
-        spec += "engine=" +
-                std::to_string(static_cast<int>(*campaign.engine)) + "\n";
-      }
       return write_spec_file(dist, worker, spec);
     };
   }
@@ -485,6 +490,7 @@ DistributedCampaignResult run_distributed_campaign(
 DistributedVulnResult run_distributed_vuln_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const VulnConfig& config, const DistributedConfig& dist) {
+  check_exec_platform(soc_config, dist);
   const std::vector<u32> quota =
       detail::shard_quotas(config.target_faults, config.shards);
   const auto run_shard = vuln_shard_runner(profile, soc_config, config);
@@ -492,7 +498,7 @@ DistributedVulnResult run_distributed_vuln_campaign(
   if (dist.use_exec) {
     spawn_exec = [&](u32 worker, const std::vector<u32>& assigned) {
       std::string spec = "kind=vuln\n";
-      spec_common(spec, profile, soc_config, dist, worker, assigned);
+      spec_common(spec, profile, soc_config, config.engine, dist, assigned);
       spec += "target_faults=" + std::to_string(config.target_faults) + "\n";
       spec += "warmup_rounds=" + std::to_string(config.warmup_rounds) + "\n";
       spec += "gap_rounds=" + std::to_string(config.gap_rounds) + "\n";
@@ -505,10 +511,6 @@ DistributedVulnResult run_distributed_vuln_campaign(
               (config.mode == CampaignMode::kSnapshotFork ? "fork" : "reexec") +
               "\n";
       spec += std::string("root_cause=") + (config.root_cause ? "1" : "0") + "\n";
-      if (config.engine.has_value()) {
-        spec += "engine=" + std::to_string(static_cast<int>(*config.engine)) +
-                "\n";
-      }
       if (!config.components.empty()) {
         std::vector<u32> comp_ids;
         for (Component c : config.components) {
@@ -549,11 +551,9 @@ ParseWorkerSpecResult parse_worker_spec(std::string_view text) {
   if (!mode.empty() && mode != "fork" && mode != "reexec") {
     in.fail("mode: expected fork or reexec, got '" + mode + "'");
   }
-  std::optional<soc::Engine> engine;
-  if (in.has("engine")) {
-    engine = static_cast<soc::Engine>(
-        in.number("engine", 0, 0, static_cast<u64>(soc::Engine::kQuantumBounded)));
-  }
+  const auto engine = static_cast<soc::Engine>(
+      in.number("engine", static_cast<u64>(soc::Engine::kQuantum), 0,
+                static_cast<u64>(soc::Engine::kQuantumBounded)));
   constexpr u64 kU32Max = ~u32{0};
   constexpr u64 kU64Max = ~u64{0};
   const auto fill = [&](auto& config) {

@@ -23,7 +23,8 @@
 //     `exe --campaign-worker <spec>` with a text spec file naming the
 //     campaign. Spec files carry the workload by profile NAME and the
 //     platform as a core count, so exec mode is restricted to
-//     SocConfig::paper_default platforms.
+//     SocConfig::paper_default platforms: the driver aborts on any other
+//     SocConfig (compared by SocConfig::fingerprint) before it forks.
 //
 // Fault hook for the kill-and-resume tests: when the FLEX_CAMPAIGN_DIE_SHARD
 // environment variable names a shard index, the worker that runs that shard

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "arch/core.h"
 #include "arch/memory.h"
@@ -228,8 +229,8 @@ sim::Scenario vuln_scenario(const workloads::WorkloadProfile& profile,
       .checkers({1})
       // Whole-SoC faults can wedge the machine (e.g. a corrupted main-core pc
       // halting without task exit): that is the DUE outcome, not a crash.
-      .tolerate_stall(true);
-  if (config.engine.has_value()) scenario.engine(*config.engine);
+      .tolerate_stall(true)
+      .engine(config.engine);
   return scenario;
 }
 

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +55,7 @@ struct VulnConfig {
   u32 shards = kDefaultCampaignShards;
   u32 threads = 0;              ///< Worker threads (0 = FLEX_THREADS / hw).
   CampaignMode mode = CampaignMode::kSnapshotFork;
-  std::optional<soc::Engine> engine;
+  soc::Engine engine = soc::Engine::kQuantum;
   /// Component classes to inject into, round-robin by global injection index
   /// (so even tiny campaigns cover every class). Empty = all seven.
   std::vector<Component> components;

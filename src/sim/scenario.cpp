@@ -1,26 +1,10 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.h"
 
 namespace flexstep::sim {
-
-namespace {
-
-/// FLEX_ANALYZE=0 disables the static-analysis clients (trace seeding + burst
-/// tightening) for sessions that don't call Scenario::analysis() explicitly.
-/// Read once, same rule as FLEX_TRACE / FLEX_ENGINE.
-bool default_analysis_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("FLEX_ANALYZE");
-    return env == nullptr || env[0] != '0';
-  }();
-  return enabled;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Scenario
@@ -37,7 +21,11 @@ Scenario& Scenario::workload(const workloads::WorkloadProfile& profile) {
 }
 
 Scenario& Scenario::program(isa::Program program) {
-  program_ = std::move(program);
+  return programs({std::move(program)});
+}
+
+Scenario& Scenario::programs(std::vector<isa::Program> programs) {
+  programs_ = std::move(programs);
   return *this;
 }
 
@@ -78,16 +66,6 @@ Scenario& Scenario::soc(const soc::SocConfig& config) {
   return *this;
 }
 
-Scenario& Scenario::segment_limit(u32 limit) {
-  segment_limit_ = limit;
-  return *this;
-}
-
-Scenario& Scenario::channel_capacity(u64 entries) {
-  channel_capacity_ = entries;
-  return *this;
-}
-
 Scenario& Scenario::trace(bool enabled) {
   trace_ = enabled;
   return *this;
@@ -98,25 +76,33 @@ Scenario& Scenario::analysis(bool enabled) {
   return *this;
 }
 
+soc::RoleBinding& Scenario::single_role() {
+  FLEX_CHECK_MSG(run_.roles.size() == 1,
+                 "main_core()/checkers()/plain()/dual()/triple() edit a "
+                 "single-role topology; use topology() for several roles");
+  return run_.roles.front();
+}
+
 Scenario& Scenario::main_core(CoreId id) {
-  run_.main_core = id;
+  single_role().producer = id;
   return *this;
 }
 
 Scenario& Scenario::checkers(std::vector<CoreId> ids) {
-  run_.checkers = std::move(ids);
+  single_role().checkers = std::move(ids);
   return *this;
 }
 
 Scenario& Scenario::plain() { return checkers({}); }
 
 Scenario& Scenario::dual() {
-  return checkers({static_cast<CoreId>(run_.main_core + 1)});
+  const CoreId main = single_role().producer;
+  return checkers({static_cast<CoreId>(main + 1)});
 }
 
 Scenario& Scenario::triple() {
-  return checkers({static_cast<CoreId>(run_.main_core + 1),
-                   static_cast<CoreId>(run_.main_core + 2)});
+  const CoreId main = single_role().producer;
+  return checkers({static_cast<CoreId>(main + 1), static_cast<CoreId>(main + 2)});
 }
 
 Scenario& Scenario::topology(std::vector<soc::RoleBinding> roles) {
@@ -144,41 +130,13 @@ Scenario& Scenario::shared_checker(u32 producers) {
   return topology(std::move(roles));
 }
 
-Scenario& Scenario::programs(std::vector<isa::Program> programs) {
-  programs_ = std::move(programs);
-  return *this;
-}
-
 Scenario& Scenario::engine(soc::Engine engine) {
   run_.engine = engine;
-  engine_set_ = true;
-  return *this;
-}
-
-Scenario& Scenario::skew(u64 instructions) {
-  run_.skew_instructions = instructions;
   return *this;
 }
 
 Scenario& Scenario::os_ticks(bool on) {
   run_.os_ticks = on;
-  return *this;
-}
-
-Scenario& Scenario::tick(Cycle period, Cycle cost) {
-  run_.os_ticks = true;
-  run_.tick_period = period;
-  run_.tick_cost = cost;
-  return *this;
-}
-
-Scenario& Scenario::ecall_cost(Cycle cycles) {
-  run_.ecall_cost = cycles;
-  return *this;
-}
-
-Scenario& Scenario::max_instructions(u64 cap) {
-  run_.max_instructions = cap;
   return *this;
 }
 
@@ -195,8 +153,7 @@ soc::SocConfig Scenario::soc_config() const {
     u32 cores = cores_.value_or(0);
     if (cores == 0) {
       // Auto-size: the highest core the topology names, plus one.
-      CoreId highest = run_.main_core;
-      for (CoreId id : run_.checkers) highest = std::max(highest, id);
+      CoreId highest = 0;
       for (const soc::RoleBinding& role : run_.roles) {
         highest = std::max(highest, role.producer);
         for (CoreId id : role.checkers) highest = std::max(highest, id);
@@ -205,26 +162,28 @@ soc::SocConfig Scenario::soc_config() const {
     }
     config = soc::SocConfig::paper_default(cores);
   }
-  // FlexStep knob overrides apply at resolution time, so knob and topology
-  // calls compose in any order.
-  if (segment_limit_.has_value()) config.flexstep.segment_limit = *segment_limit_;
-  if (channel_capacity_.has_value()) {
-    config.flexstep.channel_capacity = *channel_capacity_;
-  }
   if (trace_.has_value()) config.core.trace.enabled = *trace_;
   return config;
 }
 
-soc::VerifiedRunConfig Scenario::run_config() const {
-  soc::VerifiedRunConfig config = run_;
-  if (!engine_set_) config.engine = soc::default_engine();
-  return config;
-}
+soc::VerifiedRunConfig Scenario::run_config() const { return run_; }
 
 isa::Program Scenario::build_program() const {
-  if (program_.has_value()) return *program_;
+  FLEX_CHECK_MSG(run_.roles.size() == 1,
+                 "build_program() serves single-role scenarios; use "
+                 "build_role_programs()");
+  return std::move(build_role_programs().front());
+}
+
+std::vector<isa::Program> Scenario::build_role_programs() const {
+  const std::size_t role_count = run_.roles.size();
+  if (programs_.has_value()) {
+    FLEX_CHECK_MSG(programs_->size() == role_count,
+                   "programs() must provide exactly one program per role");
+    return *programs_;
+  }
   FLEX_CHECK_MSG(profile_.has_value(),
-                 "Scenario needs a workload() profile or an explicit program()");
+                 "Scenario needs a workload() profile or explicit programs()");
   workloads::BuildOptions build = build_;
   if (duration_us_.has_value()) {
     // ~2.3 cycles/instruction on the paper core; size the loop count so one
@@ -233,22 +192,7 @@ isa::Program Scenario::build_program() const {
         1, static_cast<u32>(*duration_us_ * kCyclesPerUs / 2.3 /
                             profile_->body_instructions));
   }
-  return workloads::build_workload(*profile_, build);
-}
-
-std::vector<isa::Program> Scenario::build_role_programs() const {
-  const std::size_t role_count = std::max<std::size_t>(1, run_.roles.size());
-  if (programs_.has_value()) {
-    FLEX_CHECK_MSG(programs_->size() == role_count,
-                   "programs() must provide exactly one program per role");
-    return *programs_;
-  }
-  if (role_count == 1) return {build_program()};
-  FLEX_CHECK_MSG(!program_.has_value(),
-                 "one explicit program() cannot serve several producers — the "
-                 "data base is baked into the code; use programs()");
-  FLEX_CHECK_MSG(profile_.has_value(),
-                 "Scenario needs a workload() profile or explicit programs()");
+  if (role_count == 1) return {workloads::build_workload(*profile_, build)};
   // Each producer gets its own workload instance at disjoint code/data
   // regions. The stride is 1 MiB + 64 KiB: larger than any generated image or
   // default working set, and deliberately not a multiple of the L2 set span,
@@ -260,12 +204,6 @@ std::vector<isa::Program> Scenario::build_role_programs() const {
   std::vector<isa::Program> programs;
   programs.reserve(role_count);
   for (std::size_t r = 0; r < role_count; ++r) {
-    workloads::BuildOptions build = build_;
-    if (duration_us_.has_value()) {
-      build.iterations_override = std::max<u32>(
-          1, static_cast<u32>(*duration_us_ * kCyclesPerUs / 2.3 /
-                              profile_->body_instructions));
-    }
     build.code_base = build_.code_base + static_cast<Addr>(r) * kRoleStride;
     build.data_base = data_floor + static_cast<Addr>(r) * kRoleStride;
     programs.push_back(workloads::build_workload(*profile_, build));
@@ -297,8 +235,6 @@ Session::Session(std::shared_ptr<const Scenario> scenario,
     : scenario_(std::move(scenario)), programs_(std::move(programs)) {
   const soc::SocConfig soc_config = scenario_->soc_config();
   const soc::VerifiedRunConfig run_config = scenario_->run_config();
-  FLEX_CHECK_MSG(run_config.main_core < soc_config.num_cores,
-                 "scenario main core outside the SoC");
   for (const soc::RoleBinding& role : run_config.roles) {
     FLEX_CHECK_MSG(role.producer < soc_config.num_cores,
                    "scenario role producer outside the SoC");
@@ -316,8 +252,7 @@ void Session::prepare() {
   // skips it (conservative: dynamic trace recording and the global DBC
   // divisor still apply — per-role reports are a follow-on).
   const std::vector<isa::Program>& programs = *programs_;
-  if (programs.size() == 1 &&
-      scenario_->analysis_.value_or(default_analysis_enabled())) {
+  if (programs.size() == 1 && scenario_->analysis_) {
     auto report = std::make_shared<analysis::ProgramReport>(
         analysis::analyze(programs.front()));
     auto bound = std::make_shared<fs::StaticDbcBound>();
@@ -362,8 +297,13 @@ io::ArchiveError Session::load_file(const std::string& path) {
   if (io::ArchiveError err = soc::load_snapshot(path, loaded); !err.ok()) {
     return err;
   }
-  // Geometry gate: restore() FLEX_CHECK-aborts on platform mismatches, but a
-  // file is untrusted input — turn shape skew into a structured error first.
+  return restore_checked(loaded);
+}
+
+io::ArchiveError Session::restore_checked(const soc::Snapshot& loaded) {
+  // Geometry gate: restore() FLEX_CHECK-aborts on platform mismatches, but
+  // decoded bytes are untrusted input — turn shape skew into a structured
+  // error first.
   const soc::Snapshot ref = snapshot();
   const auto mismatch = [](const std::string& what) {
     return io::ArchiveError{io::ArchiveStatus::kMalformed,

@@ -2,10 +2,12 @@
 //
 // Every driver used to hand-assemble the same stack — Soc + VerifiedRunConfig
 // + workloads::build_workload + VerifiedExecution::prepare. sim::Scenario is
-// the single construction path: a fluent description of the experiment
-// (workload + build seed, main/checker topology, engine, OS-tick model,
-// instruction caps) that produces a sim::Session owning the Soc / program /
-// VerifiedExecution triple, prepared and ready to run.
+// the single construction path and the one configuration surface: a fluent
+// description of the experiment (workload + build seed, producer/checker
+// roles, engine, OS-tick model, host-speed settings) that produces a
+// sim::Session owning the Soc / programs / VerifiedExecution triple,
+// prepared and ready to run. Nothing else configures a simulation — the
+// process environment in particular does not.
 //
 // Sessions are also the unit of state capture: Session::snapshot() captures
 // the full SoC + driver state (soc::Snapshot), Session::restore() rewinds
@@ -48,14 +50,18 @@ class Scenario {
  public:
   Scenario() = default;
 
-  // ---- workload (what the main core runs) ----
+  // ---- workload (what the producers run) ----
 
   /// Workload by profile name (looked up across the Parsec/SPECint suites).
   Scenario& workload(const std::string& profile_name);
   Scenario& workload(const workloads::WorkloadProfile& profile);
   /// Use this exact program instead of generating one (nZDC transforms,
-  /// hand-assembled tests). Overrides the workload/seed/iterations knobs.
+  /// hand-assembled tests): shorthand for programs({program}).
   Scenario& program(isa::Program program);
+  /// Explicit per-producer programs (programs[i] runs on roles[i].producer).
+  /// They override the workload/seed/iterations knobs and must occupy
+  /// disjoint code/data regions.
+  Scenario& programs(std::vector<isa::Program> programs);
   /// Workload generator seed (default 1).
   Scenario& seed(u64 seed);
   /// Override the profile's loop iterations (0 = profile default).
@@ -67,61 +73,50 @@ class Scenario {
 
   // ---- platform ----
 
-  /// Core count (default: auto — highest core named by the topology + 1).
+  /// Core count (default: auto — highest core named by the roles + 1).
   Scenario& cores(u32 count);
-  /// Full SocConfig override (later cores() calls edit it).
+  /// Full SocConfig override (later cores() calls edit it). FlexStep
+  /// geometry (segment limit, channel capacity) is set through it.
   Scenario& soc(const soc::SocConfig& config);
-  /// FlexStep knob overrides, applied on top of the resolved SocConfig at
-  /// build time — composable with soc()/cores()/topology in any order.
-  Scenario& segment_limit(u32 limit);
-  Scenario& channel_capacity(u64 entries);
-  /// Superinstruction trace cache on/off (default: on, unless FLEX_TRACE=0).
-  /// A pure host-speed knob: results are bit-identical either way.
+  /// Superinstruction trace cache on/off (default: the SocConfig's, which is
+  /// on). Host speed only: full-run RunStats are identical either way, but
+  /// traces change where a budgeted advance() stops, and with it campaign
+  /// records at a fixed seed.
   Scenario& trace(bool enabled);
-  /// Static guest-program analysis on/off (default: on, unless
-  /// FLEX_ANALYZE=0). When on, the built session pre-seeds every core's trace
-  /// cache from statically hot region heads and installs the per-pc DBC
-  /// production bound that tightens bounded-engine bursts. Host-speed only:
-  /// simulated outcomes are bit-identical either way.
+  /// Static guest-program analysis on/off (default: on). When on, the built
+  /// session pre-seeds every core's trace cache from statically hot region
+  /// heads and installs the per-pc DBC production bound that tightens
+  /// bounded-engine bursts. Like trace(): full-run RunStats are identical
+  /// either way, advance() stopping points are not.
   Scenario& analysis(bool enabled);
 
-  // ---- verification topology ----
+  // ---- verification topology: one list of soc::RoleBinding ----
 
+  /// Shorthand for a single-role topology (the default, {{0, {}}}): set its
+  /// producer or its checkers. Aborts on a multi-role topology.
   Scenario& main_core(CoreId id);
   Scenario& checkers(std::vector<CoreId> ids);
-  /// Convenience topologies relative to main_core: no checker, one, two.
+  /// No checker, one, two — checkers numbered right after main_core.
   Scenario& plain();
   Scenario& dual();
   Scenario& triple();
 
   /// Role-based many-core topology: N producers x M checkers (see
-  /// soc::RoleBinding). Overrides main_core()/checkers(). Multi-producer
-  /// topologies get one program per producer: either via programs(), or
-  /// auto-generated from the workload profile at per-role disjoint code/data
-  /// bases.
+  /// soc::RoleBinding). Multi-producer topologies get one program per
+  /// producer: either via programs(), or auto-generated from the workload
+  /// profile at per-role disjoint code/data bases.
   Scenario& topology(std::vector<soc::RoleBinding> roles);
   /// `count` producer/checker pairs: role i = {core 2i, checker 2i+1}.
   Scenario& pairs(u32 count);
   /// `producers` cores 0..producers-1 all streaming to one shared checker
   /// (core `producers`) — the contended waitlist-arbitration regime.
   Scenario& shared_checker(u32 producers);
-  /// Explicit per-producer programs for a multi-role topology (programs[i]
-  /// runs on roles[i].producer). Must occupy disjoint code/data regions.
-  Scenario& programs(std::vector<isa::Program> programs);
 
   // ---- co-simulation driver ----
 
-  /// Engine selection. When never called, the FLEX_ENGINE environment
-  /// variable ("stepwise" / "quantum" / "bounded") picks the engine, default
-  /// kQuantum — so whole experiment binaries can be A/B'd without rebuilds.
+  /// Engine selection (default kQuantum).
   Scenario& engine(soc::Engine engine);
-  /// kQuantumBounded burst cap in instructions (0 = auto: one DBC segment /
-  /// channel-capacity worth of work). See VerifiedRunConfig::skew_instructions.
-  Scenario& skew(u64 instructions);
   Scenario& os_ticks(bool on);
-  Scenario& tick(Cycle period, Cycle cost);
-  Scenario& ecall_cost(Cycle cycles);
-  Scenario& max_instructions(u64 cap);
   /// Treat a co-simulation deadlock as a latched stalled() outcome instead of
   /// a fatal FLEX_CHECK (fault campaigns: DUE classification). Default off.
   Scenario& tolerate_stall(bool on);
@@ -130,15 +125,15 @@ class Scenario {
 
   /// The resolved SoC configuration (after cores()/topology auto-sizing).
   soc::SocConfig soc_config() const;
-  /// The resolved co-simulation driver configuration.
+  /// The co-simulation driver configuration (roles, engine, OS ticks).
   soc::VerifiedRunConfig run_config() const;
   /// Just the workload program (kernel-driver experiments compose it with
   /// their own scheduler instead of a VerifiedExecution). Single-role
   /// scenarios only.
   isa::Program build_program() const;
-  /// One program per producer role (a single-role scenario yields one entry).
-  /// Multi-role scenarios without explicit programs() generate the workload
-  /// once per producer at disjoint per-role code/data bases.
+  /// One program per producer role: the explicit programs(), or the workload
+  /// generated once per role. A single role keeps the scenario's code/data
+  /// base; several roles get disjoint per-role code/data bases.
   std::vector<isa::Program> build_role_programs() const;
   /// Static analysis of the program this scenario would run (CFG + dataflow
   /// + lint) — the pre-run lint entry point; runs regardless of analysis().
@@ -151,19 +146,18 @@ class Scenario {
  private:
   friend class Session;
 
+  /// The single role main_core()/checkers() edit.
+  soc::RoleBinding& single_role();
+
   std::optional<workloads::WorkloadProfile> profile_;
-  std::optional<isa::Program> program_;
-  std::optional<std::vector<isa::Program>> programs_;  ///< Per-role override.
+  std::optional<std::vector<isa::Program>> programs_;  ///< One per role.
   workloads::BuildOptions build_;
   std::optional<double> duration_us_;
 
   std::optional<soc::SocConfig> soc_;
   std::optional<u32> cores_;
-  std::optional<u32> segment_limit_;
-  std::optional<u64> channel_capacity_;
   std::optional<bool> trace_;
-  std::optional<bool> analysis_;
-  bool engine_set_ = false;  ///< engine() called; otherwise FLEX_ENGINE rules.
+  bool analysis_ = true;
   soc::VerifiedRunConfig run_;
 };
 
@@ -226,14 +220,14 @@ class Session {
   /// Persist the current state as a versioned, CRC-guarded snapshot archive
   /// (soc::save_snapshot: temp file + atomic rename, never a torn file).
   io::ArchiveError save_file(const std::string& path) const;
-  /// Load a snapshot archive and restore() this session to it. Beyond the
-  /// archive-level checks (magic / version / per-section CRC), the decoded
-  /// snapshot's geometry — core count, cache way counts, predictor table
-  /// sizes, fabric unit count — is validated against this session's platform
-  /// before restore() runs, so a snapshot from a different SocConfig yields a
-  /// structured error instead of a FLEX_CHECK abort. On any error the session
-  /// is left untouched.
+  /// Load a snapshot archive and restore_checked() this session to it.
   io::ArchiveError load_file(const std::string& path);
+  /// restore() a snapshot decoded from untrusted bytes. Its geometry — core
+  /// count, cache way counts, predictor table sizes, fabric unit count — is
+  /// validated against this session's platform first, so a snapshot from a
+  /// different SocConfig yields a structured error instead of a FLEX_CHECK
+  /// abort. On any error the session is left untouched.
+  io::ArchiveError restore_checked(const soc::Snapshot& snapshot);
 
   /// The static analysis backing this session (nullptr when analysis is off).
   const analysis::ProgramReport* analysis() const { return analysis_.get(); }

@@ -1,29 +1,51 @@
 #include "soc/soc_config.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 namespace flexstep::soc {
-
-namespace {
-/// FLEX_TRACE=0 disables the superinstruction trace cache fleet-wide (A/B
-/// measurement, bisecting). Read once: the answer must not change between two
-/// Scenario builds that are expected to evolve bit-identically.
-bool trace_env_enabled() {
-  static const bool enabled = [] {
-    const char* value = std::getenv("FLEX_TRACE");
-    return value == nullptr || std::string_view(value) != "0";
-  }();
-  return enabled;
-}
-}  // namespace
 
 SocConfig SocConfig::paper_default(u32 cores) {
   SocConfig config;
   config.num_cores = cores;
-  config.core.trace.enabled = trace_env_enabled();
   return config;
+}
+
+u64 SocConfig::fingerprint() const {
+  // FNV-1a over every field, one word each (never the raw structs: padding).
+  u64 h = 14695981039346656037ULL;
+  const auto mix = [&h](u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto cache = [&mix](const arch::CacheConfig& c) {
+    mix(c.size_bytes);
+    mix(c.ways);
+    mix(c.line_bytes);
+    mix(c.latency);
+  };
+  mix(num_cores);
+  cache(core.l1i);
+  cache(core.l1d);
+  mix(core.bpred.bht_entries);
+  mix(core.bpred.btb_entries);
+  mix(core.bpred.ras_entries);
+  mix(core.bpred.mispredict_penalty);
+  mix(core.memory_latency);
+  mix(core.load_use_penalty);
+  mix(core.trace.enabled ? 1 : 0);
+  mix(core.trace.heat_threshold);
+  mix(core.trace.max_insts);
+  mix(core.trace.min_insts);
+  mix(core.trace.slots_log2);
+  cache(l2);
+  mix(flexstep.segment_limit);
+  mix(flexstep.channel_capacity);
+  mix(flexstep.channel_latency);
+  mix(flexstep.checkpoint_stall);
+  mix(flexstep.max_replay_factor);
+  return h;
 }
 
 std::string SocConfig::describe() const {

@@ -18,6 +18,10 @@ struct SocConfig {
   /// Paper configuration (Tab. II) with `cores` homogeneous Rockets.
   static SocConfig paper_default(u32 cores = 4);
 
+  /// Field-wise FNV-1a digest of every setting above. Persisted campaign
+  /// baselines are keyed by it, so none restores into another platform.
+  u64 fingerprint() const;
+
   /// Render Tab. II ("Hardware configurations evaluated").
   std::string describe() const;
 };

@@ -1,8 +1,6 @@
 #include "soc/verified_run.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -16,25 +14,6 @@ using arch::TrapAction;
 using arch::TrapCause;
 using fs::CoreUnit;
 
-Engine default_engine() {
-  // Read once: the answer must not change between two Scenario builds that
-  // are expected to evolve bit-identically (same rule as FLEX_TRACE).
-  static const Engine engine = [] {
-    const char* value = std::getenv("FLEX_ENGINE");
-    if (value == nullptr || *value == '\0') return Engine::kQuantum;
-    const std::string_view name(value);
-    if (name == "stepwise") return Engine::kStepwise;
-    if (name == "quantum") return Engine::kQuantum;
-    if (name == "bounded" || name == "quantum_bounded") {
-      return Engine::kQuantumBounded;
-    }
-    FLEX_CHECK_MSG(false,
-                   "FLEX_ENGINE must be one of stepwise / quantum / bounded");
-    return Engine::kQuantum;
-  }();
-  return engine;
-}
-
 const char* engine_name(Engine engine) {
   switch (engine) {
     case Engine::kStepwise: return "stepwise";
@@ -46,20 +25,14 @@ const char* engine_name(Engine engine) {
 
 VerifiedExecution::VerifiedExecution(Soc& soc, VerifiedRunConfig config)
     : soc_(soc), config_(std::move(config)) {
-  // Normalize the topology: legacy (main_core, checkers) configs become the
-  // one-role lattice; explicit roles take over and mirror roles[0] back into
-  // the legacy fields so config().main_core keeps meaning "first producer".
-  roles_ = config_.roles;
-  if (roles_.empty()) roles_.push_back({config_.main_core, config_.checkers});
-  config_.main_core = roles_.front().producer;
-  config_.checkers = roles_.front().checkers;
-
+  const std::vector<RoleBinding>& roles = config_.roles;
+  FLEX_CHECK_MSG(!roles.empty(), "a run needs at least one producer role");
   core_role_.assign(soc_.num_cores(), -1);
-  producer_halted_.assign(roles_.size(), false);
+  producer_halted_.assign(roles.size(), false);
   u64 producer_mask = 0;
   u64 checker_mask = 0;
-  for (std::size_t r = 0; r < roles_.size(); ++r) {
-    const RoleBinding& role = roles_[r];
+  for (std::size_t r = 0; r < roles.size(); ++r) {
+    const RoleBinding& role = roles[r];
     FLEX_CHECK_MSG(role.producer < soc_.num_cores(),
                    "role producer out of range");
     FLEX_CHECK_MSG(role.producer < 64, "G.Configure masks hold core ids 0..63");
@@ -80,22 +53,19 @@ VerifiedExecution::VerifiedExecution(Soc& soc, VerifiedRunConfig config)
   // checks within one run.
   FLEX_CHECK_MSG((producer_mask & checker_mask) == 0,
                  "a core cannot be both producer and checker in one run");
-  for (const RoleBinding& role : roles_) sched_order_.push_back(role.producer);
+  for (const RoleBinding& role : roles) sched_order_.push_back(role.producer);
   sched_order_.insert(sched_order_.end(), checker_ids_.begin(),
                       checker_ids_.end());
 
   const fs::FlexStepConfig& fs_config = soc_.config().flexstep;
-  skew_insts_ = config_.skew_instructions != 0
-                    ? config_.skew_instructions
-                    : std::max<u64>(fs_config.segment_limit,
-                                    fs_config.channel_capacity / 2);
+  skew_insts_ = std::max<u64>(fs_config.segment_limit, fs_config.channel_capacity / 2);
   FLEX_CHECK(skew_insts_ > 0);
 }
 
 VerifiedExecution::~VerifiedExecution() = default;
 
 void VerifiedExecution::install_driver_wiring() {
-  for (const RoleBinding& role : roles_) {
+  for (const RoleBinding& role : config_.roles) {
     soc_.core(role.producer).set_trap_handler(this);
   }
   for (CoreId id : checker_ids_) {
@@ -111,16 +81,9 @@ void VerifiedExecution::install_driver_wiring() {
   }
 }
 
-void VerifiedExecution::prepare(const isa::Program& program) {
-  FLEX_CHECK_MSG(roles_.size() == 1,
-                 "multi-producer topologies need one program per producer "
-                 "(prepare(vector) overload)");
-  prepare(std::vector<isa::Program>{program});
-}
-
 void VerifiedExecution::prepare(const std::vector<isa::Program>& programs) {
   FLEX_CHECK_MSG(!prepared_, "prepare called twice");
-  FLEX_CHECK_MSG(programs.size() == roles_.size(),
+  FLEX_CHECK_MSG(programs.size() == config_.roles.size(),
                  "need exactly one program per producer role");
   prepared_ = true;
 
@@ -131,8 +94,8 @@ void VerifiedExecution::prepare(const std::vector<isa::Program>& programs) {
   }
 
   install_driver_wiring();
-  for (std::size_t r = 0; r < roles_.size(); ++r) {
-    Core& producer = soc_.core(roles_[r].producer);
+  for (std::size_t r = 0; r < config_.roles.size(); ++r) {
+    Core& producer = soc_.core(config_.roles[r].producer);
     producer.set_user_mode(false);  // kernel performs the setup
     producer.set_pc(programs[r].entry());
     // Conventional initial registers: x2 = stack-ish scratch, x10 = data base.
@@ -141,8 +104,7 @@ void VerifiedExecution::prepare(const std::vector<isa::Program>& programs) {
   if (config_.os_ticks) {
     // Staggered phases: cores enter kernel mode at different times, the
     // "execution inconsistency" the paper identifies (Sec. VI-A). One global
-    // phase counter over (producers..., checkers...) keeps the legacy
-    // single-role stagger bit-identical.
+    // phase counter runs over (producers..., checkers...).
     u32 phase = 0;
     for (CoreId id : sched_order_) {
       soc_.core(id).set_timer(config_.tick_period +
@@ -155,11 +117,11 @@ void VerifiedExecution::prepare(const std::vector<isa::Program>& programs) {
     // registers (union across every role; the masks are disjoint).
     u64 producer_mask = 0;
     u64 checker_mask = 0;
-    for (const RoleBinding& role : roles_) {
+    for (const RoleBinding& role : config_.roles) {
       producer_mask |= u64{1} << role.producer;
       for (CoreId c : role.checkers) checker_mask |= u64{1} << c;
     }
-    Core& first = soc_.core(roles_.front().producer);
+    Core& first = soc_.core(config_.roles.front().producer);
     first.set_reg(5, producer_mask);
     first.set_reg(6, checker_mask);
     first.exec_kernel_instruction(isa::make_r(isa::Opcode::kGConfigure, 0, 5, 6));
@@ -177,7 +139,7 @@ void VerifiedExecution::prepare(const std::vector<isa::Program>& programs) {
     // checker therefore attaches the first role's channel and waitlists the
     // rest in role order (deterministic arbitration FIFO). The enable
     // snapshots the already-installed user context as the first SCP.
-    for (const RoleBinding& role : roles_) {
+    for (const RoleBinding& role : config_.roles) {
       if (role.checkers.empty()) continue;
       u64 role_mask = 0;
       for (CoreId c : role.checkers) role_mask |= u64{1} << c;
@@ -190,7 +152,7 @@ void VerifiedExecution::prepare(const std::vector<isa::Program>& programs) {
     }
   }
 
-  for (const RoleBinding& role : roles_) {
+  for (const RoleBinding& role : config_.roles) {
     Core& producer = soc_.core(role.producer);
     producer.set_user_mode(true);
     producer.activate();
@@ -201,8 +163,10 @@ void VerifiedExecution::save(Snapshot& out) const {
   soc_.save(out);
   out.exec_prepared = prepared_;
   out.exec_halted_mask = 0;
-  for (std::size_t r = 0; r < roles_.size(); ++r) {
-    if (producer_halted_[r]) out.exec_halted_mask |= u64{1} << roles_[r].producer;
+  for (std::size_t r = 0; r < config_.roles.size(); ++r) {
+    if (producer_halted_[r]) {
+      out.exec_halted_mask |= u64{1} << config_.roles[r].producer;
+    }
   }
 }
 
@@ -215,9 +179,9 @@ Snapshot VerifiedExecution::save() const {
 void VerifiedExecution::restore(const Snapshot& snapshot) {
   soc_.restore(snapshot);
   prepared_ = snapshot.exec_prepared;
-  for (std::size_t r = 0; r < roles_.size(); ++r) {
+  for (std::size_t r = 0; r < config_.roles.size(); ++r) {
     producer_halted_[r] =
-        (snapshot.exec_halted_mask & (u64{1} << roles_[r].producer)) != 0;
+        (snapshot.exec_halted_mask & (u64{1} << config_.roles[r].producer)) != 0;
   }
   stalled_ = false;  // stall state is not snapshotted: a rewound run re-derives it
   // A freshly constructed driver (fork path) has never wired itself into the
@@ -229,12 +193,12 @@ TrapAction VerifiedExecution::on_trap(Core& core, TrapCause cause) {
   switch (cause) {
     case TrapCause::kEcall:
       // Workload kernel excursion (modelled cost), then back to user mode.
-      return {TrapAction::Kind::kResumeUser, config_.ecall_cost};
+      return {TrapAction::Kind::kResumeUser, kEcallCost};
 
     case TrapCause::kTaskExit: {
       const i32 role = role_of(core.id());
       if (role >= 0) {
-        if (!roles_[static_cast<std::size_t>(role)].checkers.empty()) {
+        if (!config_.roles[static_cast<std::size_t>(role)].checkers.empty()) {
           // Flush the final (partial) segment and close the stream so the
           // checkers can finish draining (possibly via a waitlist handoff).
           core.exec_kernel_instruction(isa::make_i(isa::Opcode::kMCheck, 0, 0, 0));
@@ -262,7 +226,7 @@ TrapAction VerifiedExecution::on_trap(Core& core, TrapCause cause) {
       // Periodic OS tick: pay the excursion and re-arm.
       if (config_.os_ticks) {
         core.set_timer(core.cycle() + config_.tick_period);
-        return {TrapAction::Kind::kResumeUser, config_.tick_cost};
+        return {TrapAction::Kind::kResumeUser, kTickCost};
       }
       return {TrapAction::Kind::kResumeUser, 0};
     case TrapCause::kSoftware:
@@ -289,7 +253,7 @@ void VerifiedExecution::pump_checkers() {
   }
   // Resolve backpressure: a blocked producer may resume once all its channels
   // have space again (the consumer pop freed it).
-  for (const RoleBinding& role : roles_) {
+  for (const RoleBinding& role : config_.roles) {
     Core& producer = soc_.core(role.producer);
     if (producer.status() != Core::Status::kBlocked) continue;
     CoreUnit& unit = soc_.unit(role.producer);
@@ -361,7 +325,7 @@ bool VerifiedExecution::step_round() {
   core->step();
 
   if (role_of(core->id()) >= 0) {
-    FLEX_CHECK_MSG(core->instret() <= config_.max_instructions,
+    FLEX_CHECK_MSG(core->instret() <= kMaxProducerInstructions,
                    "producer core exceeded the instruction safety cap");
   }
   return true;
@@ -448,8 +412,8 @@ Cycle VerifiedExecution::bounded_quantum(const arch::Core& chosen, u64& budget) 
     // Strict against the attached consumers only: the laggard consumer
     // catches up first (it is picked while behind), restoring the exact
     // stepwise interleaving before the producer commits anything near the
-    // threshold. For the legacy single-role topology this degenerates to the
-    // old global strict fallback.
+    // threshold. For a single-role topology this is the global strict
+    // bound against the producer's checkers.
     ++cosim_.strict_fallbacks;
     return bound;
   }
@@ -540,7 +504,7 @@ bool VerifiedExecution::quantum_round(u64 max_instructions) {
   if (role_of(core->id()) >= 0) {
     // Leave one instruction of headroom so the safety check below can fire
     // exactly like the stepwise driver's.
-    const u64 cap_left = config_.max_instructions + 1 - core->instret();
+    const u64 cap_left = kMaxProducerInstructions + 1 - core->instret();
     budget = std::min(budget, cap_left);
   }
 
@@ -566,7 +530,7 @@ bool VerifiedExecution::quantum_round(u64 max_instructions) {
   }
 
   if (role_of(core->id()) >= 0) {
-    FLEX_CHECK_MSG(core->instret() <= config_.max_instructions,
+    FLEX_CHECK_MSG(core->instret() <= kMaxProducerInstructions,
                    "producer core exceeded the instruction safety cap");
   }
   return true;
@@ -605,12 +569,12 @@ RunStats VerifiedExecution::run() {
 
 RunStats VerifiedExecution::stats() const {
   RunStats s;
-  const Core& first = soc_.core(roles_.front().producer);
+  const Core& first = soc_.core(config_.roles.front().producer);
   s.main_cycles = first.cycle();
   s.main_instructions = first.instret();
   s.completion_cycles = soc_.max_cycle();
 
-  for (const RoleBinding& role : roles_) {
+  for (const RoleBinding& role : config_.roles) {
     const CoreUnit& unit = soc_.unit(role.producer);
     s.segments_produced += unit.segments_produced();
     s.mem_entries += unit.mem_entries_logged();

@@ -24,7 +24,8 @@ enum class Engine : u8 {
   kStepwise,  ///< Reference: one instruction per scheduling round (Core::step).
   kQuantum,   ///< Batched: each round runs the picked core for as long as the
               ///< stepwise scheduler would have kept picking it
-              ///< (Core::run_until). Bit-identical state evolution.
+              ///< (Core::run_until). Bit-identical state evolution. The
+              ///< default.
   kQuantumBounded,  ///< Relaxed-skew batched: bursts may overrun the strict
                     ///< cycle-leapfrog bound by up to a skew window wherever
                     ///< the overrun is provably invisible — a producer while
@@ -38,17 +39,15 @@ enum class Engine : u8 {
                     ///< space-freeing pop, backpressure block), and a
                     ///< producer out of headroom with an attached consumer
                     ///< falls back to a strict bound against just the
-                    ///< consumers on its own channels — so the observable
-                    ///< schedule, and with it every verdict, stat and cycle
-                    ///< count, stays bit-identical to kStepwise at every
-                    ///< topology. tests/test_exec_engine.cpp enforces this.
+                    ///< consumers on its own channels. Full-run RunStats
+                    ///< (max_channel_occupancy aside) match kStepwise on
+                    ///< single-role topologies, and on multi-role ones while
+                    ///< the shared L2 does not evict. Once it evicts, relaxed
+                    ///< bursts of independent roles reorder their L2
+                    ///< accesses and cycle counts can differ (ROADMAP item
+                    ///< 1). tests/test_exec_engine.cpp enforces the
+                    ///< configurations that hold.
 };
-
-/// The engine FLEX_ENGINE selects ("stepwise" / "quantum" / "bounded", also
-/// accepted: "quantum_bounded"); kQuantum when unset. Read once per process —
-/// sim::Scenario applies it whenever the experiment didn't pick an engine
-/// explicitly.
-Engine default_engine();
 
 /// Short lowercase name for tables/JSON ("stepwise", "quantum", "bounded").
 const char* engine_name(Engine engine);
@@ -61,34 +60,36 @@ const char* engine_name(Engine engine);
 struct RoleBinding {
   CoreId producer = 0;
   std::vector<CoreId> checkers;
+
+  friend bool operator==(const RoleBinding&, const RoleBinding&) = default;
 };
 
-struct VerifiedRunConfig {
-  CoreId main_core = 0;
-  std::vector<CoreId> checkers;  ///< Empty = plain (unverified) run.
-  Cycle ecall_cost = 1200;       ///< Kernel-excursion cycles per workload ECALL.
-  u64 max_instructions = 500'000'000;  ///< Safety cap on main-core commits.
+/// Fixed costs of the modelled OS (cycles), and the driver's safety cap.
+inline constexpr Cycle kEcallCost = 1200;  ///< Kernel excursion per workload ECALL.
+inline constexpr Cycle kTickCost = us_to_cycles(18.0);  ///< Per periodic OS tick.
+inline constexpr u64 kMaxProducerInstructions = 500'000'000;  ///< Commits per producer.
 
-  /// Background OS interference: every core takes a periodic kernel tick
-  /// (scheduler/housekeeping), staggered across cores. This reproduces the
-  /// paper's "cores undergoing different kernel mode switches": checkers
-  /// stall at different times than the main core, the DBC fills, and
-  /// backpressure transfers part of the stall to the main core — the
-  /// dominant source of FlexStep's ~1% slowdown (Sec. VI-A).
-  bool os_ticks = true;
-  Cycle tick_period = us_to_cycles(1000.0);
-  Cycle tick_cost = us_to_cycles(18.0);
+struct VerifiedRunConfig {
+  /// Role-based topology: N producers x M checkers. The default is one plain
+  /// (unverified) producer on core 0. Producers must be pairwise distinct and
+  /// no core may appear as both a producer and a checker — the paper's
+  /// G.Configure mask registers are disjoint by construction; "any core may
+  /// produce or check" is a per-run wiring choice, not a concurrent dual
+  /// role on one core.
+  std::vector<RoleBinding> roles = {RoleBinding{0, {}}};
 
   /// Engine selection. kQuantum is the default hot path; kStepwise remains
   /// available as the reference baseline (equivalence tests, bench baseline).
   Engine engine = Engine::kQuantum;
 
-  /// kQuantumBounded: cap on the instructions one relaxed burst may run
-  /// (bounds the clock lead a burst can build over the other cores, and with
-  /// it the interleaving granularity advance() rendezvous points see).
-  /// 0 = auto: max(segment_limit, channel_capacity / 2) — one DBC segment /
-  /// channel-capacity worth of work.
-  u64 skew_instructions = 0;
+  /// Background OS interference: every core takes a periodic kernel tick
+  /// (scheduler/housekeeping, kTickCost cycles), staggered across cores.
+  /// This reproduces the paper's "cores undergoing different kernel mode
+  /// switches": checkers stall at different times than the main core, the
+  /// DBC fills, and backpressure transfers part of the stall to the main
+  /// core — the dominant source of FlexStep's ~1% slowdown (Sec. VI-A).
+  bool os_ticks = true;
+  Cycle tick_period = us_to_cycles(1000.0);
 
   /// Fault campaigns: a deadlocked / zero-progress co-simulation (e.g. the
   /// main core halting on a corrupted fetch without ever signalling task
@@ -96,16 +97,6 @@ struct VerifiedRunConfig {
   /// this set, the driver latches stalled() and reports "finished" instead
   /// of tripping its deadlock FLEX_CHECKs.
   bool tolerate_stall = false;
-
-  /// Role-based topology: N producers x M checkers. Empty = legacy
-  /// single-producer mode, equivalent to {{main_core, checkers}}. When set,
-  /// `main_core`/`checkers` above are ignored (the driver mirrors roles[0]
-  /// into them for legacy accessors). Producers must be pairwise distinct
-  /// and no core may appear as both a producer and a checker — the paper's
-  /// G.Configure mask registers are disjoint by construction; "any core may
-  /// produce or check" is a per-run wiring choice, not a concurrent dual
-  /// role on one core.
-  std::vector<RoleBinding> roles;
 };
 
 /// Quantum-engine burst accounting (diagnostics; deliberately not part of
@@ -158,16 +149,11 @@ class VerifiedExecution final : public arch::TrapHandler {
   VerifiedExecution(Soc& soc, VerifiedRunConfig config);
   ~VerifiedExecution() override;
 
-  /// Install the program context on the main core and, when checkers are
+  /// Install programs[i] on roles[i].producer and, when checkers are
   /// configured, execute the FlexStep setup sequence (G.Configure,
-  /// M.associate, M.check.enable) through the custom ISA. Single-role
-  /// configs only — multi-producer topologies need one program per producer
-  /// (the prepare(vector) overload).
-  void prepare(const isa::Program& program);
-
-  /// Multi-role prepare: programs[i] runs on roles[i].producer. Programs
-  /// must occupy disjoint code/data regions — producers share the flat
-  /// memory and the L2.
+  /// M.associate, M.check.enable) through the custom ISA. Programs must
+  /// occupy disjoint code/data regions — producers share the flat memory and
+  /// the L2.
   void prepare(const std::vector<isa::Program>& programs);
 
   /// Advance the co-simulation by one step (one instruction on the runnable
@@ -191,9 +177,8 @@ class VerifiedExecution final : public arch::TrapHandler {
   /// Total instructions retired across all producers and checkers.
   u64 total_instret() const;
 
-  /// The normalized topology (config().roles, or the synthesized legacy
-  /// {{main_core, checkers}} binding).
-  const std::vector<RoleBinding>& roles() const { return roles_; }
+  /// The topology (config().roles).
+  const std::vector<RoleBinding>& roles() const { return config_.roles; }
 
   /// Run to completion (with the configured engine) and return the statistics.
   RunStats run();
@@ -207,8 +192,11 @@ class VerifiedExecution final : public arch::TrapHandler {
 
   /// Burst accounting of the relaxed engine (all-zero under other engines).
   const CosimStats& cosim_stats() const { return cosim_; }
-  /// The resolved kQuantumBounded burst cap (config_.skew_instructions, or
-  /// the auto default derived from the SoC's FlexStep geometry).
+  /// The kQuantumBounded burst cap in instructions: max(segment_limit,
+  /// channel_capacity / 2) of the SoC's FlexStep geometry — one DBC segment
+  /// or half a channel's worth of work. It bounds the clock lead a burst can
+  /// build over the other cores, and with it the interleaving granularity
+  /// advance() rendezvous points see.
   u64 skew_instructions() const { return skew_insts_; }
 
   Soc& soc() { return soc_; }
@@ -256,9 +244,8 @@ class VerifiedExecution final : public arch::TrapHandler {
 
   Soc& soc_;
   VerifiedRunConfig config_;
-  u64 skew_insts_ = 0;  ///< Resolved kQuantumBounded burst cap.
+  u64 skew_insts_ = 0;  ///< kQuantumBounded burst cap.
   CosimStats cosim_;
-  std::vector<RoleBinding> roles_;   ///< Normalized topology (>= 1 role).
   std::vector<CoreId> checker_ids_;  ///< Unique checkers, first-appearance order.
   std::vector<CoreId> sched_order_;  ///< Scheduler priority: producers, checkers.
   std::vector<i32> core_role_;       ///< Core id -> producer role index or -1.

@@ -76,10 +76,11 @@ void expect_equal(const Outcome& a, const Outcome& b) {
 Outcome collect(Soc& soc, VerifiedExecution& exec, const VerifiedRunConfig& config) {
   Outcome out;
   out.stats = exec.stats();
-  out.main_state = soc.core(config.main_core).capture_state();
-  out.cycles.push_back(soc.core(config.main_core).cycle());
-  out.instret.push_back(soc.core(config.main_core).instret());
-  for (CoreId id : config.checkers) {
+  const soc::RoleBinding& role = config.roles.front();
+  out.main_state = soc.core(role.producer).capture_state();
+  out.cycles.push_back(soc.core(role.producer).cycle());
+  out.instret.push_back(soc.core(role.producer).instret());
+  for (CoreId id : role.checkers) {
     out.cycles.push_back(soc.core(id).cycle());
     out.instret.push_back(soc.core(id).instret());
     out.replayed.push_back(soc.unit(id).replayed_instructions());
@@ -97,15 +98,14 @@ Outcome run_engine(const isa::Program& program, u32 cores,
                    SocConfig soc_config, VerifiedRunConfig config = {},
                    bool fused = true) {
   soc_config.num_cores = cores;
-  config.main_core = 0;
-  config.checkers = std::move(checkers);
+  config.roles = {{0, std::move(checkers)}};
   config.engine = engine;
   Soc soc(soc_config);
   // fused == false pins the pre-fusion baseline (memory ops bail to step()
   // inside batched spans); everything observable must stay identical.
   for (u32 c = 0; c < cores; ++c) soc.core(c).set_fused_batching(fused);
   VerifiedExecution exec(soc, config);
-  exec.prepare(program);
+  exec.prepare({program});
   exec.run();
   return collect(soc, exec, config);
 }
@@ -126,8 +126,8 @@ TEST(ExecEngine, IdenticalArchStateTraceAtEveryCommit) {
 
   // Reference: step() one instruction at a time, recording each state.
   Soc ref_soc(SocConfig::paper_default(1));
-  VerifiedExecution ref(ref_soc, VerifiedRunConfig{0, {}});
-  ref.prepare(program);
+  VerifiedExecution ref(ref_soc, VerifiedRunConfig{.roles = {{0, {}}}});
+  ref.prepare({program});
   Core& ref_core = ref_soc.core(0);
   std::vector<ArchState> trace;
   std::vector<Cycle> trace_cycles;
@@ -141,8 +141,8 @@ TEST(ExecEngine, IdenticalArchStateTraceAtEveryCommit) {
   // Batched: run() in uneven chunk sizes; every chunk boundary must land on
   // a state the stepwise trace visited, at the same instret and cycle.
   Soc soc(SocConfig::paper_default(1));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {}});
-  exec.prepare(program);
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {}}}});
+  exec.prepare({program});
   Core& core = soc.core(0);
   const u64 chunks[] = {1, 7, 64, 1000, 38, 5, 100'000};
   std::size_t chunk_index = 0;
@@ -328,12 +328,11 @@ TEST(ExecEngineBounded, RelaxedBurstsEngageAndSkewStaysBounded) {
   // always fell back to the strict bound would trivially match stepwise.
   const auto program = tiny_workload("swaptions", 40);
   VerifiedRunConfig config;
-  config.main_core = 0;
-  config.checkers = {1};
+  config.roles = {{0, {1}}};
   config.engine = Engine::kQuantumBounded;
   Soc soc(SocConfig::paper_default(2));
   VerifiedExecution exec(soc, config);
-  exec.prepare(program);
+  exec.prepare({program});
   exec.run();
 
   const soc::CosimStats& cosim = exec.cosim_stats();
@@ -437,12 +436,11 @@ TEST(ExecEngineBounded, HotTraceUnderChannelBackpressureIdentical) {
   const auto stepwise = run_engine(program, 2, {1}, Engine::kStepwise, soc_config);
 
   VerifiedRunConfig config;
-  config.main_core = 0;
-  config.checkers = {1};
+  config.roles = {{0, {1}}};
   config.engine = Engine::kQuantumBounded;
   Soc soc(soc_config);
   VerifiedExecution exec(soc, config);
-  exec.prepare(program);
+  exec.prepare({program});
   exec.run();
   const auto bounded = collect(soc, exec, config);
 
@@ -521,11 +519,11 @@ TEST(ExecEngine, TraceCacheEngagesAndStaysIdentical) {
   const auto stepwise = run_engine(program, 1, {}, Engine::kStepwise);
 
   VerifiedRunConfig config;
-  config.main_core = 0;
+  config.roles = {{0, {}}};
   config.engine = Engine::kQuantum;
   Soc soc(SocConfig::paper_default(1));
   VerifiedExecution exec(soc, config);
-  exec.prepare(program);
+  exec.prepare({program});
   exec.run();
   expect_equal(stepwise, collect(soc, exec, config));
 
@@ -824,11 +822,11 @@ Outcome run_fault_schedule(const isa::Program& program, std::vector<CoreId> chec
   const u32 cores = static_cast<u32>(checkers.size()) + 1;
   SocConfig soc_config = SocConfig::paper_default(cores);
   VerifiedRunConfig config;
-  config.checkers = checkers;
+  config.roles = {{0, checkers}};
   config.engine = engine;
   Soc soc(soc_config);
   VerifiedExecution exec(soc, config);
-  exec.prepare(program);
+  exec.prepare({program});
 
   // Deterministic injection schedule: one tail corruption every 40k retired
   // instructions (see next_injection). Both engines visit the exact same machine states at these
@@ -880,12 +878,12 @@ Outcome run_seq_fault_schedule(const isa::Program& program,
                                u64* open_segment_hits = nullptr) {
   const u32 cores = static_cast<u32>(checkers.size()) + 1;
   VerifiedRunConfig config;
-  config.checkers = checkers;
+  config.roles = {{0, checkers}};
   config.engine = engine;
   Soc soc(SocConfig::paper_default(cores));
   for (u32 c = 0; c < cores; ++c) soc.core(c).set_fused_batching(fused);
   VerifiedExecution exec(soc, config);
-  exec.prepare(program);
+  exec.prepare({program});
 
   constexpr u64 kSeqStride = 6'007;  // > one fault's resolution horizon (~2 segments)
   u64 next_seq = 1'000;

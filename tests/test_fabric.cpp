@@ -139,8 +139,8 @@ TEST(Fabric, SequentialVerifiedRunsOnSharedChecker) {
   a0.halt();
   const auto prog0 = a0.finalize("m0", 0x200000, 4096);
 
-  soc::VerifiedExecution exec0(soc, soc::VerifiedRunConfig{0, {2}});
-  exec0.prepare(prog0);
+  soc::VerifiedExecution exec0(soc, soc::VerifiedRunConfig{.roles = {{0, {2}}}});
+  exec0.prepare({prog0});
   const auto stats0 = exec0.run();
   EXPECT_EQ(stats0.segments_failed, 0u);
   EXPECT_GT(stats0.segments_verified, 0u);
@@ -157,8 +157,8 @@ TEST(Fabric, SequentialVerifiedRunsOnSharedChecker) {
   a1.halt();
   const auto prog1 = a1.finalize("m1", 0x300000, 4096);
 
-  soc::VerifiedExecution exec1(soc, soc::VerifiedRunConfig{1, {2}});
-  exec1.prepare(prog1);
+  soc::VerifiedExecution exec1(soc, soc::VerifiedRunConfig{.roles = {{1, {2}}}});
+  exec1.prepare({prog1});
   const auto stats1 = exec1.run();
   EXPECT_EQ(stats1.segments_failed, 0u);
   EXPECT_GT(stats1.segments_verified, 0u);

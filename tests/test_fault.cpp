@@ -190,8 +190,8 @@ TEST(FaultCampaign, CheckpointCorruptionIsDetectedAtTheEcp) {
   const auto program = workloads::build_workload(profile, build);
 
   soc::Soc soc(soc::SocConfig::paper_default(2));
-  soc::VerifiedExecution exec(soc, soc::VerifiedRunConfig{0, {1}});
-  exec.prepare(program);
+  soc::VerifiedExecution exec(soc, soc::VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({program});
   ASSERT_TRUE(exec.advance(20'000));
   fs::Channel* ch = soc.fabric().channels().front();
 

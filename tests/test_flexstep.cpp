@@ -74,8 +74,8 @@ TEST(FlexStep, CustomIsaConfigureAndQuery) {
 
 TEST(FlexStep, UnverifiedRunMatchesPlainExecution) {
   Soc soc(test_config());
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {}});
-  exec.prepare(small_program());
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {}}}});
+  exec.prepare({small_program()});
   const auto stats = exec.run();
   EXPECT_GT(stats.main_instructions, 100u);
   EXPECT_EQ(stats.segments_produced, 0u);
@@ -84,8 +84,8 @@ TEST(FlexStep, UnverifiedRunMatchesPlainExecution) {
 
 TEST(FlexStep, DualCoreVerificationCleanRun) {
   Soc soc(test_config());
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(small_program());
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({small_program()});
   const auto stats = exec.run();
 
   EXPECT_GT(stats.segments_produced, 2u);
@@ -100,8 +100,8 @@ TEST(FlexStep, DualCoreVerificationCleanRun) {
 
 TEST(FlexStep, VerificationCoversEveryUserInstruction) {
   Soc soc(test_config());
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(small_program());
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({small_program()});
   exec.run();
   // The checker replayed exactly the main core's user-mode instructions.
   EXPECT_EQ(soc.unit(1).replayed_instructions(), soc.core(0).user_instret());
@@ -109,8 +109,8 @@ TEST(FlexStep, VerificationCoversEveryUserInstruction) {
 
 TEST(FlexStep, TripleCoreVerificationBothCheckersVerify) {
   Soc soc(test_config(3));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1, 2}});
-  exec.prepare(small_program());
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1, 2}}}});
+  exec.prepare({small_program()});
   const auto stats = exec.run();
   EXPECT_EQ(soc.unit(1).segments_verified(), stats.segments_produced);
   EXPECT_EQ(soc.unit(2).segments_verified(), stats.segments_produced);
@@ -119,8 +119,8 @@ TEST(FlexStep, TripleCoreVerificationBothCheckersVerify) {
 
 TEST(FlexStep, SegmentLimitBoundsSegmentSize) {
   Soc soc(test_config(2, 100));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(small_program(100));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({small_program(100)});
   const auto stats = exec.run();
   const u64 user_insts = soc.core(0).user_instret();
   // Segments of <= 100 instructions: at least user/100 segments.
@@ -141,8 +141,8 @@ TEST(FlexStep, EcallSplitsSegments) {
   a.halt();
 
   Soc soc(test_config(2, 5000));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(a.finalize("ecalls"));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({a.finalize("ecalls")});
   const auto stats = exec.run();
   EXPECT_GE(stats.segments_produced, 30u);  // one boundary per kernel entry
   EXPECT_EQ(stats.segments_failed, 0u);
@@ -161,8 +161,8 @@ TEST(FlexStep, MultiUopInstructionsProduceMultipleEntries) {
   a.halt();
 
   Soc soc(test_config());
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(a.finalize("multiuop"));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({a.finalize("multiuop")});
   const auto stats = exec.run();
   EXPECT_EQ(stats.mem_entries, 7u);
   EXPECT_EQ(stats.segments_failed, 0u);
@@ -175,8 +175,8 @@ TEST(FlexStep, FailedScProducesFlagOnly) {
   a.sc_d(4, 10, 1);  // no reservation: fails -> flag entry only
   a.halt();
   Soc soc(test_config());
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(a.finalize("scfail"));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({a.finalize("scfail")});
   const auto stats = exec.run();
   EXPECT_EQ(stats.mem_entries, 1u);
   EXPECT_EQ(stats.segments_failed, 0u);
@@ -186,8 +186,8 @@ TEST(FlexStep, BackpressureThrottlesMainWithTinyChannel) {
   SocConfig config = test_config(2, 50);
   config.flexstep.channel_capacity = 64;
   Soc soc(config);
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(small_program(200));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({small_program(200)});
   const auto stats = exec.run();
   EXPECT_EQ(stats.segments_failed, 0u);
   EXPECT_LE(stats.max_channel_occupancy, 64u + 4u);  // soft cap + overshoot
@@ -197,8 +197,8 @@ TEST(FlexStep, CheckerLagBoundedByChannelCapacity) {
   SocConfig config = test_config(2, 50);
   config.flexstep.channel_capacity = 256;
   Soc soc(config);
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(small_program(300));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({small_program(300)});
   const auto stats = exec.run();
   EXPECT_LE(stats.max_channel_occupancy, 256u + 4u);
   // Completion (detection done) trails the main core's finish.
@@ -213,14 +213,14 @@ TEST(FlexStep, SlowdownIsSmall) {
   Cycle verified = 0;
   {
     Soc soc(test_config(2, 5000));
-    VerifiedExecution exec(soc, VerifiedRunConfig{0, {}});
-    exec.prepare(program);
+    VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {}}}});
+    exec.prepare({program});
     plain = exec.run().main_cycles;
   }
   {
     Soc soc(test_config(2, 5000));
-    VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-    exec.prepare(program);
+    VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+    exec.prepare({program});
     verified = exec.run().main_cycles;
   }
   const double slowdown = static_cast<double>(verified) / plain;

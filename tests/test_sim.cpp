@@ -43,24 +43,30 @@ TEST(Scenario, AutoSizesTheSocToTheTopology) {
   EXPECT_EQ(Scenario().workload("swaptions").triple().soc_config().num_cores, 3u);
   EXPECT_EQ(Scenario().workload("swaptions").checkers({2, 3}).soc_config().num_cores, 4u);
   EXPECT_EQ(Scenario().workload("swaptions").dual().cores(8).soc_config().num_cores, 8u);
-}
 
-TEST(Scenario, FlexStepKnobsComposeWithTopologyInAnyOrder) {
-  // Knob-before-topology must not freeze the core count (regression test).
-  const auto knob_first = Scenario()
-                              .workload("swaptions")
-                              .segment_limit(1000)
-                              .channel_capacity(4096)
-                              .dual()
-                              .soc_config();
-  EXPECT_EQ(knob_first.num_cores, 2u);
-  EXPECT_EQ(knob_first.flexstep.segment_limit, 1000u);
-  EXPECT_EQ(knob_first.flexstep.channel_capacity, 4096u);
+  // The single-role shorthand and the multi-role forms all edit one role list.
+  using Roles = std::vector<soc::RoleBinding>;
+  EXPECT_EQ(Scenario().run_config().roles, (Roles{{0, {}}}));
+  EXPECT_EQ(Scenario().plain().run_config().roles, (Roles{{0, {}}}));
+  EXPECT_EQ(Scenario().triple().plain().run_config().roles, (Roles{{0, {}}}));
+  EXPECT_EQ(Scenario().dual().run_config().roles, (Roles{{0, {1}}}));
+  EXPECT_EQ(Scenario().triple().run_config().roles, (Roles{{0, {1, 2}}}));
+  EXPECT_EQ(Scenario().main_core(2).dual().run_config().roles, (Roles{{2, {3}}}));
+  EXPECT_EQ(Scenario().main_core(2).dual().soc_config().num_cores, 4u);
+  EXPECT_EQ(Scenario().checkers({2, 3}).run_config().roles, (Roles{{0, {2, 3}}}));
+  EXPECT_EQ(Scenario().pairs(2).run_config().roles, (Roles{{0, {1}}, {2, {3}}}));
+  EXPECT_EQ(Scenario().shared_checker(3).run_config().roles,
+            (Roles{{0, {3}}, {1, {3}}, {2, {3}}}));
+  const Roles custom = {{4, {0}}, {1, {2, 3}}};
+  EXPECT_EQ(Scenario().topology(custom).run_config().roles, custom);
+  EXPECT_EQ(Scenario().topology(custom).soc_config().num_cores, 5u);
+  EXPECT_DEATH(Scenario().pairs(2).dual(), "single-role");
 
-  const auto knob_last =
-      Scenario().workload("swaptions").dual().segment_limit(1000).soc_config();
-  EXPECT_EQ(knob_last.num_cores, 2u);
-  EXPECT_EQ(knob_last.flexstep.segment_limit, 1000u);
+  // program(p) is shorthand for programs({p}).
+  const isa::Program program =
+      Scenario().workload("swaptions").seed(7).iterations(200).build_program();
+  EXPECT_EQ(Scenario().program(program).dual().build().run(),
+            Scenario().programs({program}).dual().build().run());
 }
 
 TEST(Scenario, TwoBuildsEvolveBitIdentically) {

@@ -12,7 +12,8 @@
 //   * Truncation at any prefix and version skew are structured errors.
 //   * A two-worker multi-process campaign merges digest-identical to the
 //     single-process run, including after a worker dies mid-shard and the
-//     campaign is resumed, and warm reruns elide persisted warmups.
+//     campaign is resumed, and warm reruns elide persisted warmups — but
+//     never restore a baseline warmed on another SocConfig.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,7 +21,6 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -371,9 +371,8 @@ TEST(Distributed, TwoWorkerCampaignMatchesSingleProcessAndResumes) {
   // run forks live baselines that share trace-table chunks.
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);
-  for (const std::optional<soc::Engine> engine :
-       {std::optional<soc::Engine>{}, std::optional{soc::Engine::kQuantumBounded}}) {
-    SCOPED_TRACE(engine.has_value() ? soc::engine_name(*engine) : "default engine");
+  for (const soc::Engine engine : {soc::Engine::kQuantum, soc::Engine::kQuantumBounded}) {
+    SCOPED_TRACE(soc::engine_name(engine));
     fault::CampaignConfig campaign;
     campaign.target_faults = 8;
     campaign.warmup_rounds = 2'000;
@@ -428,6 +427,82 @@ TEST(Distributed, TwoWorkerCampaignMatchesSingleProcessAndResumes) {
     EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
     std::filesystem::remove_all(dir, ec);
   }
+}
+
+/// The stale-baseline cases below: swaptions, 8 faults over 2 shards under
+/// the bounded engine.
+fault::CampaignConfig small_bounded_campaign() {
+  fault::CampaignConfig campaign;
+  campaign.target_faults = 8;
+  campaign.warmup_rounds = 2'000;
+  campaign.gap_rounds = 500;
+  campaign.workload_iterations = 4'000;
+  campaign.shards = 2;
+  campaign.threads = 1;
+  campaign.seed = 0x5EED;
+  campaign.engine = soc::Engine::kQuantumBounded;
+  return campaign;
+}
+
+/// Warm a campaign directory on the paper-default platform, then rerun the
+/// same campaign there on `other`. The rerun must restore none of the
+/// persisted baselines and merge to `other`'s own single-process result.
+void expect_rerun_rewarms_on(const soc::SocConfig& other, const std::string& dir) {
+  const auto& profile = workloads::find_profile("swaptions");
+  const fault::CampaignConfig campaign = small_bounded_campaign();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  fault::DistributedConfig dist;
+  dist.dir = dir;
+  dist.run_label = "paper";
+  const auto warmed = fault::run_distributed_campaign(
+      profile, soc::SocConfig::paper_default(2), campaign, dist);
+  ASSERT_TRUE(warmed.run.complete());
+
+  dist.run_label = "other";
+  const auto rerun = fault::run_distributed_campaign(profile, other, campaign, dist);
+  ASSERT_TRUE(rerun.run.complete());
+  EXPECT_EQ(rerun.run.warmup_instructions_elided, 0u);
+  EXPECT_EQ(rerun.stats.digest(),
+            fault::run_fault_campaign(profile, other, campaign).digest());
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(Distributed, RerunWithAnotherSegmentLimitRewarmsItsBaselines) {
+  soc::SocConfig halved = soc::SocConfig::paper_default(2);
+  halved.flexstep.segment_limit /= 2;
+  expect_rerun_rewarms_on(halved, "test_snapshot_io_segment_limit");
+}
+
+TEST(Distributed, RerunWithAnotherL2GeometryRewarmsItsBaselines) {
+  // Restoring a baseline of the other geometry would abort the worker.
+  soc::SocConfig doubled = soc::SocConfig::paper_default(2);
+  doubled.l2.size_bytes *= 2;
+  expect_rerun_rewarms_on(doubled, "test_snapshot_io_l2");
+}
+
+TEST(Distributed, ExecModeRefusesPlatformsItsSpecCannotCarry) {
+  // Exec-mode workers rebuild SocConfig::paper_default(cores) from the spec,
+  // so any other platform must be refused before a worker runs it.
+  const auto& profile = workloads::find_profile("swaptions");
+  soc::SocConfig halved = soc::SocConfig::paper_default(2);
+  halved.flexstep.segment_limit /= 2;
+  fault::DistributedConfig dist;
+  dist.dir = "test_snapshot_io_exec";
+  dist.use_exec = true;
+  dist.exe = "no-such-campaign-worker";
+  fault::VulnConfig vuln;
+  vuln.target_faults = 7;
+  vuln.warmup_rounds = 2'000;
+  vuln.workload_iterations = 4'000;
+  vuln.shards = 1;
+  const fault::CampaignConfig campaign = small_bounded_campaign();
+  EXPECT_DEATH(fault::run_distributed_campaign(profile, halved, campaign, dist),
+               "paper_default");
+  EXPECT_DEATH(fault::run_distributed_vuln_campaign(profile, halved, vuln, dist),
+               "paper_default");
+  std::error_code ec;
+  std::filesystem::remove_all(dist.dir, ec);
 }
 
 /// A valid exec-mode worker spec, in the form the distributed driver writes.
@@ -532,11 +607,8 @@ TEST(Distributed, WorkerSpecParseNeverAbortsOnMutatedSpecs) {
                                  : std::min(spec.campaign.shards, spec.campaign.target_faults);
     EXPECT_GT(shards, 0u) << mutated;
     for (u32 s : spec.assigned) EXPECT_LT(s, shards) << mutated;
-    const std::optional<soc::Engine> engine =
-        spec.vuln ? config.engine : spec.campaign.engine;
-    if (engine.has_value()) {
-      EXPECT_LE(static_cast<u32>(*engine), static_cast<u32>(soc::Engine::kQuantumBounded));
-    }
+    const soc::Engine engine = spec.vuln ? config.engine : spec.campaign.engine;
+    EXPECT_LE(static_cast<u32>(engine), static_cast<u32>(soc::Engine::kQuantumBounded));
     for (fault::Component c : config.components) {
       EXPECT_LT(static_cast<std::size_t>(c), fault::kComponentCount) << mutated;
     }

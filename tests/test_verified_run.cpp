@@ -24,8 +24,8 @@ isa::Program tiny_workload(const char* name, u32 iterations = 3) {
 
 TEST(VerifiedRun, WorkloadVerifiesCleanly) {
   Soc soc(SocConfig::paper_default(2));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(tiny_workload("swaptions", 8));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({tiny_workload("swaptions", 8)});
   const auto stats = exec.run();
   EXPECT_GT(stats.main_instructions, 5000u);
   EXPECT_EQ(stats.segments_failed, 0u);
@@ -37,8 +37,8 @@ TEST(VerifiedRun, DeterministicAcrossRuns) {
   Cycle cycles[2];
   for (int i = 0; i < 2; ++i) {
     Soc soc(SocConfig::paper_default(2));
-    VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-    exec.prepare(tiny_workload("hmmer"));
+    VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+    exec.prepare({tiny_workload("hmmer")});
     cycles[i] = exec.run().main_cycles;
   }
   EXPECT_EQ(cycles[0], cycles[1]);
@@ -47,10 +47,10 @@ TEST(VerifiedRun, DeterministicAcrossRuns) {
 TEST(VerifiedRun, EveryParsecProfileRunsVerified) {
   for (const auto& profile : workloads::parsec_profiles()) {
     Soc soc(SocConfig::paper_default(2));
-    VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
+    VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
     workloads::BuildOptions options;
     options.iterations_override = 2;
-    exec.prepare(workloads::build_workload(profile, options));
+    exec.prepare({workloads::build_workload(profile, options)});
     const auto stats = exec.run();
     EXPECT_EQ(stats.segments_failed, 0u) << profile.name;
     EXPECT_EQ(soc.fabric().reporter().detections(), 0u) << profile.name;
@@ -59,8 +59,8 @@ TEST(VerifiedRun, EveryParsecProfileRunsVerified) {
 
 TEST(VerifiedRun, InjectedFaultsAreDetected) {
   Soc soc(SocConfig::paper_default(2));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(tiny_workload("swaptions", 60));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({tiny_workload("swaptions", 60)});
 
   // Inject faults one at a time as the run progresses; individual flips can
   // be masked (dead values), but across several injections the checker must
@@ -105,8 +105,8 @@ TEST(VerifiedRun, TripleModeDetectsFaultInOneChannel) {
   // stream; corrupting one link is caught by that checker while the other
   // verifies clean (the redundancy TCLS provides, without the binding).
   Soc soc(SocConfig::paper_default(3));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1, 2}});
-  exec.prepare(tiny_workload("swaptions", 40));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1, 2}}}});
+  exec.prepare({tiny_workload("swaptions", 40)});
 
   Rng rng(7);
   u32 injected = 0;
@@ -149,18 +149,18 @@ TEST(VerifiedRun, OsTicksCanBeDisabled) {
   Cycle without_ticks = 0;
   {
     Soc soc(SocConfig::paper_default(2));
-    VerifiedRunConfig config{0, {1}};
+    VerifiedRunConfig config{.roles = {{0, {1}}}};
     config.tick_period = us_to_cycles(50.0);  // aggressive ticking
     VerifiedExecution exec(soc, config);
-    exec.prepare(program);
+    exec.prepare({program});
     with_ticks = exec.run().main_cycles;
   }
   {
     Soc soc(SocConfig::paper_default(2));
-    VerifiedRunConfig config{0, {1}};
+    VerifiedRunConfig config{.roles = {{0, {1}}}};
     config.os_ticks = false;
     VerifiedExecution exec(soc, config);
-    exec.prepare(program);
+    exec.prepare({program});
     without_ticks = exec.run().main_cycles;
   }
   EXPECT_GT(with_ticks, without_ticks);
@@ -168,8 +168,8 @@ TEST(VerifiedRun, OsTicksCanBeDisabled) {
 
 TEST(VerifiedRun, StatsIpcPositive) {
   Soc soc(SocConfig::paper_default(2));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {1}});
-  exec.prepare(tiny_workload("bzip2"));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
+  exec.prepare({tiny_workload("bzip2")});
   const auto stats = exec.run();
   EXPECT_GT(stats.ipc(), 0.1);  // Rocket-class in-order with 16 KB L1s
   EXPECT_LE(stats.ipc(), 1.0);
@@ -180,8 +180,8 @@ TEST(VerifiedRun, RunUntilReportsExitReason) {
   // every run_until() return is classified, including the zero-progress
   // cycle-bound return the drivers must never produce from their own bounds.
   Soc soc(SocConfig::paper_default(1));
-  VerifiedExecution exec(soc, VerifiedRunConfig{0, {}});
-  exec.prepare(tiny_workload("swaptions", 4));
+  VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {}}}});
+  exec.prepare({tiny_workload("swaptions", 4)});
   arch::Core& core = soc.core(0);
   EXPECT_EQ(core.last_run_exit(), arch::RunExit::kNone);
 
@@ -210,10 +210,10 @@ TEST(VerifiedRunDeathTest, QuantumDriverCrashesOnDeadlockInsteadOfSpinning) {
   // pump_checkers retry) rather than spin forever.
   auto deadlock = [](soc::Engine engine) {
     Soc soc(SocConfig::paper_default(2));
-    VerifiedRunConfig config{0, {1}};
+    VerifiedRunConfig config{.roles = {{0, {1}}}};
     config.engine = engine;
     VerifiedExecution exec(soc, config);
-    exec.prepare(tiny_workload("swaptions", 20));
+    exec.prepare({tiny_workload("swaptions", 20)});
     exec.advance(30'000);
     soc.core(0).set_idle();  // kernel parked the main core; nobody resumes it
     while (exec.advance(10'000)) {
