@@ -22,9 +22,9 @@ struct SlowdownModes {
   bool dual = true;
   bool triple = false;
   bool nzdc = false;
-  /// Co-simulation engine for every run. These single-role runs give the
-  /// same RunStats under every engine (tests/test_exec_engine.cpp); fig6
-  /// cross-checks that across all three.
+  /// Co-simulation engine for every run. kStepwise and kQuantum give the
+  /// same RunStats; kQuantumBounded does too only while the L2 does not
+  /// evict (ROADMAP item 1). fig6 checks all three agree on its sweep.
   soc::Engine engine = soc::Engine::kQuantum;
 };
 

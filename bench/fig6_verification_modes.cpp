@@ -5,11 +5,11 @@
 // backpressure on the main core.
 //
 // The figure is produced under all three co-simulation engines (stepwise
-// reference, kQuantum, kQuantumBounded). Full-run results of these
-// single-role runs are engine-independent — this driver cross-checks that on the
-// full Parsec sweep (exit code 1 on any divergence) and reports the host-time
-// cost of each engine, so the relaxed engine shows up in the paper-figure
-// pipeline, not just in the micro benches.
+// reference, kQuantum, kQuantumBounded). kQuantum matches stepwise by
+// construction; kQuantumBounded matches only while the shared L2 does not
+// evict, single-role runs included (ROADMAP item 1). This driver checks that
+// all three agree on the whole Parsec sweep (exit code 1 on any divergence)
+// and reports the host-time cost of each engine.
 #include <chrono>
 #include <cstdio>
 #include <vector>

@@ -423,10 +423,9 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
           // span can plausibly amortize it — below the threshold the batch
           // runs in counting mode exactly as before the fused path existed.
           constexpr u64 kFusedMinWindow = 32;
-          SegmentCursor* cursor =
-              fused_batching_ && window >= kFusedMinWindow
-                  ? hooks_->open_segment_cursor(*this, window)
-                  : nullptr;
+          SegmentCursor* cursor = window >= kFusedMinWindow
+                                       ? hooks_->open_segment_cursor(*this, window)
+                                       : nullptr;
           if (cursor != nullptr && cursor->produce && port_ != cache_port_.get()) {
             // Producer staging inlines the cache-port memory path; with any
             // other port installed the fused path would bypass it.

@@ -152,13 +152,6 @@ class Core : private ReservationObserver {
 
   void set_hooks(CoreHooks* hooks) { hooks_ = hooks; }
   CoreHooks* hooks() const { return hooks_; }
-  /// Disable the fused segment-stream fast path (memory ops fall back to the
-  /// per-instruction step() path inside batched spans). On by default; the
-  /// bench uses this to measure the unfused baseline in-process. Traces
-  /// still engage only when fusion is on — the trace cache's replay compare
-  /// is fused-path machinery.
-  void set_fused_batching(bool on) { fused_batching_ = on; }
-  bool fused_batching() const { return fused_batching_; }
   void set_trap_handler(TrapHandler* handler) { handler_ = handler; }
   /// Install a replacement data-memory port (nullptr restores the cache port).
   void set_mem_port(MemPort* port);
@@ -331,8 +324,6 @@ class Core : private ReservationObserver {
   RunExit run_exit_ = RunExit::kNone;  ///< Why the last run_until returned.
 
   // Extension seams.
-  /// Fused segment-stream fast path enable (see set_fused_batching).
-  bool fused_batching_ = true;
   CoreHooks* hooks_ = nullptr;
   TrapHandler* handler_ = nullptr;
   MemPort* port_ = nullptr;  ///< Active port (defaults to cache_port_).

@@ -45,7 +45,8 @@ enum class CampaignMode : u8 {
   /// Reference: rebuild the session and re-execute the whole warmup + gap
   /// prefix for every injection. Orders of magnitude more simulated
   /// instructions at paper-scale warmups; kept as the parity baseline the
-  /// snapshot path is verified against (micro_benchmarks --snapshot).
+  /// snapshot path is verified against (CampaignParity tests, and the
+  /// perfbench fault_campaign oracle).
   kWarmupReexecution,
 };
 

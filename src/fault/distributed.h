@@ -48,7 +48,7 @@ struct DistributedConfig {
   std::string dir;        ///< Campaign directory: shard files, baselines, journal.
   /// Names this run's shard-result files (`<run_label>_shard_<k>.fxar`) and
   /// journal. Re-running with a fresh label but the same dir re-runs every
-  /// shard against the persisted baselines — the warm-start benchmark path.
+  /// shard against the persisted baselines (a warm start).
   std::string run_label = "run";
   bool use_exec = false;  ///< fork+exec `exe --campaign-worker <spec>` workers.
   std::string exe;        ///< Binary for exec mode (e.g. /proc/self/exe).
@@ -116,8 +116,9 @@ ParseWorkerSpecResult parse_worker_spec(std::string_view text);
 
 /// Exec-mode worker entry point: parse `spec_path`, run the assigned shards,
 /// write their result files. Returns a process exit code: 0 on success, 2
-/// (with a message on stderr) for an unreadable or malformed spec.
-/// Wired to `--campaign-worker <spec>` in the benchmark binary.
+/// (with a message on stderr) for an unreadable or malformed spec. A binary
+/// that serves as DistributedConfig::exe hands it `--campaign-worker <spec>`
+/// before parsing its own arguments (tests/test_snapshot_io.cpp's main()).
 int campaign_worker_main(const std::string& spec_path);
 
 }  // namespace flexstep::fault

@@ -111,12 +111,12 @@ inline std::optional<FaultSite> parse_site(std::string_view text) {
   return parse_site_checked(text).site;
 }
 
-/// Field-wise FNV-1a digest of a full SoC snapshot. The implementation lives
-/// in src/soc/ with the snapshot type so every digest user — fault gates,
-/// snapshot-file identity tests, the distributed campaign merge check —
-/// shares one definition; re-exported here so existing fault-layer callers
-/// keep compiling unchanged (and stay unambiguous against ADL, which also
-/// finds the soc:: name through the argument type).
+/// FNV-1a digest of a full SoC snapshot's wire form. The implementation lives
+/// in src/soc/ with the snapshot type so every digest user — the flip
+/// round-trip tests, the snapshot fork and file identity tests — shares one
+/// definition; re-exported here so existing fault-layer callers keep
+/// compiling unchanged (and stay unambiguous against ADL, which also finds
+/// the soc:: name through the argument type).
 using soc::snapshot_digest;
 
 }  // namespace flexstep::fault

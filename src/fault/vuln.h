@@ -18,7 +18,8 @@
 // The golden fork is derived from the victim's own pre-fault snapshot in
 // BOTH campaign modes, so snapshot-fork and warmup-re-execution differ only
 // in how the victim is materialised — the classify-identically parity gate
-// (micro_benchmarks --vuln) holds them to the same outcome stream.
+// (VulnCampaign.DeterministicAcrossModesAndThreads, and the perfbench
+// fault_campaign oracle) holds them to the same outcome stream.
 //
 // Classification invariant (enforced): masked + detected + sdc + due ==
 // injected, per component and in total.

@@ -104,11 +104,11 @@ io::ArchiveError save_snapshot(const Snapshot& snapshot, const std::string& path
 /// and leaves `out` partially filled — treat it as garbage.
 io::ArchiveError load_snapshot(const std::string& path, Snapshot& out);
 
-/// Field-wise FNV-1a digest of a full SoC snapshot. Field-wise (never a raw
-/// struct memcpy) so padding bytes in snapshot records can't leak
-/// indeterminate host state into the digest. Shared by the fault flip
-/// round-trip tests, the campaign determinism gates, and the snapshot-file
-/// round-trip identity tests.
+/// FNV-1a digest of a full SoC snapshot's wire form (serialize()), so the
+/// component serializers alone define what a snapshot contains. The wire form
+/// is written field by field (padding bytes never reach it) and leaves out
+/// the host-only trace tables. Shared by the fault flip round-trip tests and
+/// the snapshot fork and file round-trip identity tests.
 u64 snapshot_digest(const Snapshot& snapshot);
 
 }  // namespace flexstep::soc

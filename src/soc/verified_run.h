@@ -40,12 +40,13 @@ enum class Engine : u8 {
                     ///< producer out of headroom with an attached consumer
                     ///< falls back to a strict bound against just the
                     ///< consumers on its own channels. Full-run RunStats
-                    ///< (max_channel_occupancy aside) match kStepwise on
-                    ///< single-role topologies, and on multi-role ones while
-                    ///< the shared L2 does not evict. Once it evicts, relaxed
-                    ///< bursts of independent roles reorder their L2
-                    ///< accesses and cycle counts can differ (ROADMAP item
-                    ///< 1). tests/test_exec_engine.cpp enforces the
+                    ///< (max_channel_occupancy aside) match kStepwise only
+                    ///< while the shared L2 does not evict, on single-role
+                    ///< topologies as on multi-role ones. Once it evicts,
+                    ///< relaxed bursts reorder L2 accesses (a producer's
+                    ///< against its own checkers', and across roles) and
+                    ///< cycle counts can differ (ROADMAP item 1).
+                    ///< tests/test_exec_engine.cpp enforces the
                     ///< configurations that hold.
 };
 

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "analysis/report.h"
 #include "analysis/validate.h"
@@ -285,8 +286,9 @@ TEST(Lint, PairedLrScIsClean) {
 }
 
 TEST(Lint, GeneratedWorkloadsAreLintClean) {
-  // The shipped example programs must carry zero lint errors (CI gates on
-  // this through micro_benchmarks --analyze; pin it in-tree too).
+  // The shipped example programs must carry zero lint errors, here at a tiny
+  // scale (AnalysisClients.EveryBenchProfilePassesTheGates checks every Parsec
+  // and SPEC profile at bench scale).
   workloads::BuildOptions tiny;
   tiny.iterations_override = 3;
   tiny.seed = 1;
@@ -397,6 +399,56 @@ TEST(AnalysisClients, BoundedEngineWithAnalysisMatchesStepwise) {
     const soc::RunStats ref = stepwise.run();
     const soc::RunStats tightened = bounded.run();
     expect_equal_except_occupancy(ref, tightened);
+  }
+}
+
+TEST(AnalysisClients, EveryBenchProfilePassesTheGates) {
+  // Every Parsec and SPEC profile, at the two scales the benches run: lint
+  // clean, the validator green, bounded+analysis identical to stepwise, and
+  // seeding host-speed only (identical results, no less trace coverage, no
+  // more heat misses). Across the suite, seeding must save real heat-counter
+  // warmup (per profile only "no worse": a profile could have no loop long
+  // enough to seed).
+  std::vector<workloads::WorkloadProfile> profiles = workloads::parsec_profiles();
+  for (const auto& profile : workloads::specint_profiles()) profiles.push_back(profile);
+  ASSERT_EQ(profiles.size(), 19u);
+  for (const u32 iterations : {60u, 200u}) {
+    u64 seeded = 0;
+    u64 heat_misses_seeded = 0;
+    u64 heat_misses_unseeded = 0;
+    for (const auto& profile : profiles) {
+      SCOPED_TRACE(profile.name + " at " + std::to_string(iterations) + " iterations");
+      workloads::BuildOptions build;
+      build.iterations_override = iterations;
+      const isa::Program program = workloads::build_workload(profile, build);
+      const ProgramReport report = analyze(program);
+      EXPECT_FALSE(report.has_errors()) << report.render();
+      const ValidationResult validation = validate_report(report, program);
+      EXPECT_TRUE(validation.ok()) << validation.summary();
+
+      const auto dual_run = [&program](soc::Engine engine, bool analysis,
+                                       arch::TraceCache::Stats* traces = nullptr) {
+        sim::Session session =
+            sim::Scenario().program(program).dual().engine(engine).analysis(analysis).build();
+        const soc::RunStats stats = session.run();
+        if (traces != nullptr) *traces = session.soc().core(0).trace_cache()->stats();
+        return stats;
+      };
+      expect_equal_except_occupancy(dual_run(soc::Engine::kStepwise, false),
+                                    dual_run(soc::Engine::kQuantumBounded, true));
+
+      arch::TraceCache::Stats with_seeds;
+      arch::TraceCache::Stats without_seeds;
+      EXPECT_EQ(dual_run(soc::Engine::kQuantum, true, &with_seeds),
+                dual_run(soc::Engine::kQuantum, false, &without_seeds));
+      EXPECT_GE(with_seeds.insts_from_traces, without_seeds.insts_from_traces);
+      EXPECT_LE(with_seeds.heat_misses, without_seeds.heat_misses);
+      seeded += with_seeds.seeded;
+      heat_misses_seeded += with_seeds.heat_misses;
+      heat_misses_unseeded += without_seeds.heat_misses;
+    }
+    EXPECT_GT(seeded, 0u) << iterations;
+    EXPECT_LT(heat_misses_seeded, heat_misses_unseeded) << iterations;
   }
 }
 

@@ -95,15 +95,11 @@ Outcome collect(Soc& soc, VerifiedExecution& exec, const VerifiedRunConfig& conf
 
 Outcome run_engine(const isa::Program& program, u32 cores,
                    std::vector<CoreId> checkers, Engine engine,
-                   SocConfig soc_config, VerifiedRunConfig config = {},
-                   bool fused = true) {
+                   SocConfig soc_config, VerifiedRunConfig config = {}) {
   soc_config.num_cores = cores;
   config.roles = {{0, std::move(checkers)}};
   config.engine = engine;
   Soc soc(soc_config);
-  // fused == false pins the pre-fusion baseline (memory ops bail to step()
-  // inside batched spans); everything observable must stay identical.
-  for (u32 c = 0; c < cores; ++c) soc.core(c).set_fused_batching(fused);
   VerifiedExecution exec(soc, config);
   exec.prepare({program});
   exec.run();
@@ -452,10 +448,10 @@ TEST(ExecEngineBounded, HotTraceUnderChannelBackpressureIdentical) {
 }
 
 TEST(ExecEngineBounded, FusedTraceTopologyMatrixIdentical) {
-  // Full configuration matrix: plain/dual/triple x traces on/off x fused
-  // on/off, each against the stepwise reference of the same SoC config. The
-  // fused-off column is the pre-fusion baseline the bench measures against;
-  // nothing observable may depend on which path executed the memory stream.
+  // Configuration matrix: plain/dual/triple x traces on/off under the fused
+  // segment-stream path, each against the stepwise reference of the same SoC
+  // config. Nothing observable may depend on which path executed the memory
+  // stream.
   const auto program = tiny_workload("swaptions", 40);
   const struct {
     u32 cores;
@@ -463,19 +459,15 @@ TEST(ExecEngineBounded, FusedTraceTopologyMatrixIdentical) {
   } topologies[] = {{1, {}}, {2, {1}}, {3, {1, 2}}};
   for (const bool trace_on : {true, false}) {
     for (const auto& topo : topologies) {
+      SCOPED_TRACE(std::string("cores=") + std::to_string(topo.cores) +
+                   " trace=" + (trace_on ? "on" : "off"));
       SocConfig soc_config = SocConfig::paper_default(topo.cores);
       soc_config.core.trace.enabled = trace_on;
       const auto stepwise = run_engine(program, topo.cores, topo.checkers,
                                        Engine::kStepwise, soc_config);
-      for (const bool fused : {true, false}) {
-        SCOPED_TRACE(std::string("cores=") + std::to_string(topo.cores) +
-                     " trace=" + (trace_on ? "on" : "off") +
-                     " fused=" + (fused ? "on" : "off"));
-        const auto bounded =
-            run_engine(program, topo.cores, topo.checkers,
-                       Engine::kQuantumBounded, soc_config, {}, fused);
-        expect_equal_relaxed(stepwise, bounded);
-      }
+      const auto bounded = run_engine(program, topo.cores, topo.checkers,
+                                      Engine::kQuantumBounded, soc_config);
+      expect_equal_relaxed(stepwise, bounded);
     }
   }
 }
@@ -532,6 +524,31 @@ TEST(ExecEngine, TraceCacheEngagesAndStaysIdentical) {
   EXPECT_GT(traces->stats().recorded, 0u);
   // The bulk of the run must flow through traces, not the stepwise loop.
   EXPECT_GT(traces->stats().insts_from_traces, soc.core(0).instret() / 2);
+
+  // Verified runs engage traces through the fused segment-stream path, on
+  // the producer and on every checker (a counting-mode batch keeps them off).
+  for (const std::vector<CoreId>& checkers :
+       {std::vector<CoreId>{1}, std::vector<CoreId>{1, 2}}) {
+    SCOPED_TRACE(checkers.size());
+    const u32 cores = static_cast<u32>(checkers.size()) + 1;
+    const auto verified_stepwise = run_engine(program, cores, checkers, Engine::kStepwise);
+    VerifiedRunConfig verified;
+    verified.roles = {{0, checkers}};
+    verified.engine = Engine::kQuantumBounded;
+    Soc verified_soc(SocConfig::paper_default(cores));
+    VerifiedExecution verified_exec(verified_soc, verified);
+    verified_exec.prepare({program});
+    verified_exec.run();
+    expect_equal_relaxed(verified_stepwise, collect(verified_soc, verified_exec, verified));
+
+    const auto coverage = [&verified_soc](CoreId id) {
+      const arch::Core& core = verified_soc.core(id);
+      return static_cast<double>(core.trace_cache()->stats().insts_from_traces) /
+             static_cast<double>(core.instret());
+    };
+    EXPECT_GT(coverage(0), 0.5);
+    for (CoreId id : checkers) EXPECT_GT(coverage(id), 0.3) << "checker " << id;
+  }
 }
 
 TEST(ExecEngine, StoreToTracedCodePageFlushesAndStaysIdentical) {
@@ -874,14 +891,13 @@ TEST(ExecEngine, TripleCheckerFaultDetectionIdentical) {
 /// push time, the detection time the checker's local clock — both exact).
 Outcome run_seq_fault_schedule(const isa::Program& program,
                                std::vector<CoreId> checkers, Engine engine,
-                               u64* injections_out = nullptr, bool fused = true,
+                               u64* injections_out = nullptr,
                                u64* open_segment_hits = nullptr) {
   const u32 cores = static_cast<u32>(checkers.size()) + 1;
   VerifiedRunConfig config;
   config.roles = {{0, checkers}};
   config.engine = engine;
   Soc soc(SocConfig::paper_default(cores));
-  for (u32 c = 0; c < cores; ++c) soc.core(c).set_fused_batching(fused);
   VerifiedExecution exec(soc, config);
   exec.prepare({program});
 
@@ -950,7 +966,7 @@ TEST(ExecEngineBounded, TripleCheckerFaultDetectionIdentical) {
   expect_equal_relaxed(stepwise, bounded);
 }
 
-TEST(ExecEngineBounded, OpenSegmentFaultFusedVsUnfusedIdentical) {
+TEST(ExecEngineBounded, OpenSegmentFaultFusedVsStepwiseIdentical) {
   // Corruptions landing in appended-but-unpublished DBC entries (the
   // segment's SegmentEnd not pushed yet — the producer's cursor published the
   // record, the segment is still open) must be detected with identical
@@ -962,18 +978,15 @@ TEST(ExecEngineBounded, OpenSegmentFaultFusedVsUnfusedIdentical) {
   u64 injected = 0;
   u64 open_hits = 0;
   const auto stepwise = run_seq_fault_schedule(program, {1}, Engine::kStepwise,
-                                               &injected, true, &open_hits);
+                                               &injected, &open_hits);
   ASSERT_GT(injected, 3u);
   ASSERT_GT(open_hits, 0u);
   ASSERT_GT(stepwise.detections, 0u);
-  for (const bool fused : {true, false}) {
-    SCOPED_TRACE(fused ? "fused" : "unfused");
-    u64 injected_bounded = 0;
-    const auto bounded = run_seq_fault_schedule(
-        program, {1}, Engine::kQuantumBounded, &injected_bounded, fused);
-    EXPECT_EQ(injected, injected_bounded);
-    expect_equal_relaxed(stepwise, bounded);
-  }
+  u64 injected_bounded = 0;
+  const auto bounded = run_seq_fault_schedule(program, {1}, Engine::kQuantumBounded,
+                                              &injected_bounded);
+  EXPECT_EQ(injected, injected_bounded);
+  expect_equal_relaxed(stepwise, bounded);
 }
 
 // ---------------------------------------------------------------------------
@@ -1054,24 +1067,31 @@ TEST(ExecEngineContended, SharedCheckerIdenticalAcrossEngines) {
   // Two producers, one shared checker: producer 1's channel parks on the
   // waitlist until producer 0 exits and its stream drains. The quantum engine
   // must match stepwise exactly; the bounded engine up to occupancy.
-  const auto programs = role_programs("swaptions", 2, 30);
   const std::vector<soc::RoleBinding> roles = {{0, {2}}, {1, {2}}};
-  const auto stepwise = run_roles(programs, roles, Engine::kStepwise, 3);
-  const auto quantum = run_roles(programs, roles, Engine::kQuantum, 3);
-  soc::CosimStats cosim;
-  const auto bounded =
-      run_roles(programs, roles, Engine::kQuantumBounded, 3, &cosim);
+  for (const u32 iterations : {30u, 400u}) {
+    SCOPED_TRACE(iterations);
+    const auto programs = role_programs("swaptions", 2, iterations);
+    const auto stepwise = run_roles(programs, roles, Engine::kStepwise, 3);
+    soc::CosimStats strict;
+    const auto quantum = run_roles(programs, roles, Engine::kQuantum, 3, &strict);
+    soc::CosimStats cosim;
+    const auto bounded =
+        run_roles(programs, roles, Engine::kQuantumBounded, 3, &cosim);
 
-  ASSERT_GT(stepwise.stats.segments_produced, 6u);
-  // Both producers' segments were verified (the handoff really happened).
-  EXPECT_EQ(stepwise.stats.segments_verified, stepwise.stats.segments_produced);
-  expect_equal(stepwise, quantum);
-  expect_equal_relaxed(stepwise, bounded);
+    ASSERT_GT(stepwise.stats.segments_produced, 6u);
+    // Both producers' segments were verified (the handoff really happened).
+    EXPECT_EQ(stepwise.stats.segments_verified, stepwise.stats.segments_produced);
+    expect_equal(stepwise, quantum);
+    expect_equal_relaxed(stepwise, bounded);
 
-  // Vacuousness guards: the parked producer ran relaxed bursts instead of
-  // dragging the SoC to the strict leapfrog.
-  EXPECT_GT(cosim.parked_producer_bursts, 0u);
-  EXPECT_GT(cosim.relaxed_bursts, cosim.strict_fallbacks);
+    // Vacuousness guards: the parked producer ran relaxed bursts instead of
+    // dragging the SoC to the strict leapfrog.
+    EXPECT_GT(cosim.parked_producer_bursts, 0u);
+    EXPECT_GT(cosim.relaxed_bursts, cosim.strict_fallbacks);
+    // And the bursts batch: the bounded engine drives a small fraction of the
+    // scheduling rounds the strict leapfrog (kQuantum) needs for the same run.
+    EXPECT_LT(cosim.rounds * 20, strict.rounds);
+  }
 }
 
 TEST(ExecEngineContended, ThreeProducersHandoffOrderIsFifo) {

@@ -1,7 +1,7 @@
 // Wire-format robustness for the FXAR archive container and the snapshot /
 // campaign checkpoint formats built on it, plus the multi-process resumable
-// campaign driver (fork dispatch, small scale — the exec path and full-size
-// parity gates live in micro_benchmarks --campaign).
+// campaign driver under both worker dispatch modes (fork, and exec of this
+// test binary — see main() at the bottom).
 //
 // The contracts under test:
 //   * Primitive and structure round-trips are bit-exact (re-serializing a
@@ -362,70 +362,76 @@ TEST(SnapshotWire, FileHelpersReportIoErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-process resumable driver (fork dispatch, small scale)
+// Multi-process resumable driver (small scale)
 // ---------------------------------------------------------------------------
 
 TEST(Distributed, TwoWorkerCampaignMatchesSingleProcessAndResumes) {
-  // Under the default engine and the bounded one. The warm rerun restores
-  // baselines decoded from files (no trace tables) while the single-process
-  // run forks live baselines that share trace-table chunks.
+  // Under the default engine and the bounded one, with fork-mode workers and
+  // with exec-mode workers (this binary re-run as `--campaign-worker <spec>`).
+  // The warm rerun restores baselines decoded from files (no trace tables)
+  // while the single-process run forks live baselines that share trace-table
+  // chunks.
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);
   for (const soc::Engine engine : {soc::Engine::kQuantum, soc::Engine::kQuantumBounded}) {
-    SCOPED_TRACE(soc::engine_name(engine));
-    fault::CampaignConfig campaign;
-    campaign.target_faults = 8;
-    campaign.warmup_rounds = 2'000;
-    campaign.gap_rounds = 500;
-    campaign.workload_iterations = 4'000;
-    campaign.shards = 4;
-    campaign.threads = 1;
-    campaign.engine = engine;
+    for (const bool use_exec : {false, true}) {
+      SCOPED_TRACE(std::string(soc::engine_name(engine)) + (use_exec ? " exec" : " fork"));
+      fault::CampaignConfig campaign;
+      campaign.target_faults = 8;
+      campaign.warmup_rounds = 2'000;
+      campaign.gap_rounds = 500;
+      campaign.workload_iterations = 4'000;
+      campaign.shards = 4;
+      campaign.threads = 1;
+      campaign.engine = engine;
 
-    const fault::CampaignStats single =
-        fault::run_fault_campaign(profile, soc_config, campaign);
-    ASSERT_EQ(single.injected, campaign.target_faults);
+      const fault::CampaignStats single =
+          fault::run_fault_campaign(profile, soc_config, campaign);
+      ASSERT_EQ(single.injected, campaign.target_faults);
 
-    const std::string dir = "test_snapshot_io_campaign";
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    fault::DistributedConfig dist;
-    dist.workers = 2;
-    dist.dir = dir;
+      const std::string dir = "test_snapshot_io_campaign";
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+      fault::DistributedConfig dist;
+      dist.workers = 2;
+      dist.dir = dir;
+      dist.use_exec = use_exec;
+      dist.exe = "/proc/self/exe";
 
-    // Cold two-worker run: merged result digest-identical to single-process.
-    dist.run_label = "cold";
-    const auto cold = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-    EXPECT_TRUE(cold.run.complete());
-    EXPECT_EQ(cold.stats.digest(), single.digest());
-    EXPECT_EQ(cold.stats.injected, single.injected);
+      // Cold two-worker run: merged result digest-identical to single-process.
+      dist.run_label = "cold";
+      const auto cold = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+      EXPECT_TRUE(cold.run.complete());
+      EXPECT_EQ(cold.stats.digest(), single.digest());
+      EXPECT_EQ(cold.stats.injected, single.injected);
 
-    // Kill the worker that runs shard 1 after it finishes but before it
-    // writes its result; the run is incomplete, then a resumed invocation
-    // redoes the missing shards and still merges digest-identical.
-    dist.run_label = "resume";
-    setenv("FLEX_CAMPAIGN_DIE_SHARD", "1", 1);
-    const auto killed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-    unsetenv("FLEX_CAMPAIGN_DIE_SHARD");
-    EXPECT_FALSE(killed.run.complete());
-    EXPECT_LT(killed.run.shards_completed, killed.run.shards_total);
+      // Kill the worker that runs shard 1 after it finishes but before it
+      // writes its result; the run is incomplete, then a resumed invocation
+      // redoes the missing shards and still merges digest-identical.
+      dist.run_label = "resume";
+      setenv("FLEX_CAMPAIGN_DIE_SHARD", "1", 1);
+      const auto killed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+      unsetenv("FLEX_CAMPAIGN_DIE_SHARD");
+      EXPECT_FALSE(killed.run.complete());
+      EXPECT_LT(killed.run.shards_completed, killed.run.shards_total);
 
-    const auto resumed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-    EXPECT_TRUE(resumed.run.complete());
-    EXPECT_GT(resumed.run.shards_resumed, 0u);
-    EXPECT_EQ(resumed.stats.digest(), single.digest());
+      const auto resumed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+      EXPECT_TRUE(resumed.run.complete());
+      EXPECT_GT(resumed.run.shards_resumed, 0u);
+      EXPECT_EQ(resumed.stats.digest(), single.digest());
 
-    // Warm rerun against the baselines the cold run persisted: every warmup
-    // is elided, outcomes unchanged.
-    dist.run_label = "warm";
-    const auto warm = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-    EXPECT_TRUE(warm.run.complete());
-    EXPECT_GT(warm.run.warmup_instructions_elided, 0u);
-    EXPECT_EQ(warm.stats.digest(), single.digest());
+      // Warm rerun against the baselines the cold run persisted: every warmup
+      // is elided, outcomes unchanged.
+      dist.run_label = "warm";
+      const auto warm = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+      EXPECT_TRUE(warm.run.complete());
+      EXPECT_GT(warm.run.warmup_instructions_elided, 0u);
+      EXPECT_EQ(warm.stats.digest(), single.digest());
 
-    // The resume journal names every shard.
-    EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
-    std::filesystem::remove_all(dir, ec);
+      // The resume journal names every shard.
+      EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
+      std::filesystem::remove_all(dir, ec);
+    }
   }
 }
 
@@ -617,3 +623,13 @@ TEST(Distributed, WorkerSpecParseNeverAbortsOnMutatedSpecs) {
 
 }  // namespace
 }  // namespace flexstep
+
+// Exec-mode campaign workers re-run this binary with `--campaign-worker
+// <spec>`; that entry must run before gtest sees the arguments.
+int main(int argc, char** argv) {
+  if (argc == 3 && std::strcmp(argv[1], "--campaign-worker") == 0) {
+    return flexstep::fault::campaign_worker_main(argv[2]);
+  }
+  testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}
