@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
 
   const auto latencies = stats.latencies_us();
   std::printf("injected %u | detected %u (%.2f%%) | masked %u\n\n", stats.injected,
-              stats.detected, 100.0 * stats.coverage(), stats.undetected);
+              stats.detected, 100.0 * stats.coverage(), stats.undetected());
   if (!latencies.empty()) {
     std::printf("detection latency: p50 %.1f us | mean %.1f us | p99 %.1f us | max %.1f us\n\n",
                 percentile(latencies, 50), mean(latencies), percentile(latencies, 99),

@@ -7,20 +7,12 @@
 
 namespace flexstep::arch {
 
-/// Superinstruction trace cache knobs (arch/trace.h). Traces are a host
+/// Superinstruction trace cache (arch/trace.h). Traces are a host
 /// optimisation: recorded/flushed traces never change architectural outcomes,
-/// so these knobs tune speed, not semantics — though they do move where a
+/// so this switch tunes speed, not semantics — though it does move where a
 /// budgeted VerifiedExecution::advance() stops.
 struct TraceConfig {
   bool enabled = true;
-  /// Block-entry visits before a region is recorded as a trace.
-  u32 heat_threshold = 4;
-  /// Per-trace instruction cap (a basic block rarely gets near this).
-  u32 max_insts = 192;
-  /// Blocks shorter than this are not worth a trace dispatch.
-  u32 min_insts = 2;
-  /// log2 of the direct-mapped trace table size.
-  u32 slots_log2 = 12;
 };
 
 struct CoreConfig {

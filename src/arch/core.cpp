@@ -109,9 +109,8 @@ Core::Core(CoreId id, const CoreConfig& config, Memory& memory, const ImageRegis
   port_ = cache_port_.get();
   if (config_.trace.enabled) {
     trace_cache_ = std::make_unique<TraceCache>(
-        config_.trace, memory_,
-        TraceCostModel{caches_.worst_miss_cost(), config_.load_use_penalty,
-                       bpred_.config().mispredict_penalty});
+        memory_, TraceCostModel{caches_.worst_miss_cost(), config_.load_use_penalty,
+                                bpred_.config().mispredict_penalty});
   }
 }
 

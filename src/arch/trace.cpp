@@ -80,9 +80,8 @@ TraceTables::TraceTables(std::size_t slot_count)
     : slots(chunk_count(slot_count), empty_chunk<SlotChunk>()),
       heat(slots.size(), empty_chunk<HeatChunk>()) {}
 
-TraceCache::TraceCache(const TraceConfig& config, Memory& memory,
-                       const TraceCostModel& cost)
-    : config_(config), memory_(memory), cost_(cost),
+TraceCache::TraceCache(Memory& memory, const TraceCostModel& cost)
+    : memory_(memory), cost_(cost),
       slot_chunks_(&empty_chunk<TraceTables::SlotChunk>()) {}
 
 TraceCache::~TraceCache() { memory_.unwatch_code_pages(this); }
@@ -90,13 +89,13 @@ TraceCache::~TraceCache() { memory_.unwatch_code_pages(this); }
 void TraceCache::bind_tables() {
   slot_chunks_ = tables_ != nullptr ? tables_->slots.data()
                                     : &empty_chunk<TraceTables::SlotChunk>();
-  slot_mask_ = tables_ != nullptr ? slot_count() - 1 : 0;
+  slot_mask_ = tables_ != nullptr ? kSlots - 1 : 0;
 }
 
 TraceTables& TraceCache::writable() {
   if (own_ == nullptr) {
     auto copy = tables_ != nullptr ? std::make_shared<TraceTables>(*tables_)
-                                   : std::make_shared<TraceTables>(slot_count());
+                                   : std::make_shared<TraceTables>(kSlots);
     own_ = copy.get();
     tables_ = std::move(copy);
     own_slots_.assign(own_->slots.size(), nullptr);
@@ -121,7 +120,7 @@ std::shared_ptr<const TraceTables> TraceCache::share() {
 }
 
 void TraceCache::adopt(std::shared_ptr<const TraceTables> tables) {
-  if (tables == nullptr || tables->slots.size() != chunk_count(slot_count())) {
+  if (tables == nullptr) {
     flush();
     return;
   }
@@ -207,7 +206,7 @@ const Trace* TraceCache::notice_entry(Addr pc, const isa::Instruction* code,
     ++stats_.heat_misses;
     return nullptr;
   }
-  if (++heat.count < config_.heat_threshold) {
+  if (++heat.count < kHeatThreshold) {
     ++stats_.heat_misses;
     return nullptr;
   }
@@ -257,7 +256,7 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
   Addr pc = entry_pc;
   bool terminal = false;
   u32 insts = 0;
-  while (!terminal && pc >= base && pc < end && insts < config_.max_insts) {
+  while (!terminal && pc >= base && pc < end && insts < kMaxInsts) {
     const Opcode op = code[(pc - base) / 4].op;
     if (static_cast<u8>(op) > static_cast<u8>(Opcode::kSd)) break;  // slow path
     terminal = (static_cast<u8>(op) >= static_cast<u8>(Opcode::kBeq) &&
@@ -266,8 +265,9 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
     pc += 4;
   }
   // A zero-instruction trace (entry at a slow-path opcode) would advance
-  // nothing and spin the dispatch loop forever, whatever min_insts says.
-  if (insts == 0 || insts < config_.min_insts) return false;
+  // nothing and spin the dispatch loop forever.
+  static_assert(kMinInsts > 0);
+  if (insts < kMinInsts) return false;
   const Addr region_end = pc;
   out.inst_count = insts;
 

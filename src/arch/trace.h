@@ -42,7 +42,6 @@
 #include <memory>
 #include <vector>
 
-#include "arch/config.h"
 #include "arch/memory.h"
 #include "common/types.h"
 #include "isa/instruction.h"
@@ -249,7 +248,16 @@ class TraceCache final : public CodeWriteListener {
     u64 full_flushes = 0;        ///< flush() calls (restore without tables).
   };
 
-  TraceCache(const TraceConfig& config, Memory& memory, const TraceCostModel& cost);
+  /// Block-entry visits before a region is recorded as a trace.
+  static constexpr u32 kHeatThreshold = 4;
+  /// Per-trace instruction cap (a basic block rarely gets near this).
+  static constexpr u32 kMaxInsts = 192;
+  /// Blocks shorter than this are not worth a trace dispatch.
+  static constexpr u32 kMinInsts = 2;
+  /// Size of the direct-mapped trace table.
+  static constexpr std::size_t kSlots = std::size_t{1} << 12;
+
+  TraceCache(Memory& memory, const TraceCostModel& cost);
   ~TraceCache();
 
   TraceCache(const TraceCache&) = delete;
@@ -290,8 +298,8 @@ class TraceCache final : public CodeWriteListener {
   /// Continue from `tables` (taken by share(), possibly by another core of
   /// another SoC running the same images): lookups hit exactly what the
   /// sharer's did, and the sharer's tables are never modified. Watches the
-  /// code pages the tables cover in this cache's Memory. Tables of another
-  /// geometry (or nullptr) flush instead.
+  /// code pages the tables cover in this cache's Memory. nullptr flushes
+  /// instead.
   void adopt(std::shared_ptr<const TraceTables> tables);
 
   /// Drop every trace and heat counter.
@@ -312,8 +320,7 @@ class TraceCache final : public CodeWriteListener {
  private:
   static constexpr u32 kRefused = ~u32{0};
 
-  std::size_t slot_count() const { return std::size_t{1} << config_.slots_log2; }
-  std::size_t slot_index(Addr pc) const { return (pc >> 2) & (slot_count() - 1); }
+  static std::size_t slot_index(Addr pc) { return (pc >> 2) & (kSlots - 1); }
   bool record(Addr pc, const isa::Instruction* code, Addr base, Addr end, Trace& out) const;
   /// Install a freshly recorded trace at its entry pc's slot.
   const Trace* install(std::shared_ptr<const Trace> trace);
@@ -329,7 +336,6 @@ class TraceCache final : public CodeWriteListener {
   void bind_tables();
   void process_pending_invalidation();
 
-  TraceConfig config_;
   Memory& memory_;
   TraceCostModel cost_;
   std::shared_ptr<const TraceTables> tables_;  ///< nullptr = empty.

@@ -7,12 +7,33 @@
 #include "common/archive.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "fault/vuln.h"
 #include "runtime/parallel.h"
 #include "sim/scenario.h"
+#include "soc/snapshot.h"
 
 namespace flexstep::fault {
 
-using fs::Channel;
+void OutcomeTally::add(OutcomeKind kind) {
+  ++injected;
+  switch (kind) {
+    case OutcomeKind::kMasked: ++masked; break;
+    case OutcomeKind::kDetected: ++detected; break;
+    case OutcomeKind::kSdc: ++sdc; break;
+    case OutcomeKind::kDue: ++due; break;
+  }
+}
+
+void OutcomeTally::merge(const OutcomeTally& other) {
+  injected += other.injected;
+  masked += other.masked;
+  detected += other.detected;
+  sdc += other.sdc;
+  due += other.due;
+  FLEX_CHECK_MSG(masked + detected + sdc + due == injected,
+                 "campaign classification invariant violated: "
+                 "masked + detected + sdc + due != injected");
+}
 
 std::vector<double> CampaignStats::latencies_us() const {
   std::vector<double> out;
@@ -24,39 +45,14 @@ std::vector<double> CampaignStats::latencies_us() const {
 }
 
 void CampaignStats::record(const FaultOutcome& outcome) {
-  ++injected;
-  switch (outcome.kind) {
-    case OutcomeKind::kDetected:
-      ++detected;
-      break;
-    case OutcomeKind::kMasked:
-      ++masked;
-      ++undetected;
-      break;
-    case OutcomeKind::kSdc:
-      ++sdc;
-      ++undetected;
-      break;
-    case OutcomeKind::kDue:
-      ++due;
-      ++undetected;
-      break;
-  }
+  add(outcome.kind);
   outcomes.push_back(outcome);
 }
 
 void CampaignStats::merge(CampaignStats&& shard) {
-  injected += shard.injected;
-  detected += shard.detected;
-  undetected += shard.undetected;
-  masked += shard.masked;
-  sdc += shard.sdc;
-  due += shard.due;
+  OutcomeTally::merge(shard);
   total_instructions += shard.total_instructions;
   outcomes.insert(outcomes.end(), shard.outcomes.begin(), shard.outcomes.end());
-  FLEX_CHECK_MSG(masked + detected + sdc + due == injected,
-                 "campaign classification invariant violated: "
-                 "masked + detected + sdc + due != injected");
 }
 
 u64 CampaignStats::digest() const {
@@ -120,10 +116,9 @@ namespace {
 constexpr u64 kResolvePollStride = 64;
 
 /// Deterministic pacing jitter added to the warmup and to each inter-fault
-/// gap. Without it every injection lands on the same kResolvePollStride grid
-/// at the same program phase in every shard, which biases which stream-item
-/// kind sits at the channel tail. Odd bounds so the jitter breaks the
-/// 64-instruction poll grid.
+/// gap. Without it every injection lands on the same poll grid at the same
+/// program phase in every shard, which biases which state sits at the
+/// injection point. Odd bounds so the jitter breaks the poll grids.
 constexpr u64 kWarmupJitter = 4099;
 constexpr u64 kGapJitter = 257;
 
@@ -131,21 +126,37 @@ constexpr u64 kGapJitter = 257;
 /// aborts instead of silently looping on a pathological profile.
 constexpr u32 kMaxWarmupRetries = 16;
 
-/// The shared session shape: one long-running workload execution (so one
-/// baseline hosts many injection points) under dual-core verification.
-sim::Scenario campaign_scenario(const workloads::WorkloadProfile& profile,
-                                const soc::SocConfig& soc_config,
-                                const CampaignConfig& campaign, u64 seed) {
-  sim::Scenario scenario;
-  scenario.workload(profile)
-      .seed(seed)
-      .iterations(campaign.workload_iterations != 0 ? campaign.workload_iterations
-                                                    : profile.iterations * 40)
-      .soc(soc_config)
-      .main_core(0)
-      .checkers({1})
-      .engine(campaign.engine);
-  return scenario;
+constexpr const char* kCampaignName = "fault campaign";
+
+/// A BaselineStore hit is honoured only on an exact tag match, so stale
+/// files from another configuration re-warm instead of corrupting the
+/// campaign. The tag fingerprints everything a warmed baseline's state
+/// depends on: workload identity + build seed, shard seeding, exact warmup
+/// length, every SocConfig field, engine, and the kind's salt for what its
+/// scenario adds beyond these.
+u64 baseline_tag(const workloads::WorkloadProfile& profile,
+                 const soc::SocConfig& soc_config,
+                 const CampaignConfig& campaign, u32 shard_index,
+                 u64 session_seed, u64 warmup_rounds, u64 salt) {
+  u64 h = 14695981039346656037ULL;
+  const auto mix_bytes = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mix = [&](u64 v) { mix_bytes(&v, sizeof(v)); };
+  mix_bytes(profile.name.data(), profile.name.size());
+  mix(campaign.seed);
+  mix(shard_index);
+  mix(session_seed);
+  mix(warmup_rounds);
+  mix(campaign.workload_iterations);
+  mix(soc_config.fingerprint());
+  mix(static_cast<u64>(campaign.engine));
+  mix(salt);
+  return h;
 }
 
 /// Corrupt the tail of `victim`'s DBC stream and run until the fault resolves:
@@ -153,7 +164,7 @@ sim::Scenario campaign_scenario(const workloads::WorkloadProfile& profile,
 /// segment verified clean, or the run drained). The victim is disposable;
 /// the caller never advances it again.
 FaultOutcome run_injection(sim::Session& victim, Rng& rng) {
-  Channel* ch = victim.channel();
+  fs::Channel* ch = victim.channel();
   FLEX_CHECK(ch != nullptr);
   // Corrupt at the forwarding path (the most recently produced item), as the
   // paper's campaign does — latency then spans the full buffering and replay
@@ -208,34 +219,6 @@ FaultOutcome run_injection(sim::Session& victim, Rng& rng) {
 
 namespace detail {
 
-/// A BaselineStore hit is honoured only on an exact tag match, so stale
-/// files from another configuration re-warm instead of corrupting the
-/// campaign.
-u64 baseline_tag(const workloads::WorkloadProfile& profile,
-                 const soc::SocConfig& soc_config,
-                 const CampaignConfig& campaign, u32 shard_index,
-                 u64 session_seed, u64 warmup_rounds, u64 salt) {
-  u64 h = 14695981039346656037ULL;
-  const auto mix_bytes = [&h](const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ULL;
-    }
-  };
-  const auto mix = [&](u64 v) { mix_bytes(&v, sizeof(v)); };
-  mix_bytes(profile.name.data(), profile.name.size());
-  mix(campaign.seed);
-  mix(shard_index);
-  mix(session_seed);
-  mix(warmup_rounds);
-  mix(campaign.workload_iterations);
-  mix(soc_config.fingerprint());
-  mix(static_cast<u64>(campaign.engine));
-  mix(salt);
-  return h;
-}
-
 std::vector<u32> shard_quotas(u32 target_faults, u32 shards) {
   // Shards beyond target_faults would all get a zero quota, so capping here
   // changes no outcome — it only bounds the allocations.
@@ -247,17 +230,10 @@ std::vector<u32> shard_quotas(u32 target_faults, u32 shards) {
   return quota;
 }
 
-/// One shard: a clean baseline session walks warmup + inter-injection gaps;
-/// every injection runs in a disposable session materialised at the baseline's
-/// current state — restored from a snapshot (kSnapshotFork) or re-executed
-/// from scratch (kWarmupReexecution). Everything random derives from
-/// (campaign.seed, shard_index), so a shard's outcome stream is independent
-/// of which thread or process runs it — and of the materialisation mode.
-CampaignStats run_campaign_shard(const workloads::WorkloadProfile& profile,
-                                 const soc::SocConfig& soc_config,
-                                 const CampaignConfig& campaign, u32 shard_index,
-                                 u32 target_faults, BaselineStore* baselines) {
-  CampaignStats stats;
+u64 walk_shard(const workloads::WorkloadProfile& profile,
+               const soc::SocConfig& soc_config, const CampaignConfig& campaign,
+               u32 shard_index, u32 target_faults, BaselineStore* baselines,
+               const ShardKind& kind, std::string* error) {
   Rng shard_rng = runtime::stream_rng(campaign.seed, shard_index);
   Rng rng = shard_rng.split();               // fault-placement draws
   Rng pace_rng = shard_rng.split();          // warmup/gap pacing jitter
@@ -267,12 +243,24 @@ CampaignStats run_campaign_shard(const workloads::WorkloadProfile& profile,
   // Stores only engage in fork mode: re-execution victims replay the
   // baseline's advance schedule, which a restored baseline never executed.
   BaselineStore* store = fork_mode ? baselines : nullptr;
+  u64 executed = 0;
+  u32 injected = 0;
   u32 failed_warmups = 0;
   u32 ordinal = 0;  ///< Successful warmups so far — the store key.
 
-  while (stats.injected < target_faults) {
-    const sim::Scenario scenario =
-        campaign_scenario(profile, soc_config, campaign, ++session_seed);
+  while (injected < target_faults) {
+    // One long-running workload execution (so one baseline hosts many
+    // injection points) under dual-core verification.
+    sim::Scenario scenario;
+    scenario.workload(profile)
+        .seed(++session_seed)
+        .iterations(campaign.workload_iterations != 0 ? campaign.workload_iterations
+                                                      : profile.iterations * 40)
+        .soc(soc_config)
+        .main_core(0)
+        .checkers({1})
+        .tolerate_stall(kind.tolerate_stall)
+        .engine(campaign.engine);
     sim::Session baseline = scenario.build();
     // Every baseline advance is recorded so the re-execution mode can replay
     // the exact prefix; the fork mode snapshots its end state instead.
@@ -289,7 +277,7 @@ CampaignStats run_campaign_shard(const workloads::WorkloadProfile& profile,
     bool warm = false;
     if (store != nullptr) {
       const u64 tag = baseline_tag(profile, soc_config, campaign, shard_index,
-                                   session_seed, warmup, /*salt=*/0);
+                                   session_seed, warmup, kind.salt);
       if (store->try_load(shard_index, ordinal, tag, baseline)) {
         baseline_restored = baseline.total_instret();
         warm = true;
@@ -301,46 +289,105 @@ CampaignStats run_campaign_shard(const workloads::WorkloadProfile& profile,
       warm = baseline_advance(warmup);
     }
     if (!warm) {
-      stats.total_instructions += baseline.total_instret();
-      ++failed_warmups;
-      FLEX_CHECK_MSG(failed_warmups < kMaxWarmupRetries,
-                     "fault campaign: workload exhausts before warmup_rounds "
-                     "completes (profile too short) — raise workload_iterations "
-                     "or lower warmup_rounds");
+      executed += baseline.total_instret();
+      if (++failed_warmups == kMaxWarmupRetries) {
+        const std::string message =
+            std::string(kind.name) +
+            ": workload exhausts before warmup_rounds completes (profile too "
+            "short) — raise workload_iterations or lower warmup_rounds";
+        FLEX_CHECK_MSG(error != nullptr, message.c_str());
+        *error = message;
+        return executed;
+      }
       continue;  // next seed builds a fresh (differently shaped) workload
     }
     failed_warmups = 0;
 
     bool session_alive = true;
-    while (session_alive && stats.injected < target_faults) {
-      // The injection corrupts the most recently forwarded item; make sure
-      // one is queued at the baseline's injection point.
-      Channel* ch = baseline.channel();
+    while (session_alive && injected < target_faults) {
+      // Waiting happens on the baseline, so the rng draw stream is the same
+      // in both materialisation modes.
+      fs::Channel* ch = baseline.channel();
       if (ch == nullptr) break;
-      while (ch->empty()) {
-        if (!(session_alive = baseline_advance(512))) break;
+      while (!kind.ready(*ch, injected)) {
+        if (!(session_alive = baseline_advance(kind.wait_stride))) break;
       }
       if (!session_alive) break;
 
-      // Materialise the disposable pre-injection session.
-      sim::Session victim = fork_mode ? baseline.fork() : scenario.build();
-      u64 restored_instructions = 0;
-      if (fork_mode) {
-        restored_instructions = victim.total_instret();  // restored, not executed
-      } else {
+      // Materialise the disposable victim and its pre-fault state: the
+      // snapshot it is forked from, or the re-executed victim's own.
+      soc::Snapshot pre_fault;
+      if (fork_mode) pre_fault = baseline.snapshot();
+      sim::Session victim = fork_mode ? baseline.fork(pre_fault) : scenario.build();
+      if (!fork_mode) {
         for (u64 rounds : schedule) victim.advance(rounds);
+        executed += victim.total_instret();  // the re-executed prefix
+        pre_fault = victim.snapshot();
       }
-
-      const FaultOutcome outcome = run_injection(victim, rng);
-      stats.record(outcome);
-      stats.total_instructions += victim.total_instret() - restored_instructions;
+      executed += kind.inject(victim, pre_fault, rng, injected++);
 
       // Advance the clean baseline to the next injection point.
       session_alive = baseline_advance(campaign.gap_rounds +
                                        pace_rng.next_below(kGapJitter));
     }
-    stats.total_instructions += baseline.total_instret() - baseline_restored;
+    executed += baseline.total_instret() - baseline_restored;
   }
+  return executed;
+}
+
+template <typename Result>
+Result run_shards(const CampaignConfig& campaign, const char* name,
+                  const std::function<Result(u32 shard, u32 quota, u32 first)>& run_shard) {
+  // Validate up front: a zero in any of these silently degenerates the
+  // campaign (no shards to run, nothing to inject, or injection points all
+  // landing at cycle 0) — fail loudly instead of producing an empty report.
+  const auto fail = [name](const char* what) { return std::string(name) + ": " + what; };
+  FLEX_CHECK_MSG(campaign.shards >= 1, fail("shards must be >= 1 (got 0)").c_str());
+  FLEX_CHECK_MSG(campaign.target_faults > 0, fail("target_faults must be > 0").c_str());
+  FLEX_CHECK_MSG(campaign.warmup_rounds > 0 && campaign.gap_rounds > 0,
+                 fail("warmup_rounds and gap_rounds must be nonzero").c_str());
+  // The split depends only on the config and is shared with the
+  // multi-process driver (fault/distributed.h).
+  const std::vector<u32> quota = shard_quotas(campaign.target_faults, campaign.shards);
+  std::vector<u32> first(quota.size(), 0);
+  for (std::size_t s = 1; s < quota.size(); ++s) first[s] = first[s - 1] + quota[s - 1];
+
+  const auto shard_job = [&](std::size_t s) {
+    return run_shard(static_cast<u32>(s), quota[s], first[s]);
+  };
+  const auto fold = [](Result& acc, Result&& part) { acc.merge(std::move(part)); };
+  if (campaign.threads != 0) {
+    runtime::JobPool pool(campaign.threads);
+    return runtime::parallel_accumulate(pool, quota.size(), Result{}, shard_job, fold);
+  }
+  return runtime::parallel_accumulate(quota.size(), Result{}, shard_job, fold);
+}
+
+template CampaignStats run_shards(
+    const CampaignConfig&, const char*,
+    const std::function<CampaignStats(u32, u32, u32)>&);
+template VulnReport run_shards(const CampaignConfig&, const char*,
+                               const std::function<VulnReport(u32, u32, u32)>&);
+
+CampaignStats run_campaign_shard(const workloads::WorkloadProfile& profile,
+                                 const soc::SocConfig& soc_config,
+                                 const CampaignConfig& campaign, u32 shard_index,
+                                 u32 target_faults, BaselineStore* baselines,
+                                 std::string* error) {
+  CampaignStats stats;
+  ShardKind kind;
+  kind.name = kCampaignName;
+  kind.wait_stride = 512;
+  // The injection corrupts the most recently forwarded item; one must be
+  // queued at the injection point.
+  kind.ready = [](const fs::Channel& ch, u32) { return !ch.empty(); };
+  kind.inject = [&stats](sim::Session& victim, const soc::Snapshot&, Rng& rng, u32) {
+    const u64 before = victim.total_instret();
+    stats.record(run_injection(victim, rng));
+    return victim.total_instret() - before;
+  };
+  stats.total_instructions = walk_shard(profile, soc_config, campaign, shard_index,
+                                        target_faults, baselines, kind, error);
   return stats;
 }
 
@@ -349,37 +396,10 @@ CampaignStats run_campaign_shard(const workloads::WorkloadProfile& profile,
 CampaignStats run_fault_campaign(const workloads::WorkloadProfile& profile,
                                  const soc::SocConfig& soc_config,
                                  const CampaignConfig& campaign) {
-  // Validate up front: a zero in any of these silently degenerates the
-  // campaign (no shards to run, nothing to inject, or injection points all
-  // landing at cycle 0) — fail loudly instead of producing an empty report.
-  FLEX_CHECK_MSG(campaign.shards >= 1,
-                 "fault campaign: shards must be >= 1 (got 0)");
-  FLEX_CHECK_MSG(campaign.target_faults > 0,
-                 "fault campaign: target_faults must be > 0");
-  FLEX_CHECK_MSG(campaign.warmup_rounds > 0 && campaign.gap_rounds > 0,
-                 "fault campaign: warmup_rounds and gap_rounds need a nonzero "
-                 "horizon");
-  // Shard quotas: target_faults split as evenly as possible, the remainder
-  // going to the lowest shard indices. The split depends only on the config
-  // and is shared with the multi-process driver (fault/distributed.h).
-  const std::vector<u32> quota =
-      detail::shard_quotas(campaign.target_faults, campaign.shards);
-  const u32 shards = static_cast<u32>(quota.size());
-
-  auto shard_job = [&](std::size_t s) {
-    return quota[s] == 0
-               ? CampaignStats{}
-               : detail::run_campaign_shard(profile, soc_config, campaign,
-                                            static_cast<u32>(s), quota[s]);
-  };
-  auto fold = [](CampaignStats& acc, CampaignStats&& part) {
-    acc.merge(std::move(part));
-  };
-  if (campaign.threads != 0) {
-    runtime::JobPool pool(campaign.threads);
-    return runtime::parallel_accumulate(pool, shards, CampaignStats{}, shard_job, fold);
-  }
-  return runtime::parallel_accumulate(shards, CampaignStats{}, shard_job, fold);
+  return detail::run_shards<CampaignStats>(
+      campaign, kCampaignName, [&](u32 shard, u32 quota, u32) {
+        return detail::run_campaign_shard(profile, soc_config, campaign, shard, quota);
+      });
 }
 
 }  // namespace flexstep::fault

@@ -1,12 +1,21 @@
 // Fault-injection campaigns (paper Sec. VI-C).
 //
-// Faults are bit flips in the *forwarded* data — MAL entries and ASS
-// checkpoint words queued in a DBC channel — exactly the paper's methodology,
-// which perturbs the verification stream without disturbing the main core.
-// Detection latency is the simulated time from corruption to the checker's
-// mismatch report. One long run hosts many sequential injections.
+// Two campaign kinds share one experiment: a clean baseline session per shard
+// walks a warmup and then gaps between injection points, and every injection
+// runs in a disposable victim materialised at the baseline's state. One shard
+// loop (detail::walk_shard) runs both; a kind supplies only its injection
+// routine and the few settings in detail::ShardKind.
+//
+// This file's kind perturbs the *forwarded* data: bit flips in MAL entries
+// and ASS checkpoint words queued in a DBC channel, exactly the paper's
+// methodology, which perturbs the verification stream without disturbing the
+// main core. Detection latency is the simulated time from corruption to the
+// checker's mismatch report. The whole-SoC kind (fault/vuln.h) flips
+// microarchitectural state instead.
 #pragma once
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -15,14 +24,26 @@
 #include "soc/verified_run.h"
 #include "workloads/profile.h"
 
+namespace flexstep {
+class Rng;
+}  // namespace flexstep
+
 namespace flexstep::io {
 class ArchiveWriter;
 class ArchiveReader;
 }  // namespace flexstep::io
 
+namespace flexstep::fs {
+class Channel;
+}  // namespace flexstep::fs
+
 namespace flexstep::sim {
 class Session;
 }  // namespace flexstep::sim
+
+namespace flexstep::soc {
+struct Snapshot;
+}  // namespace flexstep::soc
 
 namespace flexstep::fault {
 
@@ -50,6 +71,8 @@ enum class CampaignMode : u8 {
   kWarmupReexecution,
 };
 
+/// The settings every campaign has; a DBC-stream campaign has no others, and
+/// VulnConfig (fault/vuln.h) adds the whole-SoC ones.
 struct CampaignConfig {
   u32 target_faults = 2000;     ///< Injections to perform (summed over shards).
   u64 warmup_rounds = 50'000;   ///< Retired instructions before the first injection.
@@ -100,21 +123,17 @@ struct FaultOutcome {
   OutcomeKind kind = OutcomeKind::kMasked;
 };
 
-struct CampaignStats {
-  std::vector<FaultOutcome> outcomes;
+/// The four-way outcome counts of a campaign, or of one component class of a
+/// whole-SoC campaign. Every campaign result counts through one of these.
+struct OutcomeTally {
   u32 injected = 0;
-  u32 detected = 0;
-  u32 undetected = 0;  ///< masked + sdc + due (everything FlexStep missed).
   u32 masked = 0;
+  u32 detected = 0;
   u32 sdc = 0;
   u32 due = 0;
 
-  /// Instructions actually executed on the host across every session (baseline
-  /// prefixes + per-injection work). A restored snapshot contributes nothing;
-  /// a re-executed prefix contributes in full — this is the counter the
-  /// snapshot-fork speedup claim is asserted against.
-  u64 total_instructions = 0;
-
+  /// Everything FlexStep missed: masked + sdc + due.
+  u32 undetected() const { return masked + sdc + due; }
   double coverage() const {
     return injected == 0 ? 0.0 : static_cast<double>(detected) / injected;
   }
@@ -123,16 +142,31 @@ struct CampaignStats {
   double sdc_rate() const {
     return injected == 0 ? 0.0 : static_cast<double>(sdc) / injected;
   }
+
+  /// Count one classified injection.
+  void add(OutcomeKind kind);
+  /// Fold another tally in. Enforces the classification invariant
+  /// masked + detected + sdc + due == injected on the sum.
+  void merge(const OutcomeTally& other);
+};
+
+/// A DBC-stream campaign's result: the outcome stream and its tally.
+struct CampaignStats : OutcomeTally {
+  std::vector<FaultOutcome> outcomes;
+
+  /// Instructions actually executed on the host across every session (baseline
+  /// prefixes + per-injection work). A restored snapshot contributes nothing;
+  /// a re-executed prefix contributes in full — this is the counter the
+  /// snapshot-fork speedup claim is asserted against.
+  u64 total_instructions = 0;
+
   std::vector<double> latencies_us() const;
 
-  /// Record one classified injection (bumps the kind counter + the
-  /// detected/undetected rollups and appends the outcome).
+  /// Record one classified injection (counts it and appends the outcome).
   void record(const FaultOutcome& outcome);
 
-  /// Appends another shard's outcomes and folds its counters in. Shards are
+  /// Appends another shard's outcomes and folds its tally in. Shards are
   /// merged in ascending shard order so the campaign result is deterministic.
-  /// Enforces the classification invariant
-  /// masked + detected + sdc + due == injected on the merged result.
   void merge(CampaignStats&& shard);
 
   /// Order-sensitive FNV-1a digest of the outcome stream (detected flag,
@@ -168,14 +202,15 @@ class BaselineStore {
   virtual void save(u32 shard, u32 ordinal, u64 tag, const sim::Session& session) = 0;
 };
 
-/// Run a campaign on `profile` under dual-core verification. The campaign is
-/// split into `campaign.shards` independent shards — each a worker-owned
-/// sim::Session sequence hosting its share of `target_faults` injections,
-/// seeded from the shard index via runtime::stream_rng — executed on the
-/// parallel runtime and merged in shard order. Each shard keeps a clean
-/// baseline session and materialises every injection in a disposable session
-/// per `campaign.mode` (snapshot-fork by default). Results are bit-identical
-/// for a given (seed, shards, mode-independent) at any thread count.
+/// Run a DBC-stream campaign on `profile` under dual-core verification. The
+/// campaign is split into `campaign.shards` independent shards — each a
+/// worker-owned sim::Session sequence hosting its share of `target_faults`
+/// injections, seeded from the shard index via runtime::stream_rng — executed
+/// on the parallel runtime and merged in shard order (detail::run_shards).
+/// Each shard is one detail::walk_shard: a clean baseline session, and every
+/// injection in a disposable session materialised per `campaign.mode`
+/// (snapshot-fork by default). Results are bit-identical for a given (seed,
+/// shards, mode-independent) at any thread count.
 CampaignStats run_fault_campaign(const workloads::WorkloadProfile& profile,
                                  const soc::SocConfig& soc_config,
                                  const CampaignConfig& campaign);
@@ -188,26 +223,59 @@ namespace detail {
 /// partitions work identically to the in-process one.
 std::vector<u32> shard_quotas(u32 target_faults, u32 shards);
 
-/// Fingerprint of everything a warmed baseline's state depends on (workload
-/// identity + build seed, shard seeding, exact warmup length, every
-/// SocConfig field, engine). `salt` separates campaign kinds whose scenarios
-/// differ beyond these fields (0 = DBC-stream campaign, 1 = whole-SoC vuln
-/// campaign).
-u64 baseline_tag(const workloads::WorkloadProfile& profile,
-                 const soc::SocConfig& soc_config,
-                 const CampaignConfig& campaign, u32 shard_index,
-                 u64 session_seed, u64 warmup_rounds, u64 salt);
+/// What sets one campaign kind's shards apart; walk_shard owns the rest.
+struct ShardKind {
+  const char* name = "";  ///< Diagnostic prefix, e.g. "fault campaign".
+  /// Baseline advance per probe while no injection point is ready.
+  u64 wait_stride = 0;
+  /// Latch a wedged co-simulation as Session::stalled() instead of aborting.
+  bool tolerate_stall = false;
+  u64 salt = 0;  ///< Separates the kinds' baseline tags.
+  /// Whether the baseline's channel can host the shard's injection `n`.
+  std::function<bool(const fs::Channel& channel, u32 n)> ready;
+  /// Inject the shard's fault `n` into `victim`, which stands at the
+  /// pre-fault state `pre_fault`, and record its outcome. Returns the
+  /// instructions the injection executed.
+  std::function<u64(sim::Session& victim, const soc::Snapshot& pre_fault, Rng& rng,
+                    u32 n)>
+      inject;
+};
+
+/// The one shard loop of both campaign kinds. A clean baseline session walks
+/// a jittered warmup (restored from `baselines` when it holds one) and the
+/// gaps between injection points; every injection runs in a disposable victim
+/// materialised at the baseline's state, forked from a snapshot
+/// (kSnapshotFork) or re-executed from scratch (kWarmupReexecution).
+/// Everything random derives from (campaign.seed, shard_index), so a shard's
+/// outcomes are independent of the thread or process that runs it, and of
+/// the materialisation mode. Returns the instructions executed by baselines,
+/// re-executed prefixes and injections. A workload that exhausts before the
+/// warmup completes, 16 sessions in a row, FLEX_CHECKs; with `error` set,
+/// the diagnostic is stored there and the walk stops instead.
+u64 walk_shard(const workloads::WorkloadProfile& profile,
+               const soc::SocConfig& soc_config, const CampaignConfig& campaign,
+               u32 shard_index, u32 target_faults, BaselineStore* baselines,
+               const ShardKind& kind, std::string* error);
+
+/// The in-process driver of both campaign kinds: validates the shared
+/// fields, splits target_faults with shard_quotas and runs
+/// `run_shard(shard, quota, first)` for every shard on the parallel runtime
+/// (`first` is the shard's first global injection index), merging in shard
+/// order. Instantiated for CampaignStats and VulnReport.
+template <typename Result>
+Result run_shards(const CampaignConfig& campaign, const char* name,
+                  const std::function<Result(u32 shard, u32 quota, u32 first)>& run_shard);
 
 /// One campaign shard, exactly as run_fault_campaign executes it. Exposed so
-/// worker processes can run individual shards; everything random derives from
-/// (campaign.seed, shard_index), so a shard's outcome stream is independent
-/// of which thread OR process runs it. `baselines` (optional) elides warmups
-/// via persisted warmed state — outcomes are unchanged.
+/// worker processes can run individual shards. `baselines` (optional) elides
+/// warmups via persisted warmed state — outcomes are unchanged. `error` as
+/// for walk_shard.
 CampaignStats run_campaign_shard(const workloads::WorkloadProfile& profile,
                                  const soc::SocConfig& soc_config,
                                  const CampaignConfig& campaign, u32 shard_index,
                                  u32 target_faults,
-                                 BaselineStore* baselines = nullptr);
+                                 BaselineStore* baselines = nullptr,
+                                 std::string* error = nullptr);
 
 }  // namespace detail
 

@@ -9,9 +9,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/archive.h"
@@ -177,126 +178,47 @@ bool die_requested(u32 shard) {
   return std::strtoul(env, nullptr, 10) == shard;
 }
 
-/// Run one shard with a baseline store and persist its result. Shared by the
-/// fork-mode child and the exec-mode worker so the two dispatch modes are
-/// behaviourally identical (including the die hook).
+u8 kind_of(const WorkerSpec& job) { return job.vuln ? kKindVuln : kKindCampaign; }
+
+/// Shard `shard` of `job`, split and seeded exactly as the in-process driver
+/// runs it (Result is VulnReport for kind=vuln, CampaignStats otherwise).
 template <typename Result>
-void run_and_store_shard(
-    u8 kind, u32 shard, const DistributedConfig& dist,
-    const std::function<Result(u32, BaselineStore*)>& run_shard) {
-  FileBaselineStore store(dist.dir + "/baselines");
-  const Result result = run_shard(shard, &store);
-  if (die_requested(shard)) _exit(42);
-  write_shard_file(shard_path(dist, shard), kind, shard,
-                   store.elided_instructions(), result);
+Result run_shard(const WorkerSpec& job, u32 shard, BaselineStore* store,
+                 std::string* error) {
+  const VulnConfig& config = job.config;
+  const std::vector<u32> quota = detail::shard_quotas(config.target_faults, config.shards);
+  if constexpr (std::is_same_v<Result, VulnReport>) {
+    const u32 first = std::accumulate(quota.begin(), quota.begin() + shard, u32{0});
+    return detail::run_vuln_shard(*job.profile, job.soc_config, config,
+                                  detail::resolve_components(config), shard,
+                                  quota[shard], first, store, error);
+  } else {
+    return detail::run_campaign_shard(*job.profile, job.soc_config, config, shard,
+                                      quota[shard], store, error);
+  }
 }
 
-// ---------------------------------------------------------------------------
-// Parent driver
-// ---------------------------------------------------------------------------
-
-void write_journal(const DistributedConfig& dist, u8 kind,
-                   const std::vector<bool>& complete) {
-  std::string text = "# resumable campaign journal: kind=";
-  text += (kind == kKindCampaign ? "campaign" : "vuln");
-  text += " run=" + dist.run_label + "\n";
-  for (std::size_t s = 0; s < complete.size(); ++s) {
-    text += "shard " + std::to_string(s) +
-            (complete[s] ? " complete\n" : " missing\n");
-  }
-  io::write_file_atomic(dist.dir + "/" + dist.run_label + "_journal.txt",
-                        text.data(), text.size());
-}
-
-/// The generic driver: scan → partition pending shards over workers → fork
-/// (or fork+exec) → wait → rescan → merge in shard order → journal.
-/// `spawn_exec` writes a worker's spec file and returns its path (exec mode
-/// only). Returns the outcome; `merged` receives completed shards merged in
-/// ascending shard-index order (the in-process fold order).
+/// Run `job`'s assigned shards, each with a baseline store, and persist their
+/// results. The fork-mode child and the exec-mode worker both run this, so
+/// the two dispatch modes behave identically (including the die hook).
+/// Returns the worker's exit code: 0, or 2 (with the diagnostic on stderr,
+/// and no file for that shard) when a shard's workload exhausts before its
+/// warmup completes.
 template <typename Result>
-DistributedOutcome drive(
-    u8 kind, u32 shards, const DistributedConfig& dist,
-    const std::function<Result(u32, BaselineStore*)>& run_shard,
-    const std::function<std::string(u32 worker, const std::vector<u32>&)>&
-        spawn_exec,
-    Result& merged) {
-  FLEX_CHECK_MSG(dist.workers >= 1,
-                 "distributed campaign: workers must be >= 1");
-  FLEX_CHECK_MSG(!dist.dir.empty(), "distributed campaign: dir must be set");
-  std::error_code ec;
-  std::filesystem::create_directories(dist.dir, ec);
-
-  DistributedOutcome out;
-  out.shards_total = shards;
-
-  // Resume scan: a shard whose result file decodes cleanly is done — its
-  // worker survived the atomic rename. Everything else re-runs.
-  std::vector<std::optional<ShardFile<Result>>> have(shards);
-  std::vector<u32> pending;
-  for (u32 s = 0; s < shards; ++s) {
-    have[s] = read_shard_file<Result>(shard_path(dist, s), kind, s);
-    if (!have[s].has_value()) pending.push_back(s);
-  }
-  out.shards_resumed = shards - static_cast<u32>(pending.size());
-
-  // Round-robin the pending shards over the workers; shard->worker placement
-  // is irrelevant to outcomes (shards are (seed, index)-seeded), so the
-  // simplest deterministic partition wins.
-  std::vector<std::vector<u32>> plan(dist.workers);
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    plan[i % dist.workers].push_back(pending[i]);
-  }
-
-  std::fflush(stdout);
-  std::fflush(stderr);
-  std::vector<pid_t> children;
-  for (u32 w = 0; w < dist.workers; ++w) {
-    if (plan[w].empty()) continue;
-    const pid_t pid = fork();
-    FLEX_CHECK_MSG(pid >= 0, "distributed campaign: fork() failed");
-    if (pid == 0) {
-      if (spawn_exec != nullptr) {
-        const std::string spec = spawn_exec(w, plan[w]);
-        execl(dist.exe.c_str(), dist.exe.c_str(), "--campaign-worker",
-              spec.c_str(), static_cast<char*>(nullptr));
-        std::fprintf(stderr, "campaign worker: exec %s failed\n",
-                     dist.exe.c_str());
-        _exit(127);
-      }
-      for (u32 s : plan[w]) run_and_store_shard(kind, s, dist, run_shard);
-      _exit(0);
+int run_assigned(const WorkerSpec& job) {
+  for (u32 shard : job.assigned) {
+    FileBaselineStore store(job.dist.dir + "/baselines");
+    std::string error;
+    const Result result = run_shard<Result>(job, shard, &store, &error);
+    if (!error.empty()) {
+      std::fprintf(stderr, "campaign worker: %s\n", error.c_str());
+      return 2;
     }
-    children.push_back(pid);
+    if (die_requested(shard)) _exit(42);
+    write_shard_file(shard_path(job.dist, shard), kind_of(job), shard,
+                     store.elided_instructions(), result);
   }
-  for (pid_t pid : children) {
-    int status = 0;
-    waitpid(pid, &status, 0);
-    // A dead worker is not fatal to the driver: its shards simply stay
-    // missing and the next invocation resumes them.
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      FLEX_LOG_ERROR("distributed campaign: worker %d exited abnormally "
-                    "(status %d) — run again to resume its shards",
-                    static_cast<int>(pid), status);
-    }
-  }
-
-  // Rescan what the workers produced, then merge every completed shard in
-  // ascending index order — the exact fold order of the in-process driver.
-  std::vector<bool> complete(shards, false);
-  for (u32 s = 0; s < shards; ++s) {
-    if (!have[s].has_value()) {
-      have[s] = read_shard_file<Result>(shard_path(dist, s), kind, s);
-    }
-    complete[s] = have[s].has_value();
-  }
-  for (u32 s = 0; s < shards; ++s) {
-    if (!have[s].has_value()) continue;
-    ++out.shards_completed;
-    out.warmup_instructions_elided += have[s]->elided;
-    merged.merge(std::move(have[s]->result));
-  }
-  write_journal(dist, kind, complete);
-  return out;
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -312,36 +234,39 @@ std::string csv(const std::vector<u32>& values) {
   return out;
 }
 
-/// Exec-mode specs carry the platform as a core count, and workers rebuild
-/// SocConfig::paper_default(cores) from it. Any other platform would run
-/// silently as the paper default, so the parent refuses it up front.
-void check_exec_platform(const soc::SocConfig& soc_config,
-                         const DistributedConfig& dist) {
-  const soc::SocConfig shipped = soc::SocConfig::paper_default(soc_config.num_cores);
-  FLEX_CHECK_MSG(!dist.use_exec || soc_config.fingerprint() == shipped.fingerprint(),
-                 "distributed campaign: exec-mode workers run only "
-                 "SocConfig::paper_default platforms; use fork mode");
-}
-
-/// Common spec fields of both campaign kinds: the workload by profile name,
-/// the platform as a core count (see check_exec_platform) and the engine.
-void spec_common(std::string& spec, const workloads::WorkloadProfile& profile,
-                 const soc::SocConfig& soc_config, soc::Engine engine,
-                 const DistributedConfig& dist, const std::vector<u32>& assigned) {
-  spec += "profile=" + profile.name + "\n";
-  spec += "cores=" + std::to_string(soc_config.num_cores) + "\n";
-  spec += "engine=" + std::to_string(static_cast<int>(engine)) + "\n";
-  spec += "dir=" + dist.dir + "\n";
-  spec += "run_label=" + dist.run_label + "\n";
-  spec += "assigned=" + csv(assigned) + "\n";
-}
-
-std::string write_spec_file(const DistributedConfig& dist, u32 worker,
-                            const std::string& spec) {
-  const std::string path = dist.dir + "/" + dist.run_label + "_worker_" +
+/// Write `job` (its assigned shards included) as worker `worker`'s spec file
+/// and return the path. The workload travels by profile name and the
+/// platform as a core count (see drive()).
+std::string write_worker_spec(const WorkerSpec& job, u32 worker) {
+  const VulnConfig& config = job.config;
+  std::string spec;
+  const auto field = [&spec](const char* key, const std::string& value) {
+    spec += std::string(key) + "=" + value + "\n";
+  };
+  field("kind", job.vuln ? "vuln" : "campaign");
+  field("profile", job.profile->name);
+  field("cores", std::to_string(job.soc_config.num_cores));
+  field("engine", std::to_string(static_cast<int>(config.engine)));
+  field("dir", job.dist.dir);
+  field("run_label", job.dist.run_label);
+  field("assigned", csv(job.assigned));
+  field("target_faults", std::to_string(config.target_faults));
+  field("warmup_rounds", std::to_string(config.warmup_rounds));
+  field("gap_rounds", std::to_string(config.gap_rounds));
+  field("seed", std::to_string(config.seed));
+  field("workload_iterations", std::to_string(config.workload_iterations));
+  field("shards", std::to_string(config.shards));
+  field("mode", config.mode == CampaignMode::kSnapshotFork ? "fork" : "reexec");
+  if (job.vuln) {
+    field("horizon", std::to_string(config.horizon));
+    field("root_cause", config.root_cause ? "1" : "0");
+    std::vector<u32> components;
+    for (Component c : config.components) components.push_back(static_cast<u32>(c));
+    field("components", csv(components));
+  }
+  const std::string path = job.dist.dir + "/" + job.dist.run_label + "_worker_" +
                            std::to_string(worker) + ".spec";
-  const io::ArchiveError err =
-      io::write_file_atomic(path, spec.data(), spec.size());
+  const io::ArchiveError err = io::write_file_atomic(path, spec.data(), spec.size());
   FLEX_CHECK_MSG(err.ok(), "distributed campaign: cannot write worker spec");
   return path;
 }
@@ -418,34 +343,125 @@ class SpecReader {
   std::string error_;
 };
 
-/// The shard bodies, as the parent's fork-mode children and the exec-mode
-/// workers both run them.
-std::function<CampaignStats(u32, BaselineStore*)> campaign_shard_runner(
-    const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
-    const CampaignConfig& campaign) {
-  return [&profile, soc_config, campaign,
-          quota = detail::shard_quotas(campaign.target_faults, campaign.shards)](
-             u32 s, BaselineStore* store) {
-    return detail::run_campaign_shard(profile, soc_config, campaign, s, quota[s], store);
-  };
+// ---------------------------------------------------------------------------
+// Parent driver
+// ---------------------------------------------------------------------------
+
+void write_journal(const DistributedConfig& dist, u8 kind,
+                   const std::vector<bool>& complete) {
+  std::string text = "# resumable campaign journal: kind=";
+  text += (kind == kKindCampaign ? "campaign" : "vuln");
+  text += " run=" + dist.run_label + "\n";
+  for (std::size_t s = 0; s < complete.size(); ++s) {
+    text += "shard " + std::to_string(s) +
+            (complete[s] ? " complete\n" : " missing\n");
+  }
+  io::write_file_atomic(dist.dir + "/" + dist.run_label + "_journal.txt",
+                        text.data(), text.size());
 }
 
-std::function<VulnReport(u32, BaselineStore*)> vuln_shard_runner(
-    const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
-    const VulnConfig& config) {
-  const std::vector<u32> quota =
-      detail::shard_quotas(config.target_faults, config.shards);
-  std::vector<u32> start(quota.size());
-  u32 assigned_faults = 0;
-  for (std::size_t s = 0; s < quota.size(); ++s) {
-    start[s] = assigned_faults;
-    assigned_faults += quota[s];
+/// The driver of both campaign kinds (kind=vuln when Result is VulnReport):
+/// scan → partition pending shards over workers → fork (or fork+exec) → wait
+/// → rescan → merge in shard order → journal. `merged` receives the
+/// completed shards merged in ascending shard-index order (the in-process
+/// fold order).
+template <typename Result>
+DistributedOutcome drive(const workloads::WorkloadProfile& profile,
+                         const soc::SocConfig& soc_config, const VulnConfig& config,
+                         const DistributedConfig& dist, Result& merged) {
+  WorkerSpec job;
+  job.vuln = std::is_same_v<Result, VulnReport>;
+  job.profile = &profile;
+  job.soc_config = soc_config;
+  job.dist = dist;
+  job.config = config;
+  FLEX_CHECK_MSG(dist.workers >= 1,
+                 "distributed campaign: workers must be >= 1");
+  FLEX_CHECK_MSG(!dist.dir.empty(), "distributed campaign: dir must be set");
+  // Exec-mode specs carry the platform as a core count, and workers rebuild
+  // SocConfig::paper_default(cores) from it. Any other platform would run
+  // silently as the paper default, so it is refused up front.
+  const soc::SocConfig shipped = soc::SocConfig::paper_default(job.soc_config.num_cores);
+  FLEX_CHECK_MSG(!dist.use_exec || job.soc_config.fingerprint() == shipped.fingerprint(),
+                 "distributed campaign: exec-mode workers run only "
+                 "SocConfig::paper_default platforms; use fork mode");
+  std::error_code ec;
+  std::filesystem::create_directories(dist.dir, ec);
+
+  const u8 kind = kind_of(job);
+  const u32 shards = static_cast<u32>(
+      detail::shard_quotas(job.config.target_faults, job.config.shards).size());
+  DistributedOutcome out;
+  out.shards_total = shards;
+
+  // Resume scan: a shard whose result file decodes cleanly is done — its
+  // worker survived the atomic rename. Everything else re-runs.
+  std::vector<std::optional<ShardFile<Result>>> have(shards);
+  std::vector<u32> pending;
+  for (u32 s = 0; s < shards; ++s) {
+    have[s] = read_shard_file<Result>(shard_path(dist, s), kind, s);
+    if (!have[s].has_value()) pending.push_back(s);
   }
-  return [&profile, soc_config, config, quota, start,
-          comps = detail::resolve_components(config)](u32 s, BaselineStore* store) {
-    return detail::run_vuln_shard(profile, soc_config, config, comps, s, quota[s],
-                                  start[s], store);
-  };
+  out.shards_resumed = shards - static_cast<u32>(pending.size());
+
+  // Round-robin the pending shards over the workers; shard->worker placement
+  // is irrelevant to outcomes (shards are (seed, index)-seeded), so the
+  // simplest deterministic partition wins.
+  std::vector<std::vector<u32>> plan(dist.workers);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    plan[i % dist.workers].push_back(pending[i]);
+  }
+
+  std::fflush(stdout);
+  std::fflush(stderr);
+  std::vector<pid_t> children;
+  for (u32 w = 0; w < dist.workers; ++w) {
+    if (plan[w].empty()) continue;
+    const pid_t pid = fork();
+    FLEX_CHECK_MSG(pid >= 0, "distributed campaign: fork() failed");
+    if (pid == 0) {
+      job.assigned = plan[w];
+      if (dist.use_exec) {
+        const std::string spec = write_worker_spec(job, w);
+        execl(dist.exe.c_str(), dist.exe.c_str(), "--campaign-worker",
+              spec.c_str(), static_cast<char*>(nullptr));
+        std::fprintf(stderr, "campaign worker: exec %s failed\n",
+                     dist.exe.c_str());
+        _exit(127);
+      }
+      _exit(run_assigned<Result>(job));
+    }
+    children.push_back(pid);
+  }
+  for (pid_t pid : children) {
+    int status = 0;
+    waitpid(pid, &status, 0);
+    // A dead worker is not fatal to the driver: its shards simply stay
+    // missing and the next invocation resumes them.
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      FLEX_LOG_ERROR("distributed campaign: worker %d exited abnormally "
+                    "(status %d) — run again to resume its shards",
+                    static_cast<int>(pid), status);
+    }
+  }
+
+  // Rescan what the workers produced, then merge every completed shard in
+  // ascending index order — the exact fold order of the in-process driver.
+  std::vector<bool> complete(shards, false);
+  for (u32 s = 0; s < shards; ++s) {
+    if (!have[s].has_value()) {
+      have[s] = read_shard_file<Result>(shard_path(dist, s), kind, s);
+    }
+    complete[s] = have[s].has_value();
+  }
+  for (u32 s = 0; s < shards; ++s) {
+    if (!have[s].has_value()) continue;
+    ++out.shards_completed;
+    out.warmup_instructions_elided += have[s]->elided;
+    merged.merge(std::move(have[s]->result));
+  }
+  write_journal(dist, kind, complete);
+  return out;
 }
 
 }  // namespace
@@ -457,74 +473,18 @@ std::function<VulnReport(u32, BaselineStore*)> vuln_shard_runner(
 DistributedCampaignResult run_distributed_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const CampaignConfig& campaign, const DistributedConfig& dist) {
-  check_exec_platform(soc_config, dist);
-  const std::vector<u32> quota =
-      detail::shard_quotas(campaign.target_faults, campaign.shards);
-  const auto run_shard = campaign_shard_runner(profile, soc_config, campaign);
-  std::function<std::string(u32, const std::vector<u32>&)> spawn_exec;
-  if (dist.use_exec) {
-    spawn_exec = [&](u32 worker, const std::vector<u32>& assigned) {
-      std::string spec = "kind=campaign\n";
-      spec_common(spec, profile, soc_config, campaign.engine, dist, assigned);
-      spec += "target_faults=" + std::to_string(campaign.target_faults) + "\n";
-      spec += "warmup_rounds=" + std::to_string(campaign.warmup_rounds) + "\n";
-      spec += "gap_rounds=" + std::to_string(campaign.gap_rounds) + "\n";
-      spec += "seed=" + std::to_string(campaign.seed) + "\n";
-      spec += "workload_iterations=" +
-              std::to_string(campaign.workload_iterations) + "\n";
-      spec += "shards=" + std::to_string(campaign.shards) + "\n";
-      spec += std::string("mode=") +
-              (campaign.mode == CampaignMode::kSnapshotFork ? "fork" : "reexec") +
-              "\n";
-      return write_spec_file(dist, worker, spec);
-    };
-  }
-
+  VulnConfig config;
+  static_cast<CampaignConfig&>(config) = campaign;
   DistributedCampaignResult result;
-  result.run = drive<CampaignStats>(kKindCampaign,
-                                    static_cast<u32>(quota.size()), dist,
-                                    run_shard, spawn_exec, result.stats);
+  result.run = drive(profile, soc_config, config, dist, result.stats);
   return result;
 }
 
 DistributedVulnResult run_distributed_vuln_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const VulnConfig& config, const DistributedConfig& dist) {
-  check_exec_platform(soc_config, dist);
-  const std::vector<u32> quota =
-      detail::shard_quotas(config.target_faults, config.shards);
-  const auto run_shard = vuln_shard_runner(profile, soc_config, config);
-  std::function<std::string(u32, const std::vector<u32>&)> spawn_exec;
-  if (dist.use_exec) {
-    spawn_exec = [&](u32 worker, const std::vector<u32>& assigned) {
-      std::string spec = "kind=vuln\n";
-      spec_common(spec, profile, soc_config, config.engine, dist, assigned);
-      spec += "target_faults=" + std::to_string(config.target_faults) + "\n";
-      spec += "warmup_rounds=" + std::to_string(config.warmup_rounds) + "\n";
-      spec += "gap_rounds=" + std::to_string(config.gap_rounds) + "\n";
-      spec += "horizon=" + std::to_string(config.horizon) + "\n";
-      spec += "seed=" + std::to_string(config.seed) + "\n";
-      spec += "workload_iterations=" +
-              std::to_string(config.workload_iterations) + "\n";
-      spec += "shards=" + std::to_string(config.shards) + "\n";
-      spec += std::string("mode=") +
-              (config.mode == CampaignMode::kSnapshotFork ? "fork" : "reexec") +
-              "\n";
-      spec += std::string("root_cause=") + (config.root_cause ? "1" : "0") + "\n";
-      if (!config.components.empty()) {
-        std::vector<u32> comp_ids;
-        for (Component c : config.components) {
-          comp_ids.push_back(static_cast<u32>(c));
-        }
-        spec += "components=" + csv(comp_ids) + "\n";
-      }
-      return write_spec_file(dist, worker, spec);
-    };
-  }
-
   DistributedVulnResult result;
-  result.run = drive<VulnReport>(kKindVuln, static_cast<u32>(quota.size()),
-                                 dist, run_shard, spawn_exec, result.report);
+  result.run = drive(profile, soc_config, config, dist, result.report);
   return result;
 }
 
@@ -547,39 +507,33 @@ ParseWorkerSpecResult parse_worker_spec(std::string_view text) {
   if (spec.dist.dir.empty()) in.fail("dir: missing");
   spec.dist.run_label = in.text("run_label");
 
+  VulnConfig& config = spec.config;
   const std::string mode = in.text("mode");
   if (!mode.empty() && mode != "fork" && mode != "reexec") {
     in.fail("mode: expected fork or reexec, got '" + mode + "'");
   }
-  const auto engine = static_cast<soc::Engine>(
+  config.mode = mode == "reexec" ? CampaignMode::kWarmupReexecution
+                                 : CampaignMode::kSnapshotFork;
+  config.engine = static_cast<soc::Engine>(
       in.number("engine", static_cast<u64>(soc::Engine::kQuantum), 0,
                 static_cast<u64>(soc::Engine::kQuantumBounded)));
   constexpr u64 kU32Max = ~u32{0};
   constexpr u64 kU64Max = ~u64{0};
-  const auto fill = [&](auto& config) {
-    config.target_faults = static_cast<u32>(in.number("target_faults", 0, 1, kU32Max));
-    config.warmup_rounds = in.number("warmup_rounds", 0, 1, kU64Max);
-    config.gap_rounds = in.number("gap_rounds", 0, 1, kU64Max);
-    config.seed = in.number("seed", 0, 0, kU64Max);
-    config.workload_iterations =
-        static_cast<u32>(in.number("workload_iterations", 0, 0, kU32Max));
-    config.shards = static_cast<u32>(in.number("shards", 1, 1, kU32Max));
-    config.mode = mode == "reexec" ? CampaignMode::kWarmupReexecution
-                                   : CampaignMode::kSnapshotFork;
-    config.engine = engine;
-    // detail::shard_quotas runs min(shards, target_faults) shards.
-    spec.assigned = in.list("assigned", std::min(config.shards, config.target_faults));
-  };
+  config.target_faults = static_cast<u32>(in.number("target_faults", 0, 1, kU32Max));
+  config.warmup_rounds = in.number("warmup_rounds", 0, 1, kU64Max);
+  config.gap_rounds = in.number("gap_rounds", 0, 1, kU64Max);
+  config.seed = in.number("seed", 0, 0, kU64Max);
+  config.workload_iterations =
+      static_cast<u32>(in.number("workload_iterations", 0, 0, kU32Max));
+  config.shards = static_cast<u32>(in.number("shards", 1, 1, kU32Max));
+  // detail::shard_quotas runs min(shards, target_faults) shards.
+  spec.assigned = in.list("assigned", std::min(config.shards, config.target_faults));
   if (spec.vuln) {
-    VulnConfig& config = spec.vuln_config;
-    fill(config);
     config.horizon = in.number("horizon", 0, 1, kU64Max);
     config.root_cause = in.number("root_cause", 0, 0, 1) != 0;
     for (u32 c : in.list("components", kComponentCount)) {
       config.components.push_back(static_cast<Component>(c));
     }
-  } else {
-    fill(spec.campaign);
   }
 
   ParseWorkerSpecResult result;
@@ -606,18 +560,7 @@ int campaign_worker_main(const std::string& spec_path) {
     return 2;
   }
   const WorkerSpec& spec = *parsed.spec;
-  if (spec.vuln) {
-    const auto run_shard =
-        vuln_shard_runner(*spec.profile, spec.soc_config, spec.vuln_config);
-    for (u32 s : spec.assigned) run_and_store_shard(kKindVuln, s, spec.dist, run_shard);
-  } else {
-    const auto run_shard =
-        campaign_shard_runner(*spec.profile, spec.soc_config, spec.campaign);
-    for (u32 s : spec.assigned) {
-      run_and_store_shard(kKindCampaign, s, spec.dist, run_shard);
-    }
-  }
-  return 0;
+  return spec.vuln ? run_assigned<VulnReport>(spec) : run_assigned<CampaignStats>(spec);
 }
 
 }  // namespace flexstep::fault

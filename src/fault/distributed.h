@@ -88,15 +88,16 @@ DistributedVulnResult run_distributed_vuln_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const VulnConfig& config, const DistributedConfig& dist);
 
-/// An exec-mode worker's assignment, decoded from its spec file.
+/// A campaign of either kind as the distributed driver runs it, and an
+/// exec-mode worker's assignment, decoded from its spec file.
 struct WorkerSpec {
   bool vuln = false;  ///< kind=vuln; otherwise kind=campaign.
   const workloads::WorkloadProfile* profile = nullptr;
   soc::SocConfig soc_config;
   DistributedConfig dist;     ///< dir + run_label.
   std::vector<u32> assigned;  ///< Shard indices, each below the shard count.
-  CampaignConfig campaign;    ///< kind=campaign.
-  VulnConfig vuln_config;     ///< kind=vuln.
+  /// The campaign. kind=campaign uses only its CampaignConfig fields.
+  VulnConfig config;
 };
 
 /// Outcome of parsing a worker spec: the spec on success, otherwise a

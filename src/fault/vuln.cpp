@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "flexstep/channel.h"
-#include "runtime/parallel.h"
 #include "sim/scenario.h"
 #include "soc/snapshot.h"
 
@@ -23,48 +22,16 @@ namespace flexstep::fault {
 
 void VulnReport::add(const InjectionRecord& record) {
   records.push_back(record);
-  ++injected;
-  ComponentVuln& comp = components[static_cast<std::size_t>(record.site.component)];
-  ++comp.injected;
-  switch (record.outcome) {
-    case OutcomeKind::kMasked:
-      ++masked;
-      ++comp.masked;
-      break;
-    case OutcomeKind::kDetected:
-      ++detected;
-      ++comp.detected;
-      comp.latencies_us.push_back(record.latency_us);
-      break;
-    case OutcomeKind::kSdc:
-      ++sdc;
-      ++comp.sdc;
-      break;
-    case OutcomeKind::kDue:
-      ++due;
-      ++comp.due;
-      break;
-  }
+  OutcomeTally::add(record.outcome);
+  components[static_cast<std::size_t>(record.site.component)].add(record.outcome);
 }
 
 void VulnReport::merge(VulnReport&& shard) {
   for (std::size_t c = 0; c < kComponentCount; ++c) {
-    ComponentVuln& into = components[c];
-    ComponentVuln& from = shard.components[c];
-    into.injected += from.injected;
-    into.masked += from.masked;
-    into.detected += from.detected;
-    into.sdc += from.sdc;
-    into.due += from.due;
-    into.latencies_us.insert(into.latencies_us.end(), from.latencies_us.begin(),
-                             from.latencies_us.end());
+    components[c].merge(shard.components[c]);
   }
   records.insert(records.end(), shard.records.begin(), shard.records.end());
-  injected += shard.injected;
-  masked += shard.masked;
-  detected += shard.detected;
-  sdc += shard.sdc;
-  due += shard.due;
+  OutcomeTally::merge(shard);
   total_instructions += shard.total_instructions;
   check_invariant();
 }
@@ -74,7 +41,7 @@ void VulnReport::check_invariant() const {
                  "vuln campaign classification invariant violated: "
                  "masked + detected + sdc + due != injected");
   u32 component_sum = 0;
-  for (const ComponentVuln& comp : components) {
+  for (const OutcomeTally& comp : components) {
     FLEX_CHECK_MSG(comp.masked + comp.detected + comp.sdc + comp.due ==
                        comp.injected,
                    "vuln campaign per-component classification invariant "
@@ -175,7 +142,7 @@ std::string VulnReport::render() const {
                 "coverage", "sdc-rate");
   out += line;
   for (std::size_t c = 0; c < kComponentCount; ++c) {
-    const ComponentVuln& v = components[c];
+    const OutcomeTally& v = components[c];
     if (v.injected == 0) continue;
     std::snprintf(line, sizeof(line),
                   "%-10s %9u %7u %9u %5u %5u %8.1f%% %8.1f%%\n",
@@ -185,28 +152,22 @@ std::string VulnReport::render() const {
     out += line;
   }
   std::snprintf(line, sizeof(line), "%-10s %9u %7u %9u %5u %5u %8.1f%% %8.1f%%\n",
-                "total", injected, masked, detected, sdc, due,
-                injected == 0 ? 0.0 : 100.0 * detected / injected,
-                injected == 0 ? 0.0 : 100.0 * sdc / injected);
+                "total", injected, masked, detected, sdc, due, 100.0 * coverage(),
+                100.0 * sdc_rate());
   out += line;
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// Campaign driver
+// Injection and classification (the shard loop is campaign.cpp's walk_shard)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Main core of every vuln session (vuln_scenario pins main 0 / checker 1).
+/// Main core of every campaign session (walk_shard pins main 0 / checker 1).
 constexpr CoreId kMainCore = 0;
 
-/// Same deterministic pacing jitters as the DBC campaign (campaign.cpp): odd
-/// bounds break the poll grid, so injection points don't all land at the
-/// same program phase.
-constexpr u64 kWarmupJitter = 4099;
-constexpr u64 kGapJitter = 257;
-constexpr u32 kMaxWarmupRetries = 16;
+constexpr const char* kVulnName = "vuln campaign";
 
 /// Instructions advanced between detection probes inside the horizon.
 constexpr u64 kDetectPollStride = 256;
@@ -215,24 +176,6 @@ constexpr u64 kDetectPollStride = 256;
 /// wedged (DUE). Each call has a budget >= 1, so a live victim re-aligns to
 /// the golden run's main-core user-instruction count far below this.
 constexpr u64 kAlignSpinCap = 100'000;
-
-sim::Scenario vuln_scenario(const workloads::WorkloadProfile& profile,
-                            const soc::SocConfig& soc_config,
-                            const VulnConfig& config, u64 seed) {
-  sim::Scenario scenario;
-  scenario.workload(profile)
-      .seed(seed)
-      .iterations(config.workload_iterations != 0 ? config.workload_iterations
-                                                  : profile.iterations * 40)
-      .soc(soc_config)
-      .main_core(kMainCore)
-      .checkers({1})
-      // Whole-SoC faults can wedge the machine (e.g. a corrupted main-core pc
-      // halting without task exit): that is the DUE outcome, not a crash.
-      .tolerate_stall(true)
-      .engine(config.engine);
-  return scenario;
-}
 
 /// Architectural compare of the victim against the idle golden session:
 /// main-core pc + x1..x31, then the memory image. `excl_reg` / `excl_word`
@@ -402,115 +345,38 @@ std::vector<Component> resolve_components(const VulnConfig& config) {
   return comps;
 }
 
-/// One shard: identical structure to the DBC campaign's shard
-/// (campaign.cpp) — clean baseline walks warmup + gaps, every injection runs
-/// in a disposable session materialised per `config.mode`. The target
-/// component rotates by GLOBAL injection index, so even a tiny campaign
-/// covers every component class across its shards.
 VulnReport run_vuln_shard(const workloads::WorkloadProfile& profile,
                           const soc::SocConfig& soc_config,
                           const VulnConfig& config,
                           const std::vector<Component>& comps, u32 shard_index,
                           u32 target_faults, u32 global_start,
-                          BaselineStore* baselines) {
+                          BaselineStore* baselines, std::string* error) {
   VulnReport report;
-  Rng shard_rng = runtime::stream_rng(config.seed, shard_index);
-  Rng rng = shard_rng.split();               // site-placement draws
-  Rng pace_rng = shard_rng.split();          // warmup/gap pacing jitter
-  u64 session_seed = shard_rng.next_u64();   // workload-build seeds
-
-  const bool fork_mode = config.mode == CampaignMode::kSnapshotFork;
-  // Stores only engage in fork mode (see campaign.cpp): re-execution victims
-  // replay the baseline's schedule, which a restored baseline never executed.
-  BaselineStore* store = fork_mode ? baselines : nullptr;
-  u32 failed_warmups = 0;
-  u32 done = 0;
-  u32 ordinal = 0;  ///< Successful warmups so far — the store key.
-
-  // The baseline tag shares the DBC campaign's fingerprint fields; salt 1
-  // separates the two campaign kinds (vuln scenarios tolerate stalls).
-  CampaignConfig tag_fields;
-  tag_fields.seed = config.seed;
-  tag_fields.workload_iterations = config.workload_iterations;
-  tag_fields.engine = config.engine;
-
-  while (done < target_faults) {
-    const sim::Scenario scenario =
-        vuln_scenario(profile, soc_config, config, ++session_seed);
-    sim::Session baseline = scenario.build();
-    std::vector<u64> schedule;
-    auto baseline_advance = [&](u64 rounds) {
-      schedule.push_back(rounds);
-      return baseline.advance(rounds);
-    };
-
-    const u64 warmup = config.warmup_rounds + pace_rng.next_below(kWarmupJitter);
-    u64 baseline_restored = 0;  ///< Instret restored (not executed) from the store.
-    bool warm = false;
-    if (store != nullptr) {
-      const u64 tag = baseline_tag(profile, soc_config, tag_fields, shard_index,
-                                   session_seed, warmup, /*salt=*/1);
-      if (store->try_load(shard_index, ordinal, tag, baseline)) {
-        baseline_restored = baseline.total_instret();
-        warm = true;
-      } else if ((warm = baseline_advance(warmup))) {
-        store->save(shard_index, ordinal, tag, baseline);
-      }
-      if (warm) ++ordinal;
-    } else {
-      warm = baseline_advance(warmup);
-    }
-    if (!warm) {
-      report.total_instructions += baseline.total_instret();
-      ++failed_warmups;
-      FLEX_CHECK_MSG(failed_warmups < kMaxWarmupRetries,
-                     "vuln campaign: workload exhausts before warmup_rounds "
-                     "completes — raise workload_iterations or lower "
-                     "warmup_rounds");
-      continue;
-    }
-    failed_warmups = 0;
-
-    bool session_alive = true;
-    while (session_alive && done < target_faults) {
-      const Component comp = comps[(global_start + done) % comps.size()];
-      // DBC components need live targets at the injection point; everything
-      // else (registers, memory, caches, predictor, checker latches) is
-      // always populated. Waiting happens on the baseline so the rng draw
-      // stream stays identical across campaign modes.
-      fs::Channel* ch = baseline.channel();
-      if (ch == nullptr) break;
-      while (ch->empty() ||
-             (comp == Component::kDbcMeta && ch->complete_segments_queued() == 0)) {
-        if (!(session_alive = baseline_advance(256))) break;
-      }
-      if (!session_alive) break;
-
-      // The victim's pre-fault state, which the golden run forks from too:
-      // the baseline snapshot the victim is forked from, or the re-executed
-      // victim's own state. Either way the modes differ only in how the
-      // victim itself was materialised.
-      soc::Snapshot pre_fault;
-      if (fork_mode) pre_fault = baseline.snapshot();
-      sim::Session victim = fork_mode ? baseline.fork(pre_fault) : scenario.build();
-      u64 executed = 0;
-      if (!fork_mode) {
-        for (u64 rounds : schedule) victim.advance(rounds);
-        executed += victim.total_instret();  // the re-executed prefix
-        pre_fault = victim.snapshot();
-      }
-
-      const InjectionRecord rec =
-          run_one_injection(victim, pre_fault, comp, rng, config, executed);
-      report.add(rec);
-      report.total_instructions += executed;
-      ++done;
-
-      session_alive = baseline_advance(config.gap_rounds +
-                                       pace_rng.next_below(kGapJitter));
-    }
-    report.total_instructions += baseline.total_instret() - baseline_restored;
-  }
+  // The target component rotates by GLOBAL injection index, so even a tiny
+  // campaign covers every component class across its shards.
+  const auto component = [&](u32 n) { return comps[(global_start + n) % comps.size()]; };
+  ShardKind kind;
+  kind.name = kVulnName;
+  kind.wait_stride = 256;
+  // Whole-SoC faults can wedge the machine (e.g. a corrupted main-core pc
+  // halting without task exit): that is the DUE outcome, not a crash.
+  kind.tolerate_stall = true;
+  kind.salt = 1;
+  // DBC components need live targets at the injection point; everything
+  // else (registers, memory, caches, predictor, checker latches) is always
+  // populated.
+  kind.ready = [&](const fs::Channel& ch, u32 n) {
+    return !ch.empty() &&
+           (component(n) != Component::kDbcMeta || ch.complete_segments_queued() > 0);
+  };
+  kind.inject = [&](sim::Session& victim, const soc::Snapshot& pre_fault, Rng& rng,
+                    u32 n) {
+    u64 executed = 0;
+    report.add(run_one_injection(victim, pre_fault, component(n), rng, config, executed));
+    return executed;
+  };
+  report.total_instructions = walk_shard(profile, soc_config, config, shard_index,
+                                         target_faults, baselines, kind, error);
   return report;
 }
 
@@ -519,45 +385,13 @@ VulnReport run_vuln_shard(const workloads::WorkloadProfile& profile,
 VulnReport run_vuln_campaign(const workloads::WorkloadProfile& profile,
                              const soc::SocConfig& soc_config,
                              const VulnConfig& config) {
-  FLEX_CHECK_MSG(config.shards >= 1,
-                 "vuln campaign: shards must be >= 1 (got 0)");
-  FLEX_CHECK_MSG(config.target_faults > 0,
-                 "vuln campaign: target_faults must be > 0");
-  FLEX_CHECK_MSG(config.warmup_rounds > 0 && config.gap_rounds > 0 &&
-                     config.horizon > 0,
-                 "vuln campaign: warmup_rounds, gap_rounds and horizon must "
-                 "all be nonzero");
-
+  FLEX_CHECK_MSG(config.horizon > 0, "vuln campaign: horizon must be nonzero");
   const std::vector<Component> comps = detail::resolve_components(config);
-
-  const std::vector<u32> quota =
-      detail::shard_quotas(config.target_faults, config.shards);
-  const u32 shards = static_cast<u32>(quota.size());
-  std::vector<u32> start(shards);
-  u32 assigned = 0;
-  for (u32 s = 0; s < shards; ++s) {
-    start[s] = assigned;
-    assigned += quota[s];
-  }
-
-  auto shard_job = [&](std::size_t s) {
-    return quota[s] == 0
-               ? VulnReport{}
-               : detail::run_vuln_shard(profile, soc_config, config, comps,
-                                        static_cast<u32>(s), quota[s], start[s]);
-  };
-  auto fold = [](VulnReport& acc, VulnReport&& part) {
-    acc.merge(std::move(part));
-  };
-  VulnReport report;
-  if (config.threads != 0) {
-    runtime::JobPool pool(config.threads);
-    report = runtime::parallel_accumulate(pool, shards, VulnReport{}, shard_job,
-                                          fold);
-  } else {
-    report =
-        runtime::parallel_accumulate(shards, VulnReport{}, shard_job, fold);
-  }
+  VulnReport report = detail::run_shards<VulnReport>(
+      config, kVulnName, [&](u32 shard, u32 quota, u32 first) {
+        return detail::run_vuln_shard(profile, soc_config, config, comps, shard, quota,
+                                      first);
+      });
   report.check_invariant();
   return report;
 }

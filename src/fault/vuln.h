@@ -1,11 +1,13 @@
 // Whole-SoC microarchitectural vulnerability campaigns.
 //
-// Extends the DBC-stream campaign (fault/campaign.h, the paper's Sec. VI-C
-// methodology) to the CFA-class question: *where* in the SoC is a particle
-// strike dangerous, and what does FlexStep do about it? Each injection picks
-// one FaultSite (fault/sites.h) across the component classes, flips it in a
-// disposable victim session, and classifies the outcome against a golden
-// fork of the same pre-fault state:
+// The second campaign kind of fault/campaign.h's shard loop
+// (detail::walk_shard): the baseline walk, sharding, seeding, victim
+// materialisation and drivers are the DBC-stream campaign's (the paper's
+// Sec. VI-C methodology); only the injection differs. It asks the CFA-class
+// question: *where* in the SoC is a particle strike dangerous, and what does
+// FlexStep do about it? Each injection picks one FaultSite (fault/sites.h)
+// across the component classes, flips it in a disposable victim session, and
+// classifies the outcome against a golden fork of the same pre-fault state:
 //
 //   detected — a checker reported a mismatch within the horizon;
 //   DUE      — the co-simulation wedged (stall / lost alignment): the fault
@@ -43,20 +45,19 @@
 
 namespace flexstep::fault {
 
-struct VulnConfig {
-  u32 target_faults = 700;      ///< Injections (summed over shards).
-  u64 warmup_rounds = 20'000;   ///< Retired instructions before injection #1.
-  u64 gap_rounds = 1'000;       ///< Baseline advance between injection points.
+/// A whole-SoC campaign: the shared campaign settings, with this kind's own
+/// defaults, plus the whole-SoC ones.
+struct VulnConfig : CampaignConfig {
+  VulnConfig()
+      : CampaignConfig{.target_faults = 700,
+                       .warmup_rounds = 20'000,
+                       .gap_rounds = 1'000,
+                       .seed = 0xCFA} {}
+
   /// Post-injection observation window, in retired instructions (summed
   /// across cores — the advance() budget unit). Bounds both the golden
   /// reference run and the victim's detection/alignment phases.
   u64 horizon = 30'000;
-  u64 seed = 0xCFA;
-  u32 workload_iterations = 0;  ///< Override profile iterations (0 = default).
-  u32 shards = kDefaultCampaignShards;
-  u32 threads = 0;              ///< Worker threads (0 = FLEX_THREADS / hw).
-  CampaignMode mode = CampaignMode::kSnapshotFork;
-  soc::Engine engine = soc::Engine::kQuantum;
   /// Component classes to inject into, round-robin by global injection index
   /// (so even tiny campaigns cover every class). Empty = all seven.
   std::vector<Component> components;
@@ -81,33 +82,11 @@ struct InjectionRecord {
   Addr rc_golden_pc = 0;   ///< Main-core pc of the clean fork there.
 };
 
-/// Per-component outcome breakdown.
-struct ComponentVuln {
-  u32 injected = 0;
-  u32 masked = 0;
-  u32 detected = 0;
-  u32 sdc = 0;
-  u32 due = 0;
-  std::vector<double> latencies_us;  ///< Detection latencies (kDetected only).
-
-  double coverage() const {
-    return injected == 0 ? 0.0 : static_cast<double>(detected) / injected;
-  }
-  double sdc_rate() const {
-    return injected == 0 ? 0.0 : static_cast<double>(sdc) / injected;
-  }
-};
-
-/// Full campaign result: per-component breakdown + the flat record stream
-/// (in deterministic shard-merge order).
-struct VulnReport {
-  std::array<ComponentVuln, kComponentCount> components{};
+/// Full campaign result: the tally, its per-component breakdown and the flat
+/// record stream (in deterministic shard-merge order).
+struct VulnReport : OutcomeTally {
+  std::array<OutcomeTally, kComponentCount> components{};
   std::vector<InjectionRecord> records;
-  u32 injected = 0;
-  u32 masked = 0;
-  u32 detected = 0;
-  u32 sdc = 0;
-  u32 due = 0;
   /// Instructions actually executed across every session (baselines, victims,
   /// golden forks, root-cause forks); restored snapshots contribute nothing.
   u64 total_instructions = 0;
@@ -142,8 +121,8 @@ struct VulnReport {
 };
 
 /// Run a whole-SoC vulnerability campaign on `profile` under dual-core
-/// verification (main core 0, checker core 1). Sharded and seeded exactly
-/// like run_fault_campaign: outcomes depend only on (seed, shards, mode-
+/// verification (main core 0, checker core 1). The same driver and shard loop
+/// as run_fault_campaign: outcomes depend only on (seed, shards, mode-
 /// independent), never on thread count.
 VulnReport run_vuln_campaign(const workloads::WorkloadProfile& profile,
                              const soc::SocConfig& soc_config,
@@ -158,15 +137,14 @@ std::vector<Component> resolve_components(const VulnConfig& config);
 
 /// One vulnerability-campaign shard, exactly as run_vuln_campaign executes
 /// it. `global_start` is the shard's first global injection index (drives the
-/// component rotation); `baselines` optionally elides warmups via persisted
-/// warmed state — outcomes are unchanged. Deterministic in
-/// (config.seed, shard_index) regardless of thread or process placement.
+/// component rotation); `baselines` and `error` as for run_campaign_shard.
 VulnReport run_vuln_shard(const workloads::WorkloadProfile& profile,
                           const soc::SocConfig& soc_config,
                           const VulnConfig& config,
                           const std::vector<Component>& comps, u32 shard_index,
                           u32 target_faults, u32 global_start,
-                          BaselineStore* baselines = nullptr);
+                          BaselineStore* baselines = nullptr,
+                          std::string* error = nullptr);
 
 }  // namespace detail
 

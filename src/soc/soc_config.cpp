@@ -35,10 +35,6 @@ u64 SocConfig::fingerprint() const {
   mix(core.memory_latency);
   mix(core.load_use_penalty);
   mix(core.trace.enabled ? 1 : 0);
-  mix(core.trace.heat_threshold);
-  mix(core.trace.max_insts);
-  mix(core.trace.min_insts);
-  mix(core.trace.slots_log2);
   cache(l2);
   mix(flexstep.segment_limit);
   mix(flexstep.channel_capacity);

@@ -1259,7 +1259,7 @@ TEST(ExecEngineBounded, FaultCampaignForkReexecutionParity) {
   ASSERT_EQ(forked.injected, 24u);
   EXPECT_GT(forked.detected, 0u);
   EXPECT_EQ(forked.detected, reexec.detected);
-  EXPECT_EQ(forked.undetected, reexec.undetected);
+  EXPECT_EQ(forked.undetected(), reexec.undetected());
   ASSERT_EQ(forked.outcomes.size(), reexec.outcomes.size());
   for (std::size_t i = 0; i < forked.outcomes.size(); ++i) {
     EXPECT_EQ(forked.outcomes[i].detected, reexec.outcomes[i].detected);

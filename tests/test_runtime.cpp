@@ -171,7 +171,7 @@ TEST(Determinism, FaultCampaignBitIdenticalAcrossThreadCounts) {
         fault::run_fault_campaign(profile, soc_config, determinism_campaign(threads));
     EXPECT_EQ(run.injected, baseline.injected) << threads;
     EXPECT_EQ(run.detected, baseline.detected) << threads;
-    EXPECT_EQ(run.undetected, baseline.undetected) << threads;
+    EXPECT_EQ(run.undetected(), baseline.undetected()) << threads;
     ASSERT_EQ(run.outcomes.size(), baseline.outcomes.size()) << threads;
     for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
       EXPECT_EQ(run.outcomes[i].detected, baseline.outcomes[i].detected);

@@ -418,7 +418,7 @@ TEST(CampaignParity, SnapshotForkMatchesWarmupReexecution) {
 
     EXPECT_EQ(forked.injected, reexecuted.injected) << "seed " << seed;
     EXPECT_EQ(forked.detected, reexecuted.detected) << "seed " << seed;
-    EXPECT_EQ(forked.undetected, reexecuted.undetected) << "seed " << seed;
+    EXPECT_EQ(forked.undetected(), reexecuted.undetected()) << "seed " << seed;
     ASSERT_EQ(forked.outcomes.size(), reexecuted.outcomes.size()) << "seed " << seed;
     for (std::size_t i = 0; i < forked.outcomes.size(); ++i) {
       EXPECT_EQ(forked.outcomes[i].detected, reexecuted.outcomes[i].detected)
@@ -455,7 +455,7 @@ TEST(CampaignParity, SnapshotForkDeterministicAcrossThreads) {
       workloads::find_profile("swaptions"), soc::SocConfig::paper_default(2), config);
 
   EXPECT_EQ(serial.detected, parallel.detected);
-  EXPECT_EQ(serial.undetected, parallel.undetected);
+  EXPECT_EQ(serial.undetected(), parallel.undetected());
   EXPECT_EQ(serial.total_instructions, parallel.total_instructions);
   ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
   for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {

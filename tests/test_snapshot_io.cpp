@@ -365,72 +365,108 @@ TEST(SnapshotWire, FileHelpersReportIoErrors) {
 // Multi-process resumable driver (small scale)
 // ---------------------------------------------------------------------------
 
+/// One run of either campaign kind: the merged result's digest and injection
+/// count, and what the distributed driver did.
+struct CampaignRun {
+  u64 digest = 0;
+  u32 injected = 0;
+  fault::DistributedOutcome run;
+};
+
 TEST(Distributed, TwoWorkerCampaignMatchesSingleProcessAndResumes) {
-  // Under the default engine and the bounded one, with fork-mode workers and
-  // with exec-mode workers (this binary re-run as `--campaign-worker <spec>`).
-  // The warm rerun restores baselines decoded from files (no trace tables)
-  // while the single-process run forks live baselines that share trace-table
-  // chunks.
+  // Both campaign kinds under the default engine and the bounded one, with
+  // fork-mode workers and with exec-mode workers (this binary re-run as
+  // `--campaign-worker <spec>`). The warm rerun restores baselines decoded
+  // from files (no trace tables) while the single-process run forks live
+  // baselines that share trace-table chunks.
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);
   for (const soc::Engine engine : {soc::Engine::kQuantum, soc::Engine::kQuantumBounded}) {
     for (const bool use_exec : {false, true}) {
-      SCOPED_TRACE(std::string(soc::engine_name(engine)) + (use_exec ? " exec" : " fork"));
-      fault::CampaignConfig campaign;
-      campaign.target_faults = 8;
-      campaign.warmup_rounds = 2'000;
-      campaign.gap_rounds = 500;
-      campaign.workload_iterations = 4'000;
-      campaign.shards = 4;
-      campaign.threads = 1;
-      campaign.engine = engine;
+      for (const bool vuln : {false, true}) {
+        SCOPED_TRACE(std::string(soc::engine_name(engine)) + (use_exec ? " exec" : " fork") +
+                     (vuln ? " vuln" : " dbc"));
+        fault::CampaignConfig campaign;
+        campaign.target_faults = 8;
+        campaign.warmup_rounds = 2'000;
+        campaign.gap_rounds = 500;
+        campaign.workload_iterations = 4'000;
+        campaign.shards = 4;
+        campaign.threads = 1;
+        campaign.engine = engine;
+        fault::VulnConfig whole_soc;
+        whole_soc.target_faults = 14;
+        whole_soc.warmup_rounds = campaign.warmup_rounds;
+        whole_soc.gap_rounds = campaign.gap_rounds;
+        whole_soc.horizon = 3'000;
+        whole_soc.workload_iterations = campaign.workload_iterations;
+        whole_soc.shards = campaign.shards;
+        whole_soc.threads = 1;
+        whole_soc.engine = engine;
+        whole_soc.root_cause = true;
 
-      const fault::CampaignStats single =
-          fault::run_fault_campaign(profile, soc_config, campaign);
-      ASSERT_EQ(single.injected, campaign.target_faults);
+        CampaignRun single;
+        if (vuln) {
+          const auto r = fault::run_vuln_campaign(profile, soc_config, whole_soc);
+          single = {r.digest(), r.injected, {}};
+        } else {
+          const auto r = fault::run_fault_campaign(profile, soc_config, campaign);
+          single = {r.digest(), r.injected, {}};
+        }
+        ASSERT_EQ(single.injected, vuln ? whole_soc.target_faults : campaign.target_faults);
 
-      const std::string dir = "test_snapshot_io_campaign";
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-      fault::DistributedConfig dist;
-      dist.workers = 2;
-      dist.dir = dir;
-      dist.use_exec = use_exec;
-      dist.exe = "/proc/self/exe";
+        const std::string dir = "test_snapshot_io_campaign";
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+        fault::DistributedConfig dist;
+        dist.workers = 2;
+        dist.dir = dir;
+        dist.use_exec = use_exec;
+        dist.exe = "/proc/self/exe";
+        const auto run = [&]() -> CampaignRun {
+          if (vuln) {
+            const auto r =
+                fault::run_distributed_vuln_campaign(profile, soc_config, whole_soc, dist);
+            return {r.report.digest(), r.report.injected, r.run};
+          }
+          const auto r = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+          return {r.stats.digest(), r.stats.injected, r.run};
+        };
 
-      // Cold two-worker run: merged result digest-identical to single-process.
-      dist.run_label = "cold";
-      const auto cold = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-      EXPECT_TRUE(cold.run.complete());
-      EXPECT_EQ(cold.stats.digest(), single.digest());
-      EXPECT_EQ(cold.stats.injected, single.injected);
+        // Cold two-worker run: merged result digest-identical to single-process.
+        dist.run_label = "cold";
+        const CampaignRun cold = run();
+        EXPECT_TRUE(cold.run.complete());
+        EXPECT_EQ(cold.digest, single.digest);
+        EXPECT_EQ(cold.injected, single.injected);
 
-      // Kill the worker that runs shard 1 after it finishes but before it
-      // writes its result; the run is incomplete, then a resumed invocation
-      // redoes the missing shards and still merges digest-identical.
-      dist.run_label = "resume";
-      setenv("FLEX_CAMPAIGN_DIE_SHARD", "1", 1);
-      const auto killed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-      unsetenv("FLEX_CAMPAIGN_DIE_SHARD");
-      EXPECT_FALSE(killed.run.complete());
-      EXPECT_LT(killed.run.shards_completed, killed.run.shards_total);
+        // Kill the worker that runs shard 1 after it finishes but before it
+        // writes its result; the run is incomplete, then a resumed invocation
+        // redoes the missing shards and still merges digest-identical.
+        dist.run_label = "resume";
+        setenv("FLEX_CAMPAIGN_DIE_SHARD", "1", 1);
+        const CampaignRun killed = run();
+        unsetenv("FLEX_CAMPAIGN_DIE_SHARD");
+        EXPECT_FALSE(killed.run.complete());
+        EXPECT_LT(killed.run.shards_completed, killed.run.shards_total);
 
-      const auto resumed = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-      EXPECT_TRUE(resumed.run.complete());
-      EXPECT_GT(resumed.run.shards_resumed, 0u);
-      EXPECT_EQ(resumed.stats.digest(), single.digest());
+        const CampaignRun resumed = run();
+        EXPECT_TRUE(resumed.run.complete());
+        EXPECT_GT(resumed.run.shards_resumed, 0u);
+        EXPECT_EQ(resumed.digest, single.digest);
 
-      // Warm rerun against the baselines the cold run persisted: every warmup
-      // is elided, outcomes unchanged.
-      dist.run_label = "warm";
-      const auto warm = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-      EXPECT_TRUE(warm.run.complete());
-      EXPECT_GT(warm.run.warmup_instructions_elided, 0u);
-      EXPECT_EQ(warm.stats.digest(), single.digest());
+        // Warm rerun against the baselines the cold run persisted: every
+        // warmup is elided, outcomes unchanged.
+        dist.run_label = "warm";
+        const CampaignRun warm = run();
+        EXPECT_TRUE(warm.run.complete());
+        EXPECT_GT(warm.run.warmup_instructions_elided, 0u);
+        EXPECT_EQ(warm.digest, single.digest);
 
-      // The resume journal names every shard.
-      EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
-      std::filesystem::remove_all(dir, ec);
+        // The resume journal names every shard.
+        EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
+        std::filesystem::remove_all(dir, ec);
+      }
     }
   }
 }
@@ -539,10 +575,10 @@ TEST(Distributed, WorkerSpecRejectsUntrustedFieldsWithADiagnostic) {
   EXPECT_EQ(spec.soc_config.num_cores, 2u);
   EXPECT_EQ(spec.dist.dir, "test_snapshot_io_worker");
   EXPECT_EQ(spec.assigned, (std::vector<u32>{0, 1}));
-  EXPECT_EQ(spec.vuln_config.target_faults, 14u);
-  EXPECT_EQ(spec.vuln_config.horizon, 3000u);
-  EXPECT_EQ(spec.vuln_config.engine, soc::Engine::kQuantumBounded);
-  EXPECT_EQ(spec.vuln_config.components.size(), 3u);
+  EXPECT_EQ(spec.config.target_faults, 14u);
+  EXPECT_EQ(spec.config.horizon, 3000u);
+  EXPECT_EQ(spec.config.engine, soc::Engine::kQuantumBounded);
+  EXPECT_EQ(spec.config.components.size(), 3u);
 
   const struct {
     const char* key;
@@ -574,7 +610,19 @@ TEST(Distributed, WorkerSpecRejectsUntrustedFieldsWithADiagnostic) {
   const std::string bad = with_field(good, "profile", "nosuch");
   ASSERT_TRUE(io::write_file_atomic(path, bad.data(), bad.size()).ok());
   EXPECT_EQ(fault::campaign_worker_main(path), 2);
+
+  // So does a well-formed spec whose warmup outruns its workload, and it
+  // writes no shard file.
+  const std::string exhausted = with_field(
+      with_field(with_field(good, "kind", "campaign"), "workload_iterations", "10"),
+      "warmup_rounds", "1000000000");
+  ASSERT_TRUE(fault::parse_worker_spec(exhausted).ok());
+  ASSERT_TRUE(io::write_file_atomic(path, exhausted.data(), exhausted.size()).ok());
+  EXPECT_EQ(fault::campaign_worker_main(path), 2);
+  EXPECT_FALSE(std::filesystem::exists(spec.dist.dir + "/run_shard_0.fxar"));
   std::remove(path.c_str());
+  std::error_code ec;
+  std::filesystem::remove_all(spec.dist.dir, ec);
 }
 
 TEST(Distributed, WorkerSpecParseNeverAbortsOnMutatedSpecs) {
@@ -608,13 +656,12 @@ TEST(Distributed, WorkerSpecParseNeverAbortsOnMutatedSpecs) {
     EXPECT_GE(spec.soc_config.num_cores, 2u) << mutated;
     EXPECT_LE(spec.soc_config.num_cores, 64u) << mutated;
     EXPECT_FALSE(spec.dist.dir.empty()) << mutated;
-    const auto& config = spec.vuln_config;  // the spec's kind=vuln may mutate away
-    const u32 shards = spec.vuln ? std::min(config.shards, config.target_faults)
-                                 : std::min(spec.campaign.shards, spec.campaign.target_faults);
+    const auto& config = spec.config;
+    const u32 shards = std::min(config.shards, config.target_faults);
     EXPECT_GT(shards, 0u) << mutated;
     for (u32 s : spec.assigned) EXPECT_LT(s, shards) << mutated;
-    const soc::Engine engine = spec.vuln ? config.engine : spec.campaign.engine;
-    EXPECT_LE(static_cast<u32>(engine), static_cast<u32>(soc::Engine::kQuantumBounded));
+    EXPECT_LE(static_cast<u32>(config.engine),
+              static_cast<u32>(soc::Engine::kQuantumBounded));
     for (fault::Component c : config.components) {
       EXPECT_LT(static_cast<std::size_t>(c), fault::kComponentCount) << mutated;
     }
