@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/archive.h"
@@ -159,10 +160,23 @@ u64 baseline_tag(const workloads::WorkloadProfile& profile,
   return h;
 }
 
+/// `slot`'s session standing at `state`: forked from `origin` on first use,
+/// restored in place after that. A restore reuses the session's SoC, where a
+/// fork builds a whole one.
+sim::Session& rewind(std::optional<sim::Session>& slot, const sim::Session& origin,
+                     const soc::Snapshot& state) {
+  if (slot.has_value()) {
+    slot->restore(state);
+  } else {
+    slot.emplace(origin.fork(state));
+  }
+  return *slot;
+}
+
 /// Corrupt the tail of `victim`'s DBC stream and run until the fault resolves:
 /// detected (attributed reporter event) or masked (the corrupted item's
-/// segment verified clean, or the run drained). The victim is disposable;
-/// the caller never advances it again.
+/// segment verified clean, or the run drained). The caller rewinds the victim
+/// before it runs again.
 FaultOutcome run_injection(sim::Session& victim, Rng& rng) {
   fs::Channel* ch = victim.channel();
   FLEX_CHECK(ch != nullptr);
@@ -303,6 +317,17 @@ u64 walk_shard(const workloads::WorkloadProfile& profile,
     }
     failed_warmups = 0;
 
+    // The baseline's injections share one fork-mode victim and one golden
+    // session: each is forked at its first use and rewound in place
+    // (Session::restore) for every later injection.
+    soc::Snapshot pre_fault;
+    std::optional<sim::Session> forked_victim;
+    std::optional<sim::Session> golden_session;
+    sim::Session* victim = nullptr;
+    const std::function<sim::Session&()> golden = [&]() -> sim::Session& {
+      return rewind(golden_session, *victim, pre_fault);
+    };
+
     bool session_alive = true;
     while (session_alive && injected < target_faults) {
       // Waiting happens on the baseline, so the rng draw stream is the same
@@ -314,17 +339,19 @@ u64 walk_shard(const workloads::WorkloadProfile& profile,
       }
       if (!session_alive) break;
 
-      // Materialise the disposable victim and its pre-fault state: the
-      // snapshot it is forked from, or the re-executed victim's own.
-      soc::Snapshot pre_fault;
-      if (fork_mode) pre_fault = baseline.snapshot();
-      sim::Session victim = fork_mode ? baseline.fork(pre_fault) : scenario.build();
-      if (!fork_mode) {
-        for (u64 rounds : schedule) victim.advance(rounds);
-        executed += victim.total_instret();  // the re-executed prefix
-        pre_fault = victim.snapshot();
+      // Materialise the victim and its pre-fault state: the baseline's
+      // snapshot the victim is rewound to, or the re-executed victim's own.
+      std::optional<sim::Session> reexecuted_victim;
+      if (fork_mode) {
+        pre_fault = baseline.snapshot();
+        victim = &rewind(forked_victim, baseline, pre_fault);
+      } else {
+        victim = &reexecuted_victim.emplace(scenario.build());
+        for (u64 rounds : schedule) victim->advance(rounds);
+        executed += victim->total_instret();  // the re-executed prefix
+        pre_fault = victim->snapshot();
       }
-      executed += kind.inject(victim, pre_fault, rng, injected++);
+      executed += kind.inject(*victim, pre_fault, golden, rng, injected++);
 
       // Advance the clean baseline to the next injection point.
       session_alive = baseline_advance(campaign.gap_rounds +
@@ -381,7 +408,8 @@ CampaignStats run_campaign_shard(const workloads::WorkloadProfile& profile,
   // The injection corrupts the most recently forwarded item; one must be
   // queued at the injection point.
   kind.ready = [](const fs::Channel& ch, u32) { return !ch.empty(); };
-  kind.inject = [&stats](sim::Session& victim, const soc::Snapshot&, Rng& rng, u32) {
+  kind.inject = [&stats](sim::Session& victim, const soc::Snapshot&,
+                         const std::function<sim::Session&()>&, Rng& rng, u32) {
     const u64 before = victim.total_instret();
     stats.record(run_injection(victim, rng));
     return victim.total_instret() - before;

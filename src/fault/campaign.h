@@ -2,8 +2,10 @@
 //
 // Two campaign kinds share one experiment: a clean baseline session per shard
 // walks a warmup and then gaps between injection points, and every injection
-// runs in a disposable victim materialised at the baseline's state. One shard
-// loop (detail::walk_shard) runs both; a kind supplies only its injection
+// runs in a victim session materialised at the baseline's state. Victims are
+// rewound, not rebuilt: one victim serves all of a baseline's injections and
+// is restored in place to each injection point. One shard loop
+// (detail::walk_shard) runs both kinds; a kind supplies only its injection
 // routine and the few settings in detail::ShardKind.
 //
 // This file's kind perturbs the *forwarded* data: bit flips in MAL entries
@@ -52,16 +54,20 @@ namespace flexstep::fault {
 /// depend on `shards`, never on how many threads execute them.
 inline constexpr u32 kDefaultCampaignShards = 8;
 
-/// How each injection's pre-fault state is materialised. Every injection runs
-/// in a disposable session so its perturbations (checker divergence, reporter
-/// events, timing drift) never contaminate the next injection's starting
-/// state; the two modes differ only in how that session is produced and are
-/// bit-identical outcome-for-outcome (tests/test_sim.cpp holds them to it).
+/// How each injection's pre-fault state is materialised. Every injection
+/// starts from the exact pre-fault state, so its perturbations (checker
+/// divergence, reporter events, timing drift) never reach the next
+/// injection's starting state; the two modes differ only in how that state is
+/// produced and are bit-identical outcome-for-outcome (tests/test_sim.cpp
+/// holds them to it).
 enum class CampaignMode : u8 {
-  /// Warm the baseline once, soc::Snapshot it, and fork every injection from
-  /// the snapshot (sim::Session::fork). Executes only the baseline prefix
-  /// once plus each injection's resolution tail — the checkpointing-mode
-  /// campaign structure of CFA/gem5-class frameworks.
+  /// Warm the baseline once and soc::Snapshot it at every injection point.
+  /// A baseline's first injection forks a victim from its snapshot
+  /// (sim::Session::fork); every later one rewinds that victim to its own
+  /// snapshot in place (sim::Session::restore), so injections build no SoC.
+  /// Executes only the baseline prefix once plus each injection's resolution
+  /// tail — the checkpoint-restore campaign structure of CFA/gem5-class
+  /// frameworks.
   kSnapshotFork,
   /// Reference: rebuild the session and re-execute the whole warmup + gap
   /// prefix for every injection. Orders of magnitude more simulated
@@ -208,7 +214,7 @@ class BaselineStore {
 /// injections, seeded from the shard index via runtime::stream_rng — executed
 /// on the parallel runtime and merged in shard order (detail::run_shards).
 /// Each shard is one detail::walk_shard: a clean baseline session, and every
-/// injection in a disposable session materialised per `campaign.mode`
+/// injection in a victim session materialised per `campaign.mode`
 /// (snapshot-fork by default). Results are bit-identical for a given (seed,
 /// shards, mode-independent) at any thread count.
 CampaignStats run_fault_campaign(const workloads::WorkloadProfile& profile,
@@ -234,18 +240,24 @@ struct ShardKind {
   /// Whether the baseline's channel can host the shard's injection `n`.
   std::function<bool(const fs::Channel& channel, u32 n)> ready;
   /// Inject the shard's fault `n` into `victim`, which stands at the
-  /// pre-fault state `pre_fault`, and record its outcome. Returns the
-  /// instructions the injection executed.
-  std::function<u64(sim::Session& victim, const soc::Snapshot& pre_fault, Rng& rng,
-                    u32 n)>
+  /// pre-fault state `pre_fault`, and record its outcome. `golden()` returns
+  /// a second session rewound to `pre_fault`, for a kind that compares with a
+  /// fault-free run: walk_shard forks it at the baseline's first call and
+  /// restores it in place after that, and a kind that never calls it never
+  /// pays for it. Returns the instructions the injection executed.
+  std::function<u64(sim::Session& victim, const soc::Snapshot& pre_fault,
+                    const std::function<sim::Session&()>& golden, Rng& rng, u32 n)>
       inject;
 };
 
 /// The one shard loop of both campaign kinds. A clean baseline session walks
 /// a jittered warmup (restored from `baselines` when it holds one) and the
-/// gaps between injection points; every injection runs in a disposable victim
-/// materialised at the baseline's state, forked from a snapshot
-/// (kSnapshotFork) or re-executed from scratch (kWarmupReexecution).
+/// gaps between injection points; every injection runs in a victim
+/// materialised at the baseline's state. Under kSnapshotFork one victim per
+/// baseline is forked at its first injection and rewound in place to the
+/// baseline's snapshot at every later one; under kWarmupReexecution each
+/// injection rebuilds a victim and re-executes the prefix. The golden session
+/// ShardKind::inject may ask for is kept per baseline and rewound likewise.
 /// Everything random derives from (campaign.seed, shard_index), so a shard's
 /// outcomes are independent of the thread or process that runs it, and of
 /// the materialisation mode. Returns the instructions executed by baselines,

@@ -438,10 +438,14 @@ DistributedOutcome drive(const workloads::WorkloadProfile& profile,
     waitpid(pid, &status, 0);
     // A dead worker is not fatal to the driver: its shards simply stay
     // missing and the next invocation resumes them.
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      FLEX_LOG_ERROR("distributed campaign: worker %d exited abnormally "
-                    "(status %d) — run again to resume its shards",
-                    static_cast<int>(pid), status);
+    if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
+      FLEX_LOG_ERROR("distributed campaign: worker %d exited with code %d — run "
+                     "again to resume its shards",
+                     static_cast<int>(pid), WEXITSTATUS(status));
+    } else if (WIFSIGNALED(status)) {
+      FLEX_LOG_ERROR("distributed campaign: worker %d was killed by signal %d (%s) "
+                     "— run again to resume its shards",
+                     static_cast<int>(pid), WTERMSIG(status), strsignal(WTERMSIG(status)));
     }
   }
 

@@ -1,7 +1,6 @@
 #include "fault/vuln.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 
@@ -134,30 +133,6 @@ void VulnReport::deserialize(io::ArchiveReader& ar) {
   total_instructions = ar.take_varint();
 }
 
-std::string VulnReport::render() const {
-  std::string out;
-  char line[192];
-  std::snprintf(line, sizeof(line), "%-10s %9s %7s %9s %5s %5s %9s %9s\n",
-                "component", "injected", "masked", "detected", "sdc", "due",
-                "coverage", "sdc-rate");
-  out += line;
-  for (std::size_t c = 0; c < kComponentCount; ++c) {
-    const OutcomeTally& v = components[c];
-    if (v.injected == 0) continue;
-    std::snprintf(line, sizeof(line),
-                  "%-10s %9u %7u %9u %5u %5u %8.1f%% %8.1f%%\n",
-                  component_name(static_cast<Component>(c)), v.injected, v.masked,
-                  v.detected, v.sdc, v.due, 100.0 * v.coverage(),
-                  100.0 * v.sdc_rate());
-    out += line;
-  }
-  std::snprintf(line, sizeof(line), "%-10s %9u %7u %9u %5u %5u %8.1f%% %8.1f%%\n",
-                "total", injected, masked, detected, sdc, due, 100.0 * coverage(),
-                100.0 * sdc_rate());
-  out += line;
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Injection and classification (the shard loop is campaign.cpp's walk_shard)
 // ---------------------------------------------------------------------------
@@ -194,21 +169,15 @@ bool architecturally_equal(sim::Session& victim, sim::Session& golden,
   return victim.soc().memory().same_contents(golden.soc().memory(), excl_word);
 }
 
-/// Inject one whole-SoC fault into the (disposable) victim and classify it
-/// against a golden fork of the victim's pre-fault state `snap` (the state
-/// the untouched victim is in). `executed` accumulates instructions actually
-/// simulated (victim tail + golden horizon + optional root-cause forks).
+/// Inject one whole-SoC fault into the victim, which stands at the pre-fault
+/// state `snap`, and classify it. Only a fault the detection window leaves
+/// open is compared with a golden run: `golden()` rewinds the kind's golden
+/// session to `snap`. `executed` accumulates instructions actually simulated
+/// (victim tail + golden horizon + optional root-cause forks).
 InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& snap,
+                                  const std::function<sim::Session&()>& golden,
                                   Component component, Rng& rng,
                                   const VulnConfig& config, u64& executed) {
-  // Golden reference: fork the pre-fault state and run it to the horizon,
-  // where it stays idle until the victim is compared against it.
-  sim::Session golden = victim.fork(snap);
-  const u64 golden_base = golden.total_instret();
-  golden.advance(config.horizon);
-  executed += golden.total_instret() - golden_base;
-  const u64 golden_main_ui = golden.soc().core(kMainCore).user_instret();
-
   InjectionRecord rec;
   rec.site = random_site(victim.soc(), component, rng);
 
@@ -230,9 +199,9 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
   const u64 victim_base = victim.total_instret();
   flip(victim.soc(), rec.site);
 
-  // Any post-flip reporter event is this fault's detection (the victim is
-  // disposable and carried no pending event before the flip). Latency runs
-  // from the strike to the checker's report, as in the paper's Fig. 7.
+  // Any post-flip reporter event is this fault's detection (the victim was
+  // rewound to the pre-fault state, which carries no pending event). Latency
+  // runs from the strike to the checker's report, as in the paper's Fig. 7.
   const auto detect_scan = [&]() {
     const auto& events = victim.reporter().events();
     if (events.size() <= events_before) return false;
@@ -265,11 +234,19 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
     if (!alive) break;
   }
 
-  // Phase B — alignment + architectural compare. Align the victim's main-core
-  // user-instruction count to the golden run's: advance() budgets cap retired
-  // instructions, so repeated advance(golden_ui - ui) converges without ever
-  // overshooting. Detections during alignment still count.
+  // Phase B — golden run, alignment and architectural compare. The golden
+  // session is rewound to the pre-fault state and run to the horizon, where
+  // it stays idle. Align the victim's main-core user-instruction count to the
+  // golden run's: advance() budgets cap retired instructions, so repeated
+  // advance(golden_ui - ui) converges without ever overshooting. Detections
+  // during alignment still count.
   if (!decided) {
+    sim::Session& golden_run = golden();
+    const u64 golden_base = golden_run.total_instret();
+    golden_run.advance(config.horizon);
+    executed += golden_run.total_instret() - golden_base;
+    const u64 golden_main_ui = golden_run.soc().core(kMainCore).user_instret();
+
     const auto main_ui = [&] {
       return victim.soc().core(kMainCore).user_instret();
     };
@@ -290,7 +267,7 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
       } else {
         // Aligned — or finished early and clean (a fault that legitimately
         // shortened the run shows up as divergence in the compare).
-        rec.outcome = architecturally_equal(victim, golden, excl_reg, excl_word)
+        rec.outcome = architecturally_equal(victim, golden_run, excl_reg, excl_word)
                           ? OutcomeKind::kMasked
                           : OutcomeKind::kSdc;
       }
@@ -369,10 +346,11 @@ VulnReport run_vuln_shard(const workloads::WorkloadProfile& profile,
     return !ch.empty() &&
            (component(n) != Component::kDbcMeta || ch.complete_segments_queued() > 0);
   };
-  kind.inject = [&](sim::Session& victim, const soc::Snapshot& pre_fault, Rng& rng,
-                    u32 n) {
+  kind.inject = [&](sim::Session& victim, const soc::Snapshot& pre_fault,
+                    const std::function<sim::Session&()>& golden, Rng& rng, u32 n) {
     u64 executed = 0;
-    report.add(run_one_injection(victim, pre_fault, component(n), rng, config, executed));
+    report.add(run_one_injection(victim, pre_fault, golden, component(n), rng, config,
+                                 executed));
     return executed;
   };
   report.total_instructions = walk_shard(profile, soc_config, config, shard_index,

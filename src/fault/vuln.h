@@ -6,8 +6,9 @@
 // Sec. VI-C methodology); only the injection differs. It asks the CFA-class
 // question: *where* in the SoC is a particle strike dangerous, and what does
 // FlexStep do about it? Each injection picks one FaultSite (fault/sites.h)
-// across the component classes, flips it in a disposable victim session, and
-// classifies the outcome against a golden fork of the same pre-fault state:
+// across the component classes, flips it in the victim session, and
+// classifies the outcome; a fault the detection window leaves open is
+// compared with a golden run of the same pre-fault state:
 //
 //   detected — a checker reported a mismatch within the horizon;
 //   DUE      — the co-simulation wedged (stall / lost alignment): the fault
@@ -17,11 +18,14 @@
 //              main-core user-instruction count;
 //   masked   — no detection and bit-identical architectural outcome.
 //
-// The golden fork is derived from the victim's own pre-fault snapshot in
-// BOTH campaign modes, so snapshot-fork and warmup-re-execution differ only
-// in how the victim is materialised — the classify-identically parity gate
+// The golden run starts from the victim's own pre-fault snapshot in BOTH
+// campaign modes, so snapshot-fork and warmup-re-execution differ only in how
+// the victim is materialised — the classify-identically parity gate
 // (VulnCampaign.DeterministicAcrossModesAndThreads, and the perfbench
-// fault_campaign oracle) holds them to the same outcome stream.
+// fault_campaign oracle) holds them to the same outcome stream. The golden
+// run is lazy: a fault detected or wedged within the horizon never reads it,
+// so only the faults that window leaves open run one, in a golden session
+// kept per baseline and rewound in place to each pre-fault snapshot.
 //
 // Classification invariant (enforced): masked + detected + sdc + due ==
 // injected, per component and in total.
@@ -88,7 +92,7 @@ struct VulnReport : OutcomeTally {
   std::array<OutcomeTally, kComponentCount> components{};
   std::vector<InjectionRecord> records;
   /// Instructions actually executed across every session (baselines, victims,
-  /// golden forks, root-cause forks); restored snapshots contribute nothing.
+  /// golden runs, root-cause forks); restored snapshots contribute nothing.
   u64 total_instructions = 0;
 
   void add(const InjectionRecord& record);
@@ -108,9 +112,6 @@ struct VulnReport : OutcomeTally {
   /// this. Deliberately EXCLUDES total_instructions, which measures host work
   /// (a resumed campaign executes less while classifying identically).
   u64 digest() const;
-
-  /// Multi-line per-component summary table.
-  std::string render() const;
 
   /// Wire format (shard checkpoint files): the record stream + the
   /// total_instructions counter; deserialize() rebuilds every per-component

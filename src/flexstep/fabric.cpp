@@ -223,12 +223,24 @@ void Fabric::restore(const Snapshot& snapshot) {
   reporter_.restore(snapshot.reporter);
   handoff_events_.clear();
 
-  channels_.clear();
-  channels_.reserve(snapshot.channels.size());
-  for (const auto& ch_snap : snapshot.channels) {
-    channels_.push_back(
-        std::make_unique<Channel>(ch_snap.main_id, ch_snap.checker_id, config_));
-    channels_.back()->restore(ch_snap);
+  // A session rewound to its own earlier state (a campaign victim between
+  // injections) has the snapshot's channels already: restore into them and
+  // keep their rings. Any other wiring is rebuilt.
+  const bool same_wiring = std::equal(
+      channels_.begin(), channels_.end(), snapshot.channels.begin(),
+      snapshot.channels.end(), [](const auto& ch, const Channel::Snapshot& ch_snap) {
+        return ch->main_id() == ch_snap.main_id && ch->checker_id() == ch_snap.checker_id;
+      });
+  if (!same_wiring) {
+    channels_.clear();
+    channels_.reserve(snapshot.channels.size());
+    for (const auto& ch_snap : snapshot.channels) {
+      channels_.push_back(
+          std::make_unique<Channel>(ch_snap.main_id, ch_snap.checker_id, config_));
+    }
+  }
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    channels_[i]->restore(snapshot.channels[i]);
   }
 
   for (std::size_t u = 0; u < units_.size(); ++u) {

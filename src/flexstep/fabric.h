@@ -113,9 +113,10 @@ class Fabric final : public InterconnectControl {
   };
 
   void save(Snapshot& out) const;
-  /// Restore; the unit count must match (same SocConfig). Channels are
-  /// recreated from scratch, so any Channel* held across a restore dangles —
-  /// re-fetch through channels()/unit wiring.
+  /// Restore; the unit count must match (same SocConfig). When the snapshot's
+  /// channels have the live channels' endpoints, in order, they are restored
+  /// in place; otherwise they are recreated, so a Channel* held across a
+  /// restore may dangle — re-fetch through channels()/unit wiring.
   void restore(const Snapshot& snapshot);
 
  private:

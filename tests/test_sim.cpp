@@ -242,6 +242,9 @@ TEST(Snapshot, ForkIsolationFaultStaysInTheFork) {
 
   const soc::RunStats faulty_stats = faulty.run();
   const soc::RunStats clean_stats = clean.run();
+  // A later state of the origin, with another channel occupancy.
+  ASSERT_TRUE(session.advance(30'000));
+  const soc::Snapshot later = session.snapshot();
   const soc::RunStats sibling_stats = session.run();
 
   // The siblings never saw the fault: bit-identical to each other, reporter
@@ -257,6 +260,34 @@ TEST(Snapshot, ForkIsolationFaultStaysInTheFork) {
   }
   EXPECT_EQ(clean_stats.segments_failed, 0u);
   EXPECT_EQ(sibling_stats.segments_failed, 0u);
+
+  // Rewound in place to the later state, the diverged fork evolves exactly
+  // like a fresh fork of it. Its channel keeps its object (same endpoints)
+  // and is restored from another occupancy, and a fault pending at the
+  // rewind is dropped.
+  const fs::Channel* faulty_channel = faulty.channel();
+  ASSERT_NE(faulty_channel->size(), later.fabric.channels.front().items.size());
+  faulty.restore(later);
+  ASSERT_TRUE(faulty.channel()->inject_fault_at_tail(rng, faulty.soc().max_cycle()).has_value());
+  ASSERT_TRUE(faulty.channel()->fault_pending());
+  faulty.restore(later);
+  EXPECT_EQ(faulty.channel(), faulty_channel);
+  EXPECT_FALSE(faulty.channel()->fault_pending());
+  Session fresh = session.fork(later);
+  for (int rep = 0; rep < 3; ++rep) {
+    ASSERT_TRUE(faulty.advance(20'000));
+    ASSERT_TRUE(fresh.advance(20'000));
+    EXPECT_EQ(faulty.stats(), fresh.stats()) << "repetition " << rep;
+    for (u32 core = 0; core < fresh.soc().num_cores(); ++core) {
+      EXPECT_EQ(faulty.soc().core(core).cycle(), fresh.soc().core(core).cycle())
+          << "repetition " << rep << ", core " << core;
+      EXPECT_EQ(faulty.soc().core(core).instret(), fresh.soc().core(core).instret())
+          << "repetition " << rep << ", core " << core;
+    }
+    EXPECT_EQ(soc::snapshot_digest(faulty.snapshot()), soc::snapshot_digest(fresh.snapshot()))
+        << "repetition " << rep;
+  }
+  EXPECT_EQ(faulty.run(), fresh.run());
 }
 
 std::vector<u8> wire_bytes(const soc::Snapshot& snapshot) {
