@@ -147,10 +147,14 @@ constexpr const char* kVulnName = "vuln campaign";
 /// Instructions advanced between detection probes inside the horizon.
 constexpr u64 kDetectPollStride = 256;
 
-/// Alignment-phase advance() calls allowed before the victim is declared
-/// wedged (DUE). Each call has a budget >= 1, so a live victim re-aligns to
-/// the golden run's main-core user-instruction count far below this.
+/// Alignment-phase advance() calls, victim and golden together, allowed
+/// before a victim still behind is declared wedged (DUE). Each call has a
+/// budget >= 1, so two live runs align their main-core user-instruction
+/// counts far below this.
 constexpr u64 kAlignSpinCap = 100'000;
+
+/// Largest advance() budget of one alignment step.
+constexpr u64 kAlignStride = 2048;
 
 /// Architectural compare of the victim against the idle golden session:
 /// main-core pc + x1..x31, then the memory image. `excl_reg` / `excl_word`
@@ -235,33 +239,43 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
   }
 
   // Phase B — golden run, alignment and architectural compare. The golden
-  // session is rewound to the pre-fault state and run to the horizon, where
-  // it stays idle. Align the victim's main-core user-instruction count to the
-  // golden run's: advance() budgets cap retired instructions, so repeated
-  // advance(golden_ui - ui) converges without ever overshooting. Detections
-  // during alignment still count.
+  // session is rewound to the pre-fault state and run to the horizon. Then
+  // the run whose main core is behind in user instructions advances to the
+  // other's count: advance() budgets cap retired instructions, so budgets of
+  // at most the gap converge without ever overshooting. Detections while
+  // the victim catches up still count.
   if (!decided) {
     sim::Session& golden_run = golden();
     const u64 golden_base = golden_run.total_instret();
     golden_run.advance(config.horizon);
-    executed += golden_run.total_instret() - golden_base;
-    const u64 golden_main_ui = golden_run.soc().core(kMainCore).user_instret();
 
-    const auto main_ui = [&] {
-      return victim.soc().core(kMainCore).user_instret();
+    const auto main_ui = [](sim::Session& session) {
+      return session.soc().core(kMainCore).user_instret();
+    };
+    const auto gap = [&](sim::Session& behind, sim::Session& ahead) {
+      return std::min<u64>(main_ui(ahead) - main_ui(behind), kAlignStride);
     };
     u64 spins = 0;
-    while (alive && !victim.stalled() && main_ui() < golden_main_ui &&
+    while (alive && !victim.stalled() && main_ui(victim) < main_ui(golden_run) &&
            spins < kAlignSpinCap) {
       ++spins;
-      alive = victim.advance(std::min<u64>(golden_main_ui - main_ui(), 2048));
+      alive = victim.advance(gap(victim, golden_run));
       if (detect_scan()) {
         decided = true;
         break;
       }
     }
+    // A victim the flip left ahead is compared once the golden run catches up.
+    bool golden_alive = true;
+    while (!decided && golden_alive && main_ui(golden_run) < main_ui(victim) &&
+           spins < kAlignSpinCap) {
+      ++spins;
+      golden_alive = golden_run.advance(gap(golden_run, victim));
+    }
+    executed += golden_run.total_instret() - golden_base;
+
     if (!decided) {
-      if (victim.stalled() || (alive && main_ui() < golden_main_ui)) {
+      if (victim.stalled() || (alive && main_ui(victim) < main_ui(golden_run))) {
         // Wedged, or live but unable to re-align: unrecoverable either way.
         rec.outcome = OutcomeKind::kDue;
       } else {
