@@ -321,9 +321,8 @@ u64 walk_shard(const workloads::WorkloadProfile& profile,
     // session: each is forked at its first use and rewound in place
     // (Session::restore) for every later injection.
     soc::Snapshot pre_fault;
-    std::optional<sim::Session> forked_victim;
+    std::optional<sim::Session> victim;
     std::optional<sim::Session> golden_session;
-    sim::Session* victim = nullptr;
     const std::function<sim::Session&()> golden = [&]() -> sim::Session& {
       return rewind(golden_session, *victim, pre_fault);
     };
@@ -341,12 +340,11 @@ u64 walk_shard(const workloads::WorkloadProfile& profile,
 
       // Materialise the victim and its pre-fault state: the baseline's
       // snapshot the victim is rewound to, or the re-executed victim's own.
-      std::optional<sim::Session> reexecuted_victim;
       if (fork_mode) {
         pre_fault = baseline.snapshot();
-        victim = &rewind(forked_victim, baseline, pre_fault);
+        rewind(victim, baseline, pre_fault);
       } else {
-        victim = &reexecuted_victim.emplace(scenario.build());
+        victim.emplace(scenario.build());
         for (u64 rounds : schedule) victim->advance(rounds);
         executed += victim->total_instret();  // the re-executed prefix
         pre_fault = victim->snapshot();

@@ -156,7 +156,7 @@ constexpr u64 kAlignSpinCap = 100'000;
 /// Largest advance() budget of one alignment step.
 constexpr u64 kAlignStride = 2048;
 
-/// Architectural compare of the victim against the idle golden session:
+/// Architectural compare of the victim against the aligned golden session:
 /// main-core pc + x1..x31, then the memory image. `excl_reg` / `excl_word`
 /// exclude the flipped register slot / 8-byte word itself: a flip parked
 /// where the program never consumed it within the horizon is a latent fault

@@ -223,9 +223,9 @@ void Fabric::restore(const Snapshot& snapshot) {
   reporter_.restore(snapshot.reporter);
   handoff_events_.clear();
 
-  // A session rewound to its own earlier state (a campaign victim between
-  // injections) has the snapshot's channels already: restore into them and
-  // keep their rings. Any other wiring is rebuilt.
+  // A rewound session (a campaign victim between injections) usually has the
+  // snapshot's channels already: restore into them and keep their rings.
+  // Any other wiring is rebuilt.
   const bool same_wiring = std::equal(
       channels_.begin(), channels_.end(), snapshot.channels.begin(),
       snapshot.channels.end(), [](const auto& ch, const Channel::Snapshot& ch_snap) {

@@ -209,10 +209,13 @@ class Session {
   /// — like every other call on a session — snapshot() must not race with
   /// other uses of it.
   soc::Snapshot snapshot() const { return exec_->save(); }
-  /// Rewind this session to a snapshot it (or a sibling fork) took. Every
-  /// core adopts the trace tables the snapshot holds by reference, so the
-  /// restored run evolves exactly as the saver did — including where each
-  /// budgeted advance() stops. A snapshot without tables (one loaded from a
+  /// Rewind this session to a snapshot of the same scenario — one it, its
+  /// fork origin, a sibling fork or another build of an equal Scenario took
+  /// (fault campaigns rewind one victim to every injection point this way).
+  /// Every core adopts the trace tables the snapshot holds by reference, so
+  /// the restored run evolves exactly as the saver did — including where each
+  /// budgeted advance() stops — and exactly as a fresh fork() of the snapshot
+  /// would. A snapshot without tables (one loaded from a
   /// file) flushes the caches and re-applies the analysis seeds instead. The
   /// static burst bound is re-armed either way.
   void restore(const soc::Snapshot& snapshot);
