@@ -177,7 +177,7 @@ bool architecturally_equal(sim::Session& victim, sim::Session& golden,
 /// state `snap`, and classify it. Only a fault the detection window leaves
 /// open is compared with a golden run: `golden()` rewinds the kind's golden
 /// session to `snap`. `executed` accumulates instructions actually simulated
-/// (victim tail + golden horizon + optional root-cause forks).
+/// (victim tail + golden run + optional root-cause forks).
 InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& snap,
                                   const std::function<sim::Session&()>& golden,
                                   Component component, Rng& rng,
