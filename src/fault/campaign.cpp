@@ -1,12 +1,13 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <optional>
 #include <vector>
 
 #include "common/archive.h"
 #include "common/check.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "fault/vuln.h"
 #include "runtime/parallel.h"
@@ -57,23 +58,15 @@ void CampaignStats::merge(CampaignStats&& shard) {
 }
 
 u64 CampaignStats::digest() const {
-  u64 h = 14695981039346656037ULL;
-  const auto mix = [&h](u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
+  Fnv1a h;
   for (const FaultOutcome& o : outcomes) {
-    mix(o.detected ? 1 : 0);
-    u64 latency_bits = 0;
-    std::memcpy(&latency_bits, &o.latency_us, sizeof(latency_bits));
-    mix(latency_bits);
-    mix(static_cast<u64>(o.detect_kind));
-    mix(static_cast<u64>(o.target_kind));
-    mix(static_cast<u64>(o.kind));
+    h.word(o.detected ? 1 : 0);
+    h.word(std::bit_cast<u64>(o.latency_us));
+    h.word(static_cast<u64>(o.detect_kind));
+    h.word(static_cast<u64>(o.target_kind));
+    h.word(static_cast<u64>(o.kind));
   }
-  return h;
+  return h.value();
 }
 
 void CampaignStats::serialize(io::ArchiveWriter& ar) const {
@@ -139,25 +132,17 @@ u64 baseline_tag(const workloads::WorkloadProfile& profile,
                  const soc::SocConfig& soc_config,
                  const CampaignConfig& campaign, u32 shard_index,
                  u64 session_seed, u64 warmup_rounds, u64 salt) {
-  u64 h = 14695981039346656037ULL;
-  const auto mix_bytes = [&h](const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ULL;
-    }
-  };
-  const auto mix = [&](u64 v) { mix_bytes(&v, sizeof(v)); };
-  mix_bytes(profile.name.data(), profile.name.size());
-  mix(campaign.seed);
-  mix(shard_index);
-  mix(session_seed);
-  mix(warmup_rounds);
-  mix(campaign.workload_iterations);
-  mix(soc_config.fingerprint());
-  mix(static_cast<u64>(campaign.engine));
-  mix(salt);
-  return h;
+  Fnv1a h;
+  h.text(profile.name);
+  h.word(campaign.seed);
+  h.word(shard_index);
+  h.word(session_seed);
+  h.word(warmup_rounds);
+  h.word(campaign.workload_iterations);
+  h.word(soc_config.fingerprint());
+  h.word(static_cast<u64>(campaign.engine));
+  h.word(salt);
+  return h.value();
 }
 
 /// `slot`'s session standing at `state`: forked from `origin` on first use,

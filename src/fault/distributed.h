@@ -16,15 +16,14 @@
 // config, including after a worker was killed mid-shard and the campaign
 // resumed.
 //
-// Worker dispatch has two modes:
-//   * plain fork() (default): the child runs its shard list in-process and
-//     _exit()s — works for any SocConfig, no binary involved;
-//   * fork + exec (DistributedConfig::use_exec): the child re-executes
-//     `exe --campaign-worker <spec>` with a text spec file naming the
-//     campaign. Spec files carry the workload by profile NAME and the
-//     platform as a core count, so exec mode is restricted to
-//     SocConfig::paper_default platforms: the driver aborts on any other
-//     SocConfig (compared by SocConfig::fingerprint) before it forks.
+// Workers are fork()ed children: each runs its shard list with the very
+// shard function the in-process driver calls (detail::run_campaign_shard /
+// run_vuln_shard), so any SocConfig works and no job is serialised. A
+// persisted baseline is a plain snapshot file (sim::Session::save_file) under
+// `<dir>/baselines/`, named `baseline_s<shard>_o<ordinal>_<tag hex>.fxar`
+// after the BaselineStore key; a missing, damaged or foreign file re-warms. A
+// worker whose shard cannot run (its workload exhausts before the warmup
+// completes) prints the diagnostic, writes no file for that shard and exits 2.
 //
 // Fault hook for the kill-and-resume tests: when the FLEX_CAMPAIGN_DIE_SHARD
 // environment variable names a shard index, the worker that runs that shard
@@ -33,10 +32,7 @@
 // atomic rename. The next driver run redoes exactly that shard.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "fault/campaign.h"
 #include "fault/vuln.h"
@@ -50,8 +46,6 @@ struct DistributedConfig {
   /// journal. Re-running with a fresh label but the same dir re-runs every
   /// shard against the persisted baselines (a warm start).
   std::string run_label = "run";
-  bool use_exec = false;  ///< fork+exec `exe --campaign-worker <spec>` workers.
-  std::string exe;        ///< Binary for exec mode (e.g. /proc/self/exe).
 };
 
 /// What a driver invocation did, beyond the merged result.
@@ -87,39 +81,5 @@ DistributedCampaignResult run_distributed_campaign(
 DistributedVulnResult run_distributed_vuln_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const VulnConfig& config, const DistributedConfig& dist);
-
-/// A campaign of either kind as the distributed driver runs it, and an
-/// exec-mode worker's assignment, decoded from its spec file.
-struct WorkerSpec {
-  bool vuln = false;  ///< kind=vuln; otherwise kind=campaign.
-  const workloads::WorkloadProfile* profile = nullptr;
-  soc::SocConfig soc_config;
-  DistributedConfig dist;     ///< dir + run_label.
-  std::vector<u32> assigned;  ///< Shard indices, each below the shard count.
-  /// The campaign. kind=campaign uses only its CampaignConfig fields.
-  VulnConfig config;
-};
-
-/// Outcome of parsing a worker spec: the spec on success, otherwise a
-/// diagnostic naming the field that failed. Parsing never aborts — spec files
-/// are untrusted input, so every field a campaign would FLEX_CHECK on (kind,
-/// profile, core count, engine, mode, counts, components, assigned shards) is
-/// validated here.
-struct ParseWorkerSpecResult {
-  std::optional<WorkerSpec> spec;
-  std::string error;  ///< Empty on success.
-
-  bool ok() const { return spec.has_value(); }
-};
-
-/// Parse and validate the `key=value` lines of a worker spec.
-ParseWorkerSpecResult parse_worker_spec(std::string_view text);
-
-/// Exec-mode worker entry point: parse `spec_path`, run the assigned shards,
-/// write their result files. Returns a process exit code: 0 on success, 2
-/// (with a message on stderr) for an unreadable or malformed spec. A binary
-/// that serves as DistributedConfig::exe hands it `--campaign-worker <spec>`
-/// before parsing its own arguments (tests/test_snapshot_io.cpp's main()).
-int campaign_worker_main(const std::string& spec_path);
 
 }  // namespace flexstep::fault

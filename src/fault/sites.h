@@ -8,7 +8,7 @@
 // arch::Cache, arch::BranchPredictor, fs::Channel, fs::CoreUnit, the cores'
 // architectural registers). All flips are pure XOR and therefore self-inverse:
 // flipping the same site twice restores bit-identical SoC state, which the
-// round-trip unit tests pin via snapshot_digest().
+// round-trip unit tests pin via soc::snapshot_digest().
 //
 // Components deliberately span the detection spectrum of the paper's
 // threat model:
@@ -30,8 +30,6 @@
 
 namespace flexstep::soc {
 class Soc;
-struct Snapshot;
-u64 snapshot_digest(const Snapshot& snapshot);
 }  // namespace flexstep::soc
 
 namespace flexstep::fault {
@@ -110,13 +108,5 @@ ParseSiteResult parse_site_checked(std::string_view text);
 inline std::optional<FaultSite> parse_site(std::string_view text) {
   return parse_site_checked(text).site;
 }
-
-/// FNV-1a digest of a full SoC snapshot's wire form. The implementation lives
-/// in src/soc/ with the snapshot type so every digest user — the flip
-/// round-trip tests, the snapshot fork and file identity tests — shares one
-/// definition; re-exported here so existing fault-layer callers keep
-/// compiling unchanged (and stay unambiguous against ADL, which also finds
-/// the soc:: name through the argument type).
-using soc::snapshot_digest;
 
 }  // namespace flexstep::fault

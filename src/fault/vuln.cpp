@@ -1,13 +1,14 @@
 #include "fault/vuln.h"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <optional>
 
 #include "arch/core.h"
 #include "arch/memory.h"
 #include "common/archive.h"
 #include "common/check.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "flexstep/channel.h"
 #include "sim/scenario.h"
@@ -61,29 +62,21 @@ Histogram VulnReport::latency_histogram(double lo_us, double hi_us,
 }
 
 u64 VulnReport::digest() const {
-  u64 h = 14695981039346656037ULL;
-  const auto mix = [&h](u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
+  Fnv1a h;
   for (const InjectionRecord& r : records) {
-    mix(static_cast<u64>(r.site.component));
-    mix(r.site.index);
-    mix(r.site.bit);
-    mix(r.site.cycle);
-    mix(static_cast<u64>(r.outcome));
-    mix(static_cast<u64>(r.detect_kind));
-    u64 latency_bits = 0;
-    std::memcpy(&latency_bits, &r.latency_us, sizeof(latency_bits));
-    mix(latency_bits);
-    mix(r.rc_valid ? 1 : 0);
-    mix(r.rc_instret);
-    mix(r.rc_victim_pc);
-    mix(r.rc_golden_pc);
+    h.word(static_cast<u64>(r.site.component));
+    h.word(r.site.index);
+    h.word(r.site.bit);
+    h.word(r.site.cycle);
+    h.word(static_cast<u64>(r.outcome));
+    h.word(static_cast<u64>(r.detect_kind));
+    h.word(std::bit_cast<u64>(r.latency_us));
+    h.word(r.rc_valid ? 1 : 0);
+    h.word(r.rc_instret);
+    h.word(r.rc_victim_pc);
+    h.word(r.rc_golden_pc);
   }
-  return h;
+  return h.value();
 }
 
 void VulnReport::serialize(io::ArchiveWriter& ar) const {

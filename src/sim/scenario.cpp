@@ -303,28 +303,29 @@ io::ArchiveError Session::load_file(const std::string& path) {
 io::ArchiveError Session::restore_checked(const soc::Snapshot& loaded) {
   // Geometry gate: restore() FLEX_CHECK-aborts on platform mismatches, but
   // decoded bytes are untrusted input — turn shape skew into a structured
-  // error first.
-  const soc::Snapshot ref = snapshot();
+  // error first. The live platform is the reference; nothing is copied.
   const auto mismatch = [](const std::string& what) {
     return io::ArchiveError{io::ArchiveStatus::kMalformed,
                             "snapshot does not fit this session's platform: " + what};
   };
-  if (loaded.cores.size() != ref.cores.size()) return mismatch("core count");
-  if (loaded.l2.ways.size() != ref.l2.ways.size()) return mismatch("L2 geometry");
-  for (std::size_t i = 0; i < loaded.cores.size(); ++i) {
+  if (loaded.cores.size() != soc_->num_cores()) return mismatch("core count");
+  if (loaded.l2.ways.size() != soc_->l2().fault_way_count()) {
+    return mismatch("L2 geometry");
+  }
+  for (u32 i = 0; i < soc_->num_cores(); ++i) {
     const auto& a = loaded.cores[i];
-    const auto& b = ref.cores[i];
-    if (a.caches.l1i.ways.size() != b.caches.l1i.ways.size() ||
-        a.caches.l1d.ways.size() != b.caches.l1d.ways.size()) {
+    arch::Core& core = soc_->core(i);
+    if (a.caches.l1i.ways.size() != core.caches().l1i().fault_way_count() ||
+        a.caches.l1d.ways.size() != core.caches().l1d().fault_way_count()) {
       return mismatch("L1 geometry of core " + std::to_string(i));
     }
-    if (a.bpred.bht.size() != b.bpred.bht.size() ||
-        a.bpred.btb.size() != b.bpred.btb.size() ||
-        a.bpred.ras.size() != b.bpred.ras.size()) {
+    const arch::BranchPredictorConfig& bpred = core.bpred().config();
+    if (a.bpred.bht.size() != bpred.bht_entries || a.bpred.btb.size() != bpred.btb_entries ||
+        a.bpred.ras.size() != bpred.ras_entries) {
       return mismatch("predictor tables of core " + std::to_string(i));
     }
   }
-  if (loaded.fabric.units.size() != ref.fabric.units.size()) {
+  if (loaded.fabric.units.size() != soc_->fabric().num_units()) {
     return mismatch("fabric unit count");
   }
   restore(loaded);

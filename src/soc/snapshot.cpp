@@ -1,5 +1,7 @@
 #include "soc/snapshot.h"
 
+#include "common/fnv.h"
+
 namespace flexstep::soc {
 
 void Snapshot::serialize(io::ArchiveWriter& ar) const {
@@ -73,12 +75,9 @@ io::ArchiveError load_snapshot(const std::string& path, Snapshot& out) {
 u64 snapshot_digest(const Snapshot& snapshot) {
   io::ArchiveWriter ar(kSnapshotAppTag, kSnapshotFormatVersion);
   snapshot.serialize(ar);
-  u64 h = 14695981039346656037ULL;
-  for (const u8 byte : ar.buffer()) {
-    h ^= byte;
-    h *= 1099511628211ULL;
-  }
-  return h;
+  Fnv1a h;
+  h.bytes(ar.buffer().data(), ar.buffer().size());
+  return h.value();
 }
 
 }  // namespace flexstep::soc

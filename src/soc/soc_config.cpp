@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/fnv.h"
+
 namespace flexstep::soc {
 
 SocConfig SocConfig::paper_default(u32 cores) {
@@ -12,13 +14,8 @@ SocConfig SocConfig::paper_default(u32 cores) {
 
 u64 SocConfig::fingerprint() const {
   // FNV-1a over every field, one word each (never the raw structs: padding).
-  u64 h = 14695981039346656037ULL;
-  const auto mix = [&h](u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
+  Fnv1a h;
+  const auto mix = [&h](u64 v) { h.word(v); };
   const auto cache = [&mix](const arch::CacheConfig& c) {
     mix(c.size_bytes);
     mix(c.ways);
@@ -41,7 +38,7 @@ u64 SocConfig::fingerprint() const {
   mix(flexstep.channel_latency);
   mix(flexstep.checkpoint_stall);
   mix(flexstep.max_replay_factor);
-  return h;
+  return h.value();
 }
 
 std::string SocConfig::describe() const {

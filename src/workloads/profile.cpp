@@ -60,20 +60,15 @@ const std::vector<WorkloadProfile>& specint_profiles() {
   return profiles;
 }
 
-const WorkloadProfile* lookup_profile(const std::string& name) {
+const WorkloadProfile& find_profile(const std::string& name) {
   for (const auto& p : parsec_profiles()) {
-    if (p.name == name) return &p;
+    if (p.name == name) return p;
   }
   for (const auto& p : specint_profiles()) {
-    if (p.name == name) return &p;
+    if (p.name == name) return p;
   }
-  return nullptr;
-}
-
-const WorkloadProfile& find_profile(const std::string& name) {
-  const WorkloadProfile* profile = lookup_profile(name);
-  FLEX_CHECK_MSG(profile != nullptr, "unknown workload profile");
-  return *profile;
+  FLEX_CHECK_MSG(false, "unknown workload profile");
+  return parsec_profiles().front();  // unreachable
 }
 
 }  // namespace flexstep::workloads

@@ -55,9 +55,6 @@ const std::vector<WorkloadProfile>& parsec_profiles();
 /// The 11 SPECint 2006 benchmarks of Fig. 4(b).
 const std::vector<WorkloadProfile>& specint_profiles();
 
-/// Look up by name across both suites; nullptr if unknown.
-const WorkloadProfile* lookup_profile(const std::string& name);
-
 /// Look up by name across both suites; aborts if unknown.
 const WorkloadProfile& find_profile(const std::string& name);
 

@@ -1,7 +1,6 @@
 // Wire-format robustness for the FXAR archive container and the snapshot /
 // campaign checkpoint formats built on it, plus the multi-process resumable
-// campaign driver under both worker dispatch modes (fork, and exec of this
-// test binary — see main() at the bottom).
+// campaign driver.
 //
 // The contracts under test:
 //   * Primitive and structure round-trips are bit-exact (re-serializing a
@@ -13,10 +12,10 @@
 //   * A two-worker multi-process campaign merges digest-identical to the
 //     single-process run, including after a worker dies mid-shard and the
 //     campaign is resumed, and warm reruns elide persisted warmups — but
-//     never restore a baseline warmed on another SocConfig.
+//     never restore a baseline warmed on another SocConfig, and re-warm a
+//     damaged one.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <cstring>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "common/archive.h"
-#include "common/rng.h"
 #include "fault/campaign.h"
 #include "fault/distributed.h"
 #include "fault/vuln.h"
@@ -374,99 +372,93 @@ struct CampaignRun {
 };
 
 TEST(Distributed, TwoWorkerCampaignMatchesSingleProcessAndResumes) {
-  // Both campaign kinds under the default engine and the bounded one, with
-  // fork-mode workers and with exec-mode workers (this binary re-run as
-  // `--campaign-worker <spec>`). The warm rerun restores baselines decoded
-  // from files (no trace tables) while the single-process run forks live
-  // baselines that share trace-table chunks.
+  // Both campaign kinds under the default engine and the bounded one. The
+  // warm rerun restores baselines decoded from files (no trace tables) while
+  // the single-process run forks live baselines that share trace-table
+  // chunks.
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);
   for (const soc::Engine engine : {soc::Engine::kQuantum, soc::Engine::kQuantumBounded}) {
-    for (const bool use_exec : {false, true}) {
-      for (const bool vuln : {false, true}) {
-        SCOPED_TRACE(std::string(soc::engine_name(engine)) + (use_exec ? " exec" : " fork") +
-                     (vuln ? " vuln" : " dbc"));
-        fault::CampaignConfig campaign;
-        campaign.target_faults = 8;
-        campaign.warmup_rounds = 2'000;
-        campaign.gap_rounds = 500;
-        campaign.workload_iterations = 4'000;
-        campaign.shards = 4;
-        campaign.threads = 1;
-        campaign.engine = engine;
-        fault::VulnConfig whole_soc;
-        whole_soc.target_faults = 14;
-        whole_soc.warmup_rounds = campaign.warmup_rounds;
-        whole_soc.gap_rounds = campaign.gap_rounds;
-        whole_soc.horizon = 3'000;
-        whole_soc.workload_iterations = campaign.workload_iterations;
-        whole_soc.shards = campaign.shards;
-        whole_soc.threads = 1;
-        whole_soc.engine = engine;
-        whole_soc.root_cause = true;
+    for (const bool vuln : {false, true}) {
+      SCOPED_TRACE(std::string(soc::engine_name(engine)) + (vuln ? " vuln" : " dbc"));
+      fault::CampaignConfig campaign;
+      campaign.target_faults = 8;
+      campaign.warmup_rounds = 2'000;
+      campaign.gap_rounds = 500;
+      campaign.workload_iterations = 4'000;
+      campaign.shards = 4;
+      campaign.threads = 1;
+      campaign.engine = engine;
+      fault::VulnConfig whole_soc;
+      whole_soc.target_faults = 14;
+      whole_soc.warmup_rounds = campaign.warmup_rounds;
+      whole_soc.gap_rounds = campaign.gap_rounds;
+      whole_soc.horizon = 3'000;
+      whole_soc.workload_iterations = campaign.workload_iterations;
+      whole_soc.shards = campaign.shards;
+      whole_soc.threads = 1;
+      whole_soc.engine = engine;
+      whole_soc.root_cause = true;
 
-        CampaignRun single;
-        if (vuln) {
-          const auto r = fault::run_vuln_campaign(profile, soc_config, whole_soc);
-          single = {r.digest(), r.injected, {}};
-        } else {
-          const auto r = fault::run_fault_campaign(profile, soc_config, campaign);
-          single = {r.digest(), r.injected, {}};
-        }
-        ASSERT_EQ(single.injected, vuln ? whole_soc.target_faults : campaign.target_faults);
-
-        const std::string dir = "test_snapshot_io_campaign";
-        std::error_code ec;
-        std::filesystem::remove_all(dir, ec);
-        fault::DistributedConfig dist;
-        dist.workers = 2;
-        dist.dir = dir;
-        dist.use_exec = use_exec;
-        dist.exe = "/proc/self/exe";
-        const auto run = [&]() -> CampaignRun {
-          if (vuln) {
-            const auto r =
-                fault::run_distributed_vuln_campaign(profile, soc_config, whole_soc, dist);
-            return {r.report.digest(), r.report.injected, r.run};
-          }
-          const auto r = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
-          return {r.stats.digest(), r.stats.injected, r.run};
-        };
-
-        // Cold two-worker run: merged result digest-identical to single-process.
-        dist.run_label = "cold";
-        const CampaignRun cold = run();
-        EXPECT_TRUE(cold.run.complete());
-        EXPECT_EQ(cold.digest, single.digest);
-        EXPECT_EQ(cold.injected, single.injected);
-
-        // Kill the worker that runs shard 1 after it finishes but before it
-        // writes its result; the run is incomplete, then a resumed invocation
-        // redoes the missing shards and still merges digest-identical.
-        dist.run_label = "resume";
-        setenv("FLEX_CAMPAIGN_DIE_SHARD", "1", 1);
-        const CampaignRun killed = run();
-        unsetenv("FLEX_CAMPAIGN_DIE_SHARD");
-        EXPECT_FALSE(killed.run.complete());
-        EXPECT_LT(killed.run.shards_completed, killed.run.shards_total);
-
-        const CampaignRun resumed = run();
-        EXPECT_TRUE(resumed.run.complete());
-        EXPECT_GT(resumed.run.shards_resumed, 0u);
-        EXPECT_EQ(resumed.digest, single.digest);
-
-        // Warm rerun against the baselines the cold run persisted: every
-        // warmup is elided, outcomes unchanged.
-        dist.run_label = "warm";
-        const CampaignRun warm = run();
-        EXPECT_TRUE(warm.run.complete());
-        EXPECT_GT(warm.run.warmup_instructions_elided, 0u);
-        EXPECT_EQ(warm.digest, single.digest);
-
-        // The resume journal names every shard.
-        EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
-        std::filesystem::remove_all(dir, ec);
+      CampaignRun single;
+      if (vuln) {
+        const auto r = fault::run_vuln_campaign(profile, soc_config, whole_soc);
+        single = {r.digest(), r.injected, {}};
+      } else {
+        const auto r = fault::run_fault_campaign(profile, soc_config, campaign);
+        single = {r.digest(), r.injected, {}};
       }
+      ASSERT_EQ(single.injected, vuln ? whole_soc.target_faults : campaign.target_faults);
+
+      const std::string dir = "test_snapshot_io_campaign";
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+      fault::DistributedConfig dist;
+      dist.workers = 2;
+      dist.dir = dir;
+      const auto run = [&]() -> CampaignRun {
+        if (vuln) {
+          const auto r =
+              fault::run_distributed_vuln_campaign(profile, soc_config, whole_soc, dist);
+          return {r.report.digest(), r.report.injected, r.run};
+        }
+        const auto r = fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+        return {r.stats.digest(), r.stats.injected, r.run};
+      };
+
+      // Cold two-worker run: merged result digest-identical to single-process.
+      dist.run_label = "cold";
+      const CampaignRun cold = run();
+      EXPECT_TRUE(cold.run.complete());
+      EXPECT_EQ(cold.digest, single.digest);
+      EXPECT_EQ(cold.injected, single.injected);
+
+      // Kill the worker that runs shard 1 after it finishes but before it
+      // writes its result; the run is incomplete, then a resumed invocation
+      // redoes the missing shards and still merges digest-identical.
+      dist.run_label = "resume";
+      setenv("FLEX_CAMPAIGN_DIE_SHARD", "1", 1);
+      const CampaignRun killed = run();
+      unsetenv("FLEX_CAMPAIGN_DIE_SHARD");
+      EXPECT_FALSE(killed.run.complete());
+      EXPECT_LT(killed.run.shards_completed, killed.run.shards_total);
+
+      const CampaignRun resumed = run();
+      EXPECT_TRUE(resumed.run.complete());
+      EXPECT_GT(resumed.run.shards_resumed, 0u);
+      EXPECT_EQ(resumed.digest, single.digest);
+
+      // Warm rerun against the baselines the cold run persisted: every
+      // warmup is elided, outcomes unchanged.
+      dist.run_label = "warm";
+      const CampaignRun warm = run();
+      EXPECT_TRUE(warm.run.complete());
+      EXPECT_GT(warm.run.warmup_instructions_elided, 0u);
+      EXPECT_EQ(warm.digest, single.digest);
+
+      // The resume journal names every shard.
+      EXPECT_TRUE(std::filesystem::exists(dir + "/warm_journal.txt"));
+      std::filesystem::remove_all(dir, ec);
     }
   }
 }
@@ -523,160 +515,69 @@ TEST(Distributed, RerunWithAnotherL2GeometryRewarmsItsBaselines) {
   expect_rerun_rewarms_on(doubled, "test_snapshot_io_l2");
 }
 
-TEST(Distributed, ExecModeRefusesPlatformsItsSpecCannotCarry) {
-  // Exec-mode workers rebuild SocConfig::paper_default(cores) from the spec,
-  // so any other platform must be refused before a worker runs it.
-  const auto& profile = workloads::find_profile("swaptions");
-  soc::SocConfig halved = soc::SocConfig::paper_default(2);
-  halved.flexstep.segment_limit /= 2;
+TEST(Distributed, WorkerWhoseWarmupExhaustsExitsTwoAndWritesNoShardFile) {
+  // A shard that cannot run is a diagnostic, not an abort: its worker prints
+  // it, exits 2 and leaves the shard missing for a later run.
+  fault::CampaignConfig campaign = small_bounded_campaign();
+  campaign.workload_iterations = 10;
+  campaign.warmup_rounds = 1'000'000'000;
   fault::DistributedConfig dist;
-  dist.dir = "test_snapshot_io_exec";
-  dist.use_exec = true;
-  dist.exe = "no-such-campaign-worker";
-  fault::VulnConfig vuln;
-  vuln.target_faults = 7;
-  vuln.warmup_rounds = 2'000;
-  vuln.workload_iterations = 4'000;
-  vuln.shards = 1;
-  const fault::CampaignConfig campaign = small_bounded_campaign();
-  EXPECT_DEATH(fault::run_distributed_campaign(profile, halved, campaign, dist),
-               "paper_default");
-  EXPECT_DEATH(fault::run_distributed_vuln_campaign(profile, halved, vuln, dist),
-               "paper_default");
+  dist.dir = "test_snapshot_io_exhausted";
   std::error_code ec;
+  std::filesystem::remove_all(dist.dir, ec);
+  testing::internal::CaptureStderr();
+  const auto result = fault::run_distributed_campaign(
+      workloads::find_profile("swaptions"), soc::SocConfig::paper_default(2), campaign, dist);
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(result.run.complete());
+  EXPECT_EQ(result.run.shards_completed, 0u);
+  EXPECT_FALSE(std::filesystem::exists(dist.dir + "/run_shard_0.fxar"));
+  EXPECT_NE(log.find("workload exhausts before warmup_rounds"), std::string::npos) << log;
+  EXPECT_NE(log.find("exited with code 2"), std::string::npos) << log;
   std::filesystem::remove_all(dist.dir, ec);
 }
 
-/// A valid exec-mode worker spec, in the form the distributed driver writes.
-std::string valid_worker_spec() {
-  return "kind=vuln\nprofile=swaptions\ncores=2\ndir=test_snapshot_io_worker\n"
-         "run_label=run\nassigned=0,1\ntarget_faults=14\nwarmup_rounds=2000\n"
-         "gap_rounds=500\nhorizon=3000\nseed=5\nworkload_iterations=4000\n"
-         "shards=2\nmode=fork\nroot_cause=0\nengine=2\ncomponents=0,3,6\n";
-}
-
-/// `spec` with the value of `key` replaced (the line dropped when `value` is
-/// null).
-std::string with_field(const std::string& spec, const std::string& key,
-                       const char* value) {
-  const std::size_t at = spec.find(key + "=");
-  const std::size_t eol = spec.find('\n', at);
-  const std::string line = value != nullptr ? key + "=" + value + "\n" : "";
-  return spec.substr(0, at) + line + spec.substr(eol + 1);
-}
-
-TEST(Distributed, WorkerSpecRejectsUntrustedFieldsWithADiagnostic) {
-  const std::string good = valid_worker_spec();
-  const auto parsed = fault::parse_worker_spec(good);
-  ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const fault::WorkerSpec& spec = *parsed.spec;
-  EXPECT_TRUE(spec.vuln);
-  EXPECT_EQ(spec.profile, &workloads::find_profile("swaptions"));
-  EXPECT_EQ(spec.soc_config.num_cores, 2u);
-  EXPECT_EQ(spec.dist.dir, "test_snapshot_io_worker");
-  EXPECT_EQ(spec.assigned, (std::vector<u32>{0, 1}));
-  EXPECT_EQ(spec.config.target_faults, 14u);
-  EXPECT_EQ(spec.config.horizon, 3000u);
-  EXPECT_EQ(spec.config.engine, soc::Engine::kQuantumBounded);
-  EXPECT_EQ(spec.config.components.size(), 3u);
-
-  const struct {
-    const char* key;
-    const char* value;
-  } defects[] = {
-      {"profile", "nosuch"},    // find_profile would abort
-      {"cores", "1"},           // no checker core 1: VerifiedExecution aborts
-      {"cores", "65"},          // beyond the G.Configure masks
-      {"engine", "9"},          // not a soc::Engine
-      {"kind", "sweep"},        {"mode", "forked"},
-      {"assigned", "0,2"},      // two shards: indices 0 and 1
-      {"components", "0,7"},    // seven component classes
-      {"target_faults", "0"},   {"shards", "0"},
-      {"warmup_rounds", "0"},   {"horizon", "0"},
-      {"seed", "12x"},          {"root_cause", "2"},
-      {"target_faults", "4294967296"},
-      {"dir", nullptr},
-  };
-  for (const auto& defect : defects) {
-    const auto result =
-        fault::parse_worker_spec(with_field(good, defect.key, defect.value));
-    EXPECT_FALSE(result.ok()) << defect.key;
-    EXPECT_NE(result.error.find(defect.key), std::string::npos)
-        << defect.key << ": " << result.error;
-  }
-
-  // The worker reports a malformed spec with exit code 2 instead of aborting.
-  const std::string path = "test_snapshot_io_bad.spec";
-  const std::string bad = with_field(good, "profile", "nosuch");
-  ASSERT_TRUE(io::write_file_atomic(path, bad.data(), bad.size()).ok());
-  EXPECT_EQ(fault::campaign_worker_main(path), 2);
-
-  // So does a well-formed spec whose warmup outruns its workload, and it
-  // writes no shard file.
-  const std::string exhausted = with_field(
-      with_field(with_field(good, "kind", "campaign"), "workload_iterations", "10"),
-      "warmup_rounds", "1000000000");
-  ASSERT_TRUE(fault::parse_worker_spec(exhausted).ok());
-  ASSERT_TRUE(io::write_file_atomic(path, exhausted.data(), exhausted.size()).ok());
-  EXPECT_EQ(fault::campaign_worker_main(path), 2);
-  EXPECT_FALSE(std::filesystem::exists(spec.dist.dir + "/run_shard_0.fxar"));
-  std::remove(path.c_str());
+TEST(Distributed, DamagedBaselinesRewarm) {
+  // A persisted baseline is a snapshot file, and so untrusted input: a
+  // truncated or bit-flipped one fails its checks and its shard re-warms,
+  // with outcomes unchanged. The intact baselines still load.
+  const auto& profile = workloads::find_profile("swaptions");
+  const auto soc_config = soc::SocConfig::paper_default(2);
+  fault::CampaignConfig campaign = small_bounded_campaign();
+  campaign.shards = 4;
+  const u64 single = fault::run_fault_campaign(profile, soc_config, campaign).digest();
+  fault::DistributedConfig dist;
+  dist.dir = "test_snapshot_io_damaged";
   std::error_code ec;
-  std::filesystem::remove_all(spec.dist.dir, ec);
-}
+  std::filesystem::remove_all(dist.dir, ec);
+  const auto run = [&](const char* label) {
+    dist.run_label = label;
+    return fault::run_distributed_campaign(profile, soc_config, campaign, dist);
+  };
+  ASSERT_TRUE(run("cold").run.complete());
+  const auto intact = run("intact");
+  ASSERT_TRUE(intact.run.complete());
+  EXPECT_EQ(intact.stats.digest(), single);
 
-TEST(Distributed, WorkerSpecParseNeverAbortsOnMutatedSpecs) {
-  // Deterministic fuzz in the style of the site-description fuzz: truncate,
-  // substitute or duplicate, and require parse_worker_spec to return —
-  // rejecting with a diagnostic, or accepting only a spec a worker can run.
-  Rng rng(0x5BEC);
-  const std::string good = valid_worker_spec();
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::string mutated = good;
-    switch (rng.next_below(3)) {
-      case 0:  // truncate
-        mutated.resize(rng.next_below(mutated.size() + 1));
-        break;
-      case 1:  // substitute one byte with printable noise or a newline
-        mutated[rng.next_below(mutated.size())] =
-            rng.next_below(8) == 0 ? '\n' : static_cast<char>(' ' + rng.next_below(95));
-        break;
-      default:  // duplicate a chunk
-        mutated += mutated.substr(rng.next_below(mutated.size()));
-        break;
-    }
-    const auto result = fault::parse_worker_spec(mutated);
-    if (!result.ok()) {
-      EXPECT_FALSE(result.error.empty()) << mutated;
-      continue;
-    }
-    EXPECT_TRUE(result.error.empty()) << mutated;
-    const fault::WorkerSpec& spec = *result.spec;
-    ASSERT_NE(spec.profile, nullptr) << mutated;
-    EXPECT_GE(spec.soc_config.num_cores, 2u) << mutated;
-    EXPECT_LE(spec.soc_config.num_cores, 64u) << mutated;
-    EXPECT_FALSE(spec.dist.dir.empty()) << mutated;
-    const auto& config = spec.config;
-    const u32 shards = std::min(config.shards, config.target_faults);
-    EXPECT_GT(shards, 0u) << mutated;
-    for (u32 s : spec.assigned) EXPECT_LT(s, shards) << mutated;
-    EXPECT_LE(static_cast<u32>(config.engine),
-              static_cast<u32>(soc::Engine::kQuantumBounded));
-    for (fault::Component c : config.components) {
-      EXPECT_LT(static_cast<std::size_t>(c), fault::kComponentCount) << mutated;
-    }
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dist.dir + "/baselines")) {
+    files.push_back(entry.path());
   }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 3u);  // Two to damage, and one that still loads.
+  std::filesystem::resize_file(files[0], std::filesystem::file_size(files[0]) / 2);
+  std::vector<u8> bytes;
+  ASSERT_TRUE(io::read_file(files[1].string(), bytes).ok());
+  bytes[bytes.size() / 2] ^= 0x10;
+  ASSERT_TRUE(io::write_file_atomic(files[1].string(), bytes.data(), bytes.size()).ok());
+
+  const auto damaged = run("damaged");
+  ASSERT_TRUE(damaged.run.complete());
+  EXPECT_EQ(damaged.stats.digest(), single);
+  EXPECT_GT(damaged.run.warmup_instructions_elided, 0u);
+  EXPECT_LT(damaged.run.warmup_instructions_elided, intact.run.warmup_instructions_elided);
+  std::filesystem::remove_all(dist.dir, ec);
 }
 
 }  // namespace
 }  // namespace flexstep
-
-// Exec-mode campaign workers re-run this binary with `--campaign-worker
-// <spec>`; that entry must run before gtest sees the arguments.
-int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--campaign-worker") == 0) {
-    return flexstep::fault::campaign_worker_main(argv[2]);
-  }
-  testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
