@@ -10,11 +10,25 @@ using isa::Instruction;
 using isa::MemKind;
 using isa::Opcode;
 
-// RV64 M-extension corner cases, shared by all three engines (step(),
-// run_fast_path(), trace replay) so they stay bit-identical: x/0 = -1,
-// x%0 = x, and INT64_MIN / -1 wraps to INT64_MIN with remainder 0 — the
-// naive host division would be undefined behaviour (SIGFPE on x86).
+// The fast-path prefix [kAdd, kSd] by shape, for code generated per opcode.
+// LUI, JAL and JALR sit outside: each has its own immediate or link handling.
+#define FLEX_ALU_OPS(X)                                                       \
+  X(kAdd) X(kSub) X(kSll) X(kSrl) X(kSra) X(kAnd) X(kOr) X(kXor) X(kSlt)      \
+  X(kSltu) X(kMul) X(kMulh) X(kDiv) X(kDivu) X(kRem) X(kRemu) X(kAddi)        \
+  X(kAndi) X(kOri) X(kXori) X(kSlli) X(kSrli) X(kSrai) X(kSlti) X(kSltiu)
+#define FLEX_BRANCH_OPS(X) X(kBeq) X(kBne) X(kBlt) X(kBge) X(kBltu) X(kBgeu)
+#define FLEX_LOAD_OPS(X) X(kLb) X(kLbu) X(kLh) X(kLhu) X(kLw) X(kLwu) X(kLd)
+#define FLEX_STORE_OPS(X) X(kSb) X(kSh) X(kSw) X(kSd)
+#define FLEX_CASE(name) case Opcode::name:
+
+// Semantics of the fast-path opcodes, defined once and shared by all three
+// engines (step(), run_fast_path(), trace replay) so they stay bit-identical.
+// The trace handlers call them with constant opcodes.
 namespace {
+
+// RV64 M-extension corner cases: x/0 = -1, x%0 = x, and INT64_MIN / -1
+// wraps to INT64_MIN with remainder 0 — the naive host division would be
+// undefined behaviour (SIGFPE on x86).
 inline u64 div_signed(u64 a, u64 b) {
   if (b == 0) return ~u64{0};
   if (a == (u64{1} << 63) && b == ~u64{0}) return a;
@@ -25,7 +39,178 @@ inline u64 rem_signed(u64 a, u64 b) {
   if (a == (u64{1} << 63) && b == ~u64{0}) return 0;
   return static_cast<u64>(static_cast<i64>(a) % static_cast<i64>(b));
 }
+
+/// An ALU op's second operand: register rs2 for register-register ops, the
+/// sign-extended immediate otherwise — without reading regs[rs2], a field
+/// fused trace ops reuse.
+[[gnu::always_inline]] inline u64 alu_operand(Opcode op, const u64* regs, u8 rs2, i32 imm) {
+  return isa::opcode_format(op) == isa::Format::kR ? regs[rs2]
+                                                   : static_cast<u64>(static_cast<i64>(imm));
+}
+
+/// Result of an ALU op (opcodes below kBeq) on `a` and alu_operand's `b`.
+[[gnu::always_inline]] inline u64 alu(Opcode op, u64 a, u64 b) {
+  switch (op) {
+    case Opcode::kAdd: case Opcode::kAddi: return a + b;
+    case Opcode::kSub: return a - b;
+    case Opcode::kSll: case Opcode::kSlli: return a << (b & 63);
+    case Opcode::kSrl: case Opcode::kSrli: return a >> (b & 63);
+    case Opcode::kSra: case Opcode::kSrai:
+      return static_cast<u64>(static_cast<i64>(a) >> (b & 63));
+    case Opcode::kAnd: case Opcode::kAndi: return a & b;
+    case Opcode::kOr: case Opcode::kOri: return a | b;
+    case Opcode::kXor: case Opcode::kXori: return a ^ b;
+    case Opcode::kSlt: case Opcode::kSlti:
+      return static_cast<i64>(a) < static_cast<i64>(b) ? 1 : 0;
+    case Opcode::kSltu: case Opcode::kSltiu: return a < b ? 1 : 0;
+    case Opcode::kMul: return a * b;
+    case Opcode::kMulh:
+      return static_cast<u64>(
+          (static_cast<__int128>(static_cast<i64>(a)) * static_cast<i64>(b)) >> 64);
+    case Opcode::kDiv: return div_signed(a, b);
+    case Opcode::kDivu: return b == 0 ? ~u64{0} : a / b;
+    case Opcode::kRem: return rem_signed(a, b);
+    case Opcode::kRemu: return b == 0 ? a : a % b;
+    case Opcode::kLui: return b << isa::kLuiShift;
+    default: return 0;  // not an ALU op
+  }
+}
+
+/// Direction of a conditional branch (kBeq..kBgeu).
+[[gnu::always_inline]] inline bool branch_taken(Opcode op, u64 a, u64 b) {
+  switch (op) {
+    case Opcode::kBeq: return a == b;
+    case Opcode::kBne: return a != b;
+    case Opcode::kBlt: return static_cast<i64>(a) < static_cast<i64>(b);
+    case Opcode::kBge: return static_cast<i64>(a) >= static_cast<i64>(b);
+    case Opcode::kBltu: return a < b;
+    case Opcode::kBgeu: return a >= b;
+    default: return false;  // not a conditional branch
+  }
+}
+
+/// A plain load's register value from the raw (zero-extended) access.
+[[gnu::always_inline]] inline u64 extend_load(Opcode op, u64 raw) {
+  switch (op) {
+    case Opcode::kLb: return static_cast<u64>(static_cast<i64>(static_cast<i8>(raw)));
+    case Opcode::kLh: return static_cast<u64>(static_cast<i64>(static_cast<i16>(raw)));
+    case Opcode::kLw: return static_cast<u64>(static_cast<i64>(static_cast<i32>(raw)));
+    default: return raw;
+  }
+}
+
+/// The bytes a `bytes`-wide store writes: `value` masked to the width.
+[[gnu::always_inline]] inline u64 store_data(u32 bytes, u64 value) {
+  return bytes == 8 ? value : value & ((u64{1} << (bytes * 8)) - 1);
+}
+
+// The fused fast paths' segment-cursor record protocol, the batched analogue
+// of CoreUnit's stepwise ReplayPort (replay) and log_memory (produce).
+
+/// Replay: consume the next staged record and check the access against it —
+/// the address, then a store's width-masked data, the stepwise checker's
+/// precedence. `clock` is the PRE-commit clock, exactly when the stepwise
+/// ReplayPort pops the entry (before this instruction's cost is added).
+/// Returns the record's data: a load's value.
+[[gnu::always_inline]] inline u64 replay_access(SegmentCursor& cursor, bool store,
+                                                Addr addr, u64 data, Cycle clock) {
+  const MemRecord& e = cursor.slots[cursor.used++];
+  cursor.last_cycle = clock;
+  if (e.addr != addr) [[unlikely]] {
+    cursor.on_mismatch(cursor.ctx, store ? ReplayMismatch::kStoreAddr : ReplayMismatch::kLoadAddr,
+                       clock);
+  } else if (store && e.data != data) [[unlikely]] {
+    cursor.on_mismatch(cursor.ctx, ReplayMismatch::kStoreData, clock);
+  }
+  return e.data;
+}
+
+/// Produce: stage a record of the access (a load's raw value, a store's
+/// masked data). `clock` is the POST-commit clock — the instruction's cost is
+/// final once its data probe is charged — matching the stepwise on_commit ->
+/// log_memory ordering.
+[[gnu::always_inline]] inline void stage_access(SegmentCursor& cursor, bool store, u32 bytes,
+                                                Addr addr, u64 data, Cycle clock) {
+  MemRecord& rec = cursor.slots[cursor.used++];
+  rec.kind = store ? cursor.store_kind : cursor.load_kind;
+  rec.bytes = static_cast<u8>(bytes);
+  rec.addr = addr;
+  rec.data = data;
+  rec.cycle = clock;
+}
+
 }  // namespace
+
+[[gnu::always_inline]] inline Cycle Core::resolve_branch(Addr pc, bool taken) {
+  const bool predicted = bpred_.predict_taken(pc);
+  bpred_.update(pc, taken);
+  if (predicted == taken) return 0;
+  ++mispredicts_;
+  return bpred_.config().mispredict_penalty;
+}
+
+[[gnu::always_inline]] inline Cycle Core::resolve_jal(Addr pc, Addr target, u8 rd) {
+  Cycle extra = 0;
+  const auto hit = bpred_.btb_lookup(pc);
+  if (!hit.has_value() || *hit != target) {
+    extra = 1;  // decode-stage redirect bubble
+    bpred_.btb_insert(pc, target);
+  }
+  if (rd == 1) bpred_.ras_push(pc + 4);
+  return extra;
+}
+
+[[gnu::always_inline]] inline Cycle Core::resolve_jalr(Addr pc, Addr target, u8 rd, u8 rs1) {
+  std::optional<Addr> predicted;
+  if (rd == 0 && rs1 == 1) {
+    predicted = bpred_.ras_pop();  // return: predicted through the RAS
+  } else {
+    predicted = bpred_.btb_lookup(pc);
+    if (!predicted.has_value() || *predicted != target) bpred_.btb_insert(pc, target);
+    if (rd == 1) bpred_.ras_push(pc + 4);
+  }
+  if (predicted.has_value() && *predicted == target) return 0;
+  ++mispredicts_;
+  return bpred_.config().mispredict_penalty;
+}
+
+[[gnu::always_inline]] inline Cycle Core::execute_prefix(const Instruction& inst, Addr pc,
+                                                         u64& rd_value, bool& write_rd,
+                                                         Addr& next_pc) {
+  const u64 a = regs_[inst.rs1];  // NOLINT: x0 reads as 0 by invariant
+  const auto imm = static_cast<u64>(static_cast<i64>(inst.imm));
+  write_rd = true;
+  switch (inst.op) {
+#define FLEX_ALU_CASE(name)                                                      \
+  case Opcode::name:                                                             \
+    rd_value = alu(Opcode::name, a,                                              \
+                   alu_operand(Opcode::name, regs_.data(), inst.rs2, inst.imm)); \
+    return isa::opcode_latency(Opcode::name) - 1;
+    FLEX_ALU_OPS(FLEX_ALU_CASE)
+    FLEX_ALU_CASE(kLui)
+#undef FLEX_ALU_CASE
+#define FLEX_BRANCH_CASE(name)                                         \
+  case Opcode::name: {                                                 \
+    write_rd = false;                                                  \
+    const bool taken = branch_taken(Opcode::name, a, regs_[inst.rs2]); \
+    if (taken) next_pc = pc + imm;                                     \
+    return resolve_branch(pc, taken);                                  \
+  }
+    FLEX_BRANCH_OPS(FLEX_BRANCH_CASE)
+#undef FLEX_BRANCH_CASE
+    case Opcode::kJal:
+      rd_value = pc + 4;
+      next_pc = pc + imm;
+      return resolve_jal(pc, next_pc, inst.rd);
+    case Opcode::kJalr:
+      rd_value = pc + 4;
+      next_pc = (a + imm) & ~u64{1};
+      return resolve_jalr(pc, next_pc, inst.rd, inst.rs1);
+    default:
+      write_rd = false;
+      return 0;  // not in the prefix
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Default data-memory port: real memory + cache-hierarchy timing + LR/SC
@@ -457,35 +642,6 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
   return status_;
 }
 
-// Fused-mode load body for run_fast_path: serve from the staged log window
-// (replay) or stage a MAL record (produce); other modes hit the cache/memory
-// path directly. The replay compare stamp is the pre-commit clock — exactly
-// when the stepwise engine's ReplayPort pops the entry (before this
-// instruction's cost is added). The produce stamp is the post-commit clock
-// (cost is final here: loads add nothing after the data probe), matching the
-// stepwise on_commit -> log_memory ordering.
-#define FLEX_FAST_LOAD(bytes_)                                              \
-  if constexpr (M == FastMode::kReplay) {                                   \
-    MemRecord& e = cursor->slots[cursor->used++];                           \
-    cursor->last_cycle = cycle;                                             \
-    if (e.addr != addr) [[unlikely]] {                                      \
-      cursor->on_mismatch(cursor->ctx, ReplayMismatch::kLoadAddr, cycle);   \
-    }                                                                       \
-    cost += cursor->replay_stall;                                           \
-    value = e.data;                                                         \
-  } else {                                                                  \
-    cost += caches_.data(addr) + config_.load_use_penalty;                  \
-    value = memory_.read(addr, (bytes_));                                   \
-    if constexpr (M == FastMode::kProduce) {                                \
-      MemRecord& rec = cursor->slots[cursor->used++];                       \
-      rec.kind = cursor->load_kind;                                         \
-      rec.bytes = (bytes_);                                                 \
-      rec.addr = addr;                                                      \
-      rec.data = value;                                                     \
-      rec.cycle = cycle + cost;                                             \
-    }                                                                       \
-  }
-
 template <Core::FastMode M>
 void Core::run_fast_path(Cycle stop_before, u64 instret_end,
                          SegmentCursor* cursor) {
@@ -653,251 +809,59 @@ trace_point:
 
     Addr next_pc = pc + 4;
     u64 rd_value = 0;
-    bool write_rd = false;
+    bool write_rd = true;  // cleared by stores and conditional branches
 
-    const u64 a = regs_[inst.rs1];  // NOLINT: x0 reads as 0 by invariant
-    const u64 b = regs_[inst.rs2];
-    const auto imm = static_cast<i64>(inst.imm);
+    const Addr addr = regs_[inst.rs1] + static_cast<u64>(static_cast<i64>(inst.imm));
 
+    // Plain loads and stores: inlined CachePort (the default port is
+    // guaranteed) in the plain modes; in the fused ones the cursor protocol,
+    // at the pre-commit clock `cycle` (replay) or the post-commit clock
+    // `cycle + cost` (produce: nothing is added after the data probe).
+    const auto load = [&](u32 bytes) __attribute__((always_inline)) -> u64 {
+      if constexpr (M == FastMode::kReplay) {
+        cost += cursor->replay_stall;
+        return replay_access(*cursor, false, addr, 0, cycle);
+      } else {
+        cost += caches_.data(addr) + config_.load_use_penalty;
+        const u64 value = memory_.read(addr, bytes);
+        if constexpr (M == FastMode::kProduce) {
+          stage_access(*cursor, false, bytes, addr, value, cycle + cost);
+        }
+        return value;
+      }
+    };
+    const auto store = [&](u32 bytes) __attribute__((always_inline)) {
+      const u64 data = store_data(bytes, regs_[inst.rs2]);
+      write_rd = false;
+      if constexpr (M == FastMode::kReplay) {
+        replay_access(*cursor, true, addr, data, cycle);
+        cost += cursor->replay_stall;  // checker never writes memory
+      } else {
+        cost += caches_.data(addr);
+        // Reservation invalidation happens inside Memory's write path (the
+        // shared registry), identically for every store flavour and core.
+        memory_.write(addr, bytes, data);
+        if constexpr (M == FastMode::kProduce) {
+          stage_access(*cursor, true, bytes, addr, data, cycle + cost);
+        }
+      }
+    };
+
+    // Memory cases split by width, so each access is a fixed-size move.
+    // Slow-path opcodes never get here (bailed out above).
     switch (inst.op) {
-      // ---- ALU register-register ----
-      case Opcode::kAdd: rd_value = a + b; write_rd = true; break;
-      case Opcode::kSub: rd_value = a - b; write_rd = true; break;
-      case Opcode::kSll: rd_value = a << (b & 63); write_rd = true; break;
-      case Opcode::kSrl: rd_value = a >> (b & 63); write_rd = true; break;
-      case Opcode::kSra:
-        rd_value = static_cast<u64>(static_cast<i64>(a) >> (b & 63));
-        write_rd = true;
-        break;
-      case Opcode::kAnd: rd_value = a & b; write_rd = true; break;
-      case Opcode::kOr: rd_value = a | b; write_rd = true; break;
-      case Opcode::kXor: rd_value = a ^ b; write_rd = true; break;
-      case Opcode::kSlt:
-        rd_value = static_cast<i64>(a) < static_cast<i64>(b) ? 1 : 0;
-        write_rd = true;
-        break;
-      case Opcode::kSltu: rd_value = a < b ? 1 : 0; write_rd = true; break;
-      case Opcode::kMul:
-        rd_value = a * b;
-        write_rd = true;
-        cost += isa::opcode_latency(inst.op) - 1;
-        break;
-      case Opcode::kMulh:
-        rd_value = static_cast<u64>(
-            (static_cast<__int128>(static_cast<i64>(a)) * static_cast<i64>(b)) >> 64);
-        write_rd = true;
-        cost += isa::opcode_latency(inst.op) - 1;
-        break;
-      case Opcode::kDiv:
-        rd_value = div_signed(a, b);
-        write_rd = true;
-        cost += isa::opcode_latency(inst.op) - 1;
-        break;
-      case Opcode::kDivu:
-        rd_value = (b == 0) ? ~u64{0} : a / b;
-        write_rd = true;
-        cost += isa::opcode_latency(inst.op) - 1;
-        break;
-      case Opcode::kRem:
-        rd_value = rem_signed(a, b);
-        write_rd = true;
-        cost += isa::opcode_latency(inst.op) - 1;
-        break;
-      case Opcode::kRemu:
-        rd_value = (b == 0) ? a : a % b;
-        write_rd = true;
-        cost += isa::opcode_latency(inst.op) - 1;
-        break;
-
-      // ---- ALU register-immediate ----
-      case Opcode::kAddi: rd_value = a + static_cast<u64>(imm); write_rd = true; break;
-      case Opcode::kAndi: rd_value = a & static_cast<u64>(imm); write_rd = true; break;
-      case Opcode::kOri: rd_value = a | static_cast<u64>(imm); write_rd = true; break;
-      case Opcode::kXori: rd_value = a ^ static_cast<u64>(imm); write_rd = true; break;
-      case Opcode::kSlli: rd_value = a << (inst.imm & 63); write_rd = true; break;
-      case Opcode::kSrli: rd_value = a >> (inst.imm & 63); write_rd = true; break;
-      case Opcode::kSrai:
-        rd_value = static_cast<u64>(static_cast<i64>(a) >> (inst.imm & 63));
-        write_rd = true;
-        break;
-      case Opcode::kSlti:
-        rd_value = static_cast<i64>(a) < imm ? 1 : 0;
-        write_rd = true;
-        break;
-      case Opcode::kSltiu:
-        rd_value = a < static_cast<u64>(imm) ? 1 : 0;
-        write_rd = true;
-        break;
-      case Opcode::kLui:
-        rd_value = static_cast<u64>(static_cast<i64>(inst.imm) << isa::kLuiShift);
-        write_rd = true;
-        break;
-
-      // ---- conditional branches ----
-      case Opcode::kBeq:
-      case Opcode::kBne:
-      case Opcode::kBlt:
-      case Opcode::kBge:
-      case Opcode::kBltu:
-      case Opcode::kBgeu: {
-        bool taken = false;
-        switch (inst.op) {
-          case Opcode::kBeq: taken = a == b; break;
-          case Opcode::kBne: taken = a != b; break;
-          case Opcode::kBlt: taken = static_cast<i64>(a) < static_cast<i64>(b); break;
-          case Opcode::kBge: taken = static_cast<i64>(a) >= static_cast<i64>(b); break;
-          case Opcode::kBltu: taken = a < b; break;
-          case Opcode::kBgeu: taken = a >= b; break;
-          default: break;
-        }
-        const bool predicted = bpred_.predict_taken(pc);
-        if (predicted != taken) {
-          cost += bpred_.config().mispredict_penalty;
-          ++mispredicts_;
-        }
-        bpred_.update(pc, taken);
-        if (taken) next_pc = pc + static_cast<Addr>(static_cast<i64>(inst.imm));
-        break;
-      }
-
-      // ---- jumps ----
-      case Opcode::kJal: {
-        rd_value = pc + 4;
-        write_rd = inst.rd != 0;
-        next_pc = pc + static_cast<Addr>(static_cast<i64>(inst.imm));
-        const auto hit = bpred_.btb_lookup(pc);
-        if (!hit.has_value() || *hit != next_pc) {
-          cost += 1;  // decode-stage redirect bubble
-          bpred_.btb_insert(pc, next_pc);
-        }
-        if (inst.rd == 1) bpred_.ras_push(pc + 4);
-        break;
-      }
-      case Opcode::kJalr: {
-        const Addr target = (a + static_cast<u64>(imm)) & ~u64{1};
-        rd_value = pc + 4;
-        write_rd = inst.rd != 0;
-        if (inst.rd == 0 && inst.rs1 == 1) {
-          const auto predicted = bpred_.ras_pop();
-          if (!predicted.has_value() || *predicted != target) {
-            cost += bpred_.config().mispredict_penalty;
-            ++mispredicts_;
-          }
-        } else {
-          const auto hit = bpred_.btb_lookup(pc);
-          if (!hit.has_value() || *hit != target) {
-            cost += bpred_.config().mispredict_penalty;
-            ++mispredicts_;
-            bpred_.btb_insert(pc, target);
-          }
-          if (inst.rd == 1) bpred_.ras_push(pc + 4);
-        }
-        next_pc = target;
-        break;
-      }
-
-      // ---- loads (inlined CachePort::load: default port guaranteed; cases
-      // split by width so each copy is a fixed-size move) ----
       case Opcode::kLb:
-      case Opcode::kLbu: {
-        const Addr addr = a + static_cast<u64>(imm);
-        u64 value;
-        FLEX_FAST_LOAD(1)
-        rd_value = inst.op == Opcode::kLb
-                       ? static_cast<u64>(static_cast<i64>(static_cast<i8>(value)))
-                       : value;
-        write_rd = true;
-        break;
-      }
+      case Opcode::kLbu: rd_value = extend_load(inst.op, load(1)); break;
       case Opcode::kLh:
-      case Opcode::kLhu: {
-        const Addr addr = a + static_cast<u64>(imm);
-        u64 value;
-        FLEX_FAST_LOAD(2)
-        rd_value = inst.op == Opcode::kLh
-                       ? static_cast<u64>(static_cast<i64>(static_cast<i16>(value)))
-                       : value;
-        write_rd = true;
-        break;
-      }
+      case Opcode::kLhu: rd_value = extend_load(inst.op, load(2)); break;
       case Opcode::kLw:
-      case Opcode::kLwu: {
-        const Addr addr = a + static_cast<u64>(imm);
-        u64 value;
-        FLEX_FAST_LOAD(4)
-        rd_value = inst.op == Opcode::kLw
-                       ? static_cast<u64>(static_cast<i64>(static_cast<i32>(value)))
-                       : value;
-        write_rd = true;
-        break;
-      }
-      case Opcode::kLd: {
-        const Addr addr = a + static_cast<u64>(imm);
-        u64 value;
-        FLEX_FAST_LOAD(8)
-        rd_value = value;
-        write_rd = true;
-        break;
-      }
-
-      // ---- stores (inlined CachePort::store; width split as for loads) ----
-      case Opcode::kSb:
-      case Opcode::kSh:
-      case Opcode::kSw:
-      case Opcode::kSd: {
-        const Addr addr = a + static_cast<u64>(imm);
-        if constexpr (M == FastMode::kReplay) {
-          // Verify against the staged producer record: address first, then
-          // the width-masked data (same precedence as the stepwise checker).
-          u64 data = b;
-          switch (inst.op) {
-            case Opcode::kSb: data = b & 0xff; break;
-            case Opcode::kSh: data = b & 0xffff; break;
-            case Opcode::kSw: data = b & 0xffff'ffff; break;
-            default: break;
-          }
-          MemRecord& e = cursor->slots[cursor->used++];
-          cursor->last_cycle = cycle;
-          if (e.addr != addr) [[unlikely]] {
-            cursor->on_mismatch(cursor->ctx, ReplayMismatch::kStoreAddr, cycle);
-          } else if (e.data != data) [[unlikely]] {
-            cursor->on_mismatch(cursor->ctx, ReplayMismatch::kStoreData, cycle);
-          }
-          cost += cursor->replay_stall;  // checker never writes memory
-        } else if constexpr (M == FastMode::kProduce) {
-          cost += caches_.data(addr);
-          u32 bytes = 8;
-          u64 data = b;
-          switch (inst.op) {
-            case Opcode::kSb: bytes = 1; data = b & 0xff; break;
-            case Opcode::kSh: bytes = 2; data = b & 0xffff; break;
-            case Opcode::kSw: bytes = 4; data = b & 0xffff'ffff; break;
-            default: break;
-          }
-          memory_.write(addr, bytes, data);
-          MemRecord& rec = cursor->slots[cursor->used++];
-          rec.kind = cursor->store_kind;
-          rec.bytes = static_cast<u8>(bytes);
-          rec.addr = addr;
-          rec.data = data;
-          rec.cycle = cycle + cost;
-        } else {
-          cost += caches_.data(addr);
-          // Reservation invalidation happens inside Memory's write path (the
-          // shared registry), identically for every store flavour and core.
-          switch (inst.op) {
-            case Opcode::kSb: memory_.write(addr, 1, b & 0xff); break;
-            case Opcode::kSh: memory_.write(addr, 2, b & 0xffff); break;
-            case Opcode::kSw: memory_.write(addr, 4, b & 0xffff'ffff); break;
-            default: memory_.write(addr, 8, b); break;
-          }
-        }
-        break;
-      }
-
-      // ---- everything else (atomics, system, CSR, custom ISA, traps) ----
-      default:
-        goto writeback;  // slow path: the caller executes it through step()
+      case Opcode::kLwu: rd_value = extend_load(inst.op, load(4)); break;
+      case Opcode::kLd: rd_value = load(8); break;
+      case Opcode::kSb: store(1); break;
+      case Opcode::kSh: store(2); break;
+      case Opcode::kSw: store(4); break;
+      case Opcode::kSd: store(8); break;
+      default: cost += execute_prefix(inst, pc, rd_value, write_rd, next_pc);
     }
 
     // ---- commit (mirrors step(); hooks are passive by precondition) ----
@@ -924,8 +888,6 @@ writeback:
   stall_cycles_ += (cycle - cycle_start) - retired;
   last_fetch_line_ = last_line;
 }
-
-#undef FLEX_FAST_LOAD
 
 template void Core::run_fast_path<Core::FastMode::kFull>(Cycle, u64,
                                                          SegmentCursor*);
@@ -979,7 +941,6 @@ template void Core::run_fast_path<Core::FastMode::kReplay>(Cycle, u64,
       rc += (c);                                    \
     }                                               \
   } while (0)
-#define TRACE_OP1(name) TRACE_OP(name) TRACE_STATIC(1);
 #define TRACE_PROBE(pc_expr)                              \
   do {                                                    \
     const Cycle probe_cost = caches_.fetch(pc_expr);      \
@@ -1013,6 +974,58 @@ void Core::execute_trace(const Trace& t, Addr& pc, Cycle& cycle, u64& instret,
   u64* const regs = regs_.data();
   const TraceOp* op = t.ops.data();
 
+  // ALU op `kind` on trace op `o` (never into x0: dropped at record time).
+  const auto exec_alu = [regs](Opcode kind, const TraceOp* o) __attribute__((always_inline)) {
+    regs[o->rd] = alu(kind, regs[o->rs1], alu_operand(kind, regs, o->rs2, o->imm));
+  };
+  // Terminal conditional branch at `bpc`.
+  const auto branch = [&](Opcode kind, u64 a, u64 b, Addr bpc) __attribute__((always_inline)) {
+    const bool taken = branch_taken(kind, a, b);
+    extra += resolve_branch(bpc, taken);
+    if (taken) next_pc = op->target;
+  };
+  // Plain loads and stores of the current op. Replay compares at the
+  // PRE-commit clock: rc before folding the op's own cost (carry holds any
+  // preceding probe). Produce stages at the post-commit clock, after folding
+  // the full cost.
+  const auto load = [&](u32 bytes) __attribute__((always_inline)) -> u64 {
+    const Addr addr = regs[op->rs1] + static_cast<u64>(static_cast<i64>(op->imm));
+    if constexpr (M == FastMode::kReplay) {
+      const u64 value = replay_access(*cursor, false, addr, 0, rc);
+      rc += carry + 1 + cursor->replay_stall;
+      carry = 0;
+      return value;
+    } else {
+      const Cycle dstall = caches_.data(addr);
+      const u64 value = memory_.read(addr, bytes);
+      if constexpr (M == FastMode::kProduce) {
+        rc += 1 + config_.load_use_penalty + dstall;
+        stage_access(*cursor, false, bytes, addr, value, rc);
+      } else {
+        extra += dstall;
+      }
+      return value;
+    }
+  };
+  const auto store = [&](u32 bytes) __attribute__((always_inline)) {
+    const Addr addr = regs[op->rs1] + static_cast<u64>(static_cast<i64>(op->imm));
+    const u64 data = store_data(bytes, regs[op->rs2]);
+    if constexpr (M == FastMode::kReplay) {
+      replay_access(*cursor, true, addr, data, rc);
+      rc += carry + 1 + cursor->replay_stall;
+      carry = 0;
+    } else {
+      const Cycle dstall = caches_.data(addr);
+      memory_.write(addr, bytes, data);
+      if constexpr (M == FastMode::kProduce) {
+        rc += 1 + dstall;
+        stage_access(*cursor, true, bytes, addr, data, rc);
+      } else {
+        extra += dstall;
+      }
+    }
+  };
+
 #if FLEX_TRACE_THREADED
 #define FLEX_TRACE_LABEL(name) &&lbl_##name,
 #define FLEX_TRACE_PAIR_LABEL(name, first, second) &&lbl_kPair##name,
@@ -1027,121 +1040,34 @@ void Core::execute_trace(const Trace& t, Addr& pc, Cycle& cycle, u64& instret,
     switch (static_cast<TraceOpKind>(op->kind)) {
 #endif
 
-  // ---- ALU register-register ----
-  TRACE_OP1(kAdd) regs[op->rd] = regs[op->rs1] + regs[op->rs2]; TRACE_NEXT();
-  TRACE_OP1(kSub) regs[op->rd] = regs[op->rs1] - regs[op->rs2]; TRACE_NEXT();
-  TRACE_OP1(kSll) regs[op->rd] = regs[op->rs1] << (regs[op->rs2] & 63); TRACE_NEXT();
-  TRACE_OP1(kSrl) regs[op->rd] = regs[op->rs1] >> (regs[op->rs2] & 63); TRACE_NEXT();
-  TRACE_OP1(kSra)
-    regs[op->rd] = static_cast<u64>(static_cast<i64>(regs[op->rs1]) >>
-                                    (regs[op->rs2] & 63));
+  // ---- ALU (shift amounts pre-masked at record time) ----
+#define FLEX_TRACE_ALU_HANDLER(name)                 \
+  TRACE_OP(name)                                     \
+    TRACE_STATIC(isa::opcode_latency(Opcode::name)); \
+    exec_alu(Opcode::name, op);                      \
     TRACE_NEXT();
-  TRACE_OP1(kAnd) regs[op->rd] = regs[op->rs1] & regs[op->rs2]; TRACE_NEXT();
-  TRACE_OP1(kOr) regs[op->rd] = regs[op->rs1] | regs[op->rs2]; TRACE_NEXT();
-  TRACE_OP1(kXor) regs[op->rd] = regs[op->rs1] ^ regs[op->rs2]; TRACE_NEXT();
-  TRACE_OP1(kSlt)
-    regs[op->rd] =
-        static_cast<i64>(regs[op->rs1]) < static_cast<i64>(regs[op->rs2]) ? 1 : 0;
-    TRACE_NEXT();
-  TRACE_OP1(kSltu) regs[op->rd] = regs[op->rs1] < regs[op->rs2] ? 1 : 0; TRACE_NEXT();
-  TRACE_OP(kMul)
-    TRACE_STATIC(isa::opcode_latency(Opcode::kMul));
-    regs[op->rd] = regs[op->rs1] * regs[op->rs2];
-    TRACE_NEXT();
-  TRACE_OP(kMulh)
-    TRACE_STATIC(isa::opcode_latency(Opcode::kMulh));
-    regs[op->rd] = static_cast<u64>((static_cast<__int128>(static_cast<i64>(
-                                         regs[op->rs1])) *
-                                     static_cast<i64>(regs[op->rs2])) >>
-                                    64);
-    TRACE_NEXT();
-  TRACE_OP(kDiv)
-    TRACE_STATIC(isa::opcode_latency(Opcode::kDiv));
-    regs[op->rd] = div_signed(regs[op->rs1], regs[op->rs2]);
-    TRACE_NEXT();
-  TRACE_OP(kDivu) {
-    TRACE_STATIC(isa::opcode_latency(Opcode::kDivu));
-    const u64 b = regs[op->rs2];
-    regs[op->rd] = (b == 0) ? ~u64{0} : regs[op->rs1] / b;
-  }
-  TRACE_NEXT();
-  TRACE_OP(kRem)
-    TRACE_STATIC(isa::opcode_latency(Opcode::kRem));
-    regs[op->rd] = rem_signed(regs[op->rs1], regs[op->rs2]);
-    TRACE_NEXT();
-  TRACE_OP(kRemu) {
-    TRACE_STATIC(isa::opcode_latency(Opcode::kRemu));
-    const u64 a = regs[op->rs1];
-    const u64 b = regs[op->rs2];
-    regs[op->rd] = (b == 0) ? a : a % b;
-  }
-  TRACE_NEXT();
-
-  // ---- ALU register-immediate (shift amounts & LUI pre-masked) ----
-  TRACE_OP1(kAddi)
-    regs[op->rd] = regs[op->rs1] + static_cast<u64>(static_cast<i64>(op->imm));
-    TRACE_NEXT();
-  TRACE_OP1(kAndi)
-    regs[op->rd] = regs[op->rs1] & static_cast<u64>(static_cast<i64>(op->imm));
-    TRACE_NEXT();
-  TRACE_OP1(kOri)
-    regs[op->rd] = regs[op->rs1] | static_cast<u64>(static_cast<i64>(op->imm));
-    TRACE_NEXT();
-  TRACE_OP1(kXori)
-    regs[op->rd] = regs[op->rs1] ^ static_cast<u64>(static_cast<i64>(op->imm));
-    TRACE_NEXT();
-  TRACE_OP1(kSlli) regs[op->rd] = regs[op->rs1] << op->imm; TRACE_NEXT();
-  TRACE_OP1(kSrli) regs[op->rd] = regs[op->rs1] >> op->imm; TRACE_NEXT();
-  TRACE_OP1(kSrai)
-    regs[op->rd] = static_cast<u64>(static_cast<i64>(regs[op->rs1]) >> op->imm);
-    TRACE_NEXT();
-  TRACE_OP1(kSlti)
-    regs[op->rd] = static_cast<i64>(regs[op->rs1]) < static_cast<i64>(op->imm) ? 1 : 0;
-    TRACE_NEXT();
-  TRACE_OP1(kSltiu)
-    regs[op->rd] = regs[op->rs1] < static_cast<u64>(static_cast<i64>(op->imm)) ? 1 : 0;
-    TRACE_NEXT();
-  TRACE_OP1(kLui)
+  FLEX_ALU_OPS(FLEX_TRACE_ALU_HANDLER)
+#undef FLEX_TRACE_ALU_HANDLER
+  TRACE_OP(kLui)  // immediate recorded pre-shifted
+    TRACE_STATIC(1);
     regs[op->rd] = static_cast<u64>(static_cast<i64>(op->imm));
     TRACE_NEXT();
 
   // ---- terminal control transfers ----
-#define FLEX_TRACE_BRANCH_TAIL(taken_expr)                                   \
-  {                                                                          \
-    TRACE_STATIC(1);                                                         \
-    const bool taken = (taken_expr);                                         \
-    const Addr bpc = t.entry_pc + static_cast<Addr>(op->imm) * 4;            \
-    if (bpred_.predict_taken(bpc) != taken) {                                \
-      extra += bpred_.config().mispredict_penalty;                           \
-      ++mispredicts_;                                                        \
-    }                                                                        \
-    bpred_.update(bpc, taken);                                               \
-    if (taken) next_pc = op->target;                                         \
-  }                                                                          \
-  TRACE_DONE()
-
-  TRACE_OP(kBeq) FLEX_TRACE_BRANCH_TAIL(regs[op->rs1] == regs[op->rs2]);
-  TRACE_OP(kBne) FLEX_TRACE_BRANCH_TAIL(regs[op->rs1] != regs[op->rs2]);
-  TRACE_OP(kBlt)
-    FLEX_TRACE_BRANCH_TAIL(static_cast<i64>(regs[op->rs1]) <
-                           static_cast<i64>(regs[op->rs2]));
-  TRACE_OP(kBge)
-    FLEX_TRACE_BRANCH_TAIL(static_cast<i64>(regs[op->rs1]) >=
-                           static_cast<i64>(regs[op->rs2]));
-  TRACE_OP(kBltu) FLEX_TRACE_BRANCH_TAIL(regs[op->rs1] < regs[op->rs2]);
-  TRACE_OP(kBgeu) FLEX_TRACE_BRANCH_TAIL(regs[op->rs1] >= regs[op->rs2]);
-
+#define FLEX_TRACE_BRANCH_HANDLER(name)                  \
+  TRACE_OP(name)                                         \
+    TRACE_STATIC(1);                                     \
+    branch(Opcode::name, regs[op->rs1], regs[op->rs2],   \
+           t.entry_pc + static_cast<Addr>(op->imm) * 4); \
+    TRACE_DONE();
+  FLEX_BRANCH_OPS(FLEX_TRACE_BRANCH_HANDLER)
+#undef FLEX_TRACE_BRANCH_HANDLER
   TRACE_OP(kJal) {
     TRACE_STATIC(1);
     const Addr jpc = t.entry_pc + static_cast<Addr>(op->imm) * 4;
-    next_pc = op->target;
-    const auto hit = bpred_.btb_lookup(jpc);
-    if (!hit.has_value() || *hit != next_pc) {
-      extra += 1;  // decode-stage redirect bubble
-      bpred_.btb_insert(jpc, next_pc);
-    }
-    if (op->rd == 1) bpred_.ras_push(jpc + 4);
+    extra += resolve_jal(jpc, op->target, op->rd);
     if (op->rd != 0) regs[op->rd] = jpc + 4;
+    next_pc = op->target;
   }
   TRACE_DONE();
   TRACE_OP(kJalr) {
@@ -1149,146 +1075,27 @@ void Core::execute_trace(const Trace& t, Addr& pc, Cycle& cycle, u64& instret,
     const Addr jpc = op->target;
     const Addr target =
         (regs[op->rs1] + static_cast<u64>(static_cast<i64>(op->imm))) & ~u64{1};
-    if (op->rd == 0 && op->rs1 == 1) {
-      const auto predicted = bpred_.ras_pop();
-      if (!predicted.has_value() || *predicted != target) {
-        extra += bpred_.config().mispredict_penalty;
-        ++mispredicts_;
-      }
-    } else {
-      const auto hit = bpred_.btb_lookup(jpc);
-      if (!hit.has_value() || *hit != target) {
-        extra += bpred_.config().mispredict_penalty;
-        ++mispredicts_;
-        bpred_.btb_insert(jpc, target);
-      }
-      if (op->rd == 1) bpred_.ras_push(jpc + 4);
-    }
+    extra += resolve_jalr(jpc, target, op->rd, op->rs1);
     if (op->rd != 0) regs[op->rd] = jpc + 4;
     next_pc = target;
   }
   TRACE_DONE();
 
-  // ---- loads (load-use bubble folded into base_cost / rc) ----
-  // Fused bodies mirror run_fast_path's FLEX_FAST_LOAD: replay serves the
-  // value from the staged log window and stamps the PRE-commit clock (rc
-  // before folding the load's own cost; carry holds any preceding probe);
-  // produce stamps the post-commit clock after folding the full load cost.
-#define FLEX_TRACE_LOAD(bytes_)                                             \
-  const Addr addr = regs[op->rs1] + static_cast<u64>(static_cast<i64>(op->imm)); \
-  u64 value;                                                                \
-  if constexpr (M == FastMode::kReplay) {                                   \
-    MemRecord& e = cursor->slots[cursor->used++];                           \
-    cursor->last_cycle = rc;                                                \
-    if (e.addr != addr) [[unlikely]] {                                      \
-      cursor->on_mismatch(cursor->ctx, ReplayMismatch::kLoadAddr, rc);      \
-    }                                                                       \
-    rc += carry + 1 + cursor->replay_stall;                                 \
-    carry = 0;                                                              \
-    value = e.data;                                                         \
-  } else {                                                                  \
-    const Cycle dstall = caches_.data(addr);                                \
-    value = memory_.read(addr, (bytes_));                                   \
-    if constexpr (M == FastMode::kProduce) {                                \
-      rc += 1 + config_.load_use_penalty + dstall;                          \
-      MemRecord& rec = cursor->slots[cursor->used++];                       \
-      rec.kind = cursor->load_kind;                                         \
-      rec.bytes = (bytes_);                                                 \
-      rec.addr = addr;                                                      \
-      rec.data = value;                                                     \
-      rec.cycle = rc;                                                       \
-    } else {                                                                \
-      extra += dstall;                                                      \
-    }                                                                       \
-  }
-#define FLEX_TRACE_STORE(bytes_, mask_)                                     \
-  const Addr addr = regs[op->rs1] + static_cast<u64>(static_cast<i64>(op->imm)); \
-  const u64 data = regs[op->rs2] mask_;                                     \
-  if constexpr (M == FastMode::kReplay) {                                   \
-    MemRecord& e = cursor->slots[cursor->used++];                           \
-    cursor->last_cycle = rc;                                                \
-    if (e.addr != addr) [[unlikely]] {                                      \
-      cursor->on_mismatch(cursor->ctx, ReplayMismatch::kStoreAddr, rc);     \
-    } else if (e.data != data) [[unlikely]] {                               \
-      cursor->on_mismatch(cursor->ctx, ReplayMismatch::kStoreData, rc);     \
-    }                                                                       \
-    rc += carry + 1 + cursor->replay_stall;                                 \
-    carry = 0;                                                              \
-  } else {                                                                  \
-    const Cycle dstall = caches_.data(addr);                                \
-    memory_.write(addr, (bytes_), data);                                    \
-    if constexpr (M == FastMode::kProduce) {                                \
-      rc += 1 + dstall;                                                     \
-      MemRecord& rec = cursor->slots[cursor->used++];                       \
-      rec.kind = cursor->store_kind;                                        \
-      rec.bytes = (bytes_);                                                 \
-      rec.addr = addr;                                                      \
-      rec.data = data;                                                      \
-      rec.cycle = rc;                                                       \
-    } else {                                                                \
-      extra += dstall;                                                      \
-    }                                                                       \
-  }
-
-  TRACE_OP(kLb) {
-    FLEX_TRACE_LOAD(1)
-    if (op->rd != 0) {
-      regs[op->rd] = static_cast<u64>(static_cast<i64>(static_cast<i8>(value)));
-    }
-  }
+  // ---- loads and stores (load-use bubble folded into base_cost / rc) ----
+#define FLEX_TRACE_LOAD_HANDLER(name)                                 \
+  TRACE_OP(name) {                                                    \
+    const u64 value = load(isa::mem_access_bytes(Opcode::name));      \
+    if (op->rd != 0) regs[op->rd] = extend_load(Opcode::name, value); \
+  }                                                                   \
   TRACE_NEXT();
-  TRACE_OP(kLbu) {
-    FLEX_TRACE_LOAD(1)
-    if (op->rd != 0) regs[op->rd] = value;
-  }
-  TRACE_NEXT();
-  TRACE_OP(kLh) {
-    FLEX_TRACE_LOAD(2)
-    if (op->rd != 0) {
-      regs[op->rd] = static_cast<u64>(static_cast<i64>(static_cast<i16>(value)));
-    }
-  }
-  TRACE_NEXT();
-  TRACE_OP(kLhu) {
-    FLEX_TRACE_LOAD(2)
-    if (op->rd != 0) regs[op->rd] = value;
-  }
-  TRACE_NEXT();
-  TRACE_OP(kLw) {
-    FLEX_TRACE_LOAD(4)
-    if (op->rd != 0) {
-      regs[op->rd] = static_cast<u64>(static_cast<i64>(static_cast<i32>(value)));
-    }
-  }
-  TRACE_NEXT();
-  TRACE_OP(kLwu) {
-    FLEX_TRACE_LOAD(4)
-    if (op->rd != 0) regs[op->rd] = value;
-  }
-  TRACE_NEXT();
-  TRACE_OP(kLd) {
-    FLEX_TRACE_LOAD(8)
-    if (op->rd != 0) regs[op->rd] = value;
-  }
-  TRACE_NEXT();
-
-  // ---- stores (reservation invalidation inside Memory::write) ----
-  TRACE_OP(kSb) {
-    FLEX_TRACE_STORE(1, & 0xff)
-  }
-  TRACE_NEXT();
-  TRACE_OP(kSh) {
-    FLEX_TRACE_STORE(2, & 0xffff)
-  }
-  TRACE_NEXT();
-  TRACE_OP(kSw) {
-    FLEX_TRACE_STORE(4, & 0xffff'ffff)
-  }
-  TRACE_NEXT();
-  TRACE_OP(kSd) {
-    FLEX_TRACE_STORE(8, )
-  }
-  TRACE_NEXT();
+  FLEX_LOAD_OPS(FLEX_TRACE_LOAD_HANDLER)
+#undef FLEX_TRACE_LOAD_HANDLER
+#define FLEX_TRACE_STORE_HANDLER(name)          \
+  TRACE_OP(name)                                \
+    store(isa::mem_access_bytes(Opcode::name)); \
+    TRACE_NEXT();
+  FLEX_STORE_OPS(FLEX_TRACE_STORE_HANDLER)
+#undef FLEX_TRACE_STORE_HANDLER
 
   // ---- pseudo-ops ----
   TRACE_OP(kIFetchProbe) TRACE_PROBE(op->target); TRACE_NEXT();
@@ -1301,47 +1108,29 @@ void Core::execute_trace(const Trace& t, Addr& pc, Cycle& cycle, u64& instret,
 
   // ---- fused superinstructions (both commits, in order) ----
   TRACE_OP(kLdAddAcc) {
-    FLEX_TRACE_LOAD(8)
+    const u64 value = load(8);
     regs[op->rd] = value;  // fusion guarantees rd != 0
     regs[op->rs2] += value;
     TRACE_STATIC(1);  // the fused add's own commit cycle
   }
   TRACE_NEXT();
   TRACE_OP(kLdXorAcc) {
-    FLEX_TRACE_LOAD(8)
+    const u64 value = load(8);
     regs[op->rd] = value;
     regs[op->rs2] ^= value;
     TRACE_STATIC(1);
   }
   TRACE_NEXT();
-  TRACE_OP(kAndiBne) {
+  TRACE_OP(kAndiBne)
     TRACE_STATIC(2);
-    const u64 masked = regs[op->rs1] & static_cast<u64>(static_cast<i64>(op->imm));
-    regs[op->rd] = masked;
-    const bool taken = masked != 0;
-    const Addr bpc = t.entry_pc + static_cast<Addr>(op->rs2) * 4;
-    if (bpred_.predict_taken(bpc) != taken) {
-      extra += bpred_.config().mispredict_penalty;
-      ++mispredicts_;
-    }
-    bpred_.update(bpc, taken);
-    if (taken) next_pc = op->target;
-  }
-  TRACE_DONE();
-  TRACE_OP(kAndiBeq) {
+    exec_alu(Opcode::kAndi, op);
+    branch(Opcode::kBne, regs[op->rd], 0, t.entry_pc + static_cast<Addr>(op->rs2) * 4);
+    TRACE_DONE();
+  TRACE_OP(kAndiBeq)
     TRACE_STATIC(2);
-    const u64 masked = regs[op->rs1] & static_cast<u64>(static_cast<i64>(op->imm));
-    regs[op->rd] = masked;
-    const bool taken = masked == 0;
-    const Addr bpc = t.entry_pc + static_cast<Addr>(op->rs2) * 4;
-    if (bpred_.predict_taken(bpc) != taken) {
-      extra += bpred_.config().mispredict_penalty;
-      ++mispredicts_;
-    }
-    bpred_.update(bpc, taken);
-    if (taken) next_pc = op->target;
-  }
-  TRACE_DONE();
+    exec_alu(Opcode::kAndi, op);
+    branch(Opcode::kBeq, regs[op->rd], 0, t.entry_pc + static_cast<Addr>(op->rs2) * 4);
+    TRACE_DONE();
   TRACE_OP(kMulAddi)
     TRACE_STATIC(isa::opcode_latency(Opcode::kMul) + 1);
     regs[op->rd] = regs[op->rs1] * regs[op->rs2] +
@@ -1355,21 +1144,13 @@ void Core::execute_trace(const Trace& t, Addr& pc, Cycle& cycle, u64& instret,
   // ---- generic ALU pairs: first half in the pair op, second in the payload
   // slot it consumes. Sequential execution keeps intra-pair dependencies
   // (second half reading the first's rd) exact. ----
-#define FLEX_ALU_HALF_Add(o) regs[(o)->rd] = regs[(o)->rs1] + regs[(o)->rs2]
-#define FLEX_ALU_HALF_Sub(o) regs[(o)->rd] = regs[(o)->rs1] - regs[(o)->rs2]
-#define FLEX_ALU_HALF_Xor(o) regs[(o)->rd] = regs[(o)->rs1] ^ regs[(o)->rs2]
-#define FLEX_ALU_HALF_Or(o) regs[(o)->rd] = regs[(o)->rs1] | regs[(o)->rs2]
-#define FLEX_ALU_HALF_Slli(o) regs[(o)->rd] = regs[(o)->rs1] << (o)->imm
-#define FLEX_ALU_HALF_Addi(o) \
-  regs[(o)->rd] = regs[(o)->rs1] + static_cast<u64>(static_cast<i64>((o)->imm))
 #define FLEX_TRACE_PAIR_HANDLER(name, first, second) \
-  TRACE_OP(kPair##name) {                            \
+  TRACE_OP(kPair##name)                              \
     TRACE_STATIC(2);                                 \
-    FLEX_ALU_HALF_##first(op);                       \
+    exec_alu(Opcode::k##first, op);                  \
     ++op;                                            \
-    FLEX_ALU_HALF_##second(op);                      \
-  }                                                  \
-  TRACE_NEXT();
+    exec_alu(Opcode::k##second, op);                 \
+    TRACE_NEXT();
   FLEX_TRACE_PAIR_LIST(FLEX_TRACE_PAIR_HANDLER)
 #undef FLEX_TRACE_PAIR_HANDLER
 
@@ -1396,21 +1177,14 @@ trace_done:
 }
 
 #undef TRACE_OP
-#undef TRACE_OP1
 #undef TRACE_NEXT
 #undef TRACE_DONE
 #undef TRACE_STATIC
 #undef TRACE_PROBE
-#undef FLEX_TRACE_BRANCH_TAIL
-#undef FLEX_TRACE_LOAD
-#undef FLEX_TRACE_STORE
 
 template void Core::execute_trace<Core::FastMode::kFull>(const Trace&, Addr&,
                                                          Cycle&, u64&, Addr&,
                                                          SegmentCursor*);
-template void Core::execute_trace<Core::FastMode::kCount>(const Trace&, Addr&,
-                                                          Cycle&, u64&, Addr&,
-                                                          SegmentCursor*);
 template void Core::execute_trace<Core::FastMode::kProduce>(const Trace&,
                                                             Addr&, Cycle&,
                                                             u64&, Addr&,
@@ -1463,151 +1237,17 @@ Core::Status Core::step() {
   const auto imm = static_cast<i64>(inst.imm);
 
   switch (inst.op) {
-    // ---- ALU register-register ----
-    case Opcode::kAdd: rd_value = a + b; write_rd = true; break;
-    case Opcode::kSub: rd_value = a - b; write_rd = true; break;
-    case Opcode::kSll: rd_value = a << (b & 63); write_rd = true; break;
-    case Opcode::kSrl: rd_value = a >> (b & 63); write_rd = true; break;
-    case Opcode::kSra:
-      rd_value = static_cast<u64>(static_cast<i64>(a) >> (b & 63));
-      write_rd = true;
-      break;
-    case Opcode::kAnd: rd_value = a & b; write_rd = true; break;
-    case Opcode::kOr: rd_value = a | b; write_rd = true; break;
-    case Opcode::kXor: rd_value = a ^ b; write_rd = true; break;
-    case Opcode::kSlt:
-      rd_value = static_cast<i64>(a) < static_cast<i64>(b) ? 1 : 0;
-      write_rd = true;
-      break;
-    case Opcode::kSltu: rd_value = a < b ? 1 : 0; write_rd = true; break;
-    case Opcode::kMul:
-      rd_value = a * b;
-      write_rd = true;
-      cost += isa::opcode_latency(inst.op) - 1;
-      break;
-    case Opcode::kMulh:
-      rd_value = static_cast<u64>(
-          (static_cast<__int128>(static_cast<i64>(a)) * static_cast<i64>(b)) >> 64);
-      write_rd = true;
-      cost += isa::opcode_latency(inst.op) - 1;
-      break;
-    case Opcode::kDiv:
-      rd_value = div_signed(a, b);
-      write_rd = true;
-      cost += isa::opcode_latency(inst.op) - 1;
-      break;
-    case Opcode::kDivu:
-      rd_value = (b == 0) ? ~u64{0} : a / b;
-      write_rd = true;
-      cost += isa::opcode_latency(inst.op) - 1;
-      break;
-    case Opcode::kRem:
-      rd_value = rem_signed(a, b);
-      write_rd = true;
-      cost += isa::opcode_latency(inst.op) - 1;
-      break;
-    case Opcode::kRemu:
-      rd_value = (b == 0) ? a : a % b;
-      write_rd = true;
-      cost += isa::opcode_latency(inst.op) - 1;
-      break;
-
-    // ---- ALU register-immediate ----
-    case Opcode::kAddi: rd_value = a + static_cast<u64>(imm); write_rd = true; break;
-    case Opcode::kAndi: rd_value = a & static_cast<u64>(imm); write_rd = true; break;
-    case Opcode::kOri: rd_value = a | static_cast<u64>(imm); write_rd = true; break;
-    case Opcode::kXori: rd_value = a ^ static_cast<u64>(imm); write_rd = true; break;
-    case Opcode::kSlli: rd_value = a << (inst.imm & 63); write_rd = true; break;
-    case Opcode::kSrli: rd_value = a >> (inst.imm & 63); write_rd = true; break;
-    case Opcode::kSrai:
-      rd_value = static_cast<u64>(static_cast<i64>(a) >> (inst.imm & 63));
-      write_rd = true;
-      break;
-    case Opcode::kSlti:
-      rd_value = static_cast<i64>(a) < imm ? 1 : 0;
-      write_rd = true;
-      break;
-    case Opcode::kSltiu:
-      rd_value = a < static_cast<u64>(imm) ? 1 : 0;
-      write_rd = true;
-      break;
+    // ---- ALU, conditional branches, jumps ----
+    FLEX_ALU_OPS(FLEX_CASE)
+    FLEX_BRANCH_OPS(FLEX_CASE)
     case Opcode::kLui:
-      rd_value = static_cast<u64>(static_cast<i64>(inst.imm) << isa::kLuiShift);
-      write_rd = true;
+    case Opcode::kJal:
+    case Opcode::kJalr:
+      cost += execute_prefix(inst, pc_, rd_value, write_rd, next_pc);
       break;
-
-    // ---- conditional branches ----
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu: {
-      bool taken = false;
-      switch (inst.op) {
-        case Opcode::kBeq: taken = a == b; break;
-        case Opcode::kBne: taken = a != b; break;
-        case Opcode::kBlt: taken = static_cast<i64>(a) < static_cast<i64>(b); break;
-        case Opcode::kBge: taken = static_cast<i64>(a) >= static_cast<i64>(b); break;
-        case Opcode::kBltu: taken = a < b; break;
-        case Opcode::kBgeu: taken = a >= b; break;
-        default: break;
-      }
-      const bool predicted = bpred_.predict_taken(pc_);
-      if (predicted != taken) {
-        cost += bpred_.config().mispredict_penalty;
-        ++mispredicts_;
-      }
-      bpred_.update(pc_, taken);
-      if (taken) next_pc = pc_ + static_cast<Addr>(static_cast<i64>(inst.imm));
-      break;
-    }
-
-    // ---- jumps ----
-    case Opcode::kJal: {
-      rd_value = pc_ + 4;
-      write_rd = inst.rd != 0;
-      next_pc = pc_ + static_cast<Addr>(static_cast<i64>(inst.imm));
-      const auto hit = bpred_.btb_lookup(pc_);
-      if (!hit.has_value() || *hit != next_pc) {
-        cost += 1;  // decode-stage redirect bubble
-        bpred_.btb_insert(pc_, next_pc);
-      }
-      if (inst.rd == 1) bpred_.ras_push(pc_ + 4);
-      break;
-    }
-    case Opcode::kJalr: {
-      const Addr target = (a + static_cast<u64>(imm)) & ~u64{1};
-      rd_value = pc_ + 4;
-      write_rd = inst.rd != 0;
-      if (inst.rd == 0 && inst.rs1 == 1) {
-        // Return: predicted through the RAS.
-        const auto predicted = bpred_.ras_pop();
-        if (!predicted.has_value() || *predicted != target) {
-          cost += bpred_.config().mispredict_penalty;
-          ++mispredicts_;
-        }
-      } else {
-        const auto hit = bpred_.btb_lookup(pc_);
-        if (!hit.has_value() || *hit != target) {
-          cost += bpred_.config().mispredict_penalty;
-          ++mispredicts_;
-          bpred_.btb_insert(pc_, target);
-        }
-        if (inst.rd == 1) bpred_.ras_push(pc_ + 4);
-      }
-      next_pc = target;
-      break;
-    }
 
     // ---- loads ----
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kLw:
-    case Opcode::kLwu:
-    case Opcode::kLd: {
+    FLEX_LOAD_OPS(FLEX_CASE) {
       const Addr addr = a + static_cast<u64>(imm);
       const u32 bytes = isa::mem_access_bytes(inst.op);
       const MemResult r = port_->load(inst.op, addr, bytes);
@@ -1616,14 +1256,7 @@ Core::Status Core::step() {
         return status_;
       }
       cost += r.stall;
-      u64 value = r.data;
-      switch (inst.op) {  // sign extension
-        case Opcode::kLb: value = static_cast<u64>(static_cast<i64>(static_cast<i8>(value))); break;
-        case Opcode::kLh: value = static_cast<u64>(static_cast<i64>(static_cast<i16>(value))); break;
-        case Opcode::kLw: value = static_cast<u64>(static_cast<i64>(static_cast<i32>(value))); break;
-        default: break;
-      }
-      rd_value = value;
+      rd_value = extend_load(inst.op, r.data);
       write_rd = true;
       info.mem_valid = true;
       info.mem_addr = addr;
@@ -1633,13 +1266,10 @@ Core::Status Core::step() {
     }
 
     // ---- stores ----
-    case Opcode::kSb:
-    case Opcode::kSh:
-    case Opcode::kSw:
-    case Opcode::kSd: {
+    FLEX_STORE_OPS(FLEX_CASE) {
       const Addr addr = a + static_cast<u64>(imm);
       const u32 bytes = isa::mem_access_bytes(inst.op);
-      const u64 data = b & (bytes == 8 ? ~u64{0} : ((u64{1} << (bytes * 8)) - 1));
+      const u64 data = store_data(bytes, b);
       const MemResult r = port_->store(inst.op, addr, bytes, data);
       if (!r.ready) {
         status_ = Status::kBlocked;

@@ -243,13 +243,29 @@ class Core : private ReservationObserver {
   /// Returns true if an interrupt was taken (step must return).
   bool poll_interrupts();
 
+  // Fast-path opcode semantics, defined once in core.cpp and inlined into
+  // each execution path: step() and run_fast_path() run ALU ops, branches
+  // and jumps through execute_prefix; trace replay calls resolve_*() itself.
+
+  /// Execute one opcode below kLb (ALU, conditional branch, jump) at `pc`:
+  /// sets rd_value and write_rd, next_pc on a transfer, and returns the
+  /// cycles beyond the base one.
+  inline Cycle execute_prefix(const isa::Instruction& inst, Addr pc, u64& rd_value,
+                              bool& write_rd, Addr& next_pc);
+  /// Control-transfer timing: probe and train the predictor, count a
+  /// mispredict, and return the cycles the transfer adds.
+  inline Cycle resolve_branch(Addr pc, bool taken);
+  inline Cycle resolve_jal(Addr pc, Addr target, u8 rd);
+  inline Cycle resolve_jalr(Addr pc, Addr target, u8 rd, u8 rs1);
+
   /// Fast-path engagement modes for the batched engine (template parameter so
   /// each variant compiles to its own branch-free hot loop):
   ///   * kFull    — hooks passive: every fast-path opcode inlines, traces on.
   ///   * kCount   — hooks active but batchable, no segment cursor: memory
   ///     instructions bail to step() (full CommitInfo + backpressure
   ///     pre-check) and traces stay off — with every load/store leaving the
-  ///     loop per instruction, trace replay would only add overhead.
+  ///     loop per instruction, trace replay would only add overhead. kCount
+  ///     never dispatches a trace, so execute_trace has no kCount variant.
   ///   * kProduce — segment cursor staging MAL records: plain loads/stores
   ///     execute normally and append (addr, data, post-commit cycle) records;
   ///     traces on, gated on cursor headroom.

@@ -21,7 +21,11 @@
 //     poll, quantum break, or instruction bound can land mid-trace;
 //   * all dynamic microarchitectural probes (I-fetch at line boundaries,
 //     D-cache per access, BHT/BTB/RAS per control transfer) execute in
-//     program order inside the replay loop.
+//     program order inside the replay loop;
+//   * each opcode's result, predictor probes and segment-cursor record come
+//     from the one definition step() and run_fast_path() use too (core.cpp:
+//     alu(), branch_taken(), extend_load(), store_data(), resolve_*(),
+//     replay_access(), stage_access()).
 //
 // Traces are host-only state: they never influence simulated outcomes, only
 // host speed and where a budgeted advance() happens to stop. A cache keeps

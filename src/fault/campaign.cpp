@@ -120,8 +120,6 @@ constexpr u64 kGapJitter = 257;
 /// aborts instead of silently looping on a pathological profile.
 constexpr u32 kMaxWarmupRetries = 16;
 
-constexpr const char* kCampaignName = "fault campaign";
-
 /// A BaselineStore hit is honoured only on an exact tag match, so stale
 /// files from another configuration re-warm instead of corrupting the
 /// campaign. The tag fingerprints everything a warmed baseline's state
@@ -345,17 +343,21 @@ u64 walk_shard(const workloads::WorkloadProfile& profile,
   return executed;
 }
 
-template <typename Result>
-Result run_shards(const CampaignConfig& campaign, const char* name,
-                  const std::function<Result(u32 shard, u32 quota, u32 first)>& run_shard) {
-  // Validate up front: a zero in any of these silently degenerates the
-  // campaign (no shards to run, nothing to inject, or injection points all
-  // landing at cycle 0) — fail loudly instead of producing an empty report.
+void validate_campaign(const CampaignConfig& campaign, const char* name) {
+  // A zero in any of these silently degenerates the campaign (no shards to
+  // run, nothing to inject, or injection points all landing at cycle 0) —
+  // fail loudly instead of producing an empty report.
   const auto fail = [name](const char* what) { return std::string(name) + ": " + what; };
   FLEX_CHECK_MSG(campaign.shards >= 1, fail("shards must be >= 1 (got 0)").c_str());
   FLEX_CHECK_MSG(campaign.target_faults > 0, fail("target_faults must be > 0").c_str());
   FLEX_CHECK_MSG(campaign.warmup_rounds > 0 && campaign.gap_rounds > 0,
                  fail("warmup_rounds and gap_rounds must be nonzero").c_str());
+}
+
+template <typename Result>
+Result run_shards(const CampaignConfig& campaign, const char* name,
+                  const std::function<Result(u32 shard, u32 quota, u32 first)>& run_shard) {
+  validate_campaign(campaign, name);
   // The split depends only on the config and is shared with the
   // multi-process driver (fault/distributed.h).
   const std::vector<u32> quota = shard_quotas(campaign.target_faults, campaign.shards);
@@ -408,7 +410,7 @@ CampaignStats run_fault_campaign(const workloads::WorkloadProfile& profile,
                                  const soc::SocConfig& soc_config,
                                  const CampaignConfig& campaign) {
   return detail::run_shards<CampaignStats>(
-      campaign, kCampaignName, [&](u32 shard, u32 quota, u32) {
+      campaign, detail::kCampaignName, [&](u32 shard, u32 quota, u32) {
         return detail::run_campaign_shard(profile, soc_config, campaign, shard, quota);
       });
 }

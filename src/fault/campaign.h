@@ -223,6 +223,15 @@ CampaignStats run_fault_campaign(const workloads::WorkloadProfile& profile,
 
 namespace detail {
 
+/// The DBC-stream kind's diagnostic prefix (ShardKind::name).
+inline constexpr const char* kCampaignName = "fault campaign";
+
+/// FLEX_CHECKs the fields every campaign kind shares, prefixing the message
+/// with the kind's `name`: a zero shard count, fault target, warmup or gap
+/// degenerates the campaign. run_shards and the multi-process entry points
+/// (distributed.h) call it before running or writing anything.
+void validate_campaign(const CampaignConfig& campaign, const char* name);
+
 /// The per-shard quota split run_fault_campaign uses: target_faults divided
 /// as evenly as possible over min(shards, target_faults) shards, remainder to
 /// the lowest indices. Exposed so the multi-process driver (distributed.h)
@@ -270,7 +279,7 @@ u64 walk_shard(const workloads::WorkloadProfile& profile,
                const ShardKind& kind, std::string* error);
 
 /// The in-process driver of both campaign kinds: validates the shared
-/// fields, splits target_faults with shard_quotas and runs
+/// fields (validate_campaign), splits target_faults with shard_quotas and runs
 /// `run_shard(shard, quota, first)` for every shard on the parallel runtime
 /// (`first` is the shard's first global injection index), merging in shard
 /// order. Instantiated for CampaignStats and VulnReport.

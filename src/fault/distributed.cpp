@@ -293,6 +293,7 @@ DistributedOutcome drive(const DistributedConfig& dist, u32 shards,
 DistributedCampaignResult run_distributed_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const CampaignConfig& campaign, const DistributedConfig& dist) {
+  detail::validate_campaign(campaign, detail::kCampaignName);
   const std::vector<u32> quota = detail::shard_quotas(campaign.target_faults, campaign.shards);
   DistributedCampaignResult result;
   result.run = drive<CampaignStats>(
@@ -308,6 +309,7 @@ DistributedCampaignResult run_distributed_campaign(
 DistributedVulnResult run_distributed_vuln_campaign(
     const workloads::WorkloadProfile& profile, const soc::SocConfig& soc_config,
     const VulnConfig& config, const DistributedConfig& dist) {
+  detail::validate_vuln_campaign(config);
   const std::vector<u32> quota = detail::shard_quotas(config.target_faults, config.shards);
   const std::vector<Component> comps = detail::resolve_components(config);
   DistributedVulnResult result;

@@ -24,6 +24,8 @@
 // after the BaselineStore key; a missing, damaged or foreign file re-warms. A
 // worker whose shard cannot run (its workload exhausts before the warmup
 // completes) prints the diagnostic, writes no file for that shard and exits 2.
+// A degenerate config aborts with the same message as in process, before
+// any worker is forked or any file or directory is written.
 //
 // Fault hook for the kill-and-resume tests: when the FLEX_CAMPAIGN_DIE_SHARD
 // environment variable names a shard index, the worker that runs that shard

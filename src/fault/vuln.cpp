@@ -365,12 +365,17 @@ VulnReport run_vuln_shard(const workloads::WorkloadProfile& profile,
   return report;
 }
 
+void validate_vuln_campaign(const VulnConfig& config) {
+  FLEX_CHECK_MSG(config.horizon > 0, "vuln campaign: horizon must be nonzero");
+  validate_campaign(config, kVulnName);
+}
+
 }  // namespace detail
 
 VulnReport run_vuln_campaign(const workloads::WorkloadProfile& profile,
                              const soc::SocConfig& soc_config,
                              const VulnConfig& config) {
-  FLEX_CHECK_MSG(config.horizon > 0, "vuln campaign: horizon must be nonzero");
+  detail::validate_vuln_campaign(config);
   const std::vector<Component> comps = detail::resolve_components(config);
   VulnReport report = detail::run_shards<VulnReport>(
       config, kVulnName, [&](u32 shard, u32 quota, u32 first) {

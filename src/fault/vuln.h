@@ -131,6 +131,9 @@ VulnReport run_vuln_campaign(const workloads::WorkloadProfile& profile,
 
 namespace detail {
 
+/// validate_campaign under the vuln kind's name, plus its horizon.
+void validate_vuln_campaign(const VulnConfig& config);
+
 /// The component rotation run_vuln_campaign injects into: config.components,
 /// or all seven classes when empty. Exposed so worker processes resolve the
 /// identical rotation.

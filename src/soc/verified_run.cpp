@@ -299,21 +299,21 @@ bool VerifiedExecution::finished() const {
   return true;
 }
 
-bool VerifiedExecution::step_round() {
+Core* VerifiedExecution::start_round() {
   FLEX_CHECK_MSG(prepared_, "call prepare() first");
-  if (finished()) return false;
+  if (finished()) return nullptr;
 
   pump_checkers();
   Core* core = pick_next_core();
   if (core == nullptr) {
     // Nobody runnable: either we are done, or checkers are idle waiting on
     // segments that became ready between pumps.
-    if (finished()) return false;
+    if (finished()) return nullptr;
     pump_checkers();
     core = pick_next_core();
     if (core == nullptr && config_.tolerate_stall) {
       stalled_ = true;  // DUE outcome: the campaign classifies it
-      return false;
+      return nullptr;
     }
     FLEX_CHECK_MSG(core != nullptr,
                    soc_.fabric().next_replay_ready_at() == fs::kNever
@@ -322,12 +322,21 @@ bool VerifiedExecution::step_round() {
                        : "co-simulation deadlock: segments pending but no "
                          "core runnable");
   }
-  core->step();
+  return core;
+}
 
-  if (role_of(core->id()) >= 0) {
-    FLEX_CHECK_MSG(core->instret() <= kMaxProducerInstructions,
+void VerifiedExecution::check_producer_cap(const Core& core) const {
+  if (role_of(core.id()) >= 0) {
+    FLEX_CHECK_MSG(core.instret() <= kMaxProducerInstructions,
                    "producer core exceeded the instruction safety cap");
   }
+}
+
+bool VerifiedExecution::step_round() {
+  Core* core = start_round();
+  if (core == nullptr) return false;
+  core->step();
+  check_producer_cap(*core);
   return true;
 }
 
@@ -476,26 +485,8 @@ void VerifiedExecution::note_burst_skew(const arch::Core& chosen) {
 }
 
 bool VerifiedExecution::quantum_round(u64 max_instructions) {
-  FLEX_CHECK_MSG(prepared_, "call prepare() first");
-  if (finished()) return false;
-
-  pump_checkers();
-  Core* core = pick_next_core();
-  if (core == nullptr) {
-    if (finished()) return false;
-    pump_checkers();
-    core = pick_next_core();
-    if (core == nullptr && config_.tolerate_stall) {
-      stalled_ = true;  // DUE outcome: the campaign classifies it
-      return false;
-    }
-    FLEX_CHECK_MSG(core != nullptr,
-                   soc_.fabric().next_replay_ready_at() == fs::kNever
-                       ? "co-simulation deadlock: no core runnable and no "
-                         "segment pending"
-                       : "co-simulation deadlock: segments pending but no "
-                         "core runnable");
-  }
+  Core* core = start_round();
+  if (core == nullptr) return false;
   ++cosim_.rounds;
 
   const bool bounded = config_.engine == Engine::kQuantumBounded;
@@ -528,11 +519,7 @@ bool VerifiedExecution::quantum_round(u64 max_instructions) {
     if (core->last_run_exit() == arch::RunExit::kQuantumBreak) ++cosim_.hook_breaks;
     note_burst_skew(*core);
   }
-
-  if (role_of(core->id()) >= 0) {
-    FLEX_CHECK_MSG(core->instret() <= kMaxProducerInstructions,
-                   "producer core exceeded the instruction safety cap");
-  }
+  check_producer_cap(*core);
   return true;
 }
 

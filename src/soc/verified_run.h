@@ -220,6 +220,12 @@ class VerifiedExecution final : public arch::TrapHandler {
   arch::TrapAction on_trap(arch::Core& core, arch::TrapCause cause) override;
 
  private:
+  /// Start a step or quantum round: pump the checkers and pick the core to
+  /// run, pumping once more if nobody is runnable. nullptr ends the round —
+  /// finished, or a tolerated stall latched; a deadlock otherwise aborts.
+  arch::Core* start_round();
+  /// End of a round: abort once a producer passes kMaxProducerInstructions.
+  void check_producer_cap(const arch::Core& core) const;
   void pump_checkers();
   /// Trap handlers + checker segment-done callbacks; shared by prepare() and
   /// restore() (a forked driver must point the restored cores at itself).

@@ -1,9 +1,16 @@
 // Core execution tests: ISA semantics, branches, memory, traps, timers.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "arch/core.h"
 #include "arch/memory.h"
 #include "arch/program_image.h"
+#include "arch/trace.h"
 #include "isa/assembler.h"
 #include "isa/csr.h"
 
@@ -425,6 +432,336 @@ TEST_F(CoreTest, WfiParksUntilWake) {
   EXPECT_GE(core.cycle(), 12345u);
   core.step();
   EXPECT_EQ(core.status(), Core::Status::kHalted);
+}
+
+// ---------------------------------------------------------------------------
+// Truth table: every fast-path opcode [kAdd, kSd] against hand-computed
+// values. step(), run_fast_path and trace replay share each opcode's
+// definition, so comparing them with each other (test_exec_engine) cannot
+// catch a wrong one; this holds all three to the constants below.
+// ---------------------------------------------------------------------------
+
+constexpr Addr kTruthData = isa::kDefaultDataBase;
+constexpr Addr kTruthResults = isa::kDefaultDataBase + 0x1000;
+constexpr u8 kResultBase = 20;  // x20 = kTruthResults
+constexpr u8 kDataBase = 21;    // x21 = kTruthData
+constexpr u8 kDataEnd = 22;     // x22 = kTruthData + 128, for negative offsets
+constexpr u8 kLoopCount = 31;
+constexpr i64 kMin = std::numeric_limits<i64>::min();
+constexpr i64 kMax = std::numeric_limits<i64>::max();
+constexpr u64 kStoreBackground = 0xAAAA'AAAA'AAAA'AAAA;
+
+/// The truth-table program: each case leaves a value in a register and
+/// stores it to the next result slot; the body loops so that it also runs
+/// as traces.
+struct TruthProgram {
+  isa::Program program;
+  std::vector<std::string> names;  ///< Per result slot.
+  std::vector<u64> want;           ///< Per result slot: the hand-computed value.
+  std::vector<std::pair<Addr, u64>> stored;  ///< Data words the stores leave.
+  std::set<Opcode> covered;                  ///< Opcodes under test.
+};
+
+void emit_branch(Assembler& a, Opcode op, Assembler::Label target) {
+  switch (op) {
+    case Opcode::kBeq: a.beq(1, 2, target); break;
+    case Opcode::kBne: a.bne(1, 2, target); break;
+    case Opcode::kBlt: a.blt(1, 2, target); break;
+    case Opcode::kBge: a.bge(1, 2, target); break;
+    case Opcode::kBltu: a.bltu(1, 2, target); break;
+    default: a.bgeu(1, 2, target); break;
+  }
+}
+
+TruthProgram build_truth_program() {
+  TruthProgram out;
+  Assembler a;
+  const auto record = [&](Opcode op, const std::string& what, u8 reg, u64 want) {
+    a.sd(reg, kResultBase, static_cast<i32>(8 * out.want.size()));
+    out.names.push_back(std::string(isa::opcode_name(op)) + " " + what);
+    out.want.push_back(want);
+    out.covered.insert(op);
+  };
+
+  auto main = a.new_label();
+  a.j(main);
+  // Callee of the call cases; returns through the RAS (jalr x0, x1, 0).
+  auto callee = a.new_label();
+  const Addr callee_pc = a.here();
+  a.bind(callee);
+  a.jalr(0, 1, 0);
+  a.bind(main);
+  a.li(kResultBase, static_cast<i64>(kTruthResults));
+  a.li(kDataBase, static_cast<i64>(kTruthData));
+  a.addi(kDataEnd, kDataBase, 128);
+  // A block longer than one trace records its continuation only once its
+  // head trace dispatches, so warming the whole body takes about two heat
+  // thresholds; the last iterations then run wholly from traces.
+  a.li(kLoopCount, 3 * TraceCache::kHeatThreshold);
+  auto loop = a.new_label();
+  a.bind(loop);
+
+  // ---- ALU: x3 = x1 op x2 (register-register) or x1 op imm ----
+  struct AluCase {
+    Opcode op;
+    i64 a;
+    i64 b;  ///< rs2's value, or the immediate.
+    u64 want;
+  };
+  const AluCase alu_cases[] = {
+      {Opcode::kAdd, kMax, 1, 0x8000'0000'0000'0000},
+      {Opcode::kAdd, -5, 3, static_cast<u64>(-2)},
+      {Opcode::kSub, 0, 1, ~u64{0}},
+      {Opcode::kSub, kMin, 1, static_cast<u64>(kMax)},
+      {Opcode::kSll, 1, 63, 0x8000'0000'0000'0000},
+      {Opcode::kSll, 1, 64, 1},  // register shift amounts are taken mod 64
+      {Opcode::kSll, 3, 65, 6},
+      {Opcode::kSrl, kMin, 63, 1},
+      {Opcode::kSrl, kMin, 64, 0x8000'0000'0000'0000},
+      {Opcode::kSrl, -1, 127, 1},
+      {Opcode::kSra, kMin, 63, ~u64{0}},
+      {Opcode::kSra, -16, 66, static_cast<u64>(-4)},
+      {Opcode::kAnd, 0xF0F0, 0xFF00, 0xF000},
+      {Opcode::kAnd, -1, kMin, 0x8000'0000'0000'0000},
+      {Opcode::kOr, 0xF0F0, 0x0F0F, 0xFFFF},
+      {Opcode::kXor, -1, 0x5555, 0xFFFF'FFFF'FFFF'AAAA},
+      {Opcode::kSlt, -1, 1, 1},
+      {Opcode::kSlt, 1, -1, 0},
+      {Opcode::kSlt, kMin, kMax, 1},
+      {Opcode::kSltu, -1, 1, 0},
+      {Opcode::kSltu, 1, -1, 1},
+      {Opcode::kMul, -3, 7, static_cast<u64>(-21)},
+      {Opcode::kMul, i64{1} << 32, i64{1} << 32, 0},  // wraps
+      {Opcode::kMulh, kMin, 2, ~u64{0}},
+      {Opcode::kMulh, i64{1} << 32, i64{1} << 32, 1},
+      {Opcode::kMulh, -1, -1, 0},
+      {Opcode::kDiv, kMin, -1, 0x8000'0000'0000'0000},  // overflow wraps
+      {Opcode::kDiv, 7, 0, ~u64{0}},
+      {Opcode::kDiv, -7, 2, static_cast<u64>(-3)},  // truncates toward zero
+      {Opcode::kDivu, 7, 0, ~u64{0}},
+      {Opcode::kDivu, -1, 2, 0x7FFF'FFFF'FFFF'FFFF},
+      {Opcode::kRem, kMin, -1, 0},
+      {Opcode::kRem, 7, 0, 7},
+      {Opcode::kRem, -7, 2, static_cast<u64>(-1)},
+      {Opcode::kRemu, 7, 0, 7},
+      {Opcode::kRemu, -1, 10, 5},
+      {Opcode::kAddi, 5, -8, static_cast<u64>(-3)},
+      {Opcode::kAddi, 0, isa::kImm14Min, static_cast<u64>(-8192)},
+      {Opcode::kAndi, 0xFFFF, -16, 0xFFF0},
+      {Opcode::kAndi, -1, 0x7F, 0x7F},
+      {Opcode::kOri, 1, -256, static_cast<u64>(-255)},
+      {Opcode::kXori, 0x0F, -1, 0xFFFF'FFFF'FFFF'FFF0},
+      {Opcode::kSlli, 1, 63, 0x8000'0000'0000'0000},
+      {Opcode::kSlli, 3, 4, 0x30},
+      {Opcode::kSrli, -1, 60, 0xF},
+      {Opcode::kSrli, kMin, 65, 0x4000'0000'0000'0000},  // immediate mod 64 too
+      {Opcode::kSrai, -256, 4, static_cast<u64>(-16)},
+      {Opcode::kSlti, -5, -4, 1},
+      {Opcode::kSlti, -4, -5, 0},
+      {Opcode::kSltiu, 5, -1, 1},  // -1 sign-extends to the largest u64
+      {Opcode::kSltiu, -1, -1, 0},
+  };
+  for (const AluCase& c : alu_cases) {
+    a.li(1, c.a);
+    if (isa::opcode_format(c.op) == isa::Format::kR) {
+      a.li(2, c.b);
+      a.emit(isa::make_r(c.op, 3, 1, 2));
+    } else {
+      a.emit(isa::make_i(c.op, 3, 1, static_cast<i32>(c.b)));
+    }
+    record(c.op, std::to_string(c.a) + ", " + std::to_string(c.b), 3, c.want);
+  }
+  // An ALU write into x0 is dropped.
+  a.li(1, 7);
+  a.add(0, 1, 1);
+  record(Opcode::kAdd, "into x0", 0, 0);
+  // LUI: imm19 << 13.
+  const std::pair<i32, u64> lui_cases[] = {
+      {-1, 0xFFFF'FFFF'FFFF'E000},
+      {isa::kImm19Max, 0x7FFF'E000},
+      {isa::kImm19Min, 0xFFFF'FFFF'8000'0000},
+  };
+  for (const auto& [imm, want] : lui_cases) {
+    a.lui(3, imm);
+    record(Opcode::kLui, std::to_string(imm), 3, want);
+  }
+
+  // ---- loads: the sign bit set at every width, negative offsets ----
+  a.li(1, static_cast<i64>(0x8081'8283'8485'8687));
+  a.sd(1, kDataBase, 0);
+  const std::pair<Opcode, u64> load_cases[] = {
+      {Opcode::kLb, 0xFFFF'FFFF'FFFF'FF87}, {Opcode::kLbu, 0x87},
+      {Opcode::kLh, 0xFFFF'FFFF'FFFF'8687}, {Opcode::kLhu, 0x8687},
+      {Opcode::kLw, 0xFFFF'FFFF'8485'8687}, {Opcode::kLwu, 0x8485'8687},
+      {Opcode::kLd, 0x8081'8283'8485'8687},
+  };
+  for (const auto& [op, want] : load_cases) {
+    a.emit(isa::make_i(op, 3, kDataEnd, -128));
+    record(op, "of 0x8081828384858687", 3, want);
+  }
+  a.emit(isa::make_i(Opcode::kLw, 0, kDataEnd, -128));
+  record(Opcode::kLw, "into x0", 0, 0);
+
+  // ---- stores: width masking over a background word ----
+  const std::pair<Opcode, u64> store_cases[] = {
+      {Opcode::kSb, 0xAAAA'AAAA'AAAA'AA88},
+      {Opcode::kSh, 0xAAAA'AAAA'AAAA'7788},
+      {Opcode::kSw, 0xAAAA'AAAA'5566'7788},
+      {Opcode::kSd, 0x1122'3344'5566'7788},
+  };
+  a.li(1, static_cast<i64>(kStoreBackground));
+  a.li(2, 0x1122'3344'5566'7788);
+  i32 offset = 8;
+  for (const auto& [op, want] : store_cases) {
+    a.sd(1, kDataBase, offset);
+    a.emit(isa::make_s(op, 2, kDataEnd, offset - 128));
+    a.ld(3, kDataBase, offset);
+    record(op, "of 0x1122334455667788", 3, want);
+    out.stored.emplace_back(kTruthData + static_cast<Addr>(offset), want);
+    offset += 8;
+  }
+
+  // ---- branches: x3 = 2 when taken, 1 when not, in both directions ----
+  struct BranchCase {
+    Opcode op;
+    i64 a;
+    i64 b;
+    bool taken;
+  };
+  const BranchCase branch_cases[] = {
+      {Opcode::kBeq, 5, 5, true},    {Opcode::kBeq, 5, 6, false},
+      {Opcode::kBne, 5, 6, true},    {Opcode::kBne, 5, 5, false},
+      {Opcode::kBlt, -1, 0, true},   {Opcode::kBlt, 0, -1, false},
+      {Opcode::kBge, 0, -1, true},   {Opcode::kBge, -1, 0, false},
+      {Opcode::kBge, 3, 3, true},    {Opcode::kBltu, 0, -1, true},
+      {Opcode::kBltu, -1, 0, false}, {Opcode::kBgeu, -1, 0, true},
+      {Opcode::kBgeu, 0, -1, false},
+  };
+  for (const BranchCase& c : branch_cases) {
+    const std::string what = std::to_string(c.a) + ", " + std::to_string(c.b);
+    // Forward.
+    auto taken = a.new_label();
+    auto join = a.new_label();
+    a.li(1, c.a);
+    a.li(2, c.b);
+    emit_branch(a, c.op, taken);
+    a.li(3, 1);
+    a.j(join);
+    a.bind(taken);
+    a.li(3, 2);
+    a.bind(join);
+    record(c.op, what + " forward", 3, c.taken ? 2 : 1);
+    // Backward.
+    auto back = a.new_label();
+    auto setup = a.new_label();
+    join = a.new_label();
+    a.j(setup);
+    a.bind(back);
+    a.li(3, 2);
+    a.j(join);
+    a.bind(setup);
+    a.li(1, c.a);
+    a.li(2, c.b);
+    emit_branch(a, c.op, back);
+    a.li(3, 1);
+    a.bind(join);
+    record(c.op, what + " backward", 3, c.taken ? 2 : 1);
+  }
+
+  // ---- jumps ----
+  auto over = a.new_label();
+  a.li(3, 1);
+  a.j(over);  // jal x0
+  a.li(3, 2);
+  a.bind(over);
+  record(Opcode::kJal, "x0", 3, 1);
+  // jal x1 links and pushes the RAS; the callee returns through it.
+  Addr link = a.here() + 4;
+  a.jal(1, callee);
+  record(Opcode::kJal, "x1 link", 1, link);
+  // jalr x1: negative offset, target's low bit cleared.
+  a.li(5, static_cast<i64>(callee_pc) + 9);
+  link = a.here() + 4;
+  a.jalr(1, 5, -8);
+  record(Opcode::kJalr, "x1 link", 1, link);
+  // jalr x0 through another register: a BTB-predicted indirect jump.
+  auto setup = a.new_label();
+  auto join = a.new_label();
+  a.j(setup);
+  const Addr target = a.here();
+  a.li(3, 2);
+  a.j(join);
+  a.bind(setup);
+  a.li(5, static_cast<i64>(target) + 9);
+  a.li(3, 1);
+  a.jalr(0, 5, -8);
+  a.li(3, 3);
+  a.bind(join);
+  record(Opcode::kJalr, "x0", 3, 2);
+
+  a.addi(kLoopCount, kLoopCount, -1);
+  a.bne(kLoopCount, 0, loop);
+  a.halt();
+  out.program = a.finalize("truth_table");
+  return out;
+}
+
+/// One core of its own running the truth-table program.
+struct TruthRun {
+  TruthRun(const isa::Program& program, bool traces) {
+    images.load(memory, program);
+    CoreConfig config;
+    config.trace.enabled = traces;
+    core = std::make_unique<Core>(0, config, memory, images, nullptr);
+    core->set_pc(program.entry());
+  }
+  Memory memory;
+  ImageRegistry images;
+  std::unique_ptr<Core> core;
+};
+
+TEST(CoreTruthTable, EveryFastPathOpcodeOnEveryPath) {
+  const TruthProgram truth = build_truth_program();
+  for (u8 op = 0; op <= static_cast<u8>(Opcode::kSd); ++op) {
+    EXPECT_TRUE(truth.covered.count(static_cast<Opcode>(op)))
+        << "no case for " << isa::opcode_name(static_cast<Opcode>(op));
+  }
+
+  TruthRun stepped(truth.program, false);
+  for (int i = 0; i < 1'000'000 && stepped.core->status() == Core::Status::kRunning; ++i) {
+    stepped.core->step();
+  }
+  TruthRun batched(truth.program, false);
+  batched.core->run(1'000'000);
+  TruthRun traced(truth.program, true);
+  traced.core->run(1'000'000);
+  ASSERT_NE(traced.core->trace_cache(), nullptr);
+  EXPECT_GT(traced.core->trace_cache()->stats().insts_from_traces, 0u);
+
+  for (TruthRun* run : {&stepped, &batched, &traced}) {
+    SCOPED_TRACE(run == &stepped   ? "step()"
+                 : run == &batched ? "run(), no traces"
+                                   : "run(), traces");
+    Core& core = *run->core;
+    EXPECT_EQ(core.status(), Core::Status::kHalted);
+    for (std::size_t i = 0; i < truth.want.size(); ++i) {
+      EXPECT_EQ(run->memory.read(kTruthResults + 8 * i, 8), truth.want[i]) << truth.names[i];
+    }
+    for (const auto& [addr, want] : truth.stored) {
+      EXPECT_EQ(run->memory.read(addr, 8), want);
+    }
+    EXPECT_EQ(core.reg(0), 0u);
+    EXPECT_EQ(core.reg(kLoopCount), 0u);
+    EXPECT_EQ(core.reg(kResultBase), kTruthResults);
+    EXPECT_EQ(core.reg(kDataEnd), kTruthData + 128);
+    EXPECT_EQ(core.reg(2), ~u64{0});  // the last branch case's rs2
+    EXPECT_EQ(core.reg(3), 2u);  // the last jump case's marker
+    EXPECT_EQ(core.cycle(), stepped.core->cycle());
+    EXPECT_EQ(core.instret(), stepped.core->instret());
+    EXPECT_EQ(core.mispredicts(), stepped.core->mispredicts());
+    EXPECT_EQ(core.capture_state().regs, stepped.core->capture_state().regs);
+  }
+  EXPECT_GT(stepped.core->mispredicts(), 0u);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // whole-SoC fault-site adapters, and vulnerability-campaign classification.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "common/rng.h"
 #include "common/stats.h"
 #include "fault/campaign.h"
+#include "fault/distributed.h"
 #include "fault/sites.h"
 #include "fault/vuln.h"
 #include "flexstep/channel.h"
@@ -551,20 +554,38 @@ TEST(VulnCampaign, LatencyHistogramCountsDetectionsOnly) {
 // Config validation (FLEX_CHECK aborts with a usable message)
 // ---------------------------------------------------------------------------
 
+/// A distributed run's campaign directory, absent: a rejected config must
+/// abort before it is created.
+DistributedConfig rejected_dist() {
+  DistributedConfig dist;
+  dist.dir = "test_fault_rejected_campaign";
+  std::error_code ec;
+  std::filesystem::remove_all(dist.dir, ec);
+  return dist;
+}
+
 TEST(CampaignValidationDeathTest, RejectsDegenerateConfigs) {
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);
+  const DistributedConfig dist = rejected_dist();
+  // Rejected alike in process and across worker processes.
+  const auto expect_rejected = [&](const CampaignConfig& config, const char* message) {
+    EXPECT_DEATH(run_fault_campaign(profile, soc_config, config), message);
+    EXPECT_DEATH(run_distributed_campaign(profile, soc_config, config, dist), message);
+    EXPECT_FALSE(std::filesystem::exists(dist.dir));
+  };
   auto no_shards = small_campaign(10);
   no_shards.shards = 0;
-  EXPECT_DEATH(run_fault_campaign(profile, soc_config, no_shards),
-               "shards must be >= 1");
+  expect_rejected(no_shards, "fault campaign: shards must be >= 1");
   auto no_faults = small_campaign(10);
   no_faults.target_faults = 0;
-  EXPECT_DEATH(run_fault_campaign(profile, soc_config, no_faults),
-               "target_faults must be > 0");
+  expect_rejected(no_faults, "fault campaign: target_faults must be > 0");
   auto no_warmup = small_campaign(10);
   no_warmup.warmup_rounds = 0;
-  EXPECT_DEATH(run_fault_campaign(profile, soc_config, no_warmup), "nonzero");
+  expect_rejected(no_warmup, "fault campaign: warmup_rounds and gap_rounds must be nonzero");
+  auto no_gap = small_campaign(10);
+  no_gap.gap_rounds = 0;
+  expect_rejected(no_gap, "fault campaign: warmup_rounds and gap_rounds must be nonzero");
   auto exhausted = small_campaign(10);
   exhausted.workload_iterations = 10;
   exhausted.warmup_rounds = 1'000'000'000;
@@ -575,17 +596,27 @@ TEST(CampaignValidationDeathTest, RejectsDegenerateConfigs) {
 TEST(VulnValidationDeathTest, RejectsDegenerateConfigs) {
   const auto& profile = workloads::find_profile("swaptions");
   const auto soc_config = soc::SocConfig::paper_default(2);
+  const DistributedConfig dist = rejected_dist();
+  const auto expect_rejected = [&](const VulnConfig& config, const char* message) {
+    EXPECT_DEATH(run_vuln_campaign(profile, soc_config, config), message);
+    EXPECT_DEATH(run_distributed_vuln_campaign(profile, soc_config, config, dist), message);
+    EXPECT_FALSE(std::filesystem::exists(dist.dir));
+  };
   auto no_horizon = small_vuln(4);
   no_horizon.horizon = 0;
-  EXPECT_DEATH(run_vuln_campaign(profile, soc_config, no_horizon), "nonzero");
+  expect_rejected(no_horizon, "vuln campaign: horizon must be nonzero");
   auto no_shards = small_vuln(4);
   no_shards.shards = 0;
-  EXPECT_DEATH(run_vuln_campaign(profile, soc_config, no_shards),
-               "shards must be >= 1");
+  expect_rejected(no_shards, "vuln campaign: shards must be >= 1");
   auto no_faults = small_vuln(4);
   no_faults.target_faults = 0;
-  EXPECT_DEATH(run_vuln_campaign(profile, soc_config, no_faults),
-               "target_faults must be > 0");
+  expect_rejected(no_faults, "vuln campaign: target_faults must be > 0");
+  auto no_warmup = small_vuln(4);
+  no_warmup.warmup_rounds = 0;
+  expect_rejected(no_warmup, "vuln campaign: warmup_rounds and gap_rounds must be nonzero");
+  auto no_gap = small_vuln(4);
+  no_gap.gap_rounds = 0;
+  expect_rejected(no_gap, "vuln campaign: warmup_rounds and gap_rounds must be nonzero");
   auto exhausted = small_vuln(4);
   exhausted.workload_iterations = 10;
   exhausted.warmup_rounds = 1'000'000'000;
