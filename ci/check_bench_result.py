@@ -5,8 +5,9 @@
         | python3 ci/check_bench_result.py
 
 Reads perfbench/run.py's stdout and takes its last line, the result object.
-Exits non-zero unless that object reports "correct": true and "failed": 0,
-or when there is no result line at all. Timing is not checked.
+Exits non-zero unless that object reports "correct": true, "failed": 0 and
+"attempted" >= 1 (a run that timed nothing passes no oracle), or when there
+is no result line at all. Timing is not checked.
 """
 import json
 import sys
@@ -21,7 +22,11 @@ def main():
         return 1
     correct = result.get("correct") is True
     failed = result.get("failed")
-    print(f"correct={correct} failed={failed} attempted={result.get('attempted')}")
+    attempted = result.get("attempted")
+    print(f"correct={correct} failed={failed} attempted={attempted}")
+    if not isinstance(attempted, int) or attempted < 1:
+        print("check_bench_result: the run attempted no operation", file=sys.stderr)
+        return 1
     return 0 if correct and failed == 0 else 1
 
 

@@ -13,6 +13,13 @@ struct ArchState {
   std::array<u64, 32> regs{};  ///< x0..x31; x0 always reads 0.
 
   friend bool operator==(const ArchState&, const ArchState&) = default;
+
+  /// Wire form (common/archive.h): pc, then x0..x31, all fixed-width.
+  template <class Ar>
+  void transfer(Ar& ar) {
+    ar.fixed(pc);
+    for (u64& r : regs) ar.fixed(r);
+  }
 };
 
 /// Storage footprint of one checkpoint in the hardware ASS unit.

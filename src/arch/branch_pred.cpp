@@ -7,43 +7,21 @@
 
 namespace flexstep::arch {
 
-void BranchPredictor::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  ar.put_varint(bht.size());
-  ar.put_bytes(bht.data(), bht.size());
-  ar.put_varint(btb.size());
-  for (const BtbEntry& entry : btb) {
-    ar.put_u64(entry.pc);
-    ar.put_u64(entry.target);
-    ar.put_bool(entry.valid);
-    ar.put_varint(entry.lru);
-  }
-  ar.put_varint(ras.size());
-  for (Addr ra : ras) ar.put_u64(ra);
-  ar.put_u32(ras_top);
-  ar.put_varint(btb_tick);
+template <class Ar>
+void BranchPredictor::Snapshot::transfer(Ar& ar) {
+  ar.vector(bht, 1);
+  ar.vector(btb, 18, [&](BtbEntry& entry) {  // pc + target + valid + lru >= 18 B
+    ar.fixed(entry.pc);
+    ar.fixed(entry.target);
+    ar.boolean(entry.valid);
+    ar.varint(entry.lru);
+  });
+  ar.vector(ras, 8);
+  ar.fixed(ras_top);
+  ar.varint(btb_tick);
 }
-
-void BranchPredictor::Snapshot::deserialize(io::ArchiveReader& ar) {
-  bht.clear();
-  btb.clear();
-  ras.clear();
-  const u64 bht_count = ar.take_count(1);
-  bht.resize(ar.ok() ? static_cast<std::size_t>(bht_count) : 0);
-  ar.take_bytes(bht.data(), bht.size());
-  const u64 btb_count = ar.take_count(18);  // pc + target + valid + lru >= 18 B
-  for (u64 i = 0; ar.ok() && i < btb_count; ++i) {
-    BtbEntry entry;
-    entry.pc = ar.take_u64();
-    entry.target = ar.take_u64();
-    entry.valid = ar.take_bool();
-    entry.lru = ar.take_varint();
-    btb.push_back(entry);
-  }
-  const u64 ras_count = ar.take_count(8);
-  for (u64 i = 0; ar.ok() && i < ras_count; ++i) ras.push_back(ar.take_u64());
-  ras_top = ar.take_u32();
-  btb_tick = ar.take_varint();
-}
+template void BranchPredictor::Snapshot::transfer(io::ArchiveWriter&);
+template void BranchPredictor::Snapshot::transfer(io::ArchiveReader&);
 
 namespace {
 constexpr u8 kWeaklyNotTaken = 1;  // counter states: 0,1 predict not-taken; 2,3 taken
@@ -51,40 +29,27 @@ constexpr u8 kWeaklyNotTaken = 1;  // counter states: 0,1 predict not-taken; 2,3
 
 BranchPredictor::BranchPredictor(const BranchPredictorConfig& config) : config_(config) {
   FLEX_CHECK(std::has_single_bit(config.bht_entries));
-  bht_.assign(config.bht_entries, kWeaklyNotTaken);
-  btb_.assign(config.btb_entries, {});
-  ras_.assign(config.ras_entries, 0);
+  s_.bht.assign(config.bht_entries, kWeaklyNotTaken);
+  s_.btb.assign(config.btb_entries, {});
+  s_.ras.assign(config.ras_entries, 0);
 }
 
-
-
-
-void BranchPredictor::save(Snapshot& out) const {
-  out.bht = bht_;
-  out.btb = btb_;
-  out.ras = ras_;
-  out.ras_top = ras_top_;
-  out.btb_tick = btb_tick_;
-}
+void BranchPredictor::save(Snapshot& out) const { out = s_; }
 
 void BranchPredictor::restore(const Snapshot& snapshot) {
-  FLEX_CHECK_MSG(snapshot.bht.size() == bht_.size() && snapshot.btb.size() == btb_.size() &&
-                     snapshot.ras.size() == ras_.size(),
+  FLEX_CHECK_MSG(snapshot.bht.size() == s_.bht.size() && snapshot.btb.size() == s_.btb.size() &&
+                     snapshot.ras.size() == s_.ras.size(),
                  "branch-predictor snapshot geometry mismatch");
-  bht_ = snapshot.bht;
-  btb_ = snapshot.btb;
-  ras_ = snapshot.ras;
-  ras_top_ = snapshot.ras_top;
-  btb_tick_ = snapshot.btb_tick;
+  s_ = snapshot;
 }
 
 void BranchPredictor::btb_insert(Addr pc, Addr target) {
-  ++btb_tick_;
-  BtbEntry* victim = &btb_.front();
-  for (auto& entry : btb_) {
+  ++s_.btb_tick;
+  BtbEntry* victim = &s_.btb.front();
+  for (auto& entry : s_.btb) {
     if (entry.valid && entry.pc == pc) {
       entry.target = target;
-      entry.lru = btb_tick_;
+      entry.lru = s_.btb_tick;
       return;
     }
     if (!entry.valid) {
@@ -93,15 +58,13 @@ void BranchPredictor::btb_insert(Addr pc, Addr target) {
     }
     if (entry.lru < victim->lru) victim = &entry;
   }
-  *victim = {pc, target, true, btb_tick_};
+  *victim = {pc, target, true, s_.btb_tick};
 }
 
-
-
 void BranchPredictor::reset() {
-  bht_.assign(bht_.size(), kWeaklyNotTaken);
-  for (auto& entry : btb_) entry.valid = false;
-  ras_top_ = 0;
+  s_.bht.assign(s_.bht.size(), kWeaklyNotTaken);
+  for (auto& entry : s_.btb) entry.valid = false;
+  s_.ras_top = 0;
 }
 
 }  // namespace flexstep::arch

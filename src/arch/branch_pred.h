@@ -8,11 +8,6 @@
 
 #include "common/types.h"
 
-namespace flexstep::io {
-class ArchiveWriter;
-class ArchiveReader;
-}  // namespace flexstep::io
-
 namespace flexstep::arch {
 
 struct BranchPredictorConfig {
@@ -42,8 +37,8 @@ class BranchPredictor {
       return bht.size() + btb.size() * sizeof(BtbEntry) + ras.size() * sizeof(Addr);
     }
 
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    template <class Ar>
+    void transfer(Ar& ar);
   };
 
   explicit BranchPredictor(const BranchPredictorConfig& config);
@@ -58,11 +53,11 @@ class BranchPredictor {
   /// Conditional branch direction prediction.
   bool predict_taken(Addr pc) const {
     const u32 idx = static_cast<u32>(pc >> 2) & (config_.bht_entries - 1);
-    return bht_[idx] >= 2;
+    return s_.bht[idx] >= 2;
   }
   void update(Addr pc, bool taken) {
     const u32 idx = static_cast<u32>(pc >> 2) & (config_.bht_entries - 1);
-    u8& counter = bht_[idx];
+    u8& counter = s_.bht[idx];
     if (taken) {
       if (counter < 3) ++counter;
     } else {
@@ -72,7 +67,7 @@ class BranchPredictor {
 
   /// BTB target lookup/insert (for jal/jalr timing).
   std::optional<Addr> btb_lookup(Addr pc) const {
-    for (const auto& entry : btb_) {
+    for (const auto& entry : s_.btb) {
       if (entry.valid && entry.pc == pc) return entry.target;
     }
     return std::nullopt;
@@ -81,13 +76,13 @@ class BranchPredictor {
 
   /// Return-address stack.
   void ras_push(Addr return_addr) {
-    ras_[ras_top_ % config_.ras_entries] = return_addr;
-    ++ras_top_;
+    s_.ras[s_.ras_top % config_.ras_entries] = return_addr;
+    ++s_.ras_top;
   }
   std::optional<Addr> ras_pop() {
-    if (ras_top_ == 0) return std::nullopt;
-    --ras_top_;
-    return ras_[ras_top_ % config_.ras_entries];
+    if (s_.ras_top == 0) return std::nullopt;
+    --s_.ras_top;
+    return s_.ras[s_.ras_top % config_.ras_entries];
   }
 
   void reset();
@@ -97,25 +92,25 @@ class BranchPredictor {
   /// Indexable predictor fault sites: every BHT counter, BTB entry and RAS
   /// slot, in that order.
   std::size_t fault_site_count() const {
-    return bht_.size() + btb_.size() + ras_.size();
+    return s_.bht.size() + s_.btb.size() + s_.ras.size();
   }
   /// Flippable bits of site `index`: 2 (BHT saturating counter), 129 (BTB
   /// target + pc + valid) or 64 (RAS return address).
   u32 fault_site_bits(std::size_t index) const {
-    if (index < bht_.size()) return 2;
-    if (index < bht_.size() + btb_.size()) return 129;
+    if (index < s_.bht.size()) return 2;
+    if (index < s_.bht.size() + s_.btb.size()) return 129;
     return 64;
   }
   /// XOR the addressed bit; a 2-bit BHT flip keeps the counter in 0..3, so a
   /// second flip restores bit-identical state for every site kind.
   void fault_flip(std::size_t index, u64 bit) {
-    if (index < bht_.size()) {
-      bht_[index] ^= static_cast<u8>(1u << bit);
+    if (index < s_.bht.size()) {
+      s_.bht[index] ^= static_cast<u8>(1u << bit);
       return;
     }
-    index -= bht_.size();
-    if (index < btb_.size()) {
-      BtbEntry& entry = btb_[index];
+    index -= s_.bht.size();
+    if (index < s_.btb.size()) {
+      BtbEntry& entry = s_.btb[index];
       if (bit < 64) {
         entry.target ^= u64{1} << bit;
       } else if (bit < 128) {
@@ -125,18 +120,16 @@ class BranchPredictor {
       }
       return;
     }
-    ras_[index - btb_.size()] ^= u64{1} << bit;
+    s_.ras[index - s_.btb.size()] ^= u64{1} << bit;
   }
 
   const BranchPredictorConfig& config() const { return config_; }
 
  private:
   BranchPredictorConfig config_;
-  std::vector<u8> bht_;  ///< 2-bit counters, weakly-taken initial state.
-  std::vector<BtbEntry> btb_;
-  std::vector<Addr> ras_;
-  u32 ras_top_ = 0;   ///< Number of valid entries (wraps by overwrite).
-  u64 btb_tick_ = 0;
+  /// The whole state. bht: 2-bit counters, weakly-not-taken initially;
+  /// ras_top: number of valid entries (wraps by overwrite).
+  Snapshot s_;
 };
 
 }  // namespace flexstep::arch

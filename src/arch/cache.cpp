@@ -7,41 +7,26 @@
 
 namespace flexstep::arch {
 
-void Cache::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  ar.put_varint(ways.size());
-  for (const Way& way : ways) {
-    ar.put_u64(way.tag);
-    ar.put_varint(way.lru);
-  }
-  ar.put_varint(tick);
-  ar.put_varint(hits);
-  ar.put_varint(misses);
+template <class Ar>
+void Cache::Snapshot::transfer(Ar& ar) {
+  ar.vector(ways, 9, [&](Way& way) {  // >= 8 tag bytes + 1 lru byte per way
+    ar.fixed(way.tag);
+    ar.varint(way.lru);
+  });
+  ar.varint(tick);
+  ar.varint(hits);
+  ar.varint(misses);
 }
+template void Cache::Snapshot::transfer(io::ArchiveWriter&);
+template void Cache::Snapshot::transfer(io::ArchiveReader&);
 
-void Cache::Snapshot::deserialize(io::ArchiveReader& ar) {
-  ways.clear();
-  const u64 count = ar.take_count(9);  // >= 8 tag bytes + 1 lru byte per way
-  ways.reserve(ar.ok() ? static_cast<std::size_t>(count) : 0);
-  for (u64 i = 0; ar.ok() && i < count; ++i) {
-    Way way;
-    way.tag = ar.take_u64();
-    way.lru = ar.take_varint();
-    ways.push_back(way);
-  }
-  tick = ar.take_varint();
-  hits = ar.take_varint();
-  misses = ar.take_varint();
+template <class Ar>
+void CacheHierarchy::Snapshot::transfer(Ar& ar) {
+  l1i.transfer(ar);
+  l1d.transfer(ar);
 }
-
-void CacheHierarchy::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  l1i.serialize(ar);
-  l1d.serialize(ar);
-}
-
-void CacheHierarchy::Snapshot::deserialize(io::ArchiveReader& ar) {
-  l1i.deserialize(ar);
-  l1d.deserialize(ar);
-}
+template void CacheHierarchy::Snapshot::transfer(io::ArchiveWriter&);
+template void CacheHierarchy::Snapshot::transfer(io::ArchiveReader&);
 
 Cache::Cache(const CacheConfig& config, std::string name)
     : config_(config), name_(std::move(name)) {
@@ -52,27 +37,19 @@ Cache::Cache(const CacheConfig& config, std::string name)
   FLEX_CHECK(std::has_single_bit(num_sets_));
   line_shift_ = static_cast<u32>(std::countr_zero(config.line_bytes));
   set_shift_ = static_cast<u32>(std::countr_zero(num_sets_));
-  ways_.resize(static_cast<std::size_t>(num_sets_) * config.ways);
+  s_.ways.resize(static_cast<std::size_t>(num_sets_) * config.ways);
 }
 
-void Cache::save(Snapshot& out) const {
-  out.ways = ways_;
-  out.tick = tick_;
-  out.hits = hits_;
-  out.misses = misses_;
-}
+void Cache::save(Snapshot& out) const { out = s_; }
 
 void Cache::restore(const Snapshot& snapshot) {
-  FLEX_CHECK_MSG(snapshot.ways.size() == ways_.size(),
+  FLEX_CHECK_MSG(snapshot.ways.size() == s_.ways.size(),
                  "cache snapshot geometry mismatch");
-  ways_ = snapshot.ways;
-  tick_ = snapshot.tick;
-  hits_ = snapshot.hits;
-  misses_ = snapshot.misses;
+  s_ = snapshot;
 }
 
 void Cache::fill_miss(Way* base, u64 tag) {
-  ++misses_;
+  ++s_.misses;
   // Victim: first invalid way, otherwise least-recently-used.
   Way* victim = nullptr;
   for (u32 w = 0; w < config_.ways; ++w) {
@@ -84,16 +61,16 @@ void Cache::fill_miss(Way* base, u64 tag) {
     if (victim == nullptr || way.lru < victim->lru) victim = &way;
   }
   victim->tag = tag;
-  victim->lru = tick_;
+  victim->lru = s_.tick;
 }
 
 void Cache::invalidate_all() {
-  for (auto& way : ways_) way.tag = kInvalidTag;
+  for (auto& way : s_.ways) way.tag = kInvalidTag;
 }
 
 double Cache::miss_rate() const {
-  const u64 total = hits_ + misses_;
-  return total == 0 ? 0.0 : static_cast<double>(misses_) / static_cast<double>(total);
+  const u64 total = s_.hits + s_.misses;
+  return total == 0 ? 0.0 : static_cast<double>(s_.misses) / static_cast<double>(total);
 }
 
 CacheHierarchy::CacheHierarchy(const CacheConfig& l1i, const CacheConfig& l1d,

@@ -15,11 +15,6 @@
 
 #include "common/types.h"
 
-namespace flexstep::io {
-class ArchiveWriter;
-class ArchiveReader;
-}  // namespace flexstep::io
-
 namespace flexstep::arch {
 
 struct CacheConfig {
@@ -50,8 +45,8 @@ class Cache {
     u64 misses = 0;
     std::size_t bytes() const { return ways.size() * sizeof(Way); }
 
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    template <class Ar>
+    void transfer(Ar& ar);
   };
 
   explicit Cache(const CacheConfig& config, std::string name = {});
@@ -65,8 +60,8 @@ class Cache {
     const u64 line = addr >> line_shift_;
     const u32 set = static_cast<u32>(line & (num_sets_ - 1));
     const u64 tag = line >> set_shift_;
-    Way* base = &ways_[static_cast<std::size_t>(set) * config_.ways];
-    ++tick_;
+    Way* base = &s_.ways[static_cast<std::size_t>(set) * config_.ways];
+    ++s_.tick;
     // Branchless scan: the hit way's position is data-dependent, so an
     // early-exit loop mispredicts on nearly every probe. A fixed-trip scan
     // compiles to conditional moves, leaving only the (highly predictable)
@@ -76,8 +71,8 @@ class Cache {
       if (base[w].tag == tag) hit_way = w;
     }
     if (hit_way != config_.ways) [[likely]] {
-      base[hit_way].lru = tick_;
-      ++hits_;
+      base[hit_way].lru = s_.tick;
+      ++s_.hits;
       return true;
     }
     fill_miss(base, tag);
@@ -90,19 +85,19 @@ class Cache {
   // ---- fault-site adapter (fault/sites.h) ----
 
   /// Total tag-array ways (sets × associativity) enumerable as fault sites.
-  std::size_t fault_way_count() const { return ways_.size(); }
+  std::size_t fault_way_count() const { return s_.ways.size(); }
   /// XOR one bit of a way's tag. Because an invalid way carries the all-ones
   /// kInvalidTag sentinel instead of a separate valid flag, the same 64-bit
   /// flip space covers both tag corruption (aliasing a way onto the wrong
   /// line) and valid-bit corruption (an invalid way turning into a bogus
   /// near-all-ones tag). Timing-only either way: data lives in Memory.
   void fault_flip_tag(std::size_t way_index, u64 bit) {
-    ways_[way_index].tag ^= u64{1} << bit;
+    s_.ways[way_index].tag ^= u64{1} << bit;
   }
 
   const CacheConfig& config() const { return config_; }
-  u64 hits() const { return hits_; }
-  u64 misses() const { return misses_; }
+  u64 hits() const { return s_.hits; }
+  u64 misses() const { return s_.misses; }
   double miss_rate() const;
   const std::string& name() const { return name_; }
 
@@ -114,10 +109,7 @@ class Cache {
   u32 num_sets_;
   u32 line_shift_;
   u32 set_shift_;
-  std::vector<Way> ways_;  ///< num_sets_ × config_.ways, row-major.
-  u64 tick_ = 0;
-  u64 hits_ = 0;
-  u64 misses_ = 0;
+  Snapshot s_;  ///< The whole state; ways are num_sets_ × config_.ways, row-major.
 };
 
 /// Per-core view of the memory hierarchy: private L1I/L1D over a shared L2.
@@ -133,8 +125,8 @@ class CacheHierarchy {
     Cache::Snapshot l1d;
     std::size_t bytes() const { return l1i.bytes() + l1d.bytes(); }
 
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    template <class Ar>
+    void transfer(Ar& ar);
   };
 
   void save(Snapshot& out) const {

@@ -344,57 +344,32 @@ void Core::restore_state(const ArchState& state) {
   image_ = nullptr;  // force image re-lookup
 }
 
-void Core::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  for (u64 r : regs) ar.put_u64(r);
-  ar.put_u64(pc);
-  ar.put_bool(user_mode);
-  ar.put_u64(csr_mepc);
-  ar.put_u64(csr_mcause);
-  ar.put_u64(csr_mscratch);
-  caches.serialize(ar);
-  bpred.serialize(ar);
-  ar.put_u64(last_fetch_line);
-  ar.put_u64(reservation_addr);
-  ar.put_bool(reservation_valid);
-  ar.put_varint(cycle);
-  ar.put_varint(instret);
-  ar.put_varint(user_instret);
-  ar.put_varint(stall_cycles);
-  ar.put_varint(mispredicts);
-  ar.put_varint(timer_at);
-  ar.put_bool(timer_armed);
-  ar.put_bool(swi_pending);
-  ar.put_bool(suppress_traps);
-  ar.put_u8(static_cast<u8>(status));
+template <class Ar>
+void Core::Snapshot::transfer(Ar& ar) {
+  for (u64& r : regs) ar.fixed(r);
+  ar.fixed(pc);
+  ar.boolean(user_mode);
+  ar.fixed(csr_mepc);
+  ar.fixed(csr_mcause);
+  ar.fixed(csr_mscratch);
+  caches.transfer(ar);
+  bpred.transfer(ar);
+  ar.fixed(last_fetch_line);
+  ar.fixed(reservation_addr);
+  ar.boolean(reservation_valid);
+  ar.varint(cycle);
+  ar.varint(instret);
+  ar.varint(user_instret);
+  ar.varint(stall_cycles);
+  ar.varint(mispredicts);
+  ar.varint(timer_at);
+  ar.boolean(timer_armed);
+  ar.boolean(swi_pending);
+  ar.boolean(suppress_traps);
+  ar.enumeration(status, Status::kHalted, "core status out of domain");
 }
-
-void Core::Snapshot::deserialize(io::ArchiveReader& ar) {
-  for (u64& r : regs) r = ar.take_u64();
-  pc = ar.take_u64();
-  user_mode = ar.take_bool();
-  csr_mepc = ar.take_u64();
-  csr_mcause = ar.take_u64();
-  csr_mscratch = ar.take_u64();
-  caches.deserialize(ar);
-  bpred.deserialize(ar);
-  last_fetch_line = ar.take_u64();
-  reservation_addr = ar.take_u64();
-  reservation_valid = ar.take_bool();
-  cycle = ar.take_varint();
-  instret = ar.take_varint();
-  user_instret = ar.take_varint();
-  stall_cycles = ar.take_varint();
-  mispredicts = ar.take_varint();
-  timer_at = ar.take_varint();
-  timer_armed = ar.take_bool();
-  swi_pending = ar.take_bool();
-  suppress_traps = ar.take_bool();
-  const u8 raw_status = ar.take_u8();
-  if (ar.ok() && raw_status > static_cast<u8>(Status::kHalted)) {
-    ar.fail(io::ArchiveStatus::kMalformed, "core status out of domain");
-  }
-  status = static_cast<Status>(raw_status);
-}
+template void Core::Snapshot::transfer(io::ArchiveWriter&);
+template void Core::Snapshot::transfer(io::ArchiveReader&);
 
 void Core::save(Snapshot& out) const {
   out.regs = regs_;

@@ -100,8 +100,8 @@ class Core : private ReservationObserver {
 
     std::size_t bytes() const { return sizeof(*this) + caches.bytes() + bpred.bytes(); }
 
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    template <class Ar>
+    void transfer(Ar& ar);
   };
 
   void save(Snapshot& out) const;

@@ -7,37 +7,27 @@
 
 namespace flexstep::arch {
 
-void Memory::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  ar.put_u64(pages.size());
-  for (const auto& [id, page] : pages) {
-    ar.put_u64(id);
-    ar.put_bytes(page.data(), page.size());
-  }
-}
-
-void Memory::Snapshot::deserialize(io::ArchiveReader& ar) {
-  pages.clear();
-  const u64 count = ar.take_u64();
-  if (ar.ok() && count > (~u64{0}) / (kPageSize + 8)) {
-    ar.fail(io::ArchiveStatus::kMalformed, "page count exceeds payload size");
-  }
-  u64 prev_id = 0;
+template <class Ar>
+void Memory::Snapshot::transfer(Ar& ar) {
+  u64 count = pages.size();
+  ar.fixed(count);
+  ar.require(count <= (~u64{0}) / (kPageSize + 8), "page count exceeds payload size");
+  if constexpr (Ar::kReading) pages.clear();
   for (u64 i = 0; ar.ok() && i < count; ++i) {
-    const u64 id = ar.take_u64();
-    if (i > 0 && id <= prev_id) {
-      // Ids are strictly increasing by the save() sort; a CRC-clean file
-      // violating it was written by a broken producer.
-      ar.fail(io::ArchiveStatus::kMalformed, "memory page ids not id-sorted");
-      break;
-    }
-    prev_id = id;
-    const u8* span = ar.take_span(kPageSize);
-    if (span == nullptr) break;
-    pages.emplace_back(id, Page{});
-    std::memcpy(pages.back().second.data(), span, kPageSize);
+    if constexpr (Ar::kReading) pages.emplace_back();
+    auto& [id, page] = pages[i];
+    ar.fixed(id);
+    // Ids are strictly increasing by the save() sort; a CRC-clean file
+    // violating it was written by a broken producer.
+    ar.require(i == 0 || id > pages[i - 1].first, "memory page ids not id-sorted");
+    ar.bytes(page.data(), page.size());
   }
-  if (!ar.ok()) pages.clear();
+  if constexpr (Ar::kReading) {
+    if (!ar.ok()) pages.clear();
+  }
 }
+template void Memory::Snapshot::transfer(io::ArchiveWriter&);
+template void Memory::Snapshot::transfer(io::ArchiveReader&);
 
 void Memory::save(Snapshot& out) const {
   // Id-sorted so a snapshot's layout depends only on the touched pages, not on

@@ -22,11 +22,6 @@
 #include "common/check.h"
 #include "common/types.h"
 
-namespace flexstep::io {
-class ArchiveWriter;
-class ArchiveReader;
-}  // namespace flexstep::io
-
 namespace flexstep::arch {
 
 /// Receives a deferred notification when a watched (code) page is written.
@@ -77,8 +72,8 @@ class Memory {
 
     /// Wire format: page count, then (id, raw 4 KiB span) pairs — all fields
     /// fixed-width so the page payloads stay 8-aligned in the archive.
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    template <class Ar>
+    void transfer(Ar& ar);
   };
 
   void save(Snapshot& out) const;

@@ -283,6 +283,7 @@ u64 ArchiveReader::take_varint() {
   for (u32 shift = 0; shift < 64; shift += 7) {
     const u8 byte = take_u8();
     if (!ok()) return 0;
+    if (shift == 63 && byte > 1) break;  // bits past 2^64 would be dropped
     v |= static_cast<u64>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) {
       // Reject non-canonical zero-padded tails ("0x80 0x00" for 0) so one

@@ -18,12 +18,23 @@
 // covered by either the header checks, a CRC, or a must-be-zero rule, so any
 // single-bit corruption is rejected.
 //
+// Each wire struct lists its fields once, in a `template <class Ar> void
+// transfer(Ar& ar)` walk over the field verbs both archive classes share:
+// fixed(), boolean(), f64(), varint(), enumeration(), vector(), bytes(),
+// require() and section(). Walked with an ArchiveWriter the verbs encode;
+// walked with an ArchiveReader they decode and validate, so encoder and
+// decoder cannot drift apart. A shape only one struct has is written inline
+// in its walk, under `if constexpr (Ar::kReading)` where the directions
+// differ. Walk bodies live in their component's .cpp with explicit
+// instantiations for the two archive types.
+//
 // Decode errors are STRUCTURED, never fatal: the reader latches the first
 // ArchiveStatus (truncation, bad magic, version skew, CRC mismatch,
-// malformed field) and every subsequent take_* returns zero — callers check
+// malformed field) and every subsequent read yields zero — callers check
 // ok() once at the end of a decode instead of guarding every field. Campaign
 // checkpoint files are untrusted input (half-written, bit-rotted, produced
-// by a different build); none of them may abort the process.
+// by a different build); none of them may abort the process. Every value
+// has exactly one encoding: a decoded buffer re-encodes to itself.
 //
 // Versioning policy (v1): the app_version is bumped on ANY layout change and
 // readers accept only an exact match — no migration shims. A persisted
@@ -32,7 +43,9 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -76,6 +89,17 @@ struct ArchiveError {
   std::string message() const;
 };
 
+/// vector()'s default element walk: fixed() for an integer, the element's
+/// own transfer() for a struct.
+template <class Ar, class T>
+void transfer_element(Ar& ar, T& element) {
+  if constexpr (std::is_integral_v<T>) {
+    ar.fixed(element);
+  } else {
+    element.transfer(ar);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
@@ -101,6 +125,55 @@ class ArchiveWriter {
   /// Raw span (memory pages). Callers that want the span 8-aligned in the
   /// file should put fixed-width fields (not varints) ahead of it.
   void put_bytes(const void* data, std::size_t n);
+
+  // ---- field verbs (the encoding half of a transfer() walk) ----
+
+  static constexpr bool kReading = false;
+  bool ok() const { return true; }
+
+  /// Unsigned integer of 1, 4 or 8 bytes, little-endian.
+  template <class T>
+  void fixed(T v) {
+    static_assert(std::is_unsigned_v<T> && (sizeof(T) == 1 || sizeof(T) == 4 ||
+                                            sizeof(T) == 8));
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf_.push_back(static_cast<u8>(u64{v} >> (8 * i)));
+    }
+  }
+  void boolean(bool v) { put_bool(v); }
+  void f64(double v) { put_f64(v); }
+  template <class T>
+  void varint(T v) {
+    static_assert(std::is_unsigned_v<T>);
+    put_varint(v);
+  }
+  /// A u8-backed enum; the reader rejects values above `max` with `what`.
+  template <class E>
+  void enumeration(E v, E /*max*/, const char* /*what*/) {
+    put_u8(static_cast<u8>(v));
+  }
+  /// Varint count, then `fn(element)` for every element (by default
+  /// transfer_element). `min_elem_bytes` bounds the reader's count (see
+  /// ArchiveReader::take_count).
+  template <class T, class Fn>
+  void vector(std::vector<T>& v, std::size_t /*min_elem_bytes*/, Fn&& fn) {
+    put_varint(v.size());
+    for (T& element : v) fn(element);
+  }
+  template <class T>
+  void vector(std::vector<T>& v, std::size_t min_elem_bytes) {
+    vector(v, min_elem_bytes, [this](T& element) { transfer_element(*this, element); });
+  }
+  void bytes(const void* data, std::size_t n) { put_bytes(data, n); }
+  /// A decode-side domain check; nothing to check when encoding.
+  void require(bool /*cond*/, const char* /*what*/) {}
+  /// begin_section(id), fn(), end_section().
+  template <class Fn>
+  void section(u32 id, Fn&& fn) {
+    begin_section(id);
+    fn();
+    end_section();
+  }
 
   /// The finished archive. Call only with no section open.
   const std::vector<u8>& buffer() const;
@@ -155,6 +228,63 @@ class ArchiveReader {
 
   /// Latch a failure from application-level validation (field domain checks).
   void fail(ArchiveStatus status, std::string detail);
+
+  // ---- field verbs (the decoding half of a transfer() walk) ----
+
+  static constexpr bool kReading = true;
+
+  template <class T>
+  void fixed(T& v) {
+    static_assert(std::is_unsigned_v<T> && (sizeof(T) == 1 || sizeof(T) == 4 ||
+                                            sizeof(T) == 8));
+    if constexpr (sizeof(T) == 1) {
+      v = take_u8();
+    } else if constexpr (sizeof(T) == 4) {
+      v = take_u32();
+    } else {
+      v = take_u64();
+    }
+  }
+  void boolean(bool& v) { v = take_bool(); }
+  void f64(double& v) { v = take_f64(); }
+  /// A varint that does not fit `T` is kMalformed, never truncated: each
+  /// value keeps exactly one encoding.
+  template <class T>
+  void varint(T& v) {
+    static_assert(std::is_unsigned_v<T>);
+    const u64 raw = take_varint();
+    require(raw <= std::numeric_limits<T>::max(), "varint does not fit its field");
+    v = static_cast<T>(raw);
+  }
+  template <class E>
+  void enumeration(E& v, E max, const char* what) {
+    const u8 raw = take_u8();
+    require(raw <= static_cast<u8>(max), what);
+    v = static_cast<E>(raw);
+  }
+  /// Replaces `v` with the decoded elements; stops at the first failure.
+  template <class T, class Fn>
+  void vector(std::vector<T>& v, std::size_t min_elem_bytes, Fn&& fn) {
+    v.clear();
+    const u64 count = take_count(min_elem_bytes);
+    for (u64 i = 0; ok() && i < count; ++i) fn(v.emplace_back());
+  }
+  template <class T>
+  void vector(std::vector<T>& v, std::size_t min_elem_bytes) {
+    vector(v, min_elem_bytes, [this](T& element) { transfer_element(*this, element); });
+  }
+  void bytes(void* out, std::size_t n) { take_bytes(out, n); }
+  /// Latch kMalformed with `what` unless `cond` holds (first failure wins).
+  void require(bool cond, const char* what) {
+    if (ok() && !cond) fail(ArchiveStatus::kMalformed, what);
+  }
+  /// fn() inside section `id`; skipped once the reader has failed.
+  template <class Fn>
+  void section(u32 id, Fn&& fn) {
+    if (!begin_section(id)) return;
+    fn();
+    end_section();
+  }
 
  private:
   std::size_t remaining() const { return limit_ - pos_; }

@@ -69,40 +69,27 @@ u64 CampaignStats::digest() const {
   return h.value();
 }
 
-void CampaignStats::serialize(io::ArchiveWriter& ar) const {
-  ar.put_varint(outcomes.size());
-  for (const FaultOutcome& o : outcomes) {
-    ar.put_bool(o.detected);
-    ar.put_f64(o.latency_us);
-    ar.put_u8(static_cast<u8>(o.detect_kind));
-    ar.put_u8(static_cast<u8>(o.target_kind));
-    ar.put_u8(static_cast<u8>(o.kind));
-  }
-  ar.put_varint(total_instructions);
+template <class Ar>
+void CampaignStats::transfer(Ar& ar) {
+  if constexpr (Ar::kReading) *this = CampaignStats{};
+  ar.vector(outcomes, 12, [&](FaultOutcome& o) {
+    ar.boolean(o.detected);
+    ar.f64(o.latency_us);
+    ar.enumeration(o.detect_kind, fs::DetectKind::kStructural,
+                   "fault outcome detect kind out of domain");
+    ar.enumeration(o.target_kind, fs::StreamItem::Kind::kSegmentEnd,
+                   "fault outcome target kind out of domain");
+    ar.enumeration(o.kind, OutcomeKind::kDue, "fault outcome kind out of domain");
+    if constexpr (Ar::kReading) add(o.kind);
+  });
+  ar.varint(total_instructions);
 }
 
-void CampaignStats::deserialize(io::ArchiveReader& ar) {
-  *this = CampaignStats{};
-  const u64 count = ar.take_count(12);
-  for (u64 i = 0; ar.ok() && i < count; ++i) {
-    FaultOutcome o;
-    o.detected = ar.take_bool();
-    o.latency_us = ar.take_f64();
-    const u8 detect = ar.take_u8();
-    const u8 target = ar.take_u8();
-    const u8 kind = ar.take_u8();
-    if (ar.ok() && (detect > static_cast<u8>(fs::DetectKind::kStructural) ||
-                    target > static_cast<u8>(fs::StreamItem::Kind::kSegmentEnd) ||
-                    kind > static_cast<u8>(OutcomeKind::kDue))) {
-      ar.fail(io::ArchiveStatus::kMalformed, "fault outcome kind out of domain");
-    }
-    o.detect_kind = static_cast<fs::DetectKind>(detect);
-    o.target_kind = static_cast<fs::StreamItem::Kind>(target);
-    o.kind = static_cast<OutcomeKind>(kind);
-    if (ar.ok()) record(o);
-  }
-  total_instructions = ar.take_varint();
+void CampaignStats::serialize(io::ArchiveWriter& ar) const {
+  const_cast<CampaignStats*>(this)->transfer(ar);
 }
+
+void CampaignStats::deserialize(io::ArchiveReader& ar) { transfer(ar); }
 
 namespace {
 

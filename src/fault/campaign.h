@@ -185,10 +185,14 @@ struct CampaignStats : OutcomeTally {
 
   /// Wire format (shard checkpoint files): the outcome stream + the
   /// total_instructions counter; deserialize() rebuilds every rollup counter
-  /// through record(), so a decoded shard satisfies the classification
+  /// from the outcomes, so a decoded shard satisfies the classification
   /// invariant by construction.
   void serialize(io::ArchiveWriter& ar) const;
   void deserialize(io::ArchiveReader& ar);
+
+ private:
+  template <class Ar>
+  void transfer(Ar& ar);
 };
 
 /// Persistence seam for warmed baseline sessions. A campaign shard asks the

@@ -44,8 +44,26 @@ std::string shard_path(const DistributedConfig& dist, u32 shard) {
 
 template <typename Result>
 struct ShardFile {
-  Result result;
+  u8 kind = 0;
+  u32 shard = 0;
   u64 elided = 0;  ///< Warmup instructions restored, not executed, that run.
+  Result result;
+
+  template <class Ar>
+  void transfer(Ar& ar) {
+    ar.section(kShardMetaSection, [&] {
+      ar.fixed(kind);
+      ar.fixed(shard);
+      ar.varint(elided);
+    });
+    ar.section(kShardPayloadSection, [&] {
+      if constexpr (Ar::kReading) {
+        result.deserialize(ar);
+      } else {
+        result.serialize(ar);
+      }
+    });
+  }
 };
 
 /// Decode a shard-result file; nullopt on ANY defect (missing, truncated,
@@ -58,34 +76,16 @@ std::optional<ShardFile<Result>> read_shard_file(const std::string& path,
   std::vector<u8> data;
   if (!io::read_file(path, data).ok()) return std::nullopt;
   io::ArchiveReader ar(data.data(), data.size(), kShardTag, kShardVersion);
-  if (!ar.begin_section(kShardMetaSection)) return std::nullopt;
-  const u8 stored_kind = ar.take_u8();
-  const u32 stored_shard = ar.take_u32();
-  ShardFile<Result> out;
-  out.elided = ar.take_varint();
-  ar.end_section();
-  if (!ar.ok() || stored_kind != kind || stored_shard != shard) {
-    return std::nullopt;
-  }
-  if (!ar.begin_section(kShardPayloadSection)) return std::nullopt;
-  out.result.deserialize(ar);
-  ar.end_section();
-  if (!ar.ok()) return std::nullopt;
-  return out;
+  ShardFile<Result> file;
+  file.transfer(ar);
+  if (!ar.ok() || file.kind != kind || file.shard != shard) return std::nullopt;
+  return file;
 }
 
 template <typename Result>
-bool write_shard_file(const std::string& path, u8 kind, u32 shard, u64 elided,
-                      const Result& result) {
+bool write_shard_file(const std::string& path, ShardFile<Result>& file) {
   io::ArchiveWriter ar(kShardTag, kShardVersion);
-  ar.begin_section(kShardMetaSection);
-  ar.put_u8(kind);
-  ar.put_u32(shard);
-  ar.put_varint(elided);
-  ar.end_section();
-  ar.begin_section(kShardPayloadSection);
-  result.serialize(ar);
-  ar.end_section();
+  file.transfer(ar);
   const io::ArchiveError err = ar.write_file(path);
   if (!err.ok()) {
     FLEX_LOG_ERROR("distributed campaign: cannot write %s: %s", path.c_str(),
@@ -175,14 +175,14 @@ int run_assigned(const DistributedConfig& dist, const std::vector<u32>& assigned
   for (u32 shard : assigned) {
     FileBaselineStore store(dist.dir + "/baselines");
     std::string error;
-    const Result result = run_shard(shard, &store, &error);
+    ShardFile<Result> file{kind_of<Result>(), shard, 0, run_shard(shard, &store, &error)};
     if (!error.empty()) {
       std::fprintf(stderr, "campaign worker: %s\n", error.c_str());
       return 2;
     }
     if (die_requested(shard)) _exit(42);
-    write_shard_file(shard_path(dist, shard), kind_of<Result>(), shard,
-                     store.elided_instructions(), result);
+    file.elided = store.elided_instructions();
+    write_shard_file(shard_path(dist, shard), file);
   }
   return 0;
 }

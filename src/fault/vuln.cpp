@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <utility>
 
 #include "arch/core.h"
 #include "arch/memory.h"
@@ -79,52 +80,38 @@ u64 VulnReport::digest() const {
   return h.value();
 }
 
-void VulnReport::serialize(io::ArchiveWriter& ar) const {
-  ar.put_varint(records.size());
-  for (const InjectionRecord& r : records) {
-    ar.put_u8(static_cast<u8>(r.site.component));
-    ar.put_varint(r.site.index);
-    ar.put_varint(r.site.bit);
-    ar.put_varint(r.site.cycle);
-    ar.put_u8(static_cast<u8>(r.outcome));
-    ar.put_u8(static_cast<u8>(r.detect_kind));
-    ar.put_f64(r.latency_us);
-    ar.put_bool(r.rc_valid);
-    ar.put_varint(r.rc_instret);
-    ar.put_u64(r.rc_victim_pc);
-    ar.put_u64(r.rc_golden_pc);
+template <class Ar>
+void VulnReport::transfer(Ar& ar) {
+  if constexpr (Ar::kReading) *this = VulnReport{};
+  ar.vector(records, 16, [&](InjectionRecord& r) {
+    ar.enumeration(r.site.component, static_cast<Component>(kComponentCount - 1),
+                   "injection record component out of domain");
+    ar.varint(r.site.index);
+    ar.varint(r.site.bit);
+    ar.varint(r.site.cycle);
+    ar.enumeration(r.outcome, OutcomeKind::kDue, "injection record outcome out of domain");
+    ar.enumeration(r.detect_kind, fs::DetectKind::kStructural,
+                   "injection record detect kind out of domain");
+    ar.f64(r.latency_us);
+    ar.boolean(r.rc_valid);
+    ar.varint(r.rc_instret);
+    ar.fixed(r.rc_victim_pc);
+    ar.fixed(r.rc_golden_pc);
+  });
+  ar.varint(total_instructions);
+  // Rebuild the rollups through add(), once every component is in domain.
+  if constexpr (Ar::kReading) {
+    if (ar.ok()) {
+      for (const InjectionRecord& r : std::exchange(records, {})) add(r);
+    }
   }
-  ar.put_varint(total_instructions);
 }
 
-void VulnReport::deserialize(io::ArchiveReader& ar) {
-  *this = VulnReport{};
-  const u64 count = ar.take_count(16);
-  for (u64 i = 0; ar.ok() && i < count; ++i) {
-    InjectionRecord r;
-    const u8 component = ar.take_u8();
-    r.site.index = ar.take_varint();
-    r.site.bit = ar.take_varint();
-    r.site.cycle = ar.take_varint();
-    const u8 outcome = ar.take_u8();
-    const u8 detect = ar.take_u8();
-    if (ar.ok() && (component >= kComponentCount ||
-                    outcome > static_cast<u8>(OutcomeKind::kDue) ||
-                    detect > static_cast<u8>(fs::DetectKind::kStructural))) {
-      ar.fail(io::ArchiveStatus::kMalformed, "injection record out of domain");
-    }
-    r.site.component = static_cast<Component>(component);
-    r.outcome = static_cast<OutcomeKind>(outcome);
-    r.detect_kind = static_cast<fs::DetectKind>(detect);
-    r.latency_us = ar.take_f64();
-    r.rc_valid = ar.take_bool();
-    r.rc_instret = ar.take_varint();
-    r.rc_victim_pc = ar.take_u64();
-    r.rc_golden_pc = ar.take_u64();
-    if (ar.ok()) add(r);
-  }
-  total_instructions = ar.take_varint();
+void VulnReport::serialize(io::ArchiveWriter& ar) const {
+  const_cast<VulnReport*>(this)->transfer(ar);
 }
+
+void VulnReport::deserialize(io::ArchiveReader& ar) { transfer(ar); }
 
 // ---------------------------------------------------------------------------
 // Injection and classification (the shard loop is campaign.cpp's walk_shard)

@@ -115,10 +115,14 @@ struct VulnReport : OutcomeTally {
 
   /// Wire format (shard checkpoint files): the record stream + the
   /// total_instructions counter; deserialize() rebuilds every per-component
-  /// rollup through add(), so a decoded report satisfies check_invariant()
-  /// by construction.
+  /// rollup from the records, so a decoded report satisfies
+  /// check_invariant() by construction.
   void serialize(io::ArchiveWriter& ar) const;
   void deserialize(io::ArchiveReader& ar);
+
+ private:
+  template <class Ar>
+  void transfer(Ar& ar);
 };
 
 /// Run a whole-SoC vulnerability campaign on `profile` under dual-core

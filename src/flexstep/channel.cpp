@@ -7,128 +7,66 @@
 
 namespace flexstep::fs {
 
-namespace {
-
-/// Wire form of one item: the record header, then only the payload its kind
-/// carries (MAL entry, or checkpoint registers [+ IC for a SegmentEnd]).
-void serialize_item(io::ArchiveWriter& ar, const StreamItem& item,
-                    const Checkpoint* payload) {
-  ar.put_u8(static_cast<u8>(item.kind));
-  ar.put_varint(item.seq);
-  ar.put_varint(item.visible_at);
-  if (item.kind == StreamItem::Kind::kMem) {
-    ar.put_u8(static_cast<u8>(item.mem.kind));
-    ar.put_u8(item.mem.bytes);
-    ar.put_u64(item.mem.addr);
-    ar.put_u64(item.mem.data);
-    return;
-  }
-  ar.put_u64(payload->state.pc);
-  for (u64 r : payload->state.regs) ar.put_u64(r);
-  if (item.kind == StreamItem::Kind::kSegmentEnd) ar.put_varint(payload->inst_count);
-}
-
-/// Mirrors serialize_item; a checkpoint item's payload is appended to
-/// `checkpoints`, so the two vectors stay consistent by construction.
-StreamItem deserialize_item(io::ArchiveReader& ar, std::vector<Checkpoint>& checkpoints) {
-  StreamItem item;
-  const u8 kind = ar.take_u8();
-  if (ar.ok() && kind > static_cast<u8>(StreamItem::Kind::kSegmentEnd)) {
-    ar.fail(io::ArchiveStatus::kMalformed, "stream item kind out of domain");
-  }
-  item.kind = static_cast<StreamItem::Kind>(kind);
-  item.seq = ar.take_varint();
-  item.visible_at = ar.take_varint();
-  if (item.kind == StreamItem::Kind::kMem) {
-    const u8 mem_kind = ar.take_u8();
-    if (ar.ok() && mem_kind > static_cast<u8>(MemEntryKind::kAmoStore)) {
-      ar.fail(io::ArchiveStatus::kMalformed, "MAL entry kind out of domain");
-    }
-    item.mem.kind = static_cast<MemEntryKind>(mem_kind);
-    item.mem.bytes = ar.take_u8();
-    item.mem.addr = ar.take_u64();
-    item.mem.data = ar.take_u64();
-    return item;
-  }
-  Checkpoint& checkpoint = checkpoints.emplace_back();
-  checkpoint.state.pc = ar.take_u64();
-  for (u64& r : checkpoint.state.regs) r = ar.take_u64();
-  if (item.kind == StreamItem::Kind::kSegmentEnd) checkpoint.inst_count = ar.take_varint();
-  return item;
-}
-
-}  // namespace
-
-void Channel::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  ar.put_varint(main_id);
-  ar.put_varint(checker_id);
-  ar.put_varint(items.size());
-  for_each_item([&](const StreamItem& item, const Checkpoint* payload) {
-    serialize_item(ar, item, payload);
-  });
-  ar.put_varint(segments.size());
-  for (const SegmentMeta& seg : segments) {
-    ar.put_varint(seg.inst_count);
-    ar.put_varint(seg.ready_at);
-    ar.put_varint(seg.end_seq);
-  }
-  ar.put_varint(next_seq);
-  ar.put_varint(last_popped_seq);
-  ar.put_varint(last_pop_cycle);
-  ar.put_bool(closed);
-  ar.put_varint(max_occupancy);
-  ar.put_varint(backpressure_events);
-  ar.put_bool(fault.has_value());
-  if (fault.has_value()) {
-    ar.put_varint(fault->seq);
-    ar.put_u64(fault->segment_end_seq);  // kUnresolvedSegmentEnd = ~0
-    ar.put_varint(fault->injected_at);
-    ar.put_u8(static_cast<u8>(fault->item_kind));
-    ar.put_u8(fault->bit);
-  }
-}
-
-void Channel::Snapshot::deserialize(io::ArchiveReader& ar) {
-  items.clear();
-  checkpoints.clear();
-  segments.clear();
-  fault.reset();
-  main_id = static_cast<CoreId>(ar.take_varint());
-  checker_id = static_cast<CoreId>(ar.take_varint());
+template <class Ar>
+void Channel::Snapshot::transfer(Ar& ar) {
+  ar.varint(main_id);
+  ar.varint(checker_id);
+  // A checkpoint item's payload is the next entry of `checkpoints`; decoding
+  // appends it, so the two vectors stay consistent by construction.
+  if constexpr (Ar::kReading) checkpoints.clear();
+  std::size_t next_checkpoint = 0;
   // The smallest item on the wire is a MAL entry: kind, two varints, entry
   // kind and width, address and data.
-  const u64 item_count = ar.take_count(1 + 1 + 1 + 1 + 1 + 16);
-  for (u64 i = 0; ar.ok() && i < item_count; ++i) {
-    items.push_back(deserialize_item(ar, checkpoints));
-  }
-  const u64 seg_count = ar.take_count(3);
-  for (u64 i = 0; ar.ok() && i < seg_count; ++i) {
-    SegmentMeta seg;
-    seg.inst_count = ar.take_varint();
-    seg.ready_at = ar.take_varint();
-    seg.end_seq = ar.take_varint();
-    segments.push_back(seg);
-  }
-  next_seq = ar.take_varint();
-  last_popped_seq = ar.take_varint();
-  last_pop_cycle = ar.take_varint();
-  closed = ar.take_bool();
-  max_occupancy = ar.take_varint();
-  backpressure_events = ar.take_varint();
-  if (ar.take_bool()) {
-    InjectedFault f;
-    f.seq = ar.take_varint();
-    f.segment_end_seq = ar.take_u64();
-    f.injected_at = ar.take_varint();
-    const u8 kind = ar.take_u8();
-    if (ar.ok() && kind > static_cast<u8>(StreamItem::Kind::kSegmentEnd)) {
-      ar.fail(io::ArchiveStatus::kMalformed, "injected-fault kind out of domain");
+  ar.vector(items, 1 + 1 + 1 + 1 + 1 + 16, [&](StreamItem& item) {
+    ar.enumeration(item.kind, StreamItem::Kind::kSegmentEnd,
+                   "stream item kind out of domain");
+    ar.varint(item.seq);
+    ar.varint(item.visible_at);
+    if (item.kind == StreamItem::Kind::kMem) {
+      ar.enumeration(item.mem.kind, MemEntryKind::kAmoStore, "MAL entry kind out of domain");
+      ar.fixed(item.mem.bytes);
+      ar.fixed(item.mem.addr);
+      ar.fixed(item.mem.data);
+      return;
     }
-    f.item_kind = static_cast<StreamItem::Kind>(kind);
-    f.bit = ar.take_u8();
-    if (ar.ok()) fault = f;
+    if constexpr (Ar::kReading) {
+      checkpoints.emplace_back();
+    } else {
+      FLEX_CHECK_MSG(next_checkpoint < checkpoints.size(),
+                     "channel snapshot lacks a checkpoint payload");
+    }
+    Checkpoint& payload = checkpoints[next_checkpoint++];
+    payload.state.transfer(ar);
+    if (item.kind == StreamItem::Kind::kSegmentEnd) ar.varint(payload.inst_count);
+  });
+  ar.vector(segments, 3, [&](SegmentMeta& seg) {
+    ar.varint(seg.inst_count);
+    ar.varint(seg.ready_at);
+    ar.varint(seg.end_seq);
+  });
+  ar.varint(next_seq);
+  ar.varint(last_popped_seq);
+  ar.varint(last_pop_cycle);
+  ar.boolean(closed);
+  ar.varint(max_occupancy);
+  ar.varint(backpressure_events);
+  bool has_fault = fault.has_value();
+  ar.boolean(has_fault);
+  if constexpr (Ar::kReading) {
+    fault.reset();
+    if (has_fault) fault.emplace();
+  }
+  if (has_fault) {
+    ar.varint(fault->seq);
+    ar.fixed(fault->segment_end_seq);  // kUnresolvedSegmentEnd = ~0
+    ar.varint(fault->injected_at);
+    ar.enumeration(fault->item_kind, StreamItem::Kind::kSegmentEnd,
+                   "injected-fault kind out of domain");
+    ar.fixed(fault->bit);
   }
 }
+template void Channel::Snapshot::transfer(io::ArchiveWriter&);
+template void Channel::Snapshot::transfer(io::ArchiveReader&);
 
 bool Channel::producer_can_push(u32 entries) const {
   if (items_.size() + entries <= config_.channel_capacity) return true;

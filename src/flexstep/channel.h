@@ -22,11 +22,6 @@
 #include "flexstep/config.h"
 #include "flexstep/stream.h"
 
-namespace flexstep::io {
-class ArchiveWriter;
-class ArchiveReader;
-}  // namespace flexstep::io
-
 namespace flexstep::fs {
 
 inline constexpr Cycle kNever = ~Cycle{0};
@@ -73,24 +68,11 @@ class Channel {
              segments.size() * sizeof(SegmentMeta);
     }
 
-    /// fn(item, payload) for every queued item in stream order; `payload` is
-    /// the item's checkpoint, nullptr for a MAL entry.
-    template <typename Fn>
-    void for_each_item(Fn&& fn) const {
-      std::size_t next = 0;
-      for (const StreamItem& item : items) {
-        const Checkpoint* payload = nullptr;
-        if (item.kind != StreamItem::Kind::kMem) {
-          FLEX_CHECK_MSG(next < checkpoints.size(),
-                         "channel snapshot lacks a checkpoint payload");
-          payload = &checkpoints[next++];
-        }
-        fn(item, payload);
-      }
-    }
-
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    /// Wire format: endpoints, then each item with only the payload its
+    /// kind carries (a MAL entry, or a checkpoint's registers plus the IC
+    /// for a SegmentEnd), then the segment metadata, counters and fault.
+    template <class Ar>
+    void transfer(Ar& ar);
   };
 
   Channel(CoreId main_id, CoreId checker_id, const FlexStepConfig& config)

@@ -13,69 +13,34 @@ namespace flexstep::fs {
 using arch::ArchState;
 using arch::CommitInfo;
 
-namespace {
-
-void serialize_state(io::ArchiveWriter& ar, const ArchState& s) {
-  ar.put_u64(s.pc);
-  for (u64 r : s.regs) ar.put_u64(r);
+template <class Ar>
+void CoreUnit::Snapshot::transfer(Ar& ar) {
+  ar.boolean(checking_enabled);
+  ar.boolean(segment_active);
+  ar.varint(segment_ic);
+  ar.varint(checking_budget);
+  ar.fixed(segment_start_pc);
+  ar.boolean(checker_busy);
+  ar.boolean(replay_active);
+  ar.boolean(replay_suspended);
+  ar.boolean(have_thread_ctx);
+  ass_thread_ctx.transfer(ar);
+  pending_scp.transfer(ar);
+  ar.varint(expected_ic);
+  ar.varint(replayed);
+  ar.boolean(segment_result_ok);
+  ar.boolean(segment_verify_failed);
+  ar.boolean(segment_abort);
+  ar.varint(segments_produced);
+  ar.varint(segments_verified);
+  ar.varint(segments_failed);
+  ar.varint(checkpoints_captured);
+  ar.varint(mem_entries_logged);
+  ar.varint(replayed_total);
 }
+template void CoreUnit::Snapshot::transfer(io::ArchiveWriter&);
+template void CoreUnit::Snapshot::transfer(io::ArchiveReader&);
 
-void deserialize_state(io::ArchiveReader& ar, ArchState& s) {
-  s.pc = ar.take_u64();
-  for (u64& r : s.regs) r = ar.take_u64();
-}
-
-}  // namespace
-
-void CoreUnit::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  ar.put_bool(checking_enabled);
-  ar.put_bool(segment_active);
-  ar.put_varint(segment_ic);
-  ar.put_varint(checking_budget);
-  ar.put_u64(segment_start_pc);
-  ar.put_bool(checker_busy);
-  ar.put_bool(replay_active);
-  ar.put_bool(replay_suspended);
-  ar.put_bool(have_thread_ctx);
-  serialize_state(ar, ass_thread_ctx);
-  serialize_state(ar, pending_scp);
-  ar.put_varint(expected_ic);
-  ar.put_varint(replayed);
-  ar.put_bool(segment_result_ok);
-  ar.put_bool(segment_verify_failed);
-  ar.put_bool(segment_abort);
-  ar.put_varint(segments_produced);
-  ar.put_varint(segments_verified);
-  ar.put_varint(segments_failed);
-  ar.put_varint(checkpoints_captured);
-  ar.put_varint(mem_entries_logged);
-  ar.put_varint(replayed_total);
-}
-
-void CoreUnit::Snapshot::deserialize(io::ArchiveReader& ar) {
-  checking_enabled = ar.take_bool();
-  segment_active = ar.take_bool();
-  segment_ic = ar.take_varint();
-  checking_budget = ar.take_varint();
-  segment_start_pc = ar.take_u64();
-  checker_busy = ar.take_bool();
-  replay_active = ar.take_bool();
-  replay_suspended = ar.take_bool();
-  have_thread_ctx = ar.take_bool();
-  deserialize_state(ar, ass_thread_ctx);
-  deserialize_state(ar, pending_scp);
-  expected_ic = ar.take_varint();
-  replayed = ar.take_varint();
-  segment_result_ok = ar.take_bool();
-  segment_verify_failed = ar.take_bool();
-  segment_abort = ar.take_bool();
-  segments_produced = ar.take_varint();
-  segments_verified = ar.take_varint();
-  segments_failed = ar.take_varint();
-  checkpoints_captured = ar.take_varint();
-  mem_entries_logged = ar.take_varint();
-  replayed_total = ar.take_varint();
-}
 using arch::MemResult;
 using isa::Instruction;
 using isa::Opcode;
@@ -95,7 +60,7 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     if (!entry.has_value()) return r;  // structural abort already flagged
     if (entry->addr != addr) {
       unit_.report(DetectKind::kLoadAddr);
-      unit_.segment_verify_failed_ = true;
+      unit_.s_.segment_verify_failed = true;
     }
     r.data = entry->data;  // replay uses the logged value
     r.stall = kFifoReadStall;
@@ -108,10 +73,10 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     if (!entry.has_value()) return r;
     if (entry->addr != addr) {
       unit_.report(DetectKind::kStoreAddr);
-      unit_.segment_verify_failed_ = true;
+      unit_.s_.segment_verify_failed = true;
     } else if (entry->data != data) {
       unit_.report(DetectKind::kStoreData);
-      unit_.segment_verify_failed_ = true;
+      unit_.s_.segment_verify_failed = true;
     }
     r.stall = kFifoReadStall;
     return r;
@@ -123,7 +88,7 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     if (!load_part.has_value()) return r;
     if (load_part->addr != addr) {
       unit_.report(DetectKind::kLoadAddr);
-      unit_.segment_verify_failed_ = true;
+      unit_.s_.segment_verify_failed = true;
     }
     const u64 old = load_part->data;
     u64 next = 0;
@@ -139,7 +104,7 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     if (!store_part.has_value()) return r;
     if (store_part->addr != addr || store_part->data != next) {
       unit_.report(DetectKind::kAmoStore);
-      unit_.segment_verify_failed_ = true;
+      unit_.s_.segment_verify_failed = true;
     }
     r.data = old;
     r.stall = kFifoReadStall + 1;
@@ -152,7 +117,7 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     if (!entry.has_value()) return r;
     if (entry->addr != addr) {
       unit_.report(DetectKind::kLoadAddr);
-      unit_.segment_verify_failed_ = true;
+      unit_.s_.segment_verify_failed = true;
     }
     r.data = entry->data;
     r.stall = kFifoReadStall;
@@ -171,7 +136,7 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
       if (!store_part.has_value()) return r;
       if (store_part->addr != addr || store_part->data != data) {
         unit_.report(DetectKind::kScMismatch);
-        unit_.segment_verify_failed_ = true;
+        unit_.s_.segment_verify_failed = true;
       }
     }
     r.data = flag->data;
@@ -187,8 +152,8 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
         ch->front().kind != StreamItem::Kind::kMem ||
         ch->front().mem.kind != expected) {
       unit_.report(DetectKind::kStructural);
-      unit_.segment_verify_failed_ = true;
-      unit_.segment_abort_ = true;
+      unit_.s_.segment_verify_failed = true;
+      unit_.s_.segment_abort = true;
       return std::nullopt;
     }
     return unit_.pop_in(unit_.core_.cycle()).mem;
@@ -241,54 +206,10 @@ void CoreUnit::on_code_page_written(u64 page_id) {
   static_bound_dropped_ = true;
 }
 
-void CoreUnit::save(Snapshot& out) const {
-  out.checking_enabled = checking_enabled_;
-  out.segment_active = segment_active_;
-  out.segment_ic = segment_ic_;
-  out.checking_budget = checking_budget_;
-  out.segment_start_pc = segment_start_pc_;
-  out.checker_busy = checker_busy_;
-  out.replay_active = replay_active_;
-  out.replay_suspended = replay_suspended_;
-  out.have_thread_ctx = have_thread_ctx_;
-  out.ass_thread_ctx = ass_thread_ctx_;
-  out.pending_scp = pending_scp_;
-  out.expected_ic = expected_ic_;
-  out.replayed = replayed_;
-  out.segment_result_ok = segment_result_ok_;
-  out.segment_verify_failed = segment_verify_failed_;
-  out.segment_abort = segment_abort_;
-  out.segments_produced = segments_produced_;
-  out.segments_verified = segments_verified_;
-  out.segments_failed = segments_failed_;
-  out.checkpoints_captured = checkpoints_captured_;
-  out.mem_entries_logged = mem_entries_logged_;
-  out.replayed_total = replayed_total_;
-}
+void CoreUnit::save(Snapshot& out) const { out = s_; }
 
 void CoreUnit::restore(const Snapshot& snapshot) {
-  checking_enabled_ = snapshot.checking_enabled;
-  segment_active_ = snapshot.segment_active;
-  segment_ic_ = snapshot.segment_ic;
-  checking_budget_ = snapshot.checking_budget;
-  segment_start_pc_ = snapshot.segment_start_pc;
-  checker_busy_ = snapshot.checker_busy;
-  replay_active_ = snapshot.replay_active;
-  replay_suspended_ = snapshot.replay_suspended;
-  have_thread_ctx_ = snapshot.have_thread_ctx;
-  ass_thread_ctx_ = snapshot.ass_thread_ctx;
-  pending_scp_ = snapshot.pending_scp;
-  expected_ic_ = snapshot.expected_ic;
-  replayed_ = snapshot.replayed;
-  segment_result_ok_ = snapshot.segment_result_ok;
-  segment_verify_failed_ = snapshot.segment_verify_failed;
-  segment_abort_ = snapshot.segment_abort;
-  segments_produced_ = snapshot.segments_produced;
-  segments_verified_ = snapshot.segments_verified;
-  segments_failed_ = snapshot.segments_failed;
-  checkpoints_captured_ = snapshot.checkpoints_captured;
-  mem_entries_logged_ = snapshot.mem_entries_logged;
-  replayed_total_ = snapshot.replayed_total;
+  s_ = snapshot;
   // The fused-path cursor is quantum-scoped (never live across a run_until
   // return, hence never part of any snapshot); drop any stale staging. The
   // bulk-consume horizon is likewise per-quantum driver state: start
@@ -299,9 +220,9 @@ void CoreUnit::restore(const Snapshot& snapshot) {
   refresh_passive();
   // The core's data-memory port is not part of Core::Snapshot (it is a seam
   // pointer into this unit); re-derive it from the replay state.
-  core_.set_mem_port(replay_active_ ? static_cast<arch::MemPort*>(replay_port_.get())
-                                    : nullptr);
-  core_.set_trap_suppression(replay_active_);
+  core_.set_mem_port(s_.replay_active ? static_cast<arch::MemPort*>(replay_port_.get())
+                                      : nullptr);
+  core_.set_trap_suppression(s_.replay_active);
 }
 
 // ---------------------------------------------------------------------------
@@ -334,7 +255,7 @@ Cycle CoreUnit::out_channel_space_available_at() const {
 }
 
 u64 CoreUnit::producer_burst_headroom() const {
-  if (!checking_enabled_ || out_channels_.empty()) return ~u64{0};
+  if (!s_.checking_enabled || out_channels_.empty()) return ~u64{0};
   u64 entries = ~u64{0};
   for (const Channel* ch : out_channels_) {
     entries = std::min(entries, ch->producer_headroom_entries());
@@ -371,7 +292,7 @@ u64 CoreUnit::producer_burst_headroom() const {
 }
 
 bool CoreUnit::memory_can_commit(arch::Core& core, const Instruction& inst) {
-  if (!checking_enabled_ || !segment_active_ || out_channels_.empty()) return true;
+  if (!s_.checking_enabled || !s_.segment_active || out_channels_.empty()) return true;
   const u32 need = entries_for(inst.op);
   if (need == 0) return true;
   for (Channel* ch : out_channels_) {
@@ -387,11 +308,11 @@ bool CoreUnit::memory_can_commit(arch::Core& core, const Instruction& inst) {
 void CoreUnit::start_segment(Addr start_pc) {
   ArchState scp = core_.capture_state();
   scp.pc = start_pc;
-  segment_start_pc_ = start_pc;
-  segment_ic_ = 0;
-  segment_active_ = true;
+  s_.segment_start_pc = start_pc;
+  s_.segment_ic = 0;
+  s_.segment_active = true;
   refresh_passive();
-  ++checkpoints_captured_;
+  ++s_.checkpoints_captured;
   for (Channel* ch : out_channels_) ch->push_scp(scp, core_.cycle());
 }
 
@@ -411,20 +332,17 @@ StreamItem CoreUnit::pop_in(Cycle now) {
 }
 
 Cycle CoreUnit::end_segment(Addr resume_pc) {
-  FLEX_CHECK(segment_active_);
-  segment_active_ = false;
+  FLEX_CHECK(s_.segment_active);
+  s_.segment_active = false;
   refresh_passive();
-  // Zero-length segments (e.g. two back-to-back kernel entries) carry no
-  // information; retract rather than ship an empty segment.
-  if (segment_ic_ == 0) {
-    // The SCP was already pushed; ship a matching empty SegmentEnd so the
-    // stream stays structurally regular. Checkers verify it trivially.
-  }
+  // A zero-length segment (e.g. two back-to-back kernel entries) still ships
+  // its SegmentEnd: the SCP is already queued, so the stream stays regular,
+  // and the checker verifies it through enter_replay's expected_ic == 0 path.
   ArchState ecp = core_.capture_state();
   ecp.pc = resume_pc;
-  ++checkpoints_captured_;
-  ++segments_produced_;
-  for (Channel* ch : out_channels_) ch->push_segment_end(ecp, segment_ic_, core_.cycle());
+  ++s_.checkpoints_captured;
+  ++s_.segments_produced;
+  for (Channel* ch : out_channels_) ch->push_segment_end(ecp, s_.segment_ic, core_.cycle());
   // A SegmentEnd makes a parked checker wakeable (at the item's visible_at):
   // end the producer's quantum so the driver can schedule the wake before the
   // producer's clock runs past it.
@@ -460,7 +378,7 @@ Cycle CoreUnit::log_memory(const CommitInfo& info) {
       flag.data = info.mem_rdata;  // 0 = success
       flag.bytes = 1;
       for (Channel* ch : out_channels_) ch->push_mem(flag, now);
-      ++mem_entries_logged_;
+      ++s_.mem_entries_logged;
       if (info.sc_success) {
         entry.kind = MemEntryKind::kScStore;
         entry.data = info.mem_wdata;
@@ -477,7 +395,7 @@ Cycle CoreUnit::log_memory(const CommitInfo& info) {
       load_part.data = info.mem_rdata;  // old value
       load_part.bytes = 8;
       for (Channel* ch : out_channels_) ch->push_mem(load_part, now);
-      ++mem_entries_logged_;
+      ++s_.mem_entries_logged;
       // New value = f(old, operand); recompute exactly as the core did.
       const u64 old = info.mem_rdata;
       const u64 operand = info.mem_wdata;
@@ -499,24 +417,24 @@ Cycle CoreUnit::log_memory(const CommitInfo& info) {
   }
 
   for (Channel* ch : out_channels_) ch->push_mem(entry, now);
-  ++mem_entries_logged_;
+  ++s_.mem_entries_logged;
   // Multi-entry instructions add a cycle of packaging latency (Sec. III-B).
   return entries > 1 ? 1 : 0;
 }
 
 Cycle CoreUnit::on_main_commit(const CommitInfo& info) {
-  ++segment_ic_;
+  ++s_.segment_ic;
   Cycle stall = 0;
   if (info.mem_valid) stall += log_memory(info);
-  if (checking_budget_ > 0 && --checking_budget_ == 0) {
+  if (s_.checking_budget > 0 && --s_.checking_budget == 0) {
     // Selective-checking budget exhausted: close the segment and switch the
     // checking function off for the rest of the job.
     stall += end_segment(info.next_pc);
-    checking_enabled_ = false;
+    s_.checking_enabled = false;
     refresh_passive();
     return stall;
   }
-  if (segment_ic_ >= config_.segment_limit) {
+  if (s_.segment_ic >= config_.segment_limit) {
     stall += end_segment(info.next_pc);
     start_segment(info.next_pc);
   }
@@ -538,25 +456,25 @@ Cycle CoreUnit::next_segment_ready_at() const {
 void CoreUnit::apply_scp() {
   FLEX_CHECK_MSG(segment_ready(core_.cycle()), "C.apply with no ready SCP");
   FLEX_CHECK(in_channel_->front().kind == StreamItem::Kind::kScp);
-  pending_scp_ = in_channel_->checkpoint(0).state;
+  s_.pending_scp = in_channel_->checkpoint(0).state;
   pop_in(core_.cycle());
-  expected_ic_ = in_channel_->front_segment_ic();
-  for (u8 r = 1; r < isa::kNumRegs; ++r) core_.set_reg(r, pending_scp_.regs[r]);
+  s_.expected_ic = in_channel_->front_segment_ic();
+  for (u8 r = 1; r < isa::kNumRegs; ++r) core_.set_reg(r, s_.pending_scp.regs[r]);
 }
 
 void CoreUnit::enter_replay() {
-  replay_active_ = true;
+  s_.replay_active = true;
   refresh_passive();
-  replayed_ = 0;
-  segment_verify_failed_ = false;
-  segment_abort_ = false;
-  if (expected_ic_ == 0) {
+  s_.replayed = 0;
+  s_.segment_verify_failed = false;
+  s_.segment_abort = false;
+  if (s_.expected_ic == 0) {
     // Zero-length segment (back-to-back kernel entries on the main core):
     // nothing to execute; verify the ECP against the just-applied SCP state.
-    finish_segment(pending_scp_.pc);
+    finish_segment(s_.pending_scp.pc);
     return;
   }
-  core_.set_pc(pending_scp_.pc);
+  core_.set_pc(s_.pending_scp.pc);
   core_.set_user_mode(true);
   core_.set_mem_port(replay_port_.get());
   core_.set_trap_suppression(true);
@@ -564,14 +482,14 @@ void CoreUnit::enter_replay() {
 }
 
 void CoreUnit::begin_replay() {
-  FLEX_CHECK_MSG(!replay_active_ && !replay_suspended_, "replay already in flight");
+  FLEX_CHECK_MSG(!s_.replay_active && !s_.replay_suspended, "replay already in flight");
   FLEX_CHECK_MSG(segment_ready(core_.cycle()), "no ready segment");
 
   // C.record: save the checker thread's context into the ASS (once per
   // activation; subsequent segments reuse it).
-  if (!have_thread_ctx_) {
-    ass_thread_ctx_ = core_.capture_state();
-    have_thread_ctx_ = true;
+  if (!s_.have_thread_ctx) {
+    s_.ass_thread_ctx = core_.capture_state();
+    s_.have_thread_ctx = true;
   }
   core_.add_cycles(4);  // record/apply/jal micro-sequence
   apply_scp();
@@ -579,9 +497,9 @@ void CoreUnit::begin_replay() {
 }
 
 void CoreUnit::resume_replay() {
-  FLEX_CHECK_MSG(replay_suspended_, "no suspended replay");
-  replay_suspended_ = false;
-  replay_active_ = true;
+  FLEX_CHECK_MSG(s_.replay_suspended, "no suspended replay");
+  s_.replay_suspended = false;
+  s_.replay_active = true;
   refresh_passive();
   core_.set_user_mode(true);
   core_.set_mem_port(replay_port_.get());
@@ -589,41 +507,41 @@ void CoreUnit::resume_replay() {
 }
 
 CoreUnit::ReplayContext CoreUnit::extract_replay_context() {
-  FLEX_CHECK_MSG(!replay_active_, "extract while replay is executing");
+  FLEX_CHECK_MSG(!s_.replay_active, "extract while replay is executing");
   ReplayContext ctx;
-  ctx.active = replay_suspended_;
-  ctx.replayed = replayed_;
-  ctx.expected_ic = expected_ic_;
-  ctx.pending_scp = pending_scp_;
-  ctx.verify_failed = segment_verify_failed_;
-  ctx.abort = segment_abort_;
-  ctx.have_thread_ctx = have_thread_ctx_;
-  ctx.thread_ctx = ass_thread_ctx_;
-  replay_suspended_ = false;
-  have_thread_ctx_ = false;
-  replayed_ = 0;
-  expected_ic_ = 0;
-  segment_verify_failed_ = false;
-  segment_abort_ = false;
+  ctx.active = s_.replay_suspended;
+  ctx.replayed = s_.replayed;
+  ctx.expected_ic = s_.expected_ic;
+  ctx.pending_scp = s_.pending_scp;
+  ctx.verify_failed = s_.segment_verify_failed;
+  ctx.abort = s_.segment_abort;
+  ctx.have_thread_ctx = s_.have_thread_ctx;
+  ctx.thread_ctx = s_.ass_thread_ctx;
+  s_.replay_suspended = false;
+  s_.have_thread_ctx = false;
+  s_.replayed = 0;
+  s_.expected_ic = 0;
+  s_.segment_verify_failed = false;
+  s_.segment_abort = false;
   return ctx;
 }
 
 void CoreUnit::adopt_replay_context(const ReplayContext& ctx) {
-  FLEX_CHECK_MSG(!replay_active_ && !replay_suspended_, "unit busy with another replay");
-  replayed_ = ctx.replayed;
-  expected_ic_ = ctx.expected_ic;
-  pending_scp_ = ctx.pending_scp;
-  segment_verify_failed_ = ctx.verify_failed;
-  segment_abort_ = ctx.abort;
-  have_thread_ctx_ = ctx.have_thread_ctx;
-  ass_thread_ctx_ = ctx.thread_ctx;
-  replay_suspended_ = ctx.active;
+  FLEX_CHECK_MSG(!s_.replay_active && !s_.replay_suspended, "unit busy with another replay");
+  s_.replayed = ctx.replayed;
+  s_.expected_ic = ctx.expected_ic;
+  s_.pending_scp = ctx.pending_scp;
+  s_.segment_verify_failed = ctx.verify_failed;
+  s_.segment_abort = ctx.abort;
+  s_.have_thread_ctx = ctx.have_thread_ctx;
+  s_.ass_thread_ctx = ctx.thread_ctx;
+  s_.replay_suspended = ctx.active;
 }
 
 void CoreUnit::cancel_replay() {
-  if (replay_active_ || replay_suspended_) {
-    replay_active_ = false;
-    replay_suspended_ = false;
+  if (s_.replay_active || s_.replay_suspended) {
+    s_.replay_active = false;
+    s_.replay_suspended = false;
     refresh_passive();
     core_.set_mem_port(nullptr);
     core_.set_trap_suppression(false);
@@ -634,13 +552,13 @@ void CoreUnit::report(DetectKind kind) {
   FLEX_CHECK(in_channel_ != nullptr);
   // One error report per failing segment (hardware raises C.result once at
   // the segment boundary); a diverged replay would otherwise storm reports.
-  if (segment_verify_failed_) return;
+  if (s_.segment_verify_failed) return;
   reporter_.on_detect(*in_channel_, kind, core_.id(), core_.cycle());
 }
 
 void CoreUnit::on_replay_fetch_fault() {
   report(DetectKind::kStructural);
-  segment_verify_failed_ = true;
+  s_.segment_verify_failed = true;
   abandon_segment();
 }
 
@@ -650,7 +568,7 @@ void CoreUnit::abandon_segment() {
     const StreamItem item = pop_in(core_.cycle());
     if (item.kind == StreamItem::Kind::kSegmentEnd) break;
   }
-  ++segments_failed_;
+  ++s_.segments_failed;
   exit_replay_mode(false);
 }
 
@@ -659,7 +577,7 @@ void CoreUnit::finish_segment(Addr checker_next_pc) {
   if (in_channel_->empty() ||
       in_channel_->front().kind != StreamItem::Kind::kSegmentEnd) {
     report(DetectKind::kStructural);
-    segment_verify_failed_ = true;
+    s_.segment_verify_failed = true;
     abandon_segment();
     return;
   }
@@ -678,45 +596,45 @@ void CoreUnit::finish_segment(Addr checker_next_pc) {
       mismatch_reported = true;
     }
   }
-  const bool ok = !mismatch_reported && !segment_verify_failed_;
+  const bool ok = !mismatch_reported && !s_.segment_verify_failed;
   if (ok) {
-    ++segments_verified_;
+    ++s_.segments_verified;
   } else {
-    ++segments_failed_;
+    ++s_.segments_failed;
   }
   core_.add_cycles(4);  // ECP comparison + state swap back
   exit_replay_mode(ok);
 }
 
 void CoreUnit::exit_replay_mode(bool ok) {
-  segment_result_ok_ = ok;
-  replay_active_ = false;
-  replay_suspended_ = false;
+  s_.segment_result_ok = ok;
+  s_.replay_active = false;
+  s_.replay_suspended = false;
   refresh_passive();
   core_.set_mem_port(nullptr);
   core_.set_trap_suppression(false);
   // Rapid context switch back to the checker thread: restore the C.record
   // snapshot from the ASS (Sec. III-A).
-  if (have_thread_ctx_) core_.restore_state(ass_thread_ctx_);
+  if (s_.have_thread_ctx) core_.restore_state(s_.ass_thread_ctx);
   core_.set_user_mode(false);
   if (on_segment_done_) on_segment_done_(*this, ok);
 }
 
 Cycle CoreUnit::on_replay_commit(const CommitInfo& info) {
-  ++replayed_;
-  ++replayed_total_;
-  if (segment_abort_) {
+  ++s_.replayed;
+  ++s_.replayed_total;
+  if (s_.segment_abort) {
     abandon_segment();
     return 0;
   }
-  if (replayed_ >= expected_ic_) {
+  if (s_.replayed >= s_.expected_ic) {
     finish_segment(info.next_pc);
     return 0;
   }
-  if (replayed_ >= static_cast<u64>(config_.segment_limit) * config_.max_replay_factor) {
+  if (s_.replayed >= static_cast<u64>(config_.segment_limit) * config_.max_replay_factor) {
     // Runaway replay (corrupted IC): declare structural failure.
     report(DetectKind::kStructural);
-    segment_verify_failed_ = true;
+    s_.segment_verify_failed = true;
     abandon_segment();
   }
   return 0;
@@ -730,18 +648,18 @@ u64 CoreUnit::commit_batch_limit() const {
   // For non-memory user commits both live modes reduce to counter increments
   // (on_replay_commit / on_main_commit below); the batch may therefore run up
   // to — but must exclude — the next instruction whose commit does more.
-  if (replay_active_) {
-    if (segment_abort_) return 0;  // next commit abandons the segment
+  if (s_.replay_active) {
+    if (s_.segment_abort) return 0;  // next commit abandons the segment
     const u64 runaway =
         u64{config_.segment_limit} * config_.max_replay_factor;
-    const u64 horizon = std::min(expected_ic_, runaway);
-    return horizon > replayed_ + 1 ? horizon - replayed_ - 1 : 0;
+    const u64 horizon = std::min(s_.expected_ic, runaway);
+    return horizon > s_.replayed + 1 ? horizon - s_.replayed - 1 : 0;
   }
-  if (checking_enabled_ && segment_active_) {
-    u64 limit = config_.segment_limit > segment_ic_
-                    ? config_.segment_limit - segment_ic_
+  if (s_.checking_enabled && s_.segment_active) {
+    u64 limit = config_.segment_limit > s_.segment_ic
+                    ? config_.segment_limit - s_.segment_ic
                     : 0;
-    if (checking_budget_ > 0) limit = std::min(limit, checking_budget_);
+    if (s_.checking_budget > 0) limit = std::min(limit, s_.checking_budget);
     return limit > 1 ? limit - 1 : 0;
   }
   return 0;  // unreachable while non-passive; be conservative
@@ -752,15 +670,15 @@ void CoreUnit::on_commit_batch(arch::Core& core, u64 count) {
   // Stream effects first: the staged records must land in the channel (or be
   // retired from it) before any per-instruction path can push or pop again.
   if (cursor_.used > 0) publish_cursor();
-  if (replay_active_) {
-    replayed_ += count;
-    replayed_total_ += count;
+  if (s_.replay_active) {
+    s_.replayed += count;
+    s_.replayed_total += count;
     return;
   }
-  segment_ic_ += count;
+  s_.segment_ic += count;
   // commit_batch_limit kept the batch short of exhausting the selective-
   // checking budget, so the closing instruction still commits one at a time.
-  if (checking_budget_ > 0) checking_budget_ -= count;
+  if (s_.checking_budget > 0) s_.checking_budget -= count;
 }
 
 arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
@@ -769,8 +687,8 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
   cursor_.used = 0;
   cursor_.capacity = 0;
   if (max_entries == 0) return nullptr;
-  if (replay_active_) {
-    if (segment_abort_ || in_channel_ == nullptr) return nullptr;
+  if (s_.replay_active) {
+    if (s_.segment_abort || in_channel_ == nullptr) return nullptr;
     Channel& ch = *in_channel_;
     // Stage the run of plain load/store log entries at the queue front. The
     // staging copy is O(run length), so it is clamped to what the span can
@@ -829,7 +747,7 @@ arch::SegmentCursor* CoreUnit::open_segment_cursor(arch::Core& core,
     cursor_.on_mismatch = &cursor_mismatch_thunk;
     return &cursor_;
   }
-  if (checking_enabled_ && segment_active_ && !out_channels_.empty()) {
+  if (s_.checking_enabled && s_.segment_active && !out_channels_.empty()) {
     // Producer side: the cursor capacity is the number of entries every out
     // channel can absorb without any backpressure decision turning negative,
     // so the fused path never needs memory_can_commit (which would have
@@ -874,7 +792,7 @@ void CoreUnit::publish_cursor() {
       entry.addr = rec.addr;
       entry.data = rec.data;
       for (Channel* ch : out_channels_) ch->push_mem(entry, rec.cycle);
-      ++mem_entries_logged_;
+      ++s_.mem_entries_logged;
     }
   } else if (in_channel_ != nullptr) {
     in_channel_->consume_front(cursor_.used, cursor_.last_cycle);
@@ -894,33 +812,33 @@ void CoreUnit::cursor_mismatch_thunk(void* ctx, arch::ReplayMismatch kind,
   }
   // Same one-report-per-segment rule as report(), but with the pre-commit
   // clock of the diverging access (core_.cycle() is stale inside the batch).
-  if (!unit.segment_verify_failed_) {
+  if (!unit.s_.segment_verify_failed) {
     unit.reporter_.on_detect(*unit.in_channel_, detect, unit.core_.id(), at);
   }
-  unit.segment_verify_failed_ = true;
+  unit.s_.segment_verify_failed = true;
 }
 
 Cycle CoreUnit::on_commit(arch::Core& core, const CommitInfo& info) {
   (void)core;
   if (!info.user_mode) return 0;
-  if (replay_active_) return on_replay_commit(info);
-  if (checking_enabled_ && segment_active_) return on_main_commit(info);
+  if (s_.replay_active) return on_replay_commit(info);
+  if (s_.checking_enabled && s_.segment_active) return on_main_commit(info);
   return 0;
 }
 
 void CoreUnit::on_enter_kernel(arch::Core& core) {
-  if (replay_active_) {
+  if (s_.replay_active) {
     // Preemption of a checking segment (FlexStep's headline capability): the
     // replay context lives in the core's architectural state, which the
     // kernel saves; the unit keeps counters/channel position for resumption.
-    replay_active_ = false;
-    replay_suspended_ = true;
+    s_.replay_active = false;
+    s_.replay_suspended = true;
     refresh_passive();
     core.set_mem_port(nullptr);
     core.set_trap_suppression(false);
     return;
   }
-  if (checking_enabled_ && segment_active_) {
+  if (s_.checking_enabled && s_.segment_active) {
     // Premature segment extermination (Fig. 3 case 1): close at the resume PC.
     const Addr resume_pc = core.read_csr(isa::kCsrMepc);
     const Cycle stall = end_segment(resume_pc);
@@ -929,12 +847,12 @@ void CoreUnit::on_enter_kernel(arch::Core& core) {
 }
 
 void CoreUnit::on_exit_kernel(arch::Core& core) {
-  if (replay_suspended_) {
+  if (s_.replay_suspended) {
     // Kernel excursion on the checker returned straight to the replay thread.
     resume_replay();
     return;
   }
-  if (checking_enabled_ && !segment_active_ && attr() == CoreAttr::kMain) {
+  if (s_.checking_enabled && !s_.segment_active && attr() == CoreAttr::kMain) {
     // Temporary deviation over (Fig. 3 case 2): open the next segment.
     start_segment(core.pc());
   }
@@ -956,22 +874,22 @@ u64 CoreUnit::exec_custom(arch::Core& core, const Instruction& inst) {
 
     case Opcode::kMCheck: {
       const bool enable = inst.imm != 0;
-      if (enable && !checking_enabled_) {
-        checking_enabled_ = true;
+      if (enable && !s_.checking_enabled) {
+        s_.checking_enabled = true;
         refresh_passive();
         // Selective checking (Sec. V: checking "performed on specific
         // portions of a job"): rs1 carries an instruction budget; the CPC
         // counts it down and switches checking off at zero. rs1 = x0 means
         // unbounded (full-job checking).
-        checking_budget_ = inst.rs1 != 0 ? core.reg(inst.rs1) : 0;
+        s_.checking_budget = inst.rs1 != 0 ? core.reg(inst.rs1) : 0;
         start_segment(core.pc());
-      } else if (!enable && checking_enabled_) {
-        if (segment_active_) {
+      } else if (!enable && s_.checking_enabled) {
+        if (s_.segment_active) {
           const Cycle stall = end_segment(core.pc());
           core.add_cycles(stall);
         }
-        checking_enabled_ = false;
-        checking_budget_ = 0;
+        s_.checking_enabled = false;
+        s_.checking_budget = 0;
         refresh_passive();
       }
       return 0;
@@ -980,12 +898,12 @@ u64 CoreUnit::exec_custom(arch::Core& core, const Instruction& inst) {
     case Opcode::kCCheckState:
       // The C.record snapshot stays in the ASS across busy/idle transitions;
       // the kernel extracts it per-job when interleaving checker jobs.
-      checker_busy_ = inst.imm != 0;
+      s_.checker_busy = inst.imm != 0;
       return 0;
 
     case Opcode::kCRecord:
-      ass_thread_ctx_ = core.capture_state();
-      have_thread_ctx_ = true;
+      s_.ass_thread_ctx = core.capture_state();
+      s_.have_thread_ctx = true;
       return 0;
 
     case Opcode::kCApply:
@@ -998,7 +916,7 @@ u64 CoreUnit::exec_custom(arch::Core& core, const Instruction& inst) {
       return 0;
 
     case Opcode::kCResult:
-      return segment_result_ok_ ? 1 : 0;
+      return s_.segment_result_ok ? 1 : 0;
 
     default:
       FLEX_CHECK_MSG(false, "not a FlexStep custom instruction");

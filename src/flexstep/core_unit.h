@@ -73,10 +73,10 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   Channel* in_channel() const { return in_channel_; }
 
   // ---- main-core state ----
-  bool checking_enabled() const { return checking_enabled_; }
-  bool segment_active() const { return segment_active_; }
+  bool checking_enabled() const { return s_.checking_enabled; }
+  bool segment_active() const { return s_.segment_active; }
   /// Remaining selective-checking budget (0 = unbounded or exhausted).
-  u64 checking_budget() const { return checking_budget_; }
+  u64 checking_budget() const { return s_.checking_budget; }
   /// True when every out-channel currently has push space (SoC loop uses this
   /// to decide when a backpressure-blocked main core may resume).
   bool out_channels_have_space() const;
@@ -113,9 +113,9 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   void on_code_page_written(u64 page_id) override;
 
   // ---- checker-core state ----
-  bool checker_busy() const { return checker_busy_; }
-  bool replay_active() const { return replay_active_; }
-  bool replay_suspended() const { return replay_suspended_; }
+  bool checker_busy() const { return s_.checker_busy; }
+  bool replay_active() const { return s_.replay_active; }
+  bool replay_suspended() const { return s_.replay_suspended; }
   /// A complete segment is ready for replay at `now`.
   bool segment_ready(Cycle now) const;
   Cycle next_segment_ready_at() const;
@@ -177,24 +177,22 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// on_segment_done callback (driver ownership, re-installed by the restoring
   /// driver).
   struct Snapshot {
-    // Producer side.
+    // Producer (main-core) side.
     bool checking_enabled = false;
     bool segment_active = false;
-    u64 segment_ic = 0;
-    u64 checking_budget = 0;
+    u64 segment_ic = 0;          ///< CPC instruction counter.
+    u64 checking_budget = 0;     ///< Selective checking: instructions left (0 = unbounded).
     Addr segment_start_pc = 0;
     // Checker side.
     bool checker_busy = false;
     bool replay_active = false;
     bool replay_suspended = false;
     bool have_thread_ctx = false;
-    arch::ArchState ass_thread_ctx{};
-    arch::ArchState pending_scp{};
     u64 expected_ic = 0;
     u64 replayed = 0;
-    bool segment_result_ok = true;
+    bool segment_result_ok = true;     ///< C.result of the last segment.
     bool segment_verify_failed = false;
-    bool segment_abort = false;
+    bool segment_abort = false;        ///< Structural failure: abandon at next commit.
     // Statistics.
     u64 segments_produced = 0;
     u64 segments_verified = 0;
@@ -202,9 +200,13 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
     u64 checkpoints_captured = 0;
     u64 mem_entries_logged = 0;
     u64 replayed_total = 0;
+    // Checker-side register latches, last so the scalars above stay at small
+    // offsets in the unit (the wire order is transfer()'s, not this one).
+    arch::ArchState ass_thread_ctx{};  ///< C.record context (ASS storage).
+    arch::ArchState pending_scp{};     ///< Applied SCP (C.apply).
 
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    template <class Ar>
+    void transfer(Ar& ar);
   };
 
   void save(Snapshot& out) const;
@@ -218,12 +220,12 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   void on_replay_fetch_fault();
 
   // ---- statistics ----
-  u64 segments_produced() const { return segments_produced_; }
-  u64 segments_verified() const { return segments_verified_; }
-  u64 segments_failed() const { return segments_failed_; }
-  u64 checkpoints_captured() const { return checkpoints_captured_; }
-  u64 mem_entries_logged() const { return mem_entries_logged_; }
-  u64 replayed_instructions() const { return replayed_total_; }
+  u64 segments_produced() const { return s_.segments_produced; }
+  u64 segments_verified() const { return s_.segments_verified; }
+  u64 segments_failed() const { return s_.segments_failed; }
+  u64 checkpoints_captured() const { return s_.checkpoints_captured; }
+  u64 mem_entries_logged() const { return s_.mem_entries_logged; }
+  u64 replayed_instructions() const { return s_.replayed_total; }
 
   // ---- fault-site adapter (fault/sites.h) ----
 
@@ -243,13 +245,13 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
       }
     };
     if (bit < 2048) {
-      flip_state(pending_scp_, bit);
+      flip_state(s_.pending_scp, bit);
     } else if (bit < 4096) {
-      flip_state(ass_thread_ctx_, bit - 2048);
+      flip_state(s_.ass_thread_ctx, bit - 2048);
     } else if (bit < 4160) {
-      expected_ic_ ^= u64{1} << (bit - 4096);
+      s_.expected_ic ^= u64{1} << (bit - 4096);
     } else {
-      replayed_ ^= u64{1} << (bit - 4160);
+      s_.replayed ^= u64{1} << (bit - 4160);
     }
   }
 
@@ -275,7 +277,7 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// transitions) or between quanta (begin_replay from the driver), so the
   /// engine's cached evaluation cannot go stale mid-fast-loop.
   void refresh_passive() {
-    set_passive(!replay_active_ && !(checking_enabled_ && segment_active_));
+    set_passive(!s_.replay_active && !(s_.checking_enabled && s_.segment_active));
   }
 
   // Main-core segment management (CPC working mechanism, Sec. III-A).
@@ -305,32 +307,17 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   InterconnectControl* interconnect_;
   FlexStepConfig config_;
 
-  // ---- main-core (producer) state ----
+  // ---- channel wiring (Fabric topology) ----
   std::vector<Channel*> out_channels_;
-  bool checking_enabled_ = false;
-  bool segment_active_ = false;
-  u64 segment_ic_ = 0;           ///< CPC instruction counter.
-  u64 checking_budget_ = 0;      ///< Selective checking: instructions left (0 = unbounded).
-  Addr segment_start_pc_ = 0;
+  Channel* in_channel_ = nullptr;
+
+  /// Producer, checker and statistics state: everything a snapshot saves.
+  Snapshot s_;
 
   // ---- static burst-sizing bound (analysis client) ----
   std::shared_ptr<const StaticDbcBound> static_bound_;
   arch::Memory* static_bound_memory_ = nullptr;  ///< Watched while bound set.
   bool static_bound_dropped_ = false;  ///< Code page written: fall back.
-
-  // ---- checker-core (consumer) state ----
-  Channel* in_channel_ = nullptr;
-  bool checker_busy_ = false;
-  bool replay_active_ = false;
-  bool replay_suspended_ = false;
-  bool have_thread_ctx_ = false;
-  arch::ArchState ass_thread_ctx_{};  ///< C.record context (ASS storage).
-  arch::ArchState pending_scp_{};     ///< Applied SCP (C.apply).
-  u64 expected_ic_ = 0;
-  u64 replayed_ = 0;
-  bool segment_result_ok_ = true;     ///< C.result of the last segment.
-  bool segment_verify_failed_ = false;
-  bool segment_abort_ = false;        ///< Structural failure: abandon at next commit.
 
   std::unique_ptr<ReplayPort> replay_port_;
   SegmentDoneFn on_segment_done_;
@@ -354,14 +341,6 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// Transient per-quantum driver hint (see set_bulk_consume_horizon); never
   /// snapshotted — a restored run starts conservative until its driver speaks.
   Cycle bulk_consume_horizon_ = 0;
-
-  // ---- statistics ----
-  u64 segments_produced_ = 0;
-  u64 segments_verified_ = 0;
-  u64 segments_failed_ = 0;
-  u64 checkpoints_captured_ = 0;
-  u64 mem_entries_logged_ = 0;
-  u64 replayed_total_ = 0;
 };
 
 }  // namespace flexstep::fs

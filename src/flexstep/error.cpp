@@ -6,36 +6,19 @@
 
 namespace flexstep::fs {
 
-void ErrorReporter::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  ar.put_varint(events.size());
-  for (const DetectionEvent& event : events) {
-    ar.put_varint(event.checker);
-    ar.put_varint(event.at);
-    ar.put_u8(static_cast<u8>(event.kind));
-    ar.put_bool(event.attributed);
-    ar.put_varint(event.latency);
-  }
-  ar.put_varint(attributed);
+template <class Ar>
+void ErrorReporter::Snapshot::transfer(Ar& ar) {
+  ar.vector(events, 5, [&](DetectionEvent& event) {
+    ar.varint(event.checker);
+    ar.varint(event.at);
+    ar.enumeration(event.kind, DetectKind::kStructural, "detect kind out of domain");
+    ar.boolean(event.attributed);
+    ar.varint(event.latency);
+  });
+  ar.varint(attributed);
 }
-
-void ErrorReporter::Snapshot::deserialize(io::ArchiveReader& ar) {
-  events.clear();
-  const u64 count = ar.take_count(5);
-  for (u64 i = 0; ar.ok() && i < count; ++i) {
-    DetectionEvent event;
-    event.checker = static_cast<CoreId>(ar.take_varint());
-    event.at = ar.take_varint();
-    const u8 kind = ar.take_u8();
-    if (ar.ok() && kind > static_cast<u8>(DetectKind::kStructural)) {
-      ar.fail(io::ArchiveStatus::kMalformed, "detect kind out of domain");
-    }
-    event.kind = static_cast<DetectKind>(kind);
-    event.attributed = ar.take_bool();
-    event.latency = ar.take_varint();
-    events.push_back(event);
-  }
-  attributed = static_cast<std::size_t>(ar.take_varint());
-}
+template void ErrorReporter::Snapshot::transfer(io::ArchiveWriter&);
+template void ErrorReporter::Snapshot::transfer(io::ArchiveReader&);
 
 void ErrorReporter::on_detect(Channel& channel, DetectKind kind, CoreId checker,
                               Cycle now) {
@@ -51,12 +34,12 @@ void ErrorReporter::on_detect(Channel& channel, DetectKind kind, CoreId checker,
     event.attributed = true;
     event.latency = now - fault.injected_at;
     channel.clear_fault();
-    ++attributed_;
+    ++s_.attributed;
   }
   FLEX_LOG_DEBUG("error detected by core %u at cycle %llu (%s%s)", checker,
                  static_cast<unsigned long long>(now), detect_kind_name(kind),
                  event.attributed ? ", attributed" : "");
-  events_.push_back(event);
+  s_.events.push_back(event);
 }
 
 }  // namespace flexstep::fs

@@ -6,11 +6,6 @@
 
 #include "common/types.h"
 
-namespace flexstep::io {
-class ArchiveWriter;
-class ArchiveReader;
-}  // namespace flexstep::io
-
 namespace flexstep::fs {
 
 class Channel;
@@ -56,34 +51,24 @@ class ErrorReporter {
   /// time) and the fault is cleared.
   void on_detect(Channel& channel, DetectKind kind, CoreId checker, Cycle now);
 
-  const std::vector<DetectionEvent>& events() const { return events_; }
-  std::size_t detections() const { return events_.size(); }
-  std::size_t attributed_detections() const { return attributed_; }
-  void clear() {
-    events_.clear();
-    attributed_ = 0;
-  }
+  const std::vector<DetectionEvent>& events() const { return s_.events; }
+  std::size_t detections() const { return s_.events.size(); }
+  std::size_t attributed_detections() const { return s_.attributed; }
+  void clear() { s_ = {}; }
 
   // ---- state capture ----
   struct Snapshot {
     std::vector<DetectionEvent> events;
     std::size_t attributed = 0;
 
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    template <class Ar>
+    void transfer(Ar& ar);
   };
-  void save(Snapshot& out) const {
-    out.events = events_;
-    out.attributed = attributed_;
-  }
-  void restore(const Snapshot& snapshot) {
-    events_ = snapshot.events;
-    attributed_ = snapshot.attributed;
-  }
+  void save(Snapshot& out) const { out = s_; }
+  void restore(const Snapshot& snapshot) { s_ = snapshot; }
 
  private:
-  std::vector<DetectionEvent> events_;
-  std::size_t attributed_ = 0;
+  Snapshot s_;
 };
 
 }  // namespace flexstep::fs

@@ -92,85 +92,35 @@ Cycle Fabric::next_replay_ready_at() const {
   return earliest;
 }
 
-void Fabric::Snapshot::serialize(io::ArchiveWriter& ar) const {
-  ar.put_u64(main_mask);
-  ar.put_u64(checker_mask);
-  reporter.serialize(ar);
-  ar.put_varint(channels.size());
-  for (const Channel::Snapshot& ch : channels) ch.serialize(ar);
-  ar.put_varint(units.size());
-  for (const CoreUnit::Snapshot& unit : units) unit.serialize(ar);
-  ar.put_varint(out_channels.size());
-  for (const auto& outs : out_channels) {
-    ar.put_varint(outs.size());
-    for (std::size_t idx : outs) ar.put_varint(idx);
-  }
-  ar.put_varint(in_channel.size());
-  for (std::size_t idx : in_channel) ar.put_varint(idx);
-  ar.put_varint(waitlists.size());
-  for (const auto& waitlist : waitlists) {
-    ar.put_varint(waitlist.size());
-    for (std::size_t idx : waitlist) ar.put_varint(idx);
-  }
-}
-
-void Fabric::Snapshot::deserialize(io::ArchiveReader& ar) {
-  channels.clear();
-  units.clear();
-  out_channels.clear();
-  in_channel.clear();
-  waitlists.clear();
-  main_mask = ar.take_u64();
-  checker_mask = ar.take_u64();
-  reporter.deserialize(ar);
-  const u64 channel_count = ar.take_count(16);
-  for (u64 i = 0; ar.ok() && i < channel_count; ++i) {
-    channels.emplace_back();
-    channels.back().deserialize(ar);
-  }
-  const u64 unit_count = ar.take_count(32);
-  for (u64 i = 0; ar.ok() && i < unit_count; ++i) {
-    units.emplace_back();
-    units.back().deserialize(ar);
-  }
-  // The wiring tables address into `channels`; validate every index here so
-  // restore() (which FLEX_CHECK-aborts on broken invariants) only ever sees a
-  // self-consistent graph from the decode path.
-  const auto channel_index = [&](u64 raw) -> std::size_t {
-    if (ar.ok() && raw >= channels.size()) {
-      ar.fail(io::ArchiveStatus::kMalformed, "channel index out of range");
-      return 0;
-    }
-    return static_cast<std::size_t>(raw);
+template <class Ar>
+void Fabric::Snapshot::transfer(Ar& ar) {
+  ar.fixed(main_mask);
+  ar.fixed(checker_mask);
+  reporter.transfer(ar);
+  ar.vector(channels, 16);
+  ar.vector(units, 32);
+  // The wiring tables address into `channels`; validating every index here
+  // means restore() (which FLEX_CHECK-aborts on broken invariants) only ever
+  // sees in-range indices from the decode path.
+  const auto channel_index = [&](std::size_t& index) {
+    ar.varint(index);
+    ar.require(index < channels.size(), "channel index out of range");
   };
-  const u64 out_count = ar.take_count(1);
-  for (u64 i = 0; ar.ok() && i < out_count; ++i) {
-    std::vector<std::size_t> outs;
-    const u64 n = ar.take_count(1);
-    for (u64 k = 0; ar.ok() && k < n; ++k) outs.push_back(channel_index(ar.take_varint()));
-    out_channels.push_back(std::move(outs));
-  }
-  const u64 in_count = ar.take_count(1);
-  for (u64 i = 0; ar.ok() && i < in_count; ++i) {
-    const u64 raw = ar.take_varint();  // index + 1; 0 = no in channel
-    if (raw != 0) channel_index(raw - 1);
-    in_channel.push_back(static_cast<std::size_t>(raw));
-  }
-  const u64 wait_count = ar.take_count(1);
-  for (u64 i = 0; ar.ok() && i < wait_count; ++i) {
-    std::vector<std::size_t> waitlist;
-    const u64 n = ar.take_count(1);
-    for (u64 k = 0; ar.ok() && k < n; ++k) {
-      waitlist.push_back(channel_index(ar.take_varint()));
-    }
-    waitlists.push_back(std::move(waitlist));
-  }
-  if (ar.ok() && (out_channels.size() != units.size() ||
-                  in_channel.size() != units.size() ||
-                  waitlists.size() != units.size())) {
-    ar.fail(io::ArchiveStatus::kMalformed, "fabric wiring tables disagree on unit count");
-  }
+  const auto channel_list = [&](std::vector<std::size_t>& list) {
+    ar.vector(list, 1, channel_index);
+  };
+  ar.vector(out_channels, 1, channel_list);
+  ar.vector(in_channel, 1, [&](std::size_t& index) {
+    ar.varint(index);  // index + 1; 0 = no in channel
+    ar.require(index <= channels.size(), "channel index out of range");
+  });
+  ar.vector(waitlists, 1, channel_list);
+  ar.require(out_channels.size() == units.size() && in_channel.size() == units.size() &&
+                 waitlists.size() == units.size(),
+             "fabric wiring tables disagree on unit count");
 }
+template void Fabric::Snapshot::transfer(io::ArchiveWriter&);
+template void Fabric::Snapshot::transfer(io::ArchiveReader&);
 
 std::size_t Fabric::Snapshot::bytes() const {
   std::size_t total = sizeof(*this);

@@ -105,11 +105,11 @@ class Fabric final : public InterconnectControl {
     std::vector<std::vector<std::size_t>> waitlists;     ///< Per checker: channel indices.
     std::size_t bytes() const;
 
-    /// Wire format. deserialize() validates the index graph (every channel
-    /// index in range, in_channel offsets by one) so a decoded snapshot never
-    /// feeds restore() an out-of-range wiring table.
-    void serialize(io::ArchiveWriter& ar) const;
-    void deserialize(io::ArchiveReader& ar);
+    /// Wire format. Decoding validates the index graph (every channel index
+    /// in range, in_channel offset by one, one wiring entry per unit) so a
+    /// decoded snapshot never feeds restore() an out-of-range wiring table.
+    template <class Ar>
+    void transfer(Ar& ar);
   };
 
   void save(Snapshot& out) const;

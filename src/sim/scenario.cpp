@@ -328,6 +328,11 @@ io::ArchiveError Session::restore_checked(const soc::Snapshot& loaded) {
   if (loaded.fabric.units.size() != soc_->fabric().num_units()) {
     return mismatch("fabric unit count");
   }
+  // Every Session is prepared, so an unprepared driver state is corrupt: the
+  // next advance() would abort on it.
+  if (!loaded.exec_prepared) {
+    return {io::ArchiveStatus::kMalformed, "snapshot of an unprepared driver"};
+  }
   restore(loaded);
   return {};
 }

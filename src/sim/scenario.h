@@ -229,7 +229,8 @@ class Session {
   /// count, cache way counts, predictor table sizes, fabric unit count — is
   /// validated against this session's platform first, so a snapshot from a
   /// different SocConfig yields a structured error instead of a FLEX_CHECK
-  /// abort. On any error the session is left untouched.
+  /// abort; so is a driver state that was never prepared. On any error the
+  /// session is left untouched.
   io::ArchiveError restore_checked(const soc::Snapshot& snapshot);
 
   /// The static analysis backing this session (nullptr when analysis is off).

@@ -4,58 +4,23 @@
 
 namespace flexstep::soc {
 
+template <class Ar>
+void Snapshot::transfer(Ar& ar) {
+  ar.section(kSectionMemory, [&] { memory.transfer(ar); });
+  ar.section(kSectionL2, [&] { l2.transfer(ar); });
+  ar.section(kSectionCores, [&] { ar.vector(cores, 8); });
+  ar.section(kSectionFabric, [&] { fabric.transfer(ar); });
+  ar.section(kSectionDriver, [&] {
+    ar.boolean(exec_prepared);
+    ar.fixed(exec_halted_mask);
+  });
+}
+
 void Snapshot::serialize(io::ArchiveWriter& ar) const {
-  ar.begin_section(kSectionMemory);
-  memory.serialize(ar);
-  ar.end_section();
-
-  ar.begin_section(kSectionL2);
-  l2.serialize(ar);
-  ar.end_section();
-
-  ar.begin_section(kSectionCores);
-  ar.put_varint(cores.size());
-  for (const arch::Core::Snapshot& core : cores) core.serialize(ar);
-  ar.end_section();
-
-  ar.begin_section(kSectionFabric);
-  fabric.serialize(ar);
-  ar.end_section();
-
-  ar.begin_section(kSectionDriver);
-  ar.put_bool(exec_prepared);
-  ar.put_u64(exec_halted_mask);
-  ar.end_section();
+  const_cast<Snapshot*>(this)->transfer(ar);
 }
 
-void Snapshot::deserialize(io::ArchiveReader& ar) {
-  if (ar.begin_section(kSectionMemory)) {
-    memory.deserialize(ar);
-    ar.end_section();
-  }
-  if (ar.begin_section(kSectionL2)) {
-    l2.deserialize(ar);
-    ar.end_section();
-  }
-  if (ar.begin_section(kSectionCores)) {
-    cores.clear();
-    const u64 count = ar.take_count(8);
-    for (u64 i = 0; ar.ok() && i < count; ++i) {
-      cores.emplace_back();
-      cores.back().deserialize(ar);
-    }
-    ar.end_section();
-  }
-  if (ar.begin_section(kSectionFabric)) {
-    fabric.deserialize(ar);
-    ar.end_section();
-  }
-  if (ar.begin_section(kSectionDriver)) {
-    exec_prepared = ar.take_bool();
-    exec_halted_mask = ar.take_u64();
-    ar.end_section();
-  }
-}
+void Snapshot::deserialize(io::ArchiveReader& ar) { transfer(ar); }
 
 io::ArchiveError save_snapshot(const Snapshot& snapshot, const std::string& path) {
   io::ArchiveWriter ar(kSnapshotAppTag, kSnapshotFormatVersion);

@@ -40,10 +40,12 @@ namespace flexstep::soc {
 
 /// Wire-format identity of a serialized soc::Snapshot: the archive app tag
 /// ("FSNP") and the snapshot format version. Policy: the version is bumped on
-/// ANY layout change — in this header's sections or any component
-/// serialize() — and readers reject every other version with a structured
-/// kVersionSkew (no migration shims; persisted snapshots are caches their
-/// owners recompute, not an interchange format).
+/// ANY layout change — in this header's sections or in any component
+/// Snapshot's transfer() walk — and readers reject every other version with a
+/// structured kVersionSkew (no migration shims; persisted snapshots are
+/// caches their owners recompute, not an interchange format). The pin test
+/// (SnapshotWire.EncodingIsPinnedToTheFormatVersion) fails on a layout change
+/// until the version is bumped and the pin re-recorded.
 inline constexpr u32 kSnapshotAppTag = 0x504E5346;  // "FSNP" little-endian.
 // v2: the driver section's single exec_main_halted flag became the per-core
 // exec_halted_mask for the role-based N-producer topology.
@@ -88,11 +90,16 @@ struct Snapshot {
   /// kSnapshotAppTag / kSnapshotFormatVersion.
   void serialize(io::ArchiveWriter& ar) const;
 
-  /// Decode; mirrors serialize() exactly. On any failure (truncation, CRC,
-  /// version skew, malformed payload) `ar.error()` is latched with the first
-  /// failure and *this is left in a safe (possibly partial) state — callers
-  /// must check `ar.ok()` before using the snapshot.
+  /// Decode, through the same transfer() walk. On any failure (truncation,
+  /// CRC, version skew, malformed payload) `ar.error()` is latched with the
+  /// first failure and *this is left in a safe (possibly partial) state —
+  /// callers must check `ar.ok()` before using the snapshot.
   void deserialize(io::ArchiveReader& ar);
+
+ private:
+  /// The one field walk behind serialize() and deserialize().
+  template <class Ar>
+  void transfer(Ar& ar);
 };
 
 /// Serialize `snapshot` and write it to `path` via temp-file + atomic rename
@@ -105,7 +112,7 @@ io::ArchiveError save_snapshot(const Snapshot& snapshot, const std::string& path
 io::ArchiveError load_snapshot(const std::string& path, Snapshot& out);
 
 /// FNV-1a digest of a full SoC snapshot's wire form (serialize()), so the
-/// component serializers alone define what a snapshot contains. The wire form
+/// component transfer() walks alone define what a snapshot contains. The wire form
 /// is written field by field (padding bytes never reach it) and leaves out
 /// the host-only trace tables. Shared by the fault flip round-trip tests and
 /// the snapshot fork and file round-trip identity tests.

@@ -9,6 +9,10 @@
 //     deterministic single-bit corruption sweep must reject EVERY flip with a
 //     structured error — never a crash, never a silent wrong decode.
 //   * Truncation at any prefix and version skew are structured errors.
+//   * The encoding is pinned to the format version, and every value has one
+//     encoding: a resealed mutation (CRC recomputed) either fails with a
+//     structured error or decodes to something that re-encodes to itself,
+//     and restoring it never aborts.
 //   * A two-worker multi-process campaign merges digest-identical to the
 //     single-process run, including after a worker dies mid-shard and the
 //     campaign is resumed, and warm reruns elide persisted warmups — but
@@ -20,10 +24,14 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/archive.h"
+#include "common/fnv.h"
+#include "common/rng.h"
 #include "fault/campaign.h"
 #include "fault/distributed.h"
 #include "fault/vuln.h"
@@ -132,6 +140,31 @@ TEST(Archive, CountValidationBlocksGiantAllocations) {
   ASSERT_TRUE(r.begin_section(1));
   EXPECT_EQ(r.take_count(8), 0u);
   EXPECT_EQ(r.error().status, ArchiveStatus::kMalformed);
+}
+
+TEST(Archive, EveryVarintHasOneEncoding) {
+  // A zero-padded tail, or a tenth byte carrying bits past 2^64, would give a
+  // value a second encoding; both are kMalformed. 2^64 - 1 itself decodes.
+  const std::vector<std::vector<u8>> cases = {
+      {0x80, 0x00},
+      {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02},
+      {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    ArchiveWriter w(kTestTag, 1);
+    w.begin_section(1);
+    w.put_bytes(cases[c].data(), cases[c].size());
+    w.end_section();
+    ArchiveReader r(w.buffer().data(), w.buffer().size(), kTestTag, 1);
+    ASSERT_TRUE(r.begin_section(1));
+    const u64 v = r.take_varint();
+    if (c + 1 < cases.size()) {
+      EXPECT_EQ(r.error().status, ArchiveStatus::kMalformed) << "case " << c;
+    } else {
+      EXPECT_TRUE(r.ok()) << r.error().message();
+      EXPECT_EQ(v, ~u64{0});
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +390,408 @@ TEST(SnapshotWire, FileHelpersReportIoErrors) {
   soc::Snapshot snap;
   EXPECT_EQ(soc::load_snapshot("also_missing.fxar", snap).status,
             ArchiveStatus::kIoError);
+}
+
+// ---------------------------------------------------------------------------
+// Wire-format pins
+// ---------------------------------------------------------------------------
+
+/// Field values for the hand-built structs below: distinct, never zero, and
+/// of every varint length from one to ten bytes.
+class FieldValues {
+ public:
+  u64 next() {
+    ++n_;
+    return ((n_ * 0x9E3779B97F4A7C15ULL) >> (n_ % 61)) | 1;
+  }
+
+ private:
+  u64 n_ = 0;
+};
+
+arch::Cache::Snapshot pinned_cache(FieldValues& val, std::size_t ways) {
+  arch::Cache::Snapshot cache;
+  for (std::size_t w = 0; w < ways; ++w) cache.ways.push_back({val.next(), val.next()});
+  cache.ways.back().tag = arch::Cache::kInvalidTag;
+  cache.tick = val.next();
+  cache.hits = val.next();
+  cache.misses = val.next();
+  return cache;
+}
+
+arch::Core::Snapshot pinned_core(FieldValues& val) {
+  arch::Core::Snapshot core;
+  for (u64& r : core.regs) r = val.next();
+  core.pc = val.next();
+  core.user_mode = false;
+  core.csr_mepc = val.next();
+  core.csr_mcause = val.next();
+  core.csr_mscratch = val.next();
+  core.caches.l1i = pinned_cache(val, 3);
+  core.caches.l1d = pinned_cache(val, 4);
+  core.bpred.bht = {3, 0, 2, 1};
+  core.bpred.btb = {{val.next(), val.next(), true, val.next()},
+                    {val.next(), val.next(), false, val.next()}};
+  core.bpred.ras = {val.next(), val.next(), val.next()};
+  core.bpred.ras_top = 5;
+  core.bpred.btb_tick = val.next();
+  core.last_fetch_line = val.next();
+  core.reservation_addr = val.next();
+  core.reservation_valid = true;
+  core.cycle = val.next();
+  core.instret = val.next();
+  core.user_instret = val.next();
+  core.stall_cycles = val.next();
+  core.mispredicts = val.next();
+  core.timer_at = val.next();
+  core.timer_armed = true;
+  core.swi_pending = true;
+  core.suppress_traps = true;
+  core.status = arch::Core::Status::kWaitingInterrupt;
+  return core;
+}
+
+/// A channel holding every item kind and every MAL entry kind.
+fs::Channel::Snapshot pinned_channel(FieldValues& val, CoreId main, CoreId checker) {
+  using Kind = fs::StreamItem::Kind;
+  fs::Channel::Snapshot ch;
+  ch.main_id = main;
+  ch.checker_id = checker;
+  const auto checkpoint = [&](Kind kind) {
+    ch.items.push_back({kind, val.next(), val.next(), {}});
+    fs::Checkpoint& payload = ch.checkpoints.emplace_back();
+    payload.state.pc = val.next();
+    for (u64& r : payload.state.regs) r = val.next();
+    if (kind == Kind::kSegmentEnd) payload.inst_count = val.next();
+  };
+  checkpoint(Kind::kScp);
+  for (u8 k = 0; k <= static_cast<u8>(fs::MemEntryKind::kAmoStore); ++k) {
+    ch.items.push_back({Kind::kMem, val.next(), val.next(),
+                        {static_cast<fs::MemEntryKind>(k), static_cast<u8>(1u << (k % 4)),
+                         val.next(), val.next()}});
+  }
+  checkpoint(Kind::kSegmentEnd);
+  checkpoint(Kind::kScp);
+  ch.segments = {{val.next(), val.next(), val.next()}};
+  ch.next_seq = val.next();
+  ch.last_popped_seq = val.next();
+  ch.last_pop_cycle = val.next();
+  ch.closed = true;
+  ch.max_occupancy = val.next();
+  ch.backpressure_events = val.next();
+  return ch;
+}
+
+fs::CoreUnit::Snapshot pinned_unit(FieldValues& val) {
+  fs::CoreUnit::Snapshot unit;
+  unit.checking_enabled = true;
+  unit.segment_active = true;
+  unit.segment_ic = val.next();
+  unit.checking_budget = val.next();
+  unit.segment_start_pc = val.next();
+  unit.checker_busy = true;
+  unit.replay_active = true;
+  unit.replay_suspended = true;
+  unit.have_thread_ctx = true;
+  unit.ass_thread_ctx.pc = val.next();
+  for (u64& r : unit.ass_thread_ctx.regs) r = val.next();
+  unit.pending_scp.pc = val.next();
+  for (u64& r : unit.pending_scp.regs) r = val.next();
+  unit.expected_ic = val.next();
+  unit.replayed = val.next();
+  unit.segment_result_ok = false;
+  unit.segment_verify_failed = true;
+  unit.segment_abort = true;
+  unit.segments_produced = val.next();
+  unit.segments_verified = val.next();
+  unit.segments_failed = val.next();
+  unit.checkpoints_captured = val.next();
+  unit.mem_entries_logged = val.next();
+  unit.replayed_total = val.next();
+  return unit;
+}
+
+/// A three-core shared-checker snapshot in which every field and every
+/// branch of the wire form holds a distinct non-default value: two resident
+/// pages, an invalid cache way, a valid reservation and an armed timer, one
+/// channel with a pending fault and one without, a waitlisted channel, and
+/// attributed and unattributed detection events.
+soc::Snapshot pinned_snapshot() {
+  FieldValues val;
+  soc::Snapshot snap;
+  for (const u64 id : {u64{0x12}, u64{0x80005}}) {
+    arch::Memory::Page page{};
+    for (std::size_t at = 0; at < page.size(); at += 8) {
+      const u64 word = val.next();
+      std::memcpy(page.data() + at, &word, sizeof(word));
+    }
+    snap.memory.pages.emplace_back(id, page);
+  }
+  snap.l2 = pinned_cache(val, 5);
+  for (int c = 0; c < 3; ++c) snap.cores.push_back(pinned_core(val));
+
+  fs::Fabric::Snapshot& fabric = snap.fabric;
+  fabric.main_mask = 0b101;
+  fabric.checker_mask = 0b010;
+  fabric.reporter.events = {{1, val.next(), fs::DetectKind::kEcpPc, true, val.next()},
+                            {2, val.next(), fs::DetectKind::kStructural, false, 0}};
+  fabric.reporter.attributed = 1;
+  fabric.channels.push_back(pinned_channel(val, 0, 1));
+  fabric.channels.back().fault = fs::InjectedFault{
+      val.next(), val.next(), val.next(), fs::StreamItem::Kind::kSegmentEnd, 37};
+  fabric.channels.push_back(pinned_channel(val, 2, 1));
+  for (int u = 0; u < 3; ++u) fabric.units.push_back(pinned_unit(val));
+  fabric.out_channels = {{0}, {}, {1}};
+  fabric.in_channel = {0, 1, 0};
+  fabric.waitlists = {{}, {1}, {}};
+
+  snap.exec_prepared = true;
+  snap.exec_halted_mask = val.next();
+  return snap;
+}
+
+/// Outcomes of every detect, target and outcome kind.
+fault::CampaignStats pinned_stats() {
+  FieldValues val;
+  fault::CampaignStats stats;
+  for (u8 k = 0; k <= static_cast<u8>(fs::DetectKind::kStructural); ++k) {
+    fault::FaultOutcome o;
+    o.detected = k % 2 == 1;
+    o.latency_us = 0.25 * static_cast<double>(val.next() % 10'000);
+    o.detect_kind = static_cast<fs::DetectKind>(k);
+    o.target_kind = static_cast<fs::StreamItem::Kind>(k % 3);
+    o.kind = static_cast<fault::OutcomeKind>(k % 4);
+    stats.record(o);
+  }
+  stats.total_instructions = val.next();
+  return stats;
+}
+
+/// Records of every component and outcome kind, with and without a root cause.
+fault::VulnReport pinned_report() {
+  FieldValues val;
+  fault::VulnReport report;
+  for (u8 c = 0; c < fault::kComponentCount; ++c) {
+    fault::InjectionRecord r;
+    r.site = {static_cast<fault::Component>(c), val.next(), val.next(), val.next()};
+    r.outcome = static_cast<fault::OutcomeKind>(c % 4);
+    r.detect_kind = static_cast<fs::DetectKind>(c);
+    r.latency_us = 0.5 * static_cast<double>(val.next() % 10'000);
+    r.rc_valid = c % 2 == 0;
+    r.rc_instret = val.next();
+    r.rc_victim_pc = val.next();
+    r.rc_golden_pc = val.next();
+    report.add(r);
+  }
+  report.total_instructions = val.next();
+  return report;
+}
+
+/// `value` alone in section 1 of a test archive.
+template <typename T>
+std::vector<u8> payload_archive(const T& value) {
+  ArchiveWriter w(kTestTag, 1);
+  w.begin_section(1);
+  value.serialize(w);
+  w.end_section();
+  return w.buffer();
+}
+
+u64 fnv(const std::vector<u8>& bytes) {
+  Fnv1a h;
+  h.bytes(bytes.data(), bytes.size());
+  return h.value();
+}
+
+// The wire format is pinned to its version: each pin is the FNV-1a digest of
+// one hand-built struct's encoding. A change that moves a pin changes the
+// layout, so it bumps the format version in the same change and re-records
+// the pin (soc::kSnapshotFormatVersion for the snapshot; the shard file's
+// version in fault/distributed.cpp for CampaignStats and VulnReport).
+static_assert(soc::kSnapshotFormatVersion == 3,
+              "re-record the wire pins along with the version bump");
+constexpr u64 kSnapshotPin = 0x0e1c883cf28ddad7;
+constexpr u64 kCampaignStatsPin = 0x7dcb96e47074bfb7;
+constexpr u64 kVulnReportPin = 0x136848285d2e66b7;
+
+TEST(SnapshotWire, EncodingIsPinnedToTheFormatVersion) {
+  const std::vector<u8> snap = snapshot_bytes(pinned_snapshot());
+  const std::vector<u8> stats = payload_archive(pinned_stats());
+  const std::vector<u8> report = payload_archive(pinned_report());
+  EXPECT_EQ(fnv(snap), kSnapshotPin) << std::hex << fnv(snap);
+  EXPECT_EQ(fnv(stats), kCampaignStatsPin) << std::hex << fnv(stats);
+  EXPECT_EQ(fnv(report), kVulnReportPin) << std::hex << fnv(report);
+
+  // Each pinned encoding also decodes, and re-encodes to itself.
+  ArchiveReader r(snap.data(), snap.size(), soc::kSnapshotAppTag,
+                  soc::kSnapshotFormatVersion);
+  soc::Snapshot decoded;
+  decoded.deserialize(r);
+  ASSERT_TRUE(r.ok()) << r.error().message();
+  EXPECT_EQ(snapshot_bytes(decoded), snap);
+
+  ArchiveReader sr(stats.data(), stats.size(), kTestTag, 1);
+  ASSERT_TRUE(sr.begin_section(1));
+  fault::CampaignStats stats2;
+  stats2.deserialize(sr);
+  sr.end_section();
+  ASSERT_TRUE(sr.ok()) << sr.error().message();
+  EXPECT_EQ(payload_archive(stats2), stats);
+
+  ArchiveReader vr(report.data(), report.size(), kTestTag, 1);
+  ASSERT_TRUE(vr.begin_section(1));
+  fault::VulnReport report2;
+  report2.deserialize(vr);
+  vr.end_section();
+  ASSERT_TRUE(vr.ok()) << vr.error().message();
+  EXPECT_EQ(payload_archive(report2), report);
+}
+
+// ---------------------------------------------------------------------------
+// Resealed mutations: CRC-clean garbage reaches every field decoder
+// ---------------------------------------------------------------------------
+
+/// One section of an archive buffer: where its CRC sits, and its payload.
+struct SectionSpan {
+  std::size_t crc_at = 0;
+  std::size_t payload_at = 0;
+  std::size_t len = 0;
+};
+
+std::vector<SectionSpan> section_spans(const std::vector<u8>& buf) {
+  std::vector<SectionSpan> spans;
+  std::size_t at = 16;  // container header
+  while (at + 24 <= buf.size()) {
+    u64 len = 0;
+    std::memcpy(&len, buf.data() + at + 8, sizeof(len));
+    spans.push_back({at + 16, at + 24, static_cast<std::size_t>(len)});
+    at += 24 + ((static_cast<std::size_t>(len) + 7) & ~std::size_t{7});
+  }
+  return spans;
+}
+
+/// Recompute a section's CRC after its payload was edited in place.
+void reseal(std::vector<u8>& buf, const SectionSpan& span) {
+  const u64 crc = io::crc64(buf.data() + span.payload_at, span.len);
+  std::memcpy(buf.data() + span.crc_at, &crc, sizeof(crc));
+}
+
+/// Overwrite one to four payload bytes of `span`: a bit flip, a random byte,
+/// or a varint edge value (0x00, 0x7F, 0x80, 0xFF).
+void mutate(std::vector<u8>& buf, const SectionSpan& span, Rng& rng) {
+  const std::size_t n = 1 + rng.next_below(4);
+  const std::size_t at = span.payload_at + rng.next_below(span.len);
+  static constexpr u8 kEdges[] = {0x00, 0x7F, 0x80, 0xFF};
+  for (std::size_t i = at; i < std::min(at + n, span.payload_at + span.len); ++i) {
+    switch (rng.next_below(3)) {
+      case 0: buf[i] ^= static_cast<u8>(1u << rng.next_below(8)); break;
+      case 1: buf[i] = static_cast<u8>(rng.next_u64()); break;
+      default: buf[i] = kEdges[rng.next_below(4)]; break;
+    }
+  }
+}
+
+TEST(SnapshotWire, ResealedMutationsDecodeCanonicallyOrFailStructured) {
+  // Every mutated buffer either fails with a structured error or decodes;
+  // a decoded one re-encodes to exactly itself (one encoding per value) and
+  // is fed to restore_checked on one reused session, which may reject it but
+  // must never abort.
+  constexpr int kPerSection = 120;
+  sim::Session session = warmed_session();
+  const std::vector<u8> clean = snapshot_bytes(session.snapshot());
+  const std::vector<SectionSpan> spans = section_spans(clean);
+  ASSERT_EQ(spans.size(), 5u);
+  Rng rng(0xF022);
+  for (std::size_t s = 0; s < spans.size(); ++s) {
+    for (int i = 0; i < kPerSection; ++i) {
+      std::vector<u8> buf = clean;
+      mutate(buf, spans[s], rng);
+      reseal(buf, spans[s]);
+      ArchiveReader r(buf.data(), buf.size(), soc::kSnapshotAppTag,
+                      soc::kSnapshotFormatVersion);
+      soc::Snapshot decoded;
+      decoded.deserialize(r);
+      if (!r.ok()) continue;
+      ASSERT_EQ(snapshot_bytes(decoded), buf) << "section " << s + 1 << ", mutation " << i;
+      (void)session.restore_checked(decoded);
+    }
+  }
+
+  // The shard payloads, decoded on their own.
+  const auto fuzz_payload = [&](const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    const std::vector<u8> payload = payload_archive(value);
+    const SectionSpan span = section_spans(payload).at(0);
+    for (int i = 0; i < kPerSection; ++i) {
+      std::vector<u8> buf = payload;
+      mutate(buf, span, rng);
+      reseal(buf, span);
+      ArchiveReader r(buf.data(), buf.size(), kTestTag, 1);
+      T decoded;
+      if (r.begin_section(1)) {
+        decoded.deserialize(r);
+        r.end_section();
+      }
+      if (r.ok()) {
+        ASSERT_EQ(payload_archive(decoded), buf) << "mutation " << i;
+      }
+    }
+  };
+  fuzz_payload(pinned_stats());
+  fuzz_payload(pinned_report());
+}
+
+TEST(SnapshotWire, VarintThatDoesNotFitItsFieldIsRejected) {
+  // Channel 0's main_id is a core id (32 bits). Written as the five-byte
+  // varint for 2^32 under a valid CRC, it must not decode as core 0.
+  const std::vector<u8> clean = snapshot_bytes(warmed_session().snapshot());
+  const std::vector<SectionSpan> spans = section_spans(clean);
+  ArchiveWriter w(soc::kSnapshotAppTag, soc::kSnapshotFormatVersion);
+  for (u32 id = 1; id <= spans.size(); ++id) {
+    std::vector<u8> payload(clean.data() + spans[id - 1].payload_at,
+                            clean.data() + spans[id - 1].payload_at + spans[id - 1].len);
+    if (id == soc::kSectionFabric) {
+      // main_mask, checker_mask, then no detection events and no
+      // attributions, the channel count, and channel 0's main_id (core 0).
+      ASSERT_EQ(payload[16], 0);
+      ASSERT_EQ(payload[17], 0);
+      ASSERT_GE(payload[18], 1);
+      ASSERT_EQ(payload[19], 0);
+      const u8 two_pow_32[] = {0x80, 0x80, 0x80, 0x80, 0x10};
+      payload.erase(payload.begin() + 19);
+      payload.insert(payload.begin() + 19, std::begin(two_pow_32), std::end(two_pow_32));
+    }
+    w.begin_section(id);
+    w.put_bytes(payload.data(), payload.size());
+    w.end_section();
+  }
+
+  ArchiveReader r(w.buffer().data(), w.buffer().size(), soc::kSnapshotAppTag,
+                  soc::kSnapshotFormatVersion);
+  soc::Snapshot decoded;
+  decoded.deserialize(r);
+  EXPECT_EQ(r.error().status, ArchiveStatus::kMalformed) << r.error().message();
+}
+
+TEST(SnapshotWire, SnapshotOfAnUnpreparedDriverIsRejected) {
+  // Every Session is prepared, so a snapshot whose driver section says
+  // otherwise is corrupt: restoring it would abort the next advance().
+  sim::Session session = warmed_session();
+  std::vector<u8> buf = snapshot_bytes(session.snapshot());
+  const SectionSpan driver = section_spans(buf).at(soc::kSectionDriver - 1);
+  ASSERT_EQ(buf[driver.payload_at], 1);  // exec_prepared
+  buf[driver.payload_at] = 0;
+  reseal(buf, driver);
+  ArchiveReader r(buf.data(), buf.size(), soc::kSnapshotAppTag,
+                  soc::kSnapshotFormatVersion);
+  soc::Snapshot decoded;
+  decoded.deserialize(r);
+  ASSERT_TRUE(r.ok()) << r.error().message();
+
+  const u64 before = soc::snapshot_digest(session.snapshot());
+  EXPECT_EQ(session.restore_checked(decoded).status, ArchiveStatus::kMalformed);
+  EXPECT_EQ(soc::snapshot_digest(session.snapshot()), before);
+  EXPECT_TRUE(session.advance(1'000));
 }
 
 // ---------------------------------------------------------------------------
