@@ -93,13 +93,10 @@ void CampaignStats::deserialize(io::ArchiveReader& ar) { transfer(ar); }
 
 namespace {
 
-/// Instructions advanced between fault-resolution probes.
-constexpr u64 kResolvePollStride = 64;
-
 /// Deterministic pacing jitter added to the warmup and to each inter-fault
-/// gap. Without it every injection lands on the same poll grid at the same
-/// program phase in every shard, which biases which state sits at the
-/// injection point. Odd bounds so the jitter breaks the poll grids.
+/// gap. Without it every injection lands on the same grid of the baseline's
+/// wait stride at the same program phase in every shard, which biases which
+/// state sits at the injection point. Odd bounds so the jitter breaks it.
 constexpr u64 kWarmupJitter = 4099;
 constexpr u64 kGapJitter = 257;
 
@@ -145,8 +142,9 @@ sim::Session& rewind(std::optional<sim::Session>& slot, const sim::Session& orig
 
 /// Corrupt the tail of `victim`'s DBC stream and run until the fault resolves:
 /// detected (attributed reporter event) or masked (the corrupted item's
-/// segment verified clean, or the run drained). The caller rewinds the victim
-/// before it runs again.
+/// segment verified clean, or the run drained). The victim stops at the first
+/// round end where one of these holds; the caller rewinds it before it runs
+/// again.
 FaultOutcome run_injection(sim::Session& victim, Rng& rng) {
   fs::Channel* ch = victim.channel();
   FLEX_CHECK(ch != nullptr);
@@ -155,46 +153,35 @@ FaultOutcome run_injection(sim::Session& victim, Rng& rng) {
   // pipeline. The baseline guaranteed a queued item before materialising us.
   const auto fault = ch->inject_fault_at_tail(rng, victim.soc().max_cycle());
   FLEX_CHECK_MSG(fault.has_value(), "injection point had no queued stream item");
-  const std::size_t events_before = victim.reporter().events().size();
+  const auto& events = victim.reporter().events();
+  const std::size_t events_before = events.size();
 
+  const auto detection = [&]() -> const fs::DetectionEvent* {
+    for (std::size_t i = events_before; i < events.size(); ++i) {
+      if (events[i].attributed) return &events[i];
+    }
+    return nullptr;
+  };
+  // Only the reporter clears a pending fault (attributing an event as it
+  // does); a fault cleared without one resolves the run all the same.
+  victim.advance(~u64{0}, [&] {
+    return detection() != nullptr || !ch->fault_pending() ||
+           (ch->pending_fault().segment_end_seq != fs::kUnresolvedSegmentEnd &&
+            ch->last_popped_seq() > ch->pending_fault().segment_end_seq);
+  });
+
+  // Detection first: one round can land both the detection and a clean pop.
   FaultOutcome outcome;
   outcome.target_kind = fault->item_kind;
-  bool resolved = false;
-  while (!resolved) {
-    // Resolution conditions are sticky (reporter events accumulate, pop
-    // sequence numbers are monotone), so the quantum engine may advance a
-    // short burst between probes without missing an outcome; detection
-    // latency itself is timestamped by the reporter, not by this poll.
-    const bool alive = victim.advance(kResolvePollStride);
-    const auto& events = victim.reporter().events();
-    for (std::size_t i = events_before; i < events.size(); ++i) {
-      if (events[i].attributed) {
-        outcome.detected = true;
-        outcome.latency_us = cycles_to_us(events[i].latency);
-        outcome.detect_kind = events[i].kind;
-        outcome.kind = OutcomeKind::kDetected;
-        resolved = true;
-        break;
-      }
-    }
-    if (!resolved && !ch->fault_pending()) {
-      // Cleared without an attributed event cannot happen (only the reporter
-      // clears); guard anyway.
-      resolved = true;
-    }
-    if (!resolved && ch->fault_pending() &&
-        ch->pending_fault().segment_end_seq != fs::kUnresolvedSegmentEnd &&
-        ch->last_popped_seq() > ch->pending_fault().segment_end_seq) {
-      // The segment containing the corruption verified clean: masked.
-      ch->clear_fault();
-      resolved = true;
-    }
-    if (!alive) {
-      // Execution drained with the fault still pending: if the stream is
-      // fully consumed, the fault was masked.
-      if (ch->fault_pending()) ch->clear_fault();
-      resolved = true;
-    }
+  if (const fs::DetectionEvent* event = detection()) {
+    outcome.detected = true;
+    outcome.latency_us = cycles_to_us(event->latency);
+    outcome.detect_kind = event->kind;
+    outcome.kind = OutcomeKind::kDetected;
+  } else if (ch->fault_pending()) {
+    // The corrupted segment verified clean, or execution drained with the
+    // stream fully consumed: masked.
+    ch->clear_fault();
   }
   return outcome;
 }

@@ -4,7 +4,9 @@
 // walks a warmup and then gaps between injection points, and every injection
 // runs in a victim session materialised at the baseline's state. Victims are
 // rewound, not rebuilt: one victim serves all of a baseline's injections and
-// is restored in place to each injection point. One shard loop
+// is restored in place to each injection point. A victim runs in full-length
+// rounds and stops at the first round end where its outcome is settled
+// (sim::Session::advance's stop condition). One shard loop
 // (detail::walk_shard) runs both kinds; a kind supplies only its injection
 // routine and the few settings in detail::ShardKind.
 //
@@ -12,7 +14,8 @@
 // and ASS checkpoint words queued in a DBC channel, exactly the paper's
 // methodology, which perturbs the verification stream without disturbing the
 // main core. Detection latency is the simulated time from corruption to the
-// checker's mismatch report. The whole-SoC kind (fault/vuln.h) flips
+// checker's mismatch report, stamped by the reporter, so where the victim
+// stops moves no latency. The whole-SoC kind (fault/vuln.h) flips
 // microarchitectural state instead.
 #pragma once
 

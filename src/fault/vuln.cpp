@@ -124,9 +124,6 @@ constexpr CoreId kMainCore = 0;
 
 constexpr const char* kVulnName = "vuln campaign";
 
-/// Instructions advanced between detection probes inside the horizon.
-constexpr u64 kDetectPollStride = 256;
-
 /// Alignment-phase advance() calls, victim and golden together, allowed
 /// before a victim still behind is declared wedged (DUE). Each call has a
 /// budget >= 1, so two live runs align their main-core user-instruction
@@ -197,25 +194,16 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
     return true;
   };
 
-  // Phase A — detection window: run the victim through the horizon, probing
-  // for reporter events and for a wedged machine.
-  bool alive = true;
-  bool decided = false;
-  u64 budget = config.horizon;
-  while (budget > 0) {
-    const u64 stride = std::min<u64>(budget, kDetectPollStride);
-    alive = victim.advance(stride);
-    budget -= stride;
-    if (detect_scan()) {
-      decided = true;
-      break;
-    }
-    if (victim.stalled()) {
-      rec.outcome = OutcomeKind::kDue;
-      decided = true;
-      break;
-    }
-    if (!alive) break;
+  // Phase A — detection window: run the victim through the horizon, stopping
+  // at the first round end with a reporter event. A machine that wedges
+  // first (a tolerated stall) is DUE.
+  bool alive = victim.advance(config.horizon, [&] {
+    return victim.reporter().events().size() > events_before;
+  });
+  bool decided = detect_scan();
+  if (!decided && victim.stalled()) {
+    rec.outcome = OutcomeKind::kDue;
+    decided = true;
   }
 
   // Phase B — golden run, alignment and architectural compare. The golden

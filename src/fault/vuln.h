@@ -7,8 +7,10 @@
 // question: *where* in the SoC is a particle strike dangerous, and what does
 // FlexStep do about it? Each injection picks one FaultSite (fault/sites.h)
 // across the component classes, flips it in the victim session, and
-// classifies the outcome; a fault the detection window leaves open is
-// compared with a golden run of the same pre-fault state:
+// classifies the outcome. The detection window is one advance of at most
+// `horizon` instructions that stops at the first round end with a reporter
+// event; a fault the window leaves open is compared with a golden run of the
+// same pre-fault state:
 //
 //   detected — a checker reported a mismatch within the horizon;
 //   DUE      — the co-simulation wedged (stall / lost alignment): the fault

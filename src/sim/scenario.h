@@ -29,6 +29,7 @@
 // down to where each budgeted advance() stops on each core.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -179,7 +180,11 @@ class Session {
 
   // ---- execution (forwarders) ----
 
-  bool advance(u64 instruction_budget) { return exec_->advance(instruction_budget); }
+  /// Run until the budget is spent or `stop()` holds where a round ends. See
+  /// VerifiedExecution::advance.
+  bool advance(u64 instruction_budget, const std::function<bool()>& stop = {}) {
+    return exec_->advance(instruction_budget, stop);
+  }
   soc::RunStats run() { return exec_->run(); }
   soc::RunStats stats() const { return exec_->stats(); }
   bool finished() const { return exec_->finished(); }

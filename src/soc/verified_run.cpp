@@ -529,16 +529,20 @@ u64 VerifiedExecution::total_instret() const {
   return total;
 }
 
-bool VerifiedExecution::advance(u64 instruction_budget) {
+bool VerifiedExecution::advance(u64 instruction_budget, const std::function<bool()>& stop) {
   if (config_.engine == Engine::kStepwise) {
     for (u64 i = 0; i < instruction_budget; ++i) {
       if (!step_round()) return false;
+      if (stop && stop()) return true;
     }
     return true;
   }
-  const u64 target = total_instret() + instruction_budget;
+  const u64 start = total_instret();
+  const u64 target =
+      instruction_budget > ~u64{0} - start ? ~u64{0} : start + instruction_budget;
   while (total_instret() < target) {
     if (!quantum_round(target - total_instret())) return false;
+    if (stop && stop()) return true;
   }
   return true;
 }

@@ -11,6 +11,7 @@
 // with a fixed cycle cost.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "arch/trap.h"
@@ -170,10 +171,20 @@ class VerifiedExecution final : public arch::TrapHandler {
   bool quantum_round(u64 max_instructions = ~u64{0});
 
   /// Advance by ~`instruction_budget` retired instructions (summed across the
-  /// participating cores) using the configured engine. Returns false once the
-  /// co-simulation finished. Fault campaigns use this to interleave injection
-  /// probes with execution at a granularity independent of the engine.
-  bool advance(u64 instruction_budget);
+  /// participating cores) using the configured engine, or until `stop()`
+  /// holds where a round ends: after each step_round() under kStepwise, after
+  /// each quantum_round() otherwise — never inside a burst. The budget
+  /// saturates, so ~u64{0} runs until `stop` holds or the run ends. Returns
+  /// false once the co-simulation finished or a tolerated stall latched; true
+  /// when the budget is spent or `stop()` held.
+  ///
+  /// Fault campaigns stop victims on events this way: a reporter event past
+  /// an index, or a pending fault resolving. Such a condition is sticky —
+  /// reporter events accumulate and pop sequence numbers only grow — so
+  /// checking it between rounds misses none, and what it records does not
+  /// depend on where the run stops: the reporter stamps detection latency in
+  /// simulated cycles.
+  bool advance(u64 instruction_budget, const std::function<bool()>& stop = {});
 
   /// Total instructions retired across all producers and checkers.
   u64 total_instret() const;

@@ -2,7 +2,11 @@
 // detection end-to-end sanity.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
+#include "sim/scenario.h"
+#include "soc/snapshot.h"
 #include "soc/soc.h"
 #include "soc/verified_run.h"
 #include "workloads/profile.h"
@@ -198,6 +202,87 @@ TEST(VerifiedRun, RunUntilReportsExitReason) {
   core.run_until(arch::kNoCycleBound);  // to completion
   EXPECT_EQ(core.last_run_exit(), arch::RunExit::kStatusChange);
   EXPECT_NE(core.status(), arch::Core::Status::kRunning);
+}
+
+constexpr soc::Engine kEngines[] = {soc::Engine::kStepwise, soc::Engine::kQuantum,
+                                     soc::Engine::kQuantumBounded};
+
+TEST(VerifiedRun, UnboundedAdvanceRunsToCompletion) {
+  // The budget saturates: the largest budget on a session that has already
+  // retired instructions runs it to the end instead of wrapping its target.
+  for (soc::Engine engine : kEngines) {
+    SCOPED_TRACE(soc::engine_name(engine));
+    Soc soc(SocConfig::paper_default(2));
+    VerifiedRunConfig config{.roles = {{0, {1}}}};
+    config.engine = engine;
+    VerifiedExecution exec(soc, config);
+    exec.prepare({tiny_workload("swaptions", 6)});
+    ASSERT_TRUE(exec.advance(1000));
+    EXPECT_FALSE(exec.advance(std::numeric_limits<u64>::max()));
+    EXPECT_TRUE(exec.finished());
+  }
+}
+
+/// Everything two sessions at the same point agree on.
+void expect_same_state(sim::Session& a, sim::Session& b) {
+  EXPECT_EQ(a.stats(), b.stats());
+  for (u32 c = 0; c < a.soc().num_cores(); ++c) {
+    EXPECT_EQ(a.soc().core(c).cycle(), b.soc().core(c).cycle()) << "core " << c;
+    EXPECT_EQ(a.soc().core(c).instret(), b.soc().core(c).instret()) << "core " << c;
+  }
+  EXPECT_EQ(soc::snapshot_digest(a.snapshot()), soc::snapshot_digest(b.snapshot()));
+}
+
+TEST(VerifiedRun, StopConditionIsCheckedWhereEachRoundEnds) {
+  constexpr u64 kBudget = 20'000;
+  constexpr u64 kStopAfter = 7'777;
+  for (soc::Engine engine : kEngines) {
+    SCOPED_TRACE(soc::engine_name(engine));
+    sim::Session origin =
+        sim::Scenario().workload("swaptions").iterations(60).dual().engine(engine).build();
+    ASSERT_TRUE(origin.advance(5'000));
+    const soc::Snapshot warm = origin.snapshot();
+
+    // A condition that never holds leaves the run exactly as a plain advance.
+    sim::Session plain = origin.fork(warm);
+    sim::Session never = origin.fork(warm);
+    ASSERT_TRUE(plain.advance(kBudget));
+    ASSERT_TRUE(never.advance(kBudget, [] { return false; }));
+    expect_same_state(plain, never);
+
+    // A condition is checked once per round, and the run stops at the first
+    // round end where it holds: where a hand-driven round loop stops.
+    const u64 target = origin.total_instret() + kStopAfter;
+    sim::Session stopped = origin.fork(warm);
+    u64 calls = 0;
+    u64 held = 0;
+    EXPECT_TRUE(stopped.advance(~u64{0}, [&] {
+      ++calls;
+      const bool now = stopped.total_instret() >= target;
+      held += now ? 1 : 0;
+      return now;
+    }));
+    EXPECT_GE(stopped.total_instret(), target);
+    EXPECT_EQ(held, 1u);  // only at the last call: the run returned on it
+    if (engine == soc::Engine::kStepwise) {
+      EXPECT_EQ(stopped.total_instret(), target);  // one instruction per round
+    }
+
+    sim::Session rounds = origin.fork(warm);
+    u64 expected_calls = 0;
+    while (rounds.total_instret() < target) {
+      ASSERT_TRUE(engine == soc::Engine::kStepwise ? rounds.exec().step_round()
+                                                   : rounds.exec().quantum_round());
+      ++expected_calls;
+    }
+    EXPECT_EQ(calls, expected_calls);
+    expect_same_state(stopped, rounds);
+
+    // A run that drains before the condition holds reports the end.
+    sim::Session drained = origin.fork(warm);
+    EXPECT_FALSE(drained.advance(~u64{0}, [] { return false; }));
+    EXPECT_TRUE(drained.finished());
+  }
 }
 
 using VerifiedRunDeathTest = testing::Test;
