@@ -17,15 +17,6 @@ CodeView view_of(const isa::Program& program) {
   return view;
 }
 
-CodeView view_of(const arch::LoadedImage& image) {
-  CodeView view;
-  view.base = image.base;
-  view.end = image.end;
-  view.entry = image.base;
-  view.code = image.code.data();
-  return view;
-}
-
 namespace {
 
 /// Terminators that transfer control to a statically unknown pc. kMret /

@@ -48,7 +48,6 @@ struct CodeView {
 };
 
 CodeView view_of(const isa::Program& program);
-CodeView view_of(const arch::LoadedImage& image);
 
 inline constexpr u32 kNoBlock = ~u32{0};
 

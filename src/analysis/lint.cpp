@@ -84,7 +84,7 @@ void lint_fused_pair_entries(const Cfg& cfg, ProgramReport& report) {
         prev.op == Opcode::kHalt) {
       continue;
     }
-    if (arch::trace_pair_fusible(prev, cfg.view.code[t])) {
+    if (arch::fused_pair_kind(prev, cfg.view.code[t]).has_value()) {
       add_finding(report, LintKind::kJumpIntoFusedPair, LintSeverity::kWarning,
                   block.end_pc - 4, block.taken_pc,
                   "jump enters the second half of a fusible pair at " +

@@ -6,8 +6,8 @@
 //   * burst sizing (fs::CoreUnit::set_static_dbc_bound): the bounded engine
 //     divides DBC headroom by the per-pc worst-case entry production over the
 //     forward closure instead of the global 2-entries-per-instruction;
-//   * the pre-run lint (sim::Scenario::analyze()): malformed guest programs
-//     are flagged before they run.
+//   * the pre-run lint (analyze() on an isa::Program): malformed guest
+//     programs are flagged before they run.
 //
 // Every number here is a worst-case or exact static property of the
 // pre-decoded image — validate.h replays the image dynamically and holds the

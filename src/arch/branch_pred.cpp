@@ -61,10 +61,4 @@ void BranchPredictor::btb_insert(Addr pc, Addr target) {
   *victim = {pc, target, true, s_.btb_tick};
 }
 
-void BranchPredictor::reset() {
-  s_.bht.assign(s_.bht.size(), kWeaklyNotTaken);
-  for (auto& entry : s_.btb) entry.valid = false;
-  s_.ras_top = 0;
-}
-
 }  // namespace flexstep::arch

@@ -85,8 +85,6 @@ class BranchPredictor {
     return s_.ras[s_.ras_top % config_.ras_entries];
   }
 
-  void reset();
-
   // ---- fault-site adapter (fault/sites.h) ----
 
   /// Indexable predictor fault sites: every BHT counter, BTB entry and RAS

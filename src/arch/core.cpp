@@ -244,16 +244,8 @@ class Core::CachePort final : public MemPort {
     MemResult r;
     r.stall = core_.caches_.data(addr) + 1;  // read-modify-write occupies an extra cycle
     const u64 old = core_.memory_.read(addr, 8);
-    u64 next = 0;
-    switch (op) {
-      case Opcode::kAmoaddD: next = old + operand; break;
-      case Opcode::kAmoswapD: next = operand; break;
-      case Opcode::kAmoxorD: next = old ^ operand; break;
-      case Opcode::kAmoandD: next = old & operand; break;
-      case Opcode::kAmoorD: next = old | operand; break;
-      default: FLEX_CHECK_MSG(false, "not an AMO opcode");
-    }
-    core_.memory_.write(addr, 8, next);  // breaks any reservation on the granule
+    // Writing breaks any reservation on the granule.
+    core_.memory_.write(addr, 8, isa::amo_result(op, old, operand));
     r.data = old;
     return r;
   }
@@ -364,7 +356,6 @@ void Core::Snapshot::transfer(Ar& ar) {
   ar.varint(mispredicts);
   ar.varint(timer_at);
   ar.boolean(timer_armed);
-  ar.boolean(swi_pending);
   ar.boolean(suppress_traps);
   ar.enumeration(status, Status::kHalted, "core status out of domain");
 }
@@ -390,7 +381,6 @@ void Core::save(Snapshot& out) const {
   out.mispredicts = mispredicts_;
   out.timer_at = timer_at_;
   out.timer_armed = timer_armed_;
-  out.swi_pending = swi_pending_;
   out.suppress_traps = suppress_traps_;
   out.status = status_;
   out.traces = trace_cache_ != nullptr ? trace_cache_->share() : nullptr;
@@ -424,7 +414,6 @@ void Core::restore(const Snapshot& snapshot) {
   mispredicts_ = snapshot.mispredicts;
   timer_at_ = snapshot.timer_at;
   timer_armed_ = snapshot.timer_armed;
-  swi_pending_ = snapshot.swi_pending;
   suppress_traps_ = snapshot.suppress_traps;
   status_ = snapshot.status;
   quantum_break_ = false;  // never set between scheduling rounds
@@ -485,11 +474,6 @@ void Core::deliver_interrupt(TrapCause cause, Cycle at) {
 
 bool Core::poll_interrupts() {
   if (!user_mode_) return false;  // kernel excursions are modelled atomic
-  if (swi_pending_) {
-    swi_pending_ = false;
-    take_trap(TrapCause::kSoftware);
-    return true;
-  }
   if (timer_armed_ && cycle_ >= timer_at_) {
     timer_armed_ = false;
     take_trap(TrapCause::kTimer);
@@ -547,11 +531,11 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
   while (status_ == Status::kRunning && cycle_ < stop_before &&
          instret_ < instret_end && !quantum_break_) {
     // The fast path engages only where it is provably equivalent to step():
-    // user mode, passive hooks (no commit observation possible), the default
-    // cache memory port, and no pending software interrupt. All of these can
-    // only change inside slow-path events, so they are hoisted out of the
-    // hot loop and re-evaluated here after every slow-path instruction.
-    if (user_mode_ && !swi_pending_) {
+    // user mode, passive hooks (no commit observation possible) and the
+    // default cache memory port. All of these can only change inside
+    // slow-path events, so they are hoisted out of the hot loop and
+    // re-evaluated here after every slow-path instruction.
+    if (user_mode_) {
       if ((hooks_ == nullptr || hooks_->passive()) && port_ == cache_port_.get()) {
         run_fast_path<FastMode::kFull>(stop_before, instret_end, nullptr);
         if (status_ != Status::kRunning || cycle_ >= stop_before ||
@@ -633,8 +617,7 @@ void Core::run_fast_path(Cycle stop_before, u64 instret_end,
     code = image_->code.data();
   }
 
-  // The interrupt poll folds into the loop bound: software interrupts cannot
-  // be raised from inside the loop (no hooks run), and the timer deadline is
+  // The interrupt poll folds into the loop bound: the timer deadline is
   // fixed until a trap handler re-arms it — so running while
   // cycle < min(stop_before, timer_at) polls at every instruction boundary
   // exactly as step() does. Architectural counters live in locals for the
@@ -1226,10 +1209,6 @@ Core::Status Core::step() {
       const Addr addr = a + static_cast<u64>(imm);
       const u32 bytes = isa::mem_access_bytes(inst.op);
       const MemResult r = port_->load(inst.op, addr, bytes);
-      if (!r.ready) {
-        status_ = Status::kBlocked;
-        return status_;
-      }
       cost += r.stall;
       rd_value = extend_load(inst.op, r.data);
       write_rd = true;
@@ -1246,10 +1225,6 @@ Core::Status Core::step() {
       const u32 bytes = isa::mem_access_bytes(inst.op);
       const u64 data = store_data(bytes, b);
       const MemResult r = port_->store(inst.op, addr, bytes, data);
-      if (!r.ready) {
-        status_ = Status::kBlocked;
-        return status_;
-      }
       cost += r.stall;
       info.mem_valid = true;
       info.mem_addr = addr;
@@ -1262,10 +1237,6 @@ Core::Status Core::step() {
     case Opcode::kLrD: {
       const Addr addr = a;
       const MemResult r = port_->load_reserved(addr);
-      if (!r.ready) {
-        status_ = Status::kBlocked;
-        return status_;
-      }
       cost += r.stall;
       rd_value = r.data;
       write_rd = true;
@@ -1278,10 +1249,6 @@ Core::Status Core::step() {
     case Opcode::kScD: {
       const Addr addr = a;
       const MemResult r = port_->store_conditional(addr, b);
-      if (!r.ready) {
-        status_ = Status::kBlocked;
-        return status_;
-      }
       cost += r.stall;
       rd_value = r.data;  // 0 = success
       write_rd = true;
@@ -1300,10 +1267,6 @@ Core::Status Core::step() {
     case Opcode::kAmoorD: {
       const Addr addr = a;
       const MemResult r = port_->amo(inst.op, addr, b);
-      if (!r.ready) {
-        status_ = Status::kBlocked;
-        return status_;
-      }
       cost += r.stall;
       rd_value = r.data;  // old value
       write_rd = true;

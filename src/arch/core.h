@@ -44,8 +44,8 @@ class Core : private ReservationObserver {
   enum class Status : u8 {
     kIdle,              ///< Parked by the kernel; nothing to run.
     kRunning,
-    kBlocked,           ///< Stalled on DBC backpressure / empty replay log.
-    kWaitingInterrupt,  ///< WFI retired; waiting for timer/software interrupt.
+    kBlocked,           ///< Stalled on DBC backpressure.
+    kWaitingInterrupt,  ///< WFI retired; waiting for a timer interrupt.
     kHalted,            ///< HALT retired with no scheduler attached.
   };
 
@@ -88,7 +88,6 @@ class Core : private ReservationObserver {
     // Interrupts & status.
     Cycle timer_at = 0;
     bool timer_armed = false;
-    bool swi_pending = false;
     bool suppress_traps = false;
     Status status = Status::kRunning;
 
@@ -181,12 +180,11 @@ class Core : private ReservationObserver {
   void clear_timer() { timer_armed_ = false; }
   bool timer_armed() const { return timer_armed_; }
   Cycle timer_at() const { return timer_at_; }
-  void raise_software_interrupt() { swi_pending_ = true; }
 
   // ---- status transitions ----
 
   Status status() const { return status_; }
-  /// Producer/consumer unblocking: resume no earlier than `at`.
+  /// Backpressure release: resume no earlier than `at`.
   void unblock_at(Cycle at);
   /// Kernel preemption of a blocked core: resume immediately (the pending
   /// instruction never committed and will re-execute under the new context).
@@ -197,14 +195,10 @@ class Core : private ReservationObserver {
   void activate() { status_ = Status::kRunning; }
   void halt() { status_ = Status::kHalted; }
 
-  /// Invoked by hooks from inside a memory pre-check to stall the core.
-  void block() { status_ = Status::kBlocked; }
-
   /// Checker replay: ECALL/HALT were committed by the main core as ordinary
   /// user instructions (the kernel excursion itself is not replayed), so the
   /// replaying core must treat them as no-ops instead of trapping.
   void set_trap_suppression(bool on) { suppress_traps_ = on; }
-  bool trap_suppression() const { return suppress_traps_; }
 
   /// Deliver a pending trap to a non-running core (kernel tick on a blocked /
   /// waiting core). Sets the clock to `at`, cancels the block, and traps.
@@ -332,7 +326,6 @@ class Core : private ReservationObserver {
   // Interrupts.
   Cycle timer_at_ = 0;
   bool timer_armed_ = false;
-  bool swi_pending_ = false;
   bool suppress_traps_ = false;
 
   Status status_ = Status::kRunning;

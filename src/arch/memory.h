@@ -115,11 +115,6 @@ class Memory {
     write_split(addr, bytes, value);
   }
 
-  u64 read_u64(Addr a) { return read(a, 8); }
-  u32 read_u32(Addr a) { return static_cast<u32>(read(a, 4)); }
-  void write_u64(Addr a, u64 v) { write(a, 8, v); }
-  void write_u32(Addr a, u32 v) { write(a, 4, v); }
-
   /// Bulk helpers (program loading, test fixtures).
   void write_block(Addr addr, const void* src, std::size_t n);
   void read_block(Addr addr, void* dst, std::size_t n);

@@ -36,9 +36,8 @@ struct CommitInfo {
 
 /// Result of a data-memory operation.
 struct MemResult {
-  bool ready = true;  ///< false: operand not available yet — core blocks & retries.
-  Cycle stall = 0;    ///< Extra cycles beyond the pipelined hit path.
-  u64 data = 0;       ///< Load value / AMO old value / SC status (0 = success).
+  Cycle stall = 0;  ///< Extra cycles beyond the pipelined hit path.
+  u64 data = 0;     ///< Load value / AMO old value / SC status (0 = success).
 };
 
 class MemPort {

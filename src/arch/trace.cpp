@@ -22,26 +22,13 @@ static_assert(static_cast<u8>(TraceOpKind::kSd) == static_cast<u8>(Opcode::kSd))
 static_assert(static_cast<u8>(TraceOpKind::kIFetchProbe) ==
               static_cast<u8>(Opcode::kLrD));
 // ALU-pair kinds are laid out row-major over the 6-op alphabet right after
-// the named fused ops, so the recorder computes base + 6*first + second.
+// the named fused ops, so fused_pair_kind computes base + 6*first + second.
 static_assert(static_cast<u8>(TraceOpKind::kPairAddAdd) ==
               static_cast<u8>(TraceOpKind::kAndAdd) + 1);
 static_assert(static_cast<u8>(TraceOpKind::kPairAddiAddi) ==
               static_cast<u8>(TraceOpKind::kPairAddAdd) + 35);
 
 namespace {
-
-/// Index into the ALU-pair alphabet {Add, Sub, Xor, Or, Slli, Addi}, or -1.
-int alu_pair_index(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd: return 0;
-    case Opcode::kSub: return 1;
-    case Opcode::kXor: return 2;
-    case Opcode::kOr: return 3;
-    case Opcode::kSlli: return 4;
-    case Opcode::kAddi: return 5;
-    default: return -1;
-  }
-}
 
 i32 alu_pair_imm(Opcode op, i32 imm) { return op == Opcode::kSlli ? (imm & 63) : imm; }
 
@@ -305,65 +292,51 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
     bool emit = true;
     out.base_cost += 1;
 
-    // ---- pair fusion (second instruction must exist, carry no probe) ----
+    // ---- pair fusion: the second instruction must exist and carry no
+    // probe, and a fused branch's index must fit its u8 field ----
+    const Addr np = p + 4;
     const isa::Instruction* next =
-        (p + 4 < region_end && !line_boundary(p + 4)) ? &at(p + 4) : nullptr;
-    if (next != nullptr) {
-      const Addr np = p + 4;
-      bool fused = false;
-      if (inst.op == Opcode::kLd && inst.rd != 0 &&
-          (next->op == Opcode::kAdd || next->op == Opcode::kXor) &&
-          next->rd != 0 && next->rd == next->rs1 && next->rs2 == inst.rd) {
-        // ld rd,(rs1)imm ; acc op= rd
-        op.kind = static_cast<u8>(next->op == Opcode::kAdd ? TraceOpKind::kLdAddAcc
-                                                           : TraceOpKind::kLdXorAcc);
-        op.rs2 = next->rd;
-        // Pre-stamp worst clock: everything accumulated so far minus this
-        // inst's own +1 (stamped pre-commit) and minus prior mem-op costs
-        // (the dispatcher re-adds those as replay stalls).
-        out.last_pop_worst =
-            out.base_cost - 1 + worst_extra - out.mem_worst_cost;
-        out.base_cost += 1 + cost_.load_use;
-        worst_extra += cost_.worst_miss;
-        out.mem_worst_cost += cost_.load_use + cost_.worst_miss;
-        out.mem_kinds.push_back(0);
-        fused = true;
-      } else if (inst.op == Opcode::kAndi && inst.rd != 0 &&
-                 (next->op == Opcode::kBne || next->op == Opcode::kBeq) &&
-                 next->rs1 == inst.rd && next->rs2 == 0 &&
-                 inst_index(np) <= 0xFF) {  // branch index rides in a u8 field
-        // andi rd,rs1,imm ; bne/beq rd,x0,target  (terminal)
-        op.kind = static_cast<u8>(next->op == Opcode::kBne ? TraceOpKind::kAndiBne
-                                                           : TraceOpKind::kAndiBeq);
-        op.rs2 = static_cast<u8>(inst_index(np));
-        op.target = np + static_cast<Addr>(static_cast<i64>(next->imm));
-        out.base_cost += 1;
-        worst_extra += cost_.mispredict;
-        fused = true;
-      } else if (inst.op == Opcode::kMul && inst.rd != 0 &&
-                 next->op == Opcode::kAddi && next->rd == inst.rd &&
-                 next->rs1 == inst.rd) {
-        // mul rd,rs1,rs2 ; addi rd,rd,imm
-        op.kind = static_cast<u8>(TraceOpKind::kMulAddi);
-        op.imm = next->imm;
-        out.base_cost += isa::opcode_latency(Opcode::kMul) - 1 + 1;
-        fused = true;
-      } else if (inst.op == Opcode::kAnd && inst.rd != 0 &&
-                 next->op == Opcode::kAdd && next->rd == inst.rd &&
-                 next->rs2 == inst.rd && next->rs1 != inst.rd) {
-        // and rd,rs1,rs2 ; add rd,base,rd  (base register carried in imm)
-        op.kind = static_cast<u8>(TraceOpKind::kAndAdd);
-        op.imm = next->rs1;
-        out.base_cost += 1;
-        fused = true;
-      } else if (inst.rd != 0 && next->rd != 0) {
-        // Generic single-cycle ALU pair: one dispatch, second half in a
-        // payload slot the handler consumes.
-        const int first = alu_pair_index(inst.op);
-        const int second = alu_pair_index(next->op);
-        if (first >= 0 && second >= 0) {
-          op.kind = static_cast<u8>(
-              static_cast<u8>(TraceOpKind::kPairAddAdd) + 6 * first + second);
+        (np < region_end && !line_boundary(np)) ? &at(np) : nullptr;
+    std::optional<TraceOpKind> fused =
+        next != nullptr ? fused_pair_kind(inst, *next) : std::nullopt;
+    if ((fused == TraceOpKind::kAndiBne || fused == TraceOpKind::kAndiBeq) &&
+        inst_index(np) > 0xFF) {
+      fused.reset();
+    }
+    if (fused.has_value()) {
+      op.kind = static_cast<u8>(*fused);
+      switch (*fused) {
+        case TraceOpKind::kLdAddAcc:
+        case TraceOpKind::kLdXorAcc:
+          op.rs2 = next->rd;
+          // Pre-stamp worst clock: everything accumulated so far minus this
+          // inst's own +1 (stamped pre-commit) and minus prior mem-op costs
+          // (the dispatcher re-adds those as replay stalls).
+          out.last_pop_worst =
+              out.base_cost - 1 + worst_extra - out.mem_worst_cost;
+          out.base_cost += 1 + cost_.load_use;
+          worst_extra += cost_.worst_miss;
+          out.mem_worst_cost += cost_.load_use + cost_.worst_miss;
+          out.mem_kinds.push_back(0);
+          break;
+        case TraceOpKind::kAndiBne:
+        case TraceOpKind::kAndiBeq:
+          op.rs2 = static_cast<u8>(inst_index(np));
+          op.target = np + static_cast<Addr>(static_cast<i64>(next->imm));
+          out.base_cost += 1;
+          worst_extra += cost_.mispredict;
+          break;
+        case TraceOpKind::kMulAddi:
+          op.imm = next->imm;
+          out.base_cost += isa::opcode_latency(Opcode::kMul) - 1 + 1;
+          break;
+        case TraceOpKind::kAndAdd:
+          op.imm = next->rs1;  // the base register
+          out.base_cost += 1;
+          break;
+        default: {
+          // Generic single-cycle ALU pair: one dispatch, second half in a
+          // payload slot the handler consumes.
           op.imm = alu_pair_imm(inst.op, inst.imm);
           out.ops.push_back(op);
           TraceOp payload;
@@ -373,15 +346,13 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
           payload.rs2 = next->rs2;
           payload.imm = alu_pair_imm(next->op, next->imm);
           out.base_cost += 1;
-          op = payload;  // pushed by the shared tail below
-          fused = true;
+          op = payload;  // pushed below
+          break;
         }
       }
-      if (fused) {
-        out.ops.push_back(op);
-        p += 4;
-        continue;
-      }
+      out.ops.push_back(op);
+      p += 4;
+      continue;
     }
 
     switch (inst.op) {
@@ -484,29 +455,6 @@ bool TraceCache::record(Addr entry_pc, const isa::Instruction* code, Addr base,
   out.first_page = entry_pc >> Memory::kPageBits;
   out.last_page = (region_end - 1) >> Memory::kPageBits;
   return true;
-}
-
-bool trace_pair_fusible(const isa::Instruction& first, const isa::Instruction& second) {
-  if (first.op == Opcode::kLd && first.rd != 0 &&
-      (second.op == Opcode::kAdd || second.op == Opcode::kXor) &&
-      second.rd != 0 && second.rd == second.rs1 && second.rs2 == first.rd) {
-    return true;  // ld rd,(rs1)imm ; acc op= rd
-  }
-  if (first.op == Opcode::kAndi && first.rd != 0 &&
-      (second.op == Opcode::kBne || second.op == Opcode::kBeq) &&
-      second.rs1 == first.rd && second.rs2 == 0) {
-    return true;  // andi rd,rs1,imm ; bne/beq rd,x0 (terminal)
-  }
-  if (first.op == Opcode::kMul && first.rd != 0 && second.op == Opcode::kAddi &&
-      second.rd == first.rd && second.rs1 == first.rd) {
-    return true;  // mul rd,rs1,rs2 ; addi rd,rd,imm
-  }
-  if (first.op == Opcode::kAnd && first.rd != 0 && second.op == Opcode::kAdd &&
-      second.rd == first.rd && second.rs2 == first.rd && second.rs1 != first.rd) {
-    return true;  // and rd,rs1,rs2 ; add rd,base,rd
-  }
-  return first.rd != 0 && second.rd != 0 && alu_pair_index(first.op) >= 0 &&
-         alu_pair_index(second.op) >= 0;
 }
 
 }  // namespace flexstep::arch

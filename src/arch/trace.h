@@ -44,6 +44,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "arch/memory.h"
@@ -96,10 +97,9 @@ namespace flexstep::arch {
 /// straight-line filler): one dispatch executes both halves. The first
 /// half's operands live in the pair op itself, the second half's in the
 /// next (payload) slot, which the handler consumes. The list is row-major in
-/// (first, second) over a fixed 6-op alphabet, so the recorder computes the
-/// kind as base + 6*first + second (static_asserts in trace.cpp pin it).
+/// (first, second) over a fixed 6-op alphabet, so fused_pair_kind computes
+/// the kind as base + 6*first + second (static_asserts in trace.cpp pin it).
 // clang-format off
-#define FLEX_TRACE_ALU_ALPHABET(X) X(Add) X(Sub) X(Xor) X(Or) X(Slli) X(Addi)
 #define FLEX_TRACE_PAIR_LIST(X)                                                  \
   X(AddAdd, Add, Add)   X(AddSub, Add, Sub)   X(AddXor, Add, Xor)                \
   X(AddOr, Add, Or)     X(AddSlli, Add, Slli) X(AddAddi, Add, Addi)              \
@@ -359,12 +359,51 @@ class TraceCache final : public CodeWriteListener {
   Stats stats_;
 };
 
-/// Would the trace recorder fuse `first`+`second` into one superinstruction
-/// if they appeared adjacently inside a recorded region? Mirrors the peephole
-/// in TraceCache::record (named idioms + the generic ALU-pair alphabet),
-/// ignoring position-dependent constraints (fetch-line split, branch-index
-/// width). Used by the static lint to flag jumps that enter the second half
-/// of a fusible pair.
-bool trace_pair_fusible(const isa::Instruction& first, const isa::Instruction& second);
+/// The superinstruction `first`+`second` fuse into when they sit adjacently
+/// inside a recorded region — a named idiom or a generic ALU pair — or
+/// nullopt. This is the whole fusion rule: TraceCache::record adds only its
+/// position checks (no fetch-line split between the two, a branch index that
+/// fits its u8 field), and the static lint uses it to flag jumps that enter
+/// the second half of a fusible pair. Inline so the recorder, which asks it
+/// for every instruction it records, pays no call.
+inline std::optional<TraceOpKind> fused_pair_kind(const isa::Instruction& first,
+                                                  const isa::Instruction& second) {
+  using isa::Opcode;
+  if (first.rd == 0) return std::nullopt;
+  if (first.op == Opcode::kLd && (second.op == Opcode::kAdd || second.op == Opcode::kXor) &&
+      second.rd != 0 && second.rd == second.rs1 && second.rs2 == first.rd) {
+    // ld rd,(rs1)imm ; acc op= rd
+    return second.op == Opcode::kAdd ? TraceOpKind::kLdAddAcc : TraceOpKind::kLdXorAcc;
+  }
+  if (first.op == Opcode::kAndi && (second.op == Opcode::kBne || second.op == Opcode::kBeq) &&
+      second.rs1 == first.rd && second.rs2 == 0) {
+    // andi rd,rs1,imm ; bne/beq rd,x0 (terminal)
+    return second.op == Opcode::kBne ? TraceOpKind::kAndiBne : TraceOpKind::kAndiBeq;
+  }
+  if (first.op == Opcode::kMul && second.op == Opcode::kAddi && second.rd == first.rd &&
+      second.rs1 == first.rd) {
+    return TraceOpKind::kMulAddi;  // mul rd,rs1,rs2 ; addi rd,rd,imm
+  }
+  if (first.op == Opcode::kAnd && second.op == Opcode::kAdd && second.rd == first.rd &&
+      second.rs2 == first.rd && second.rs1 != first.rd) {
+    return TraceOpKind::kAndAdd;  // and rd,rs1,rs2 ; add rd,base,rd
+  }
+  // A generic pair: both halves in the ALU-pair alphabet, kinds row-major.
+  const auto alphabet_index = [](Opcode op) {
+    switch (op) {
+      case Opcode::kAdd: return 0;
+      case Opcode::kSub: return 1;
+      case Opcode::kXor: return 2;
+      case Opcode::kOr: return 3;
+      case Opcode::kSlli: return 4;
+      case Opcode::kAddi: return 5;
+      default: return -1;
+    }
+  };
+  const int a = alphabet_index(first.op);
+  const int b = alphabet_index(second.op);
+  if (second.rd == 0 || a < 0 || b < 0) return std::nullopt;
+  return static_cast<TraceOpKind>(static_cast<int>(TraceOpKind::kPairAddAdd) + 6 * a + b);
+}
 
 }  // namespace flexstep::arch

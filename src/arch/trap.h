@@ -16,23 +16,10 @@ class Core;
 enum class TrapCause : u8 {
   kEcall,         ///< Environment call from user mode.
   kTimer,         ///< Timer interrupt (scheduler tick / preemption).
-  kSoftware,      ///< Inter-core software interrupt (reschedule request).
   kTaskExit,      ///< HALT retired: the running task finished.
   kIllegal,       ///< Undecodable or unsupported instruction.
   kFetchFault,    ///< PC outside any loaded program image.
 };
-
-constexpr const char* trap_cause_name(TrapCause c) {
-  switch (c) {
-    case TrapCause::kEcall: return "ecall";
-    case TrapCause::kTimer: return "timer";
-    case TrapCause::kSoftware: return "software";
-    case TrapCause::kTaskExit: return "task-exit";
-    case TrapCause::kIllegal: return "illegal";
-    case TrapCause::kFetchFault: return "fetch-fault";
-  }
-  return "?";
-}
 
 struct TrapAction {
   enum class Kind : u8 {

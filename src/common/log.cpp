@@ -1,30 +1,12 @@
 #include "common/log.h"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace flexstep {
 
-namespace {
-LogLevel g_level = LogLevel::kError;
-
-const char* prefix(LogLevel level) {
-  switch (level) {
-    case LogLevel::kError: return "[error] ";
-    case LogLevel::kInfo: return "[info ] ";
-    case LogLevel::kDebug: return "[debug] ";
-    case LogLevel::kTrace: return "[trace] ";
-    case LogLevel::kNone: return "";
-  }
-  return "";
-}
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
-
-void logf(LogLevel level, const char* fmt, ...) {
-  if (static_cast<int>(level) > static_cast<int>(g_level)) return;
-  std::fputs(prefix(level), stderr);
+void log_error(const char* fmt, ...) {
+  std::fputs("[error] ", stderr);
   va_list args;
   va_start(args, fmt);
   std::vfprintf(stderr, fmt, args);

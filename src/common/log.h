@@ -1,23 +1,12 @@
-// Minimal levelled logging. Off by default so benches produce clean tables;
-// tests and examples can raise the level to trace scheduler/checker decisions.
+// Error messages on stderr.
 #pragma once
-
-#include <cstdarg>
 
 namespace flexstep {
 
-enum class LogLevel { kNone = 0, kError, kInfo, kDebug, kTrace };
-
-/// Process-wide level; defaults to kError.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-/// printf-style logging; a newline is appended.
-void logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+/// printf-style error line on stderr, prefixed "[error] "; a newline is
+/// appended.
+void log_error(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace flexstep
 
-#define FLEX_LOG_INFO(...) ::flexstep::logf(::flexstep::LogLevel::kInfo, __VA_ARGS__)
-#define FLEX_LOG_DEBUG(...) ::flexstep::logf(::flexstep::LogLevel::kDebug, __VA_ARGS__)
-#define FLEX_LOG_TRACE(...) ::flexstep::logf(::flexstep::LogLevel::kTrace, __VA_ARGS__)
-#define FLEX_LOG_ERROR(...) ::flexstep::logf(::flexstep::LogLevel::kError, __VA_ARGS__)
+#define FLEX_LOG_ERROR(...) ::flexstep::log_error(__VA_ARGS__)

@@ -74,6 +74,4 @@ double percentile(std::span<const double> xs, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-double median(std::span<const double> xs) { return percentile(xs, 50.0); }
-
 }  // namespace flexstep

@@ -41,7 +41,4 @@ double geomean(std::span<const double> xs);
 /// p-th percentile (0 <= p <= 100) with linear interpolation. Sorts a copy.
 double percentile(std::span<const double> xs, double p);
 
-/// Median shorthand.
-double median(std::span<const double> xs);
-
 }  // namespace flexstep

@@ -110,16 +110,6 @@ enum class OutcomeKind : u8 {
   kDue,       ///< Detected-unrecoverable: the run wedged (stall / lost alignment).
 };
 
-constexpr const char* outcome_kind_name(OutcomeKind k) {
-  switch (k) {
-    case OutcomeKind::kMasked: return "masked";
-    case OutcomeKind::kDetected: return "detected";
-    case OutcomeKind::kSdc: return "sdc";
-    case OutcomeKind::kDue: return "due";
-  }
-  return "?";
-}
-
 struct FaultOutcome {
   bool detected = false;
   double latency_us = 0.0;                  ///< Valid when detected.

@@ -1,7 +1,5 @@
 #include "fault/sites.h"
 
-#include <charconv>
-
 #include "arch/cache.h"
 #include "arch/core.h"
 #include "common/check.h"
@@ -206,63 +204,6 @@ std::string describe(const FaultSite& site) {
   out += " b" + std::to_string(site.bit);
   out += " @" + std::to_string(site.cycle);
   return out;
-}
-
-ParseSiteResult parse_site_checked(std::string_view text) {
-  const auto take_token = [&text]() -> std::string_view {
-    while (!text.empty() && text.front() == ' ') text.remove_prefix(1);
-    std::size_t end = text.find(' ');
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view token = text.substr(0, end);
-    text.remove_prefix(end);
-    return token;
-  };
-  const auto parse_u64 = [](std::string_view token, char prefix,
-                            u64& out) -> bool {
-    if (token.size() < 2 || token.front() != prefix) return false;
-    token.remove_prefix(1);
-    const auto result =
-        std::from_chars(token.data(), token.data() + token.size(), out);
-    return result.ec == std::errc{} && result.ptr == token.data() + token.size();
-  };
-  const auto fail = [](std::string message) {
-    ParseSiteResult result;
-    result.error = std::move(message);
-    return result;
-  };
-
-  FaultSite site;
-  const std::string_view name = take_token();
-  bool found = false;
-  for (std::size_t c = 0; c < kComponentCount; ++c) {
-    const auto component = static_cast<Component>(c);
-    if (name == component_name(component)) {
-      site.component = component;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    return fail("unknown component '" + std::string(name) + "'");
-  }
-  if (const std::string_view token = take_token();
-      !parse_u64(token, 'i', site.index)) {
-    return fail("expected index token 'i<n>', got '" + std::string(token) + "'");
-  }
-  if (const std::string_view token = take_token();
-      !parse_u64(token, 'b', site.bit)) {
-    return fail("expected bit token 'b<n>', got '" + std::string(token) + "'");
-  }
-  if (const std::string_view token = take_token();
-      !parse_u64(token, '@', site.cycle)) {
-    return fail("expected cycle token '@<n>', got '" + std::string(token) + "'");
-  }
-  if (!text.empty() && text.find_first_not_of(' ') != std::string_view::npos) {
-    return fail("trailing garbage after site: '" + std::string(text) + "'");
-  }
-  ParseSiteResult result;
-  result.site = site;
-  return result;
 }
 
 }  // namespace flexstep::fault

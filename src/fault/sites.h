@@ -21,9 +21,7 @@
 //     inside the monitoring hardware).
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -88,25 +86,7 @@ void flip(soc::Soc& soc, const FaultSite& site);
 /// stamped with soc.max_cycle(). Requires site_index_count(...) > 0.
 FaultSite random_site(soc::Soc& soc, Component component, Rng& rng);
 
-/// Human-readable round-trippable form: "<component> i<index> b<bit> @<cycle>".
+/// Human-readable form: "<component> i<index> b<bit> @<cycle>".
 std::string describe(const FaultSite& site);
-
-/// Outcome of parsing a site description: the site on success, otherwise a
-/// diagnostic naming which part of the text failed. Parsing never aborts —
-/// campaign manifests and CLI arguments are untrusted input.
-struct ParseSiteResult {
-  std::optional<FaultSite> site;
-  std::string error;  ///< Empty on success.
-
-  bool ok() const { return site.has_value(); }
-};
-
-/// Inverse of describe(), with a structured diagnostic on failure.
-ParseSiteResult parse_site_checked(std::string_view text);
-
-/// Inverse of describe(); nullopt when the text does not parse.
-inline std::optional<FaultSite> parse_site(std::string_view text) {
-  return parse_site_checked(text).site;
-}
 
 }  // namespace flexstep::fault

@@ -5,7 +5,6 @@
 
 #include "common/archive.h"
 #include "common/check.h"
-#include "common/log.h"
 #include "isa/csr.h"
 
 namespace flexstep::fs {
@@ -91,18 +90,9 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
       unit_.s_.segment_verify_failed = true;
     }
     const u64 old = load_part->data;
-    u64 next = 0;
-    switch (op) {
-      case Opcode::kAmoaddD: next = old + operand; break;
-      case Opcode::kAmoswapD: next = operand; break;
-      case Opcode::kAmoxorD: next = old ^ operand; break;
-      case Opcode::kAmoandD: next = old & operand; break;
-      case Opcode::kAmoorD: next = old | operand; break;
-      default: FLEX_CHECK_MSG(false, "not an AMO opcode");
-    }
     const auto store_part = next_entry(MemEntryKind::kAmoStore);
     if (!store_part.has_value()) return r;
-    if (store_part->addr != addr || store_part->data != next) {
+    if (store_part->addr != addr || store_part->data != isa::amo_result(op, old, operand)) {
       unit_.report(DetectKind::kAmoStore);
       unit_.s_.segment_verify_failed = true;
     }
@@ -396,20 +386,9 @@ Cycle CoreUnit::log_memory(const CommitInfo& info) {
       load_part.bytes = 8;
       for (Channel* ch : out_channels_) ch->push_mem(load_part, now);
       ++s_.mem_entries_logged;
-      // New value = f(old, operand); recompute exactly as the core did.
-      const u64 old = info.mem_rdata;
-      const u64 operand = info.mem_wdata;
-      u64 next = 0;
-      switch (op) {
-        case Opcode::kAmoaddD: next = old + operand; break;
-        case Opcode::kAmoswapD: next = operand; break;
-        case Opcode::kAmoxorD: next = old ^ operand; break;
-        case Opcode::kAmoandD: next = old & operand; break;
-        case Opcode::kAmoorD: next = old | operand; break;
-        default: FLEX_CHECK_MSG(false, "not an AMO opcode");
-      }
+      // The new value, recomputed exactly as the core did.
       entry.kind = MemEntryKind::kAmoStore;
-      entry.data = next;
+      entry.data = isa::amo_result(op, info.mem_rdata, info.mem_wdata);
       entries = 2;
       break;
     }
@@ -536,16 +515,6 @@ void CoreUnit::adopt_replay_context(const ReplayContext& ctx) {
   s_.have_thread_ctx = ctx.have_thread_ctx;
   s_.ass_thread_ctx = ctx.thread_ctx;
   s_.replay_suspended = ctx.active;
-}
-
-void CoreUnit::cancel_replay() {
-  if (s_.replay_active || s_.replay_suspended) {
-    s_.replay_active = false;
-    s_.replay_suspended = false;
-    refresh_passive();
-    core_.set_mem_port(nullptr);
-    core_.set_trap_suppression(false);
-  }
 }
 
 void CoreUnit::report(DetectKind kind) {

@@ -128,8 +128,6 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// Resume a replay that was suspended by kernel preemption; the kernel must
   /// have restored the checker task's architectural context first.
   void resume_replay();
-  /// Abandon any in-flight replay (verification job cancelled).
-  void cancel_replay();
 
   /// Scheduler contract for the NEXT quantum of this (checker) core: every
   /// channel pop the quantum performs lands strictly before the producer's

@@ -1,7 +1,6 @@
 #include "flexstep/error.h"
 
 #include "common/archive.h"
-#include "common/log.h"
 #include "flexstep/channel.h"
 
 namespace flexstep::fs {
@@ -36,9 +35,6 @@ void ErrorReporter::on_detect(Channel& channel, DetectKind kind, CoreId checker,
     channel.clear_fault();
     ++s_.attributed;
   }
-  FLEX_LOG_DEBUG("error detected by core %u at cycle %llu (%s%s)", checker,
-                 static_cast<unsigned long long>(now), detect_kind_name(kind),
-                 event.attributed ? ", attributed" : "");
   s_.events.push_back(event);
 }
 

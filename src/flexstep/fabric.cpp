@@ -4,7 +4,6 @@
 
 #include "common/archive.h"
 #include "common/check.h"
-#include "common/log.h"
 
 namespace flexstep::fs {
 
@@ -45,8 +44,6 @@ void Fabric::associate(CoreId main_id, u64 checker_mask) {
     }
     main_unit.add_out_channel(ch);
   }
-  FLEX_LOG_TRACE("associate: main %u -> mask %llx", main_id,
-                 static_cast<unsigned long long>(checker_mask));
 }
 
 void Fabric::dissociate(CoreId main_id) {

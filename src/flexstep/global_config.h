@@ -10,15 +10,6 @@ namespace flexstep::fs {
 
 enum class CoreAttr : u8 { kCompute = 0, kMain = 1, kChecker = 2 };
 
-constexpr const char* core_attr_name(CoreAttr a) {
-  switch (a) {
-    case CoreAttr::kCompute: return "compute";
-    case CoreAttr::kMain: return "main";
-    case CoreAttr::kChecker: return "checker";
-  }
-  return "?";
-}
-
 class GlobalConfig {
  public:
   /// G.Configure: write the main/checker ID sets. A core may not be both.
@@ -36,7 +27,6 @@ class GlobalConfig {
     return CoreAttr::kCompute;
   }
 
-  bool is_main(CoreId id) const { return attr_of(id) == CoreAttr::kMain; }
   bool is_checker(CoreId id) const { return attr_of(id) == CoreAttr::kChecker; }
 
   u64 main_mask() const { return main_mask_; }

@@ -20,19 +20,6 @@ enum class MemEntryKind : u8 {
   kAmoStore,       ///< AMO write part (new value; verified).
 };
 
-constexpr const char* mem_entry_kind_name(MemEntryKind k) {
-  switch (k) {
-    case MemEntryKind::kLoadData: return "load";
-    case MemEntryKind::kStoreAddrData: return "store";
-    case MemEntryKind::kLrLoad: return "lr";
-    case MemEntryKind::kScFlag: return "sc-flag";
-    case MemEntryKind::kScStore: return "sc-store";
-    case MemEntryKind::kAmoLoad: return "amo-load";
-    case MemEntryKind::kAmoStore: return "amo-store";
-  }
-  return "?";
-}
-
 struct MemLogEntry {
   MemEntryKind kind = MemEntryKind::kLoadData;
   u8 bytes = 0;

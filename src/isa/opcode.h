@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/check.h"
 #include "common/types.h"
 
 namespace flexstep::isa {
@@ -132,6 +133,22 @@ constexpr bool is_store_like(Opcode op) {
 }
 constexpr bool is_flexstep_custom(Opcode op) {
   return op >= Opcode::kGIdsContain && op <= Opcode::kCResult;
+}
+
+/// The value an AMO writes back, from the old memory value and the rs2
+/// operand. The core's cache port, the checker's replay port and the
+/// producer's MAL logging all compute it here, so they cannot disagree.
+inline u64 amo_result(Opcode op, u64 old, u64 operand) {
+  switch (op) {
+    case Opcode::kAmoaddD: return old + operand;
+    case Opcode::kAmoswapD: return operand;
+    case Opcode::kAmoxorD: return old ^ operand;
+    case Opcode::kAmoandD: return old & operand;
+    case Opcode::kAmoorD: return old | operand;
+    default: break;
+  }
+  FLEX_CHECK_MSG(false, "not an AMO opcode");
+  return 0;
 }
 
 /// Number of bytes touched by a memory opcode (access width).

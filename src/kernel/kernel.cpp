@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "isa/instruction.h"
 
 namespace flexstep::kernel {
@@ -15,6 +14,8 @@ using arch::TrapCause;
 using fs::CoreUnit;
 
 namespace {
+constexpr Cycle kContextSwitchCost = 2000;  ///< ~1.25 µs at 1.6 GHz.
+constexpr Cycle kEcallCost = 1200;
 constexpr Cycle kTickCost = 200;  ///< Non-switching timer tick excursion.
 }
 
@@ -281,7 +282,7 @@ TrapAction Kernel::on_trap(Core& core, TrapCause cause) {
   auto& state = cores_[core.id()];
   switch (cause) {
     case TrapCause::kEcall:
-      return {TrapAction::Kind::kResumeUser, config_.ecall_cost};
+      return {TrapAction::Kind::kResumeUser, kEcallCost};
 
     case TrapCause::kTimer: {
       release_due_jobs(core.id(), core.cycle());
@@ -292,7 +293,7 @@ TrapAction Kernel::on_trap(Core& core, TrapCause cause) {
                                        jobs_[static_cast<u32>(cur)].abs_deadline);
       if (preempt) {
         context_switch(core, /*requeue_current=*/true);
-        return {TrapAction::Kind::kContextSwitched, config_.context_switch_cost};
+        return {TrapAction::Kind::kContextSwitched, kContextSwitchCost};
       }
       arm_timer(core.id());
       return {TrapAction::Kind::kResumeUser, kTickCost};
@@ -304,7 +305,7 @@ TrapAction Kernel::on_trap(Core& core, TrapCause cause) {
       complete_job(core, job);
       state.current = -1;
       context_switch(core, /*requeue_current=*/false);
-      return {TrapAction::Kind::kContextSwitched, config_.context_switch_cost};
+      return {TrapAction::Kind::kContextSwitched, kContextSwitchCost};
     }
 
     case TrapCause::kFetchFault: {
@@ -317,8 +318,6 @@ TrapAction Kernel::on_trap(Core& core, TrapCause cause) {
       return {TrapAction::Kind::kHalt, 0};
     }
 
-    case TrapCause::kSoftware:
-      return {TrapAction::Kind::kResumeUser, kTickCost};
     case TrapCause::kIllegal:
       return {TrapAction::Kind::kHalt, 0};
   }

@@ -26,8 +26,6 @@
 namespace flexstep::kernel {
 
 struct KernelConfig {
-  Cycle context_switch_cost = 2000;  ///< ~1.25 µs at 1.6 GHz.
-  Cycle ecall_cost = 1200;
   Cycle horizon = us_to_cycles(200'000);  ///< Stop releasing jobs after this.
 };
 

@@ -30,12 +30,6 @@ struct PartitionResult {
   bool schedulable = false;
   std::string failure_reason;
   std::vector<CorePlan> cores;
-
-  double max_core_density() const {
-    double d = 0.0;
-    for (const auto& core : cores) d = std::max(d, core.density);
-    return d;
-  }
 };
 
 /// Index of the minimum-density core, optionally excluding up to two cores.

@@ -20,15 +20,6 @@ namespace flexstep::sched {
 
 enum class TaskType : u8 { kNormal, kV2, kV3 };
 
-constexpr const char* task_type_name(TaskType t) {
-  switch (t) {
-    case TaskType::kNormal: return "N";
-    case TaskType::kV2: return "V2";
-    case TaskType::kV3: return "V3";
-  }
-  return "?";
-}
-
 /// Number of duplicated computations (checker copies) for a class.
 constexpr u32 num_copies(TaskType t) {
   switch (t) {

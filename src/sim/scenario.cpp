@@ -211,10 +211,6 @@ std::vector<isa::Program> Scenario::build_role_programs() const {
   return programs;
 }
 
-analysis::ProgramReport Scenario::analyze() const {
-  return analysis::analyze(build_program());
-}
-
 std::unique_ptr<soc::Soc> Scenario::build_soc() const {
   return std::make_unique<soc::Soc>(soc_config());
 }

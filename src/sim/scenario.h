@@ -136,9 +136,6 @@ class Scenario {
   /// generated once per role. A single role keeps the scenario's code/data
   /// base; several roles get disjoint per-role code/data bases.
   std::vector<isa::Program> build_role_programs() const;
-  /// Static analysis of the program this scenario would run (CFG + dataflow
-  /// + lint) — the pre-run lint entry point; runs regardless of analysis().
-  analysis::ProgramReport analyze() const;
   /// Just the SoC.
   std::unique_ptr<soc::Soc> build_soc() const;
   /// The full prepared session.

@@ -51,7 +51,8 @@ inline constexpr u32 kSnapshotAppTag = 0x504E5346;  // "FSNP" little-endian.
 // exec_halted_mask for the role-based N-producer topology.
 // v3: a DBC channel item carries only its kind's payload — a MAL entry, or a
 // checkpoint's registers (plus the IC for a SegmentEnd).
-inline constexpr u32 kSnapshotFormatVersion = 3;
+// v4: a core no longer carries a pending software-interrupt flag.
+inline constexpr u32 kSnapshotFormatVersion = 4;
 
 /// Section ids inside a snapshot archive, in file order. The resident-page
 /// payload gets its own section so the (large, 8-aligned, raw-span) page data

@@ -35,12 +35,6 @@ void Soc::save(Snapshot& out) const {
   fabric_.save(out.fabric);
 }
 
-Snapshot Soc::save() const {
-  Snapshot out;
-  save(out);
-  return out;
-}
-
 void Soc::restore(const Snapshot& snapshot) {
   FLEX_CHECK_MSG(snapshot.cores.size() == cores_.size(),
                  "snapshot core-count mismatch (different SocConfig?)");

@@ -48,7 +48,6 @@ class Soc {
   /// requires the same images registered first (sim::Session::fork shares
   /// its origin's).
   void save(Snapshot& out) const;
-  Snapshot save() const;
 
   /// Restore to a saved state, bit-exactly. Valid on the originating Soc or
   /// on a freshly constructed one with the same SocConfig.

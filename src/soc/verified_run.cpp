@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "isa/instruction.h"
 #include "soc/snapshot.h"
 
@@ -228,8 +227,6 @@ TrapAction VerifiedExecution::on_trap(Core& core, TrapCause cause) {
         core.set_timer(core.cycle() + config_.tick_period);
         return {TrapAction::Kind::kResumeUser, kTickCost};
       }
-      return {TrapAction::Kind::kResumeUser, 0};
-    case TrapCause::kSoftware:
       return {TrapAction::Kind::kResumeUser, 0};
 
     case TrapCause::kIllegal:

@@ -1,7 +1,7 @@
 // Static guest-program analysis: CFG construction, DBC-cost dataflow, the
 // pre-run lint, dynamic validation against retired-instruction truth, and the
-// three runtime clients (trace seeding, tightened producer bursts, the
-// Scenario::analyze() entry point). The load-bearing guarantees pinned here:
+// three clients (trace seeding, tightened producer bursts, the pre-run lint
+// through analysis::analyze()). The load-bearing guarantees pinned here:
 //   * every analysis result is consistent with dynamic behaviour (validator);
 //   * seeding / burst tightening are host-speed only — simulated outcomes are
 //     bit-identical with analysis on, off, and across engines;

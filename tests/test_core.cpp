@@ -13,6 +13,7 @@
 #include "arch/trace.h"
 #include "isa/assembler.h"
 #include "isa/csr.h"
+#include "sim/scenario.h"
 
 namespace flexstep::arch {
 namespace {
@@ -762,6 +763,153 @@ TEST(CoreTruthTable, EveryFastPathOpcodeOnEveryPath) {
     EXPECT_EQ(core.capture_state().regs, stepped.core->capture_state().regs);
   }
   EXPECT_GT(stepped.core->mispredicts(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Truth table for the atomics: the five AMOs and LR/SC against hand-computed
+// values. The core's cache port, the checker's replay port and the
+// producer's MAL logging all compute an AMO's write-back through
+// isa::amo_result, so a dual run alone cannot catch a wrong one; the
+// constants below can.
+// ---------------------------------------------------------------------------
+
+constexpr u64 kAmoOld = 0xF0F0'1234'5678'9ABC;
+constexpr u64 kAmoOperand = 0x0FF0'8765'4321'1111;
+
+TruthProgram build_atomics_program() {
+  TruthProgram out;
+  Assembler a;
+  const auto record = [&](Opcode op, const std::string& what, u8 reg, u64 want) {
+    a.sd(reg, kResultBase, static_cast<i32>(8 * out.want.size()));
+    out.names.push_back(std::string(isa::opcode_name(op)) + " " + what);
+    out.want.push_back(want);
+    out.covered.insert(op);
+  };
+  a.li(kResultBase, static_cast<i64>(kTruthResults));
+  a.li(kDataBase, static_cast<i64>(kTruthData));
+  a.li(1, static_cast<i64>(kAmoOld));
+  a.li(2, static_cast<i64>(kAmoOperand));
+
+  // Each AMO gets its own word: x3 = the old value, x4 = the write-back.
+  const std::pair<Opcode, u64> amo_cases[] = {
+      {Opcode::kAmoaddD, 0x00E0'9999'9999'ABCD},  // the carry out wraps
+      {Opcode::kAmoswapD, kAmoOperand},
+      {Opcode::kAmoxorD, 0xFF00'9551'1559'8BAD},
+      {Opcode::kAmoandD, 0x00F0'0224'4220'1010},
+      {Opcode::kAmoorD, 0xFFF0'9775'5779'9BBD},
+  };
+  i32 offset = 0;
+  for (const auto& [op, want] : amo_cases) {
+    a.addi(10, kDataBase, offset);
+    a.sd(1, 10, 0);
+    a.emit(isa::make_r(op, 3, 10, 2));  // not every AMO has a mnemonic
+    record(op, "old value", 3, kAmoOld);
+    a.ld(4, 10, 0);
+    record(op, "write-back", 4, want);
+    out.stored.emplace_back(kTruthData + static_cast<Addr>(offset), want);
+    offset += 8;
+  }
+
+  // LR/SC: a reserved SC succeeds and writes; a second SC, with the
+  // reservation consumed, fails and leaves memory alone.
+  a.addi(10, kDataBase, offset);
+  a.sd(1, 10, 0);
+  a.lr_d(5, 10);
+  record(Opcode::kLrD, "value", 5, kAmoOld);
+  a.addi(6, 5, 1);
+  a.sc_d(7, 10, 6);
+  record(Opcode::kScD, "success flag", 7, 0);
+  a.ld(8, 10, 0);
+  record(Opcode::kScD, "success write", 8, kAmoOld + 1);
+  a.sc_d(9, 10, 2);
+  record(Opcode::kScD, "failure flag", 9, 1);
+  a.ld(8, 10, 0);
+  record(Opcode::kScD, "failure leaves memory", 8, kAmoOld + 1);
+  out.stored.emplace_back(kTruthData + static_cast<Addr>(offset), kAmoOld + 1);
+
+  a.halt();
+  out.program = a.finalize("atomics_truth_table");
+  return out;
+}
+
+TEST(CoreTruthTable, EveryAtomicOnACoreAndUnderReplay) {
+  const TruthProgram truth = build_atomics_program();
+  for (u8 op = static_cast<u8>(Opcode::kLrD); op <= static_cast<u8>(Opcode::kAmoorD); ++op) {
+    EXPECT_TRUE(truth.covered.count(static_cast<Opcode>(op)))
+        << "no case for " << isa::opcode_name(static_cast<Opcode>(op));
+  }
+  const auto expect_values = [&truth](Memory& memory) {
+    for (std::size_t i = 0; i < truth.want.size(); ++i) {
+      EXPECT_EQ(memory.read(kTruthResults + 8 * i, 8), truth.want[i]) << truth.names[i];
+    }
+    for (const auto& [addr, want] : truth.stored) {
+      EXPECT_EQ(memory.read(addr, 8), want);
+    }
+  };
+
+  TruthRun stepped(truth.program, false);
+  for (int i = 0; i < 10'000 && stepped.core->status() == Core::Status::kRunning; ++i) {
+    stepped.core->step();
+  }
+  TruthRun batched(truth.program, true);
+  batched.core->run(10'000);
+  for (TruthRun* run : {&stepped, &batched}) {
+    SCOPED_TRACE(run == &stepped ? "step()" : "run()");
+    EXPECT_EQ(run->core->status(), Core::Status::kHalted);
+    expect_values(run->memory);
+  }
+
+  // A dual run: the checker replays every atomic from the producer's log
+  // (the AMO's old value served, its write-back verified) without a
+  // detection.
+  for (const soc::Engine engine :
+       {soc::Engine::kStepwise, soc::Engine::kQuantum, soc::Engine::kQuantumBounded}) {
+    SCOPED_TRACE(soc::engine_name(engine));
+    sim::Session session = sim::Scenario().program(truth.program).dual().engine(engine).build();
+    const soc::RunStats stats = session.run();
+    expect_values(session.soc().memory());
+    EXPECT_GT(stats.segments_verified, 0u);
+    EXPECT_EQ(stats.segments_verified, stats.segments_produced);
+    EXPECT_EQ(stats.segments_failed, 0u);
+    EXPECT_EQ(session.reporter().detections(), 0u);
+  }
+}
+
+// The trace recorder and the static lint share one fusion rule; pin each
+// fused kind it names and the near misses it must refuse.
+TEST(TraceFusion, OneRuleNamesEveryFusedKind) {
+  using isa::make_b;
+  using isa::make_i;
+  using isa::make_r;
+  struct Case {
+    isa::Instruction first;
+    isa::Instruction second;
+    std::optional<TraceOpKind> want;
+  };
+  const Case cases[] = {
+      {make_i(Opcode::kLd, 5, 10, 8), make_r(Opcode::kAdd, 6, 6, 5), TraceOpKind::kLdAddAcc},
+      {make_i(Opcode::kLd, 5, 10, 8), make_r(Opcode::kXor, 6, 6, 5), TraceOpKind::kLdXorAcc},
+      {make_i(Opcode::kLd, 5, 10, 8), make_r(Opcode::kAdd, 6, 7, 5), std::nullopt},
+      {make_i(Opcode::kLd, 0, 10, 8), make_r(Opcode::kAdd, 6, 6, 0), std::nullopt},
+      {make_i(Opcode::kAndi, 5, 6, 3), make_b(Opcode::kBne, 5, 0, 8), TraceOpKind::kAndiBne},
+      {make_i(Opcode::kAndi, 5, 6, 3), make_b(Opcode::kBeq, 5, 0, 8), TraceOpKind::kAndiBeq},
+      {make_i(Opcode::kAndi, 5, 6, 3), make_b(Opcode::kBne, 5, 7, 8), std::nullopt},
+      {make_r(Opcode::kMul, 5, 6, 7), make_i(Opcode::kAddi, 5, 5, 9), TraceOpKind::kMulAddi},
+      {make_r(Opcode::kMul, 5, 6, 7), make_i(Opcode::kAddi, 5, 6, 9), std::nullopt},
+      {make_r(Opcode::kAnd, 5, 6, 7), make_r(Opcode::kAdd, 5, 8, 5), TraceOpKind::kAndAdd},
+      {make_r(Opcode::kAnd, 5, 6, 7), make_r(Opcode::kAdd, 5, 5, 5), std::nullopt},
+      {make_r(Opcode::kAdd, 5, 6, 7), make_r(Opcode::kAdd, 8, 9, 10), TraceOpKind::kPairAddAdd},
+      {make_r(Opcode::kSub, 5, 6, 7), make_i(Opcode::kSlli, 8, 9, 3), TraceOpKind::kPairSubSlli},
+      {make_i(Opcode::kAddi, 5, 6, 1), make_i(Opcode::kAddi, 8, 9, 2),
+       TraceOpKind::kPairAddiAddi},
+      {make_r(Opcode::kAdd, 5, 6, 7), make_r(Opcode::kAdd, 0, 9, 10), std::nullopt},
+      {make_r(Opcode::kAdd, 5, 6, 7), make_r(Opcode::kAnd, 8, 9, 10), std::nullopt},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(isa::opcode_name(c.first.op)) + " ; " +
+                 isa::opcode_name(c.second.op));
+    EXPECT_EQ(fused_pair_kind(c.first, c.second), c.want);
+  }
 }
 
 }  // namespace

@@ -304,73 +304,6 @@ TEST(FaultSites, FlipIsSelfInverseForEveryComponent) {
   }
 }
 
-TEST(FaultSites, DescribeRoundTripsThroughParse) {
-  sim::Session session = warmed_session();
-  Rng rng(0xD15C);
-  for (std::size_t c = 0; c < kComponentCount; ++c) {
-    const FaultSite site =
-        random_site(session.soc(), static_cast<Component>(c), rng);
-    const auto parsed = parse_site(describe(site));
-    ASSERT_TRUE(parsed.has_value()) << describe(site);
-    EXPECT_EQ(*parsed, site);
-  }
-  EXPECT_FALSE(parse_site("").has_value());
-  EXPECT_FALSE(parse_site("warp i0 b0 @0").has_value());
-  EXPECT_FALSE(parse_site("mem i3 b4").has_value());
-  EXPECT_FALSE(parse_site("mem i3 b4 @9 extra").has_value());
-  EXPECT_FALSE(parse_site("mem ix b4 @9").has_value());
-}
-
-TEST(FaultSites, ParseFailuresCarryStructuredDiagnostics) {
-  EXPECT_NE(parse_site_checked("warp i0 b0 @0").error.find("unknown component"),
-            std::string::npos);
-  EXPECT_NE(parse_site_checked("mem x3 b4 @9").error.find("index token"),
-            std::string::npos);
-  EXPECT_NE(parse_site_checked("mem i3 x4 @9").error.find("bit token"),
-            std::string::npos);
-  EXPECT_NE(parse_site_checked("mem i3 b4 9").error.find("cycle token"),
-            std::string::npos);
-  EXPECT_NE(parse_site_checked("mem i3 b4 @9 junk").error.find("trailing"),
-            std::string::npos);
-  const auto ok = parse_site_checked("mem i3 b4 @9");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(ok.error.empty());
-  EXPECT_EQ(ok.site->index, 3u);
-}
-
-TEST(FaultSites, ParseNeverAbortsOnMutatedDescriptions) {
-  // Deterministic fuzz: mutate valid descriptions (truncation, byte
-  // substitution, duplication) and require parse_site_checked to return —
-  // either rejecting with a diagnostic or, when the mutation is benign,
-  // round-tripping to SOME site that re-describes to the parsed text.
-  Rng rng(0xF022);
-  const FaultSite base{Component::kDbcMeta, 12, 7, 990};
-  const std::string good = describe(base);
-  ASSERT_EQ(parse_site(good), base);
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::string mutated = good;
-    switch (rng.next_below(3)) {
-      case 0:  // truncate
-        mutated.resize(rng.next_below(mutated.size() + 1));
-        break;
-      case 1:  // substitute one byte with printable noise
-        mutated[rng.next_below(mutated.size())] =
-            static_cast<char>(' ' + rng.next_below(95));
-        break;
-      default:  // duplicate a chunk
-        mutated += mutated.substr(rng.next_below(mutated.size()));
-        break;
-    }
-    const auto result = parse_site_checked(mutated);
-    if (result.ok()) {
-      EXPECT_TRUE(result.error.empty()) << mutated;
-      EXPECT_EQ(parse_site(describe(*result.site)), result.site) << mutated;
-    } else {
-      EXPECT_FALSE(result.error.empty()) << mutated;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Vulnerability campaigns (fault/vuln.h)
 // ---------------------------------------------------------------------------

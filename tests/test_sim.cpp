@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -137,6 +138,42 @@ TEST(Snapshot, LoadFileRejectsForeignGeometry) {
   EXPECT_EQ(err.status, io::ArchiveStatus::kMalformed);
   EXPECT_EQ(soc::snapshot_digest(plain.snapshot()), digest_before);
   std::remove(path.c_str());
+}
+
+TEST(Snapshot, RestoreCheckedRejectsEveryGeometryMismatch) {
+  // One input per geometry gate behind the core count: a snapshot from a
+  // platform that differs only in L2 size, L1D size or BHT entries, and one
+  // whose fabric is a unit short. Each is a structured kMalformed naming its
+  // gate, and the target session is left untouched.
+  Session target = small_verified_scenario().build();
+  ASSERT_TRUE(target.advance(10'000));
+  const u64 digest_before = soc::snapshot_digest(target.snapshot());
+
+  const auto foreign = [](void (*edit)(soc::SocConfig&)) {
+    soc::SocConfig config = small_verified_scenario().soc_config();
+    edit(config);
+    Session session = small_verified_scenario().soc(config).build();
+    EXPECT_TRUE(session.advance(10'000));
+    return session.snapshot();
+  };
+  std::vector<std::pair<std::string, soc::Snapshot>> inputs;
+  inputs.emplace_back("L2 geometry", foreign([](soc::SocConfig& c) { c.l2.size_bytes *= 2; }));
+  inputs.emplace_back("L1 geometry of core 0",
+                      foreign([](soc::SocConfig& c) { c.core.l1d.size_bytes *= 2; }));
+  inputs.emplace_back("predictor tables of core 0",
+                      foreign([](soc::SocConfig& c) { c.core.bpred.bht_entries *= 2; }));
+  soc::Snapshot short_fabric = target.snapshot();
+  ASSERT_FALSE(short_fabric.fabric.units.empty());
+  short_fabric.fabric.units.pop_back();
+  inputs.emplace_back("fabric unit count", std::move(short_fabric));
+
+  for (const auto& [gate, snapshot] : inputs) {
+    SCOPED_TRACE(gate);
+    const io::ArchiveError err = target.restore_checked(snapshot);
+    EXPECT_EQ(err.status, io::ArchiveStatus::kMalformed);
+    EXPECT_NE(err.message().find(gate), std::string::npos) << err.message();
+    EXPECT_EQ(soc::snapshot_digest(target.snapshot()), digest_before);
+  }
 }
 
 TEST(Snapshot, ForkedSessionRunsBitIdenticalToRunOn) {

@@ -358,18 +358,19 @@ TEST(SnapshotWire, CampaignStatsAndVulnReportRoundTrip) {
 
 TEST(SnapshotWire, VersionSkewIsRejectedExactly) {
   // v2 widened the driver section (exec_main_halted -> exec_halted_mask for
-  // role-based topologies); v3 narrowed every DBC item to its kind's payload.
-  // There are no migration shims: a v1 or v2 archive — or any version other
-  // than the current one — must be rejected with a structured kVersionSkew
-  // before any section is decoded.
-  static_assert(soc::kSnapshotFormatVersion == 3,
+  // role-based topologies); v3 narrowed every DBC item to its kind's payload;
+  // v4 dropped the core's software-interrupt flag. There are no migration
+  // shims: a v1, v2 or v3 archive — or any version other than the current
+  // one — must be rejected with a structured kVersionSkew before any section
+  // is decoded.
+  static_assert(soc::kSnapshotFormatVersion == 4,
                 "bump this test (and re-check the skew matrix) when the "
                 "snapshot format changes again");
 
   sim::Session session = warmed_session();
   const soc::Snapshot snap = session.snapshot();
 
-  for (const u32 stale : {u32{1}, u32{2}, soc::kSnapshotFormatVersion + 1}) {
+  for (const u32 stale : {u32{1}, u32{2}, u32{3}, soc::kSnapshotFormatVersion + 1}) {
     ArchiveWriter w(soc::kSnapshotAppTag, stale);
     snap.serialize(w);
     ArchiveReader r(w.buffer().data(), w.buffer().size(), soc::kSnapshotAppTag,
@@ -445,7 +446,6 @@ arch::Core::Snapshot pinned_core(FieldValues& val) {
   core.mispredicts = val.next();
   core.timer_at = val.next();
   core.timer_armed = true;
-  core.swi_pending = true;
   core.suppress_traps = true;
   core.status = arch::Core::Status::kWaitingInterrupt;
   return core;
@@ -608,9 +608,9 @@ u64 fnv(const std::vector<u8>& bytes) {
 // layout, so it bumps the format version in the same change and re-records
 // the pin (soc::kSnapshotFormatVersion for the snapshot; the shard file's
 // version in fault/distributed.cpp for CampaignStats and VulnReport).
-static_assert(soc::kSnapshotFormatVersion == 3,
+static_assert(soc::kSnapshotFormatVersion == 4,
               "re-record the wire pins along with the version bump");
-constexpr u64 kSnapshotPin = 0x0e1c883cf28ddad7;
+constexpr u64 kSnapshotPin = 0x44ede4d4ffb085ca;
 constexpr u64 kCampaignStatsPin = 0x7dcb96e47074bfb7;
 constexpr u64 kVulnReportPin = 0x136848285d2e66b7;
 
