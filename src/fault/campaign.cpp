@@ -127,19 +127,6 @@ u64 baseline_tag(const workloads::WorkloadProfile& profile,
   return h.value();
 }
 
-/// `slot`'s session standing at `state`: forked from `origin` on first use,
-/// restored in place after that. A restore reuses the session's SoC, where a
-/// fork builds a whole one.
-sim::Session& rewind(std::optional<sim::Session>& slot, const sim::Session& origin,
-                     const soc::Snapshot& state) {
-  if (slot.has_value()) {
-    slot->restore(state);
-  } else {
-    slot.emplace(origin.fork(state));
-  }
-  return *slot;
-}
-
 /// Corrupt the tail of `victim`'s DBC stream and run until the fault resolves:
 /// detected (attributed reporter event) or masked (the corrupted item's
 /// segment verified clean, or the run drained). The victim stops at the first
@@ -274,14 +261,16 @@ u64 walk_shard(const workloads::WorkloadProfile& profile,
     }
     failed_warmups = 0;
 
-    // The baseline's injections share one fork-mode victim and one golden
-    // session: each is forked at its first use and rewound in place
-    // (Session::restore) for every later injection.
+    // The baseline's injections share one fork-mode victim, forked at the
+    // first and rewound in place (Session::restore, which reuses its SoC) for
+    // every later one, and one golden session, forked at the first injection
+    // that asks for it and never rewound.
     soc::Snapshot pre_fault;
     std::optional<sim::Session> victim;
     std::optional<sim::Session> golden_session;
     const std::function<sim::Session&()> golden = [&]() -> sim::Session& {
-      return rewind(golden_session, *victim, pre_fault);
+      if (!golden_session.has_value()) golden_session.emplace(victim->fork(pre_fault));
+      return *golden_session;
     };
 
     bool session_alive = true;
@@ -299,7 +288,11 @@ u64 walk_shard(const workloads::WorkloadProfile& profile,
       // snapshot the victim is rewound to, or the re-executed victim's own.
       if (fork_mode) {
         pre_fault = baseline.snapshot();
-        rewind(victim, baseline, pre_fault);
+        if (victim.has_value()) {
+          victim->restore(pre_fault);
+        } else {
+          victim.emplace(baseline.fork(pre_fault));
+        }
       } else {
         victim.emplace(scenario.build());
         for (u64 rounds : schedule) victim->advance(rounds);

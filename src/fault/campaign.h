@@ -107,7 +107,7 @@ enum class OutcomeKind : u8 {
   kMasked,    ///< No detection, final architectural state matches the golden run.
   kDetected,  ///< A checker reported a mismatch (FlexStep coverage).
   kSdc,       ///< Silent data corruption: undetected AND architecturally diverged.
-  kDue,       ///< Detected-unrecoverable: the run wedged (stall / lost alignment).
+  kDue,       ///< Detected-unrecoverable: the run wedged (stall).
 };
 
 struct FaultOutcome {
@@ -247,9 +247,10 @@ struct ShardKind {
   std::function<bool(const fs::Channel& channel, u32 n)> ready;
   /// Inject the shard's fault `n` into `victim`, which stands at the
   /// pre-fault state `pre_fault`, and record its outcome. `golden()` returns
-  /// a second session rewound to `pre_fault`, for a kind that compares with a
-  /// fault-free run: walk_shard forks it at the baseline's first call and
-  /// restores it in place after that, and a kind that never calls it never
+  /// a fault-free session of the same baseline, for a kind that compares
+  /// with a clean run: walk_shard forks it at `pre_fault` on the baseline's
+  /// first call and never rewinds it, so a kind must never run it past a
+  /// point a later injection compares at. A kind that never calls it never
   /// pays for it. Returns the instructions the injection executed.
   std::function<u64(sim::Session& victim, const soc::Snapshot& pre_fault,
                     const std::function<sim::Session&()>& golden, Rng& rng, u32 n)>
@@ -263,7 +264,8 @@ struct ShardKind {
 /// baseline is forked at its first injection and rewound in place to the
 /// baseline's snapshot at every later one; under kWarmupReexecution each
 /// injection rebuilds a victim and re-executes the prefix. The golden session
-/// ShardKind::inject may ask for is kept per baseline and rewound likewise.
+/// ShardKind::inject may ask for is forked per baseline at the first
+/// injection that asks for it, and is never rewound.
 /// Everything random derives from (campaign.seed, shard_index), so a shard's
 /// outcomes are independent of the thread or process that runs it, and of
 /// the materialisation mode. Returns the instructions executed by baselines,

@@ -1,6 +1,5 @@
 #include "fault/vuln.h"
 
-#include <algorithm>
 #include <bit>
 #include <optional>
 #include <utility>
@@ -124,16 +123,7 @@ constexpr CoreId kMainCore = 0;
 
 constexpr const char* kVulnName = "vuln campaign";
 
-/// Alignment-phase advance() calls, victim and golden together, allowed
-/// before a victim still behind is declared wedged (DUE). Each call has a
-/// budget >= 1, so two live runs align their main-core user-instruction
-/// counts far below this.
-constexpr u64 kAlignSpinCap = 100'000;
-
-/// Largest advance() budget of one alignment step.
-constexpr u64 kAlignStride = 2048;
-
-/// Architectural compare of the victim against the aligned golden session:
+/// Architectural compare of the victim against the golden session:
 /// main-core pc + x1..x31, then the memory image. `excl_reg` / `excl_word`
 /// exclude the flipped register slot / 8-byte word itself: a flip parked
 /// where the program never consumed it within the horizon is a latent fault
@@ -151,9 +141,11 @@ bool architecturally_equal(sim::Session& victim, sim::Session& golden,
 }
 
 /// Inject one whole-SoC fault into the victim, which stands at the pre-fault
-/// state `snap`, and classify it. Only a fault the detection window leaves
-/// open is compared with a golden run: `golden()` rewinds the kind's golden
-/// session to `snap`. `executed` accumulates instructions actually simulated
+/// state `snap`, and classify it at the target: the main core's
+/// user-instruction count at `snap` plus horizon / 2. Only a fault the
+/// detection window leaves open is compared with a golden run: `golden()` is
+/// the baseline's clean session, which earlier injections left at their own
+/// (no later) targets. `executed` accumulates instructions actually simulated
 /// (victim tail + golden run + optional root-cause forks).
 InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& snap,
                                   const std::function<sim::Session&()>& golden,
@@ -176,84 +168,38 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
     excl_reg = static_cast<u8>(rec.site.index % 32);
   }
 
-  const std::size_t events_before = victim.reporter().events().size();
+  const auto& events = victim.reporter().events();
+  const std::size_t events_before = events.size();
   const u64 victim_base = victim.total_instret();
+  const u64 target = victim.soc().core(kMainCore).user_instret() + config.horizon / 2;
   flip(victim.soc(), rec.site);
 
-  // Any post-flip reporter event is this fault's detection (the victim was
-  // rewound to the pre-fault state, which carries no pending event). Latency
-  // runs from the strike to the checker's report, as in the paper's Fig. 7.
-  const auto detect_scan = [&]() {
-    const auto& events = victim.reporter().events();
-    if (events.size() <= events_before) return false;
+  // Detection window: run the victim until its main core reaches the target,
+  // stopping at the first round end with a reporter event.
+  victim.advance_main_to(target, [&] { return events.size() > events_before; });
+  if (events.size() > events_before) {
+    // Any post-flip reporter event is this fault's detection (the victim was
+    // rewound to the pre-fault state, which carries no pending event).
+    // Latency runs from the strike to the checker's report, as in the
+    // paper's Fig. 7.
     const fs::DetectionEvent& event = events[events_before];
     rec.outcome = OutcomeKind::kDetected;
     rec.detect_kind = event.kind;
     rec.latency_us =
         cycles_to_us(event.at >= rec.site.cycle ? event.at - rec.site.cycle : 0);
-    return true;
-  };
-
-  // Phase A — detection window: run the victim through the horizon, stopping
-  // at the first round end with a reporter event. A machine that wedges
-  // first (a tolerated stall) is DUE.
-  bool alive = victim.advance(config.horizon, [&] {
-    return victim.reporter().events().size() > events_before;
-  });
-  bool decided = detect_scan();
-  if (!decided && victim.stalled()) {
-    rec.outcome = OutcomeKind::kDue;
-    decided = true;
-  }
-
-  // Phase B — golden run, alignment and architectural compare. The golden
-  // session is rewound to the pre-fault state and run to the horizon. Then
-  // the run whose main core is behind in user instructions advances to the
-  // other's count: advance() budgets cap retired instructions, so budgets of
-  // at most the gap converge without ever overshooting. Detections while
-  // the victim catches up still count.
-  if (!decided) {
-    sim::Session& golden_run = golden();
-    const u64 golden_base = golden_run.total_instret();
-    golden_run.advance(config.horizon);
-
-    const auto main_ui = [](sim::Session& session) {
-      return session.soc().core(kMainCore).user_instret();
-    };
-    const auto gap = [&](sim::Session& behind, sim::Session& ahead) {
-      return std::min<u64>(main_ui(ahead) - main_ui(behind), kAlignStride);
-    };
-    u64 spins = 0;
-    while (alive && !victim.stalled() && main_ui(victim) < main_ui(golden_run) &&
-           spins < kAlignSpinCap) {
-      ++spins;
-      alive = victim.advance(gap(victim, golden_run));
-      if (detect_scan()) {
-        decided = true;
-        break;
-      }
-    }
-    // A victim the flip left ahead is compared once the golden run catches up.
-    bool golden_alive = true;
-    while (!decided && golden_alive && main_ui(golden_run) < main_ui(victim) &&
-           spins < kAlignSpinCap) {
-      ++spins;
-      golden_alive = golden_run.advance(gap(golden_run, victim));
-    }
-    executed += golden_run.total_instret() - golden_base;
-
-    if (!decided) {
-      if (victim.stalled() || (alive && main_ui(victim) < main_ui(golden_run))) {
-        // Wedged, or live but unable to re-align: unrecoverable either way.
-        rec.outcome = OutcomeKind::kDue;
-      } else {
-        // Aligned — or finished early and clean (a fault that legitimately
-        // shortened the run shows up as divergence in the compare).
-        rec.outcome = architecturally_equal(victim, golden_run, excl_reg, excl_word)
-                          ? OutcomeKind::kMasked
-                          : OutcomeKind::kSdc;
-      }
-    }
+  } else if (victim.stalled()) {
+    rec.outcome = OutcomeKind::kDue;  // wedged first (a tolerated stall)
+  } else {
+    // Open: compare with the clean run at the same main-core count. A victim
+    // that finished before the target is compared as it ended (a fault that
+    // legitimately shortened the run shows up as divergence).
+    sim::Session& clean = golden();
+    const u64 golden_base = clean.total_instret();
+    clean.advance_main_to(target);
+    executed += clean.total_instret() - golden_base;
+    rec.outcome = architecturally_equal(victim, clean, excl_reg, excl_word)
+                      ? OutcomeKind::kMasked
+                      : OutcomeKind::kSdc;
   }
   executed += victim.total_instret() - victim_base;
 
@@ -341,7 +287,8 @@ VulnReport run_vuln_shard(const workloads::WorkloadProfile& profile,
 }
 
 void validate_vuln_campaign(const VulnConfig& config) {
-  FLEX_CHECK_MSG(config.horizon > 0, "vuln campaign: horizon must be nonzero");
+  // The main core runs horizon / 2 user instructions past each injection.
+  FLEX_CHECK_MSG(config.horizon >= 2, "vuln campaign: horizon must be >= 2");
   validate_campaign(config, kVulnName);
 }
 

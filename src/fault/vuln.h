@@ -7,27 +7,28 @@
 // question: *where* in the SoC is a particle strike dangerous, and what does
 // FlexStep do about it? Each injection picks one FaultSite (fault/sites.h)
 // across the component classes, flips it in the victim session, and
-// classifies the outcome. The detection window is one advance of at most
-// `horizon` instructions that stops at the first round end with a reporter
-// event; a fault the window leaves open is compared with a golden run of the
-// same pre-fault state:
+// classifies the outcome at a fixed target: the main core's user-instruction
+// count at the injection point plus horizon / 2. The detection window runs
+// the victim's main core to the target (VerifiedExecution::advance_main_to)
+// and stops at the first round end with a reporter event; a fault the window
+// leaves open is compared with a clean run standing at the same target:
 //
-//   detected — a checker reported a mismatch within the horizon;
-//   DUE      — the co-simulation wedged (stall / lost alignment): the fault
-//              is unrecoverable but not silent;
+//   detected — a checker reported a mismatch within the window;
+//   DUE      — the co-simulation wedged (a stall): the fault is
+//              unrecoverable but not silent;
 //   SDC      — no detection, and the victim's architectural state (main-core
-//              registers + pc + memory) diverged from the golden run at equal
-//              main-core user-instruction count;
+//              registers + pc + memory) diverged from the golden run at the
+//              target;
 //   masked   — no detection and bit-identical architectural outcome.
 //
-// The golden run starts from the victim's own pre-fault snapshot in BOTH
-// campaign modes, so snapshot-fork and warmup-re-execution differ only in how
-// the victim is materialised — the classify-identically parity gate
+// The main core's state at a user-instruction count depends neither on the
+// engine nor on how the run was chunked into rounds
+// (VerifiedRun.MainCoreStateAtAUserInstructionCountIsScheduleFree), and the
+// targets never decrease along a baseline. So each baseline's golden session
+// is forked once, at its first open injection, and only ever advances. It
+// starts from the same state in BOTH campaign modes, which the parity gate
 // (VulnCampaign.DeterministicAcrossModesAndThreads, and the perfbench
-// fault_campaign oracle) holds them to the same outcome stream. The golden
-// run is lazy: a fault detected or wedged within the horizon never reads it,
-// so only the faults that window leaves open run one, in a golden session
-// kept per baseline and rewound in place to each pre-fault snapshot.
+// fault_campaign oracle) holds to the same outcome stream.
 //
 // Classification invariant (enforced): masked + detected + sdc + due ==
 // injected, per component and in total.
@@ -60,9 +61,10 @@ struct VulnConfig : CampaignConfig {
                        .gap_rounds = 1'000,
                        .seed = 0xCFA} {}
 
-  /// Post-injection observation window, in retired instructions (summed
-  /// across cores — the advance() budget unit). Bounds both the golden
-  /// reference run and the victim's detection/alignment phases.
+  /// Post-injection observation window, in retired instructions summed
+  /// across cores (>= 2). The detection window and the golden compare end
+  /// once the main core has retired horizon / 2 user instructions past the
+  /// injection: about its share of `horizon` in a dual run.
   u64 horizon = 30'000;
   /// Component classes to inject into, round-robin by global injection index
   /// (so even tiny campaigns cover every class). Empty = all seven.

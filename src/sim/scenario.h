@@ -182,6 +182,11 @@ class Session {
   bool advance(u64 instruction_budget, const std::function<bool()>& stop = {}) {
     return exec_->advance(instruction_budget, stop);
   }
+  /// Run until the first producer has retired `target` user instructions, or
+  /// `stop()` holds where a round ends. See VerifiedExecution::advance_main_to.
+  bool advance_main_to(u64 target, const std::function<bool()>& stop = {}) {
+    return exec_->advance_main_to(target, stop);
+  }
   soc::RunStats run() { return exec_->run(); }
   soc::RunStats stats() const { return exec_->stats(); }
   bool finished() const { return exec_->finished(); }

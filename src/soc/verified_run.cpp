@@ -481,7 +481,7 @@ void VerifiedExecution::note_burst_skew(const arch::Core& chosen) {
       std::max<u64>(cosim_.max_skew_cycles, chosen.cycle() - trailing);
 }
 
-bool VerifiedExecution::quantum_round(u64 max_instructions) {
+bool VerifiedExecution::quantum_round(u64 max_instructions, u64 main_target) {
   Core* core = start_round();
   if (core == nullptr) return false;
   ++cosim_.rounds;
@@ -494,6 +494,11 @@ bool VerifiedExecution::quantum_round(u64 max_instructions) {
     // exactly like the stepwise driver's.
     const u64 cap_left = kMaxProducerInstructions + 1 - core->instret();
     budget = std::min(budget, cap_left);
+  }
+  if (core->id() == config_.roles.front().producer) {
+    // Every retired user instruction is a retired instruction, so this cap
+    // never carries the first producer past `main_target`.
+    budget = std::min(budget, main_target - core->user_instret());
   }
 
   // Zero-progress guard: a round that neither retires, advances the clock nor
@@ -526,22 +531,36 @@ u64 VerifiedExecution::total_instret() const {
   return total;
 }
 
+template <class Left>
+bool VerifiedExecution::run_rounds(Left left, u64 main_target,
+                                   const std::function<bool()>& stop) {
+  for (u64 budget = left(); budget != 0; budget = left()) {
+    // A stepwise round retires at most one instruction, so it needs no cap.
+    const bool ran = config_.engine == Engine::kStepwise
+                         ? step_round()
+                         : quantum_round(budget, main_target);
+    if (!ran) return false;
+    if (stop && stop()) return true;
+  }
+  return true;
+}
+
 bool VerifiedExecution::advance(u64 instruction_budget, const std::function<bool()>& stop) {
   if (config_.engine == Engine::kStepwise) {
-    for (u64 i = 0; i < instruction_budget; ++i) {
-      if (!step_round()) return false;
-      if (stop && stop()) return true;
-    }
-    return true;
+    // One round per unit of budget.
+    return run_rounds([&] { return instruction_budget == 0 ? 0 : instruction_budget--; },
+                      ~u64{0}, stop);
   }
   const u64 start = total_instret();
   const u64 target =
       instruction_budget > ~u64{0} - start ? ~u64{0} : start + instruction_budget;
-  while (total_instret() < target) {
-    if (!quantum_round(target - total_instret())) return false;
-    if (stop && stop()) return true;
-  }
-  return true;
+  return run_rounds([&] { return target - total_instret(); }, ~u64{0}, stop);
+}
+
+bool VerifiedExecution::advance_main_to(u64 target, const std::function<bool()>& stop) {
+  const Core& main = soc_.core(config_.roles.front().producer);
+  return run_rounds([&] { return main.user_instret() < target ? ~u64{0} : 0; }, target,
+                    stop);
 }
 
 RunStats VerifiedExecution::run() {

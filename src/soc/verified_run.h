@@ -167,8 +167,10 @@ class VerifiedExecution final : public arch::TrapHandler {
   /// scheduler would have kept picking it (bounded by the other runnable
   /// cores' clocks; hooks end the quantum early on cross-core events such as
   /// SegmentEnd pushes and backpressure-relieving pops). Runs at most
-  /// `max_instructions` commits. Returns false once finished.
-  bool quantum_round(u64 max_instructions = ~u64{0});
+  /// `max_instructions` commits, and stops the first producer once it has
+  /// retired `main_target` user-mode instructions. Returns false once
+  /// finished.
+  bool quantum_round(u64 max_instructions = ~u64{0}, u64 main_target = ~u64{0});
 
   /// Advance by ~`instruction_budget` retired instructions (summed across the
   /// participating cores) using the configured engine, or until `stop()`
@@ -185,6 +187,14 @@ class VerifiedExecution final : public arch::TrapHandler {
   /// depend on where the run stops: the reporter stamps detection latency in
   /// simulated cycles.
   bool advance(u64 instruction_budget, const std::function<bool()>& stop = {});
+
+  /// advance()'s round loop, run until the first producer has retired
+  /// `target` user-mode instructions: each round caps that core's burst at
+  /// the user instructions it has left, so it stops exactly at `target` under
+  /// every engine. Returns false once the co-simulation finished or a
+  /// tolerated stall latched before the target; true once the target is
+  /// reached (at once when it already is) or `stop()` held.
+  bool advance_main_to(u64 target, const std::function<bool()>& stop = {});
 
   /// Total instructions retired across all producers and checkers.
   u64 total_instret() const;
@@ -235,6 +245,10 @@ class VerifiedExecution final : public arch::TrapHandler {
   /// run, pumping once more if nobody is runnable. nullptr ends the round —
   /// finished, or a tolerated stall latched; a deadlock otherwise aborts.
   arch::Core* start_round();
+  /// Rounds while `left()` (what the next round may retire) is nonzero, the
+  /// first producer capped at `main_target` user instructions.
+  template <class Left>
+  bool run_rounds(Left left, u64 main_target, const std::function<bool()>& stop);
   /// End of a round: abort once a producer passes kMaxProducerInstructions.
   void check_producer_cap(const arch::Core& core) const;
   void pump_checkers();

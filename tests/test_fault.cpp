@@ -350,18 +350,22 @@ TEST(VulnCampaign, ClassifiesEveryInjectionAcrossAllComponents) {
 }
 
 TEST(VulnCampaign, TimingOnlyFaultsNeverClassifySdc) {
-  // Cache-tag and branch-predictor flips change timing only, so once the
-  // victim and golden runs stand at equal main-core user-instruction count
-  // they agree architecturally, whichever of them the flip left ahead.
+  // Cache-tag and branch-predictor flips change timing only, so the victim
+  // and the golden run agree architecturally where both stop: at the same
+  // main-core user-instruction count, however the flip moved the victim's
+  // rounds.
   auto config = small_vuln(28);
   config.components = {Component::kCacheTag, Component::kBranchPred};
-  config.engine = soc::Engine::kQuantumBounded;
-  for (const char* name : {"swaptions", "mcf", "hmmer"}) {
-    SCOPED_TRACE(name);
-    const VulnReport report = run_vuln_campaign(workloads::find_profile(name),
-                                                soc::SocConfig::paper_default(2), config);
-    EXPECT_EQ(report.injected, 28u);
-    EXPECT_EQ(report.sdc, 0u);
+  for (soc::Engine engine : {soc::Engine::kStepwise, soc::Engine::kQuantum,
+                             soc::Engine::kQuantumBounded}) {
+    config.engine = engine;
+    for (const char* name : {"swaptions", "mcf", "hmmer"}) {
+      SCOPED_TRACE(std::string(soc::engine_name(engine)) + " " + name);
+      const VulnReport report = run_vuln_campaign(
+          workloads::find_profile(name), soc::SocConfig::paper_default(2), config);
+      EXPECT_EQ(report.injected, 28u);
+      EXPECT_EQ(report.sdc, 0u);
+    }
   }
 }
 
@@ -379,10 +383,27 @@ struct CampaignPin {
 };
 constexpr CampaignPin kCampaignPins[] = {
     {"swaptions", 0x3e010c621fa285eeULL, 329'121, 894'108, 0x78c7253a0539b61fULL,
-     604'044, 1'145'128},
-    {"mcf", 0x4089c7e4570b85c7ULL, 314'995, 879'982, 0x6677ec1f3b7cfa00ULL, 632'006,
-     1'172'066},
+     404'836, 945'920},
+    {"mcf", 0x4089c7e4570b85c7ULL, 314'995, 879'982, 0x6677ec1f3b7cfa00ULL, 421'495,
+     961'555},
 };
+
+/// The pinned whole-SoC campaign of `profile`.
+VulnConfig pinned_vuln(const workloads::WorkloadProfile& profile, CampaignMode mode,
+                       soc::Engine engine) {
+  VulnConfig vuln;
+  vuln.target_faults = 28;
+  vuln.warmup_rounds = 10'000;
+  vuln.gap_rounds = 1'000;
+  vuln.horizon = 12'000;
+  vuln.seed = 0x5EED;
+  vuln.workload_iterations = profile.iterations * 2;
+  vuln.shards = 2;
+  vuln.threads = 2;
+  vuln.mode = mode;
+  vuln.engine = engine;
+  return vuln;
+}
 
 /// How a victim is materialised or rewound is host machinery: it may not
 /// change a campaign's records (digest). The instruction counts are the
@@ -398,8 +419,13 @@ constexpr CampaignPin kCampaignPins[] = {
 /// moved no digest and every count by the same amount in both modes: DBC
 /// victims run on to the end of the round their fault resolved in (+36,352
 /// swaptions, +33,234 mcf), whole-SoC victims stop at the detecting round
-/// (-1,578, -12,372). The constants are recorded runs; re-record them only
-/// for such a change, and say which.
+/// (-1,578, -12,372). Comparing each open whole-SoC fault at a fixed
+/// main-core target (horizon / 2 user instructions past its injection
+/// point), with one golden session per baseline that only ever advances,
+/// instead of rewinding the golden session for a horizon per fault, moved no
+/// digest and lowered the vuln counts by the same amount in both modes:
+/// -199,208 swaptions, -210,511 mcf. The constants are recorded runs;
+/// re-record them only for such a change, and say which.
 void expect_pinned_records(CampaignMode mode) {
   const bool fork = mode == CampaignMode::kSnapshotFork;
   const auto soc_config = soc::SocConfig::paper_default(2);
@@ -421,18 +447,8 @@ void expect_pinned_records(CampaignMode mode) {
     EXPECT_EQ(stats.total_instructions,
               fork ? pin.dbc_fork_instructions : pin.dbc_reexec_instructions);
 
-    VulnConfig vuln;
-    vuln.target_faults = 28;
-    vuln.warmup_rounds = 10'000;
-    vuln.gap_rounds = 1'000;
-    vuln.horizon = 12'000;
-    vuln.seed = 0x5EED;
-    vuln.workload_iterations = profile.iterations * 2;
-    vuln.shards = 2;
-    vuln.threads = 2;
-    vuln.mode = mode;
-    vuln.engine = soc::Engine::kQuantumBounded;
-    const VulnReport report = run_vuln_campaign(profile, soc_config, vuln);
+    const VulnReport report = run_vuln_campaign(
+        profile, soc_config, pinned_vuln(profile, mode, soc::Engine::kQuantumBounded));
     EXPECT_EQ(report.digest(), pin.vuln_digest);
     EXPECT_EQ(report.total_instructions,
               fork ? pin.vuln_fork_instructions : pin.vuln_reexec_instructions);
@@ -446,6 +462,31 @@ TEST(CampaignRecords, ForkModeBoundedCampaignsMatchPinnedRecords) {
 
 TEST(CampaignRecords, ReexecutionBoundedCampaignsMatchPinnedRecords) {
   expect_pinned_records(CampaignMode::kWarmupReexecution);
+}
+
+/// The pinned whole-SoC campaigns' records under the other two engines, in
+/// both modes. Where an advance() stops differs between kQuantum and
+/// kStepwise, but in these campaigns not where any record does: both
+/// engines classify every injection alike. Recorded before whole-SoC faults
+/// were compared at a fixed main-core target, which moved neither digest.
+TEST(CampaignRecords, WholeSocRecordsArePinnedUnderQuantumAndStepwise) {
+  constexpr struct {
+    const char* profile;
+    u64 digest;
+  } kPins[] = {{"swaptions", 0x0f970ae609362860ULL}, {"mcf", 0x33654aa18456e64eULL}};
+  for (soc::Engine engine : {soc::Engine::kQuantum, soc::Engine::kStepwise}) {
+    for (CampaignMode mode :
+         {CampaignMode::kSnapshotFork, CampaignMode::kWarmupReexecution}) {
+      for (const auto& pin : kPins) {
+        SCOPED_TRACE(std::string(soc::engine_name(engine)) + " " + pin.profile);
+        const auto& profile = workloads::find_profile(pin.profile);
+        const VulnReport report =
+            run_vuln_campaign(profile, soc::SocConfig::paper_default(2),
+                              pinned_vuln(profile, mode, engine));
+        EXPECT_EQ(report.digest(), pin.digest);
+      }
+    }
+  }
 }
 
 TEST(VulnCampaign, DeterministicAcrossModesAndThreads) {
@@ -540,9 +581,12 @@ TEST(VulnValidationDeathTest, RejectsDegenerateConfigs) {
     EXPECT_DEATH(run_distributed_vuln_campaign(profile, soc_config, config, dist), message);
     EXPECT_FALSE(std::filesystem::exists(dist.dir));
   };
-  auto no_horizon = small_vuln(4);
-  no_horizon.horizon = 0;
-  expect_rejected(no_horizon, "vuln campaign: horizon must be nonzero");
+  // The main core runs horizon / 2 user instructions past each injection.
+  for (u64 horizon : {0, 1}) {
+    auto short_horizon = small_vuln(4);
+    short_horizon.horizon = horizon;
+    expect_rejected(short_horizon, "vuln campaign: horizon must be >= 2");
+  }
   auto no_shards = small_vuln(4);
   no_shards.shards = 0;
   expect_rejected(no_shards, "vuln campaign: shards must be >= 1");

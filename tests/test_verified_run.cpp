@@ -2,7 +2,10 @@
 // detection end-to-end sanity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "common/rng.h"
 #include "sim/scenario.h"
@@ -282,6 +285,134 @@ TEST(VerifiedRun, StopConditionIsCheckedWhereEachRoundEnds) {
     sim::Session drained = origin.fork(warm);
     EXPECT_FALSE(drained.advance(~u64{0}, [] { return false; }));
     EXPECT_TRUE(drained.finished());
+  }
+}
+
+u64 main_user_instret(sim::Session& session) {
+  return session.soc().core(0).user_instret();
+}
+
+TEST(VerifiedRun, AdvanceMainToStopsAtTheTargetOrWhereTheRunEnds) {
+  for (soc::Engine engine : kEngines) {
+    SCOPED_TRACE(soc::engine_name(engine));
+    // tolerate_stall changes nothing in a run that never stalls; the wedged
+    // fork below needs it.
+    sim::Session origin = sim::Scenario()
+                              .workload("swaptions")
+                              .iterations(60)
+                              .dual()
+                              .engine(engine)
+                              .tolerate_stall(true)
+                              .build();
+    ASSERT_TRUE(origin.advance(5'000));
+    const soc::Snapshot warm = origin.snapshot();
+    const u64 target = main_user_instret(origin) + 3'333;
+
+    // `stop` is checked once per round end, and the main core stops exactly
+    // at the target: where a hand-driven round loop stops.
+    sim::Session counted = origin.fork(warm);
+    u64 calls = 0;
+    EXPECT_TRUE(counted.advance_main_to(target, [&] {
+      ++calls;
+      return false;
+    }));
+    EXPECT_EQ(main_user_instret(counted), target);
+    sim::Session rounds = origin.fork(warm);
+    u64 expected_calls = 0;
+    while (main_user_instret(rounds) < target) {
+      ASSERT_TRUE(engine == soc::Engine::kStepwise
+                      ? rounds.exec().step_round()
+                      : rounds.exec().quantum_round(~u64{0}, target));
+      ++expected_calls;
+    }
+    EXPECT_EQ(calls, expected_calls);
+    expect_same_state(counted, rounds);
+
+    // A condition that holds ends the call at that round end, short of the
+    // target.
+    sim::Session stopped = origin.fork(warm);
+    const u64 stop_at = origin.total_instret() + 1'000;
+    EXPECT_TRUE(stopped.advance_main_to(
+        target, [&] { return stopped.total_instret() >= stop_at; }));
+    EXPECT_GE(stopped.total_instret(), stop_at);
+    EXPECT_LT(main_user_instret(stopped), target);
+
+    // A target at or below the current count runs nothing.
+    sim::Session reached = origin.fork(warm);
+    u64 idle_calls = 0;
+    const auto count_idle = [&] {
+      ++idle_calls;
+      return false;
+    };
+    EXPECT_TRUE(reached.advance_main_to(main_user_instret(reached), count_idle));
+    EXPECT_TRUE(reached.advance_main_to(0, count_idle));
+    EXPECT_EQ(idle_calls, 0u);
+    EXPECT_EQ(reached.total_instret(), origin.total_instret());
+
+    // A run that drains before the target reports the end.
+    sim::Session drained = origin.fork(warm);
+    EXPECT_FALSE(drained.advance_main_to(~u64{0}));
+    EXPECT_TRUE(drained.finished());
+
+    // So does a run whose tolerated stall latches before the target: a main
+    // core parked mid-job leaves no core runnable once the checker drains.
+    sim::Session wedged = origin.fork(warm);
+    wedged.soc().core(0).set_idle();
+    EXPECT_FALSE(wedged.advance_main_to(target));
+    EXPECT_TRUE(wedged.stalled());
+    EXPECT_LT(main_user_instret(wedged), target);
+  }
+}
+
+TEST(VerifiedRun, MainCoreStateAtAUserInstructionCountIsScheduleFree) {
+  // Whole-SoC fault campaigns compare a victim with a clean run at one
+  // main-core user-instruction count, reached in different rounds. That
+  // needs the main core's architectural state there — pc, x1-x31 and the
+  // memory image — to depend on the count alone: not on the engine, nor on
+  // how advance() calls chunk the run.
+  constexpr u64 kTargetOffsets[] = {1, 2'345, 6'000, 11'111, 16'000};
+  constexpr u64 kChunk = 997;
+  for (const char* name : {"swaptions", "mcf", "hmmer"}) {
+    SCOPED_TRACE(name);
+    // Per engine, a warmed session stepping straight to each target and a
+    // fork of it creeping up on each target in advance(kChunk) steps.
+    std::vector<sim::Session> runs;
+    std::vector<bool> chunked;
+    for (soc::Engine engine : kEngines) {
+      sim::Session session =
+          sim::Scenario().workload(name).seed(7).dual().engine(engine).build();
+      ASSERT_TRUE(session.advance(20'000));
+      runs.push_back(session.fork());
+      chunked.push_back(true);
+      runs.push_back(std::move(session));
+      chunked.push_back(false);
+    }
+    u64 base = 0;
+    for (sim::Session& run : runs) base = std::max(base, main_user_instret(run));
+
+    for (u64 offset : kTargetOffsets) {
+      const u64 target = base + offset;
+      SCOPED_TRACE(target);
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        sim::Session& run = runs[i];
+        while (chunked[i] && main_user_instret(run) + kChunk <= target) {
+          ASSERT_TRUE(run.advance(kChunk));
+        }
+        ASSERT_TRUE(run.advance_main_to(target));
+        EXPECT_EQ(main_user_instret(run), target) << "schedule " << i;
+      }
+      const arch::Core& want = runs.front().soc().core(0);
+      for (std::size_t i = 1; i < runs.size(); ++i) {
+        const arch::Core& got = runs[i].soc().core(0);
+        EXPECT_EQ(got.pc(), want.pc()) << "schedule " << i;
+        for (u8 r = 1; r < 32; ++r) {
+          EXPECT_EQ(got.reg(r), want.reg(r)) << "schedule " << i << " x" << int{r};
+        }
+        EXPECT_TRUE(runs[i].soc().memory().same_contents(runs.front().soc().memory(),
+                                                         std::nullopt))
+            << "schedule " << i;
+      }
+    }
   }
 }
 
