@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/stats.h"
+#include "common/table.h"
 #include "common/types.h"
 #include "runtime/parallel.h"
 #include "sim/scenario.h"
@@ -106,5 +108,48 @@ inline u64 env_u64(const char* name, u64 fallback) {
 /// else hardware_concurrency. FLEX_THREADS=1 reproduces serial execution
 /// (results are bit-identical at any setting; only wall-clock changes).
 inline u32 thread_count() { return runtime::JobPool::default_thread_count(); }
+
+/// The Fig. 4 bench body: the LockStep / FlexStep / Nzdc slowdown of every
+/// profile under dual-core verification (FLEX_ITERS iterations each), printed
+/// as a table and geomeans next to the `paper` result line.
+inline int run_fig4(const char* title,
+                    const std::vector<workloads::WorkloadProfile>& profiles,
+                    const char* paper) {
+  std::printf("%s\n\n", title);
+  const auto iterations = static_cast<u32>(env_u64("FLEX_ITERS", 3500));
+
+  Table table({"workload", "LockStep", "FlexStep", "Nzdc", "base CPI"});
+  std::vector<double> flexstep_slowdowns;
+  std::vector<double> nzdc_slowdowns;
+
+  // One job per workload; the measurements are independent deterministic
+  // simulations, so rows come back bit-identical at any FLEX_THREADS.
+  const auto results = runtime::parallel_map<SlowdownResult>(
+      profiles.size(), [&](std::size_t i) {
+        SlowdownModes modes;
+        modes.dual = true;
+        modes.nzdc = true;
+        return measure_workload(profiles[i], modes, iterations);
+      });
+
+  for (const auto& r : results) {
+    flexstep_slowdowns.push_back(r.dual);
+    if (r.nzdc_ok) nzdc_slowdowns.push_back(r.nzdc);
+    table.add_row({r.name, Table::num(1.0, 4), Table::num(r.dual, 4),
+                   r.nzdc_ok ? Table::num(r.nzdc, 4) : "n/a (build fails)",
+                   Table::num(r.base_cpi, 2)});
+  }
+  table.add_row({"geomean", Table::num(1.0, 4), Table::num(geomean(flexstep_slowdowns), 4),
+                 Table::num(geomean(nzdc_slowdowns), 4), ""});
+  table.print();
+
+  std::printf(
+      "\npaper: %s\n"
+      "measured: FlexStep geomean %.4f (%+.2f%%); Nzdc geomean %.3f "
+      "(over the %zu workloads it builds).\n",
+      paper, geomean(flexstep_slowdowns), (geomean(flexstep_slowdowns) - 1.0) * 100.0,
+      geomean(nzdc_slowdowns), nzdc_slowdowns.size());
+  return 0;
+}
 
 }  // namespace flexstep::bench

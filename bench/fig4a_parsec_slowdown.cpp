@@ -3,52 +3,12 @@
 //
 // Paper result: FlexStep geomean +1.07%; Nzdc ~ +57.7% (and fails to build
 // bodytrack / ferret); LockStep 1.0 by construction (at 2x area).
-#include <cstdio>
-#include <vector>
-
 #include "bench_util.h"
-#include "common/stats.h"
-#include "common/table.h"
-#include "runtime/parallel.h"
-
-using namespace flexstep;
 
 int main() {
-  std::printf("== Fig. 4(a): Parsec 3.0 slowdown (LockStep / FlexStep / Nzdc) ==\n\n");
-  const auto iterations = static_cast<u32>(bench::env_u64("FLEX_ITERS", 3500));
-
-  Table table({"workload", "LockStep", "FlexStep", "Nzdc", "base CPI"});
-  std::vector<double> flexstep_slowdowns;
-  std::vector<double> nzdc_slowdowns;
-
-  // One job per workload; the measurements are independent deterministic
-  // simulations, so rows come back bit-identical at any FLEX_THREADS.
-  const auto& profiles = workloads::parsec_profiles();
-  const auto results = runtime::parallel_map<bench::SlowdownResult>(
-      profiles.size(), [&](std::size_t i) {
-        bench::SlowdownModes modes;
-        modes.dual = true;
-        modes.nzdc = true;
-        return bench::measure_workload(profiles[i], modes, iterations);
-      });
-
-  for (const auto& r : results) {
-    flexstep_slowdowns.push_back(r.dual);
-    if (r.nzdc_ok) nzdc_slowdowns.push_back(r.nzdc);
-    table.add_row({r.name, Table::num(1.0, 4), Table::num(r.dual, 4),
-                   r.nzdc_ok ? Table::num(r.nzdc, 4) : "n/a (build fails)",
-                   Table::num(r.base_cpi, 2)});
-  }
-  table.add_row({"geomean", Table::num(1.0, 4), Table::num(geomean(flexstep_slowdowns), 4),
-                 Table::num(geomean(nzdc_slowdowns), 4), ""});
-  table.print();
-
-  std::printf(
-      "\npaper: FlexStep geomean 1.0107 (+1.07%%); Nzdc ~1.577; LockStep 1.0 "
-      "(with a full duplicate core).\n"
-      "measured: FlexStep geomean %.4f (%+.2f%%); Nzdc geomean %.3f "
-      "(over the %zu workloads it builds).\n",
-      geomean(flexstep_slowdowns), (geomean(flexstep_slowdowns) - 1.0) * 100.0,
-      geomean(nzdc_slowdowns), nzdc_slowdowns.size());
-  return 0;
+  return flexstep::bench::run_fig4(
+      "== Fig. 4(a): Parsec 3.0 slowdown (LockStep / FlexStep / Nzdc) ==",
+      flexstep::workloads::parsec_profiles(),
+      "FlexStep geomean 1.0107 (+1.07%); Nzdc ~1.577; LockStep 1.0 "
+      "(with a full duplicate core).");
 }

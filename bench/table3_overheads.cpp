@@ -42,6 +42,8 @@ int main() {
   std::printf(
       "\npaper: 2.71 -> 2.77 mm2 (+2.21%%) and 0.485 -> 0.499 W (+2.89%%);\n"
       "storage 8 + 518 + 1088 = 1614 B per core. The model reproduces these\n"
-      "absolutes by construction (see DESIGN.md §2.8 for the calibration).\n");
+      "absolutes by construction: its core, L2 and FlexStep SRAM and logic\n"
+      "constants are calibrated to these totals and to Fig. 8's 2- and 32-core\n"
+      "endpoints (no Design Compiler or 28 nm PDK here).\n");
   return 0;
 }

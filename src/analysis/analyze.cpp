@@ -14,8 +14,8 @@ u32 dbc_entries_per_inst(Opcode op) { return fs::CoreUnit::entries_for(op); }
 
 namespace {
 
-/// Per-block dataflow: exact local counts plus the forward entry-bound
-/// fixpoint the burst tightening rests on.
+/// Per-block dataflow: the forward entry-bound fixpoint the burst tightening
+/// rests on.
 void run_dataflow(const Cfg& cfg, ProgramReport& report) {
   const CodeView& view = cfg.view;
   report.costs.assign(cfg.blocks.size(), BlockCosts{});
@@ -30,13 +30,8 @@ void run_dataflow(const Cfg& cfg, ProgramReport& report) {
     const BasicBlock& block = cfg.blocks[b];
     BlockCosts& costs = report.costs[b];
     for (u32 i = block.first; i < block.first + block.count; ++i) {
-      const Opcode op = view.code[i].op;
-      if (isa::is_memory(op)) ++costs.mem_ops;
-      const u32 entries = dbc_entries_per_inst(op);
-      costs.dbc_entries += entries;
-      costs.max_entries_per_inst =
-          std::max<u8>(costs.max_entries_per_inst, static_cast<u8>(entries));
-      costs.static_cost += isa::opcode_latency(op);
+      const auto entries = static_cast<u8>(dbc_entries_per_inst(view.code[i].op));
+      costs.max_entries_per_inst = std::max(costs.max_entries_per_inst, entries);
     }
     costs.fwd_entry_bound = costs.max_entries_per_inst;
     // Indirect flow can land on any address-taken leader (or leave the image,
@@ -87,74 +82,8 @@ void run_dataflow(const Cfg& cfg, ProgramReport& report) {
   }
 }
 
-/// Roll blocks up into single-entry regions (extended basic blocks): a block
-/// with exactly one predecessor joins its predecessor's region; everything
-/// else (entry, join points, back-edge targets, indirect targets) heads a new
-/// one. Worst-path costs accumulate down the region tree.
-void build_regions(Cfg& cfg, ProgramReport& report) {
-  const u32 n = static_cast<u32>(cfg.blocks.size());
-  std::vector<u32> pred_count(n, 0);
-  std::vector<u32> single_pred(n, kNoBlock);
-  for (u32 b = 0; b < n; ++b) {
-    if (!cfg.blocks[b].reachable) continue;
-    for (const u32 succ : {cfg.blocks[b].fall_through, cfg.blocks[b].taken}) {
-      if (succ == kNoBlock) continue;
-      ++pred_count[succ];
-      single_pred[succ] = b;
-    }
-  }
-  for (const u32 t : cfg.indirect_target_blocks) pred_count[t] += 2;
-
-  std::vector<u32> path_insts(n, 0);
-  std::vector<u32> path_mem(n, 0);
-  std::vector<u64> path_entries(n, 0);
-  std::vector<Cycle> path_cost(n, 0);
-
-  for (u32 b = 0; b < n; ++b) {
-    BasicBlock& block = cfg.blocks[b];
-    if (!block.reachable) continue;
-    const bool head = pred_count[b] != 1 || block.back_edge_target ||
-                      single_pred[b] > b /* only pred is a back edge */ ||
-                      cfg.blocks[single_pred[b]].region == kNoBlock;
-    u32 region_id;
-    if (head) {
-      region_id = static_cast<u32>(report.regions.size());
-      Region region;
-      region.head = b;
-      region.hot_candidate = block.in_loop;
-      report.regions.push_back(region);
-      path_insts[b] = 0;
-      path_mem[b] = 0;
-      path_entries[b] = 0;
-      path_cost[b] = 0;
-    } else {
-      const u32 p = single_pred[b];
-      region_id = cfg.blocks[p].region;
-      path_insts[b] = path_insts[p];
-      path_mem[b] = path_mem[p];
-      path_entries[b] = path_entries[p];
-      path_cost[b] = path_cost[p];
-    }
-    block.region = region_id;
-    Region& region = report.regions[region_id];
-    region.blocks.push_back(b);
-    const BlockCosts& costs = report.costs[b];
-    region.total_insts += block.count;
-    path_insts[b] += block.count;
-    path_mem[b] += costs.mem_ops;
-    path_entries[b] += costs.dbc_entries;
-    path_cost[b] += costs.static_cost;
-    region.worst_path_insts = std::max(region.worst_path_insts, path_insts[b]);
-    region.worst_path_mem_ops = std::max(region.worst_path_mem_ops, path_mem[b]);
-    region.worst_path_dbc_entries =
-        std::max(region.worst_path_dbc_entries, path_entries[b]);
-    region.worst_path_static_cost =
-        std::max(region.worst_path_static_cost, path_cost[b]);
-  }
-}
-
 /// Statically-known hot candidates for trace seeding: every reachable
-/// loop-path block leader. The trace recorder re-validates each seed (region
+/// loop-path block leader. The trace recorder re-validates each seed (trace
 /// viability, min length); a seed that never dispatches costs one
 /// direct-mapped slot until genuine heat reclaims it, so over-seeding is
 /// self-correcting.
@@ -175,7 +104,6 @@ ProgramReport analyze(const CodeView& view, std::string name) {
   report.cfg = build_cfg(view);
   if (report.cfg.blocks.empty()) return report;
   run_dataflow(report.cfg, report);
-  build_regions(report.cfg, report);
   collect_seeds(report.cfg, report);
   run_lint(report.cfg, report);
   for (const LintFinding& finding : report.findings) {
@@ -197,34 +125,13 @@ std::string ProgramReport::render() const {
   char line[192];
   std::snprintf(line, sizeof(line),
                 "program %s: %llu insts (%llu reachable), %zu blocks, %zu "
-                "regions, %zu seeds, entry bound %u (global)\n",
+                "seeds, entry bound %u (global)\n",
                 name.empty() ? "<anonymous>" : name.c_str(),
                 static_cast<unsigned long long>(total_insts),
                 static_cast<unsigned long long>(reachable_insts),
-                cfg.blocks.size(), regions.size(), trace_seeds.size(),
+                cfg.blocks.size(), trace_seeds.size(),
                 static_cast<unsigned>(global_entry_bound));
   out += line;
-  // Hottest regions by rolled-up worst-path cost (top 5).
-  std::vector<const Region*> hot;
-  for (const Region& region : regions) {
-    if (region.hot_candidate) hot.push_back(&region);
-  }
-  std::sort(hot.begin(), hot.end(), [](const Region* a, const Region* b) {
-    return a->worst_path_static_cost > b->worst_path_static_cost;
-  });
-  if (hot.size() > 5) hot.resize(5);
-  for (const Region* region : hot) {
-    const BasicBlock& head = cfg.blocks[region->head];
-    std::snprintf(line, sizeof(line),
-                  "  hot region @0x%llx: %u insts (worst path %u), %u mem ops, "
-                  "%llu DBC entries, %llu cycles static\n",
-                  static_cast<unsigned long long>(head.start_pc),
-                  region->total_insts, region->worst_path_insts,
-                  region->worst_path_mem_ops,
-                  static_cast<unsigned long long>(region->worst_path_dbc_entries),
-                  static_cast<unsigned long long>(region->worst_path_static_cost));
-    out += line;
-  }
   std::snprintf(line, sizeof(line), "  lint: %u error(s), %u warning(s)\n",
                 error_count, warning_count);
   out += line;

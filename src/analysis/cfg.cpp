@@ -226,13 +226,12 @@ Cfg build_cfg(const CodeView& view) {
     }
   }
 
-  // ---- back edges & loop spans ----
+  // ---- loop spans ----
   for (u32 b = 0; b < cfg.blocks.size(); ++b) {
     const BasicBlock& block = cfg.blocks[b];
     if (!block.reachable) continue;
     for (const u32 succ : {block.fall_through, block.taken}) {
       if (succ == kNoBlock || succ > b) continue;
-      cfg.blocks[succ].back_edge_target = true;
       // Mark the retreating edge's address span as loop body. Generated /
       // structured code is reducible, so the span [head, latch] is the
       // natural loop; for irreducible hand-written code this is merely a

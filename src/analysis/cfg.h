@@ -74,12 +74,9 @@ struct BasicBlock {
 
   // ---- derived structure ----
   bool reachable = false;
-  /// Some predecessor edge arrives from a block at a higher (or equal)
-  /// address — the head of a natural loop in generated / structured code.
-  bool back_edge_target = false;
-  /// Block lies inside the address span of some retreating edge.
+  /// Block lies inside the address span of some retreating edge (one that
+  /// arrives at a block at a lower or equal address).
   bool in_loop = false;
-  u32 region = kNoBlock;  ///< Single-entry region id (report.h fills it).
 };
 
 struct Cfg {

@@ -1,8 +1,8 @@
 // analysis::ProgramReport — the product of the static pass, consumed by
 // three clients:
-//   * trace seeding (arch::Core::seed_traces): statically-known hot-candidate
-//     region heads are recorded into the trace cache up front instead of
-//     waiting for heat-counter thresholds;
+//   * trace seeding (arch::Core::seed_traces): the leaders of loop-path blocks
+//     are recorded into the trace cache up front instead of waiting for
+//     heat-counter thresholds;
 //   * burst sizing (fs::CoreUnit::set_static_dbc_bound): the bounded engine
 //     divides DBC headroom by the per-pc worst-case entry production over the
 //     forward closure instead of the global 2-entries-per-instruction;
@@ -21,20 +21,6 @@
 #include "common/types.h"
 
 namespace flexstep::analysis {
-
-/// Single-entry superblock region: a tree of blocks entered only through its
-/// head (extended basic block). Rolled-up costs are worst-case over the
-/// head-to-leaf paths of the tree.
-struct Region {
-  u32 head = kNoBlock;          ///< Block id of the unique entry.
-  std::vector<u32> blocks;      ///< Member block ids (head first).
-  u32 total_insts = 0;          ///< Sum over members.
-  u32 worst_path_insts = 0;     ///< Max head-to-leaf instruction count.
-  u32 worst_path_mem_ops = 0;   ///< Max head-to-leaf memory-op count.
-  u64 worst_path_dbc_entries = 0;  ///< Max head-to-leaf DBC entry production.
-  Cycle worst_path_static_cost = 0;
-  bool hot_candidate = false;   ///< Head sits on a loop path (seed the trace).
-};
 
 enum class LintSeverity : u8 { kWarning, kError };
 
@@ -69,10 +55,7 @@ struct LintFinding {
 
 /// Per-block dataflow results, indexed like Cfg::blocks.
 struct BlockCosts {
-  u32 mem_ops = 0;          ///< Exact memory-instruction count in the block.
-  u64 dbc_entries = 0;      ///< Worst-case DBC entries the block produces.
-  Cycle static_cost = 0;    ///< Sum of static result latencies (lower bound).
-  u8 max_entries_per_inst = 0;
+  u8 max_entries_per_inst = 0;  ///< Max DBC entries of one instruction in the block.
   /// Fixpoint: max DBC entries any single instruction can produce on any
   /// path starting in this block (block-local max joined over successors;
   /// indirect terminators join the whole-image bound). This is what makes
@@ -85,10 +68,10 @@ struct ProgramReport {
   std::string name;
   Cfg cfg;
   std::vector<BlockCosts> costs;    ///< Parallel to cfg.blocks.
-  std::vector<Region> regions;
   std::vector<LintFinding> findings;
-  /// Region-head pcs worth seeding into the trace cache (deterministic,
-  /// ascending). Host-speed only: seeds never change simulated outcomes.
+  /// Loop-path block leaders worth seeding into the trace cache
+  /// (deterministic, ascending). Host-speed only: seeds never change
+  /// simulated outcomes.
   std::vector<Addr> trace_seeds;
   /// Per-instruction worst-case DBC entries over the forward closure
   /// (index = (pc - base) / 4). Unreachable instructions hold the
@@ -105,7 +88,7 @@ struct ProgramReport {
   u32 warning_count = 0;
 
   bool has_errors() const { return error_count > 0; }
-  /// Human-readable multi-line summary (lint table + region roll-up).
+  /// Human-readable multi-line summary (counts + lint table).
   std::string render() const;
 };
 
@@ -114,7 +97,7 @@ struct ProgramReport {
 /// and dynamic answers can never drift apart).
 u32 dbc_entries_per_inst(isa::Opcode op);
 
-/// Run the full pass: CFG, dataflow, regions, seeds, lint.
+/// Run the full pass: CFG, dataflow, seeds, lint.
 ProgramReport analyze(const CodeView& view, std::string name = {});
 ProgramReport analyze(const isa::Program& program);
 

@@ -64,10 +64,6 @@ void Cache::fill_miss(Way* base, u64 tag) {
   victim->lru = s_.tick;
 }
 
-void Cache::invalidate_all() {
-  for (auto& way : s_.ways) way.tag = kInvalidTag;
-}
-
 double Cache::miss_rate() const {
   const u64 total = s_.hits + s_.misses;
   return total == 0 ? 0.0 : static_cast<double>(s_.misses) / static_cast<double>(total);

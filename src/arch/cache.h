@@ -79,9 +79,6 @@ class Cache {
     return false;
   }
 
-  /// Invalidate everything (context-switch cold-start modelling, tests).
-  void invalidate_all();
-
   // ---- fault-site adapter (fault/sites.h) ----
 
   /// Total tag-array ways (sets × associativity) enumerable as fault sites.

@@ -562,9 +562,8 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
           if (stop_before - cycle_ < window) window = stop_before - cycle_;
           // Cursor setup (staging copy, headroom scan, publish) is per-span
           // overhead; under the strict-leapfrog engine spans are a handful of
-          // cycles and the cursor cannot pay for itself. Fuse only when the
-          // span can plausibly amortize it — below the threshold the batch
-          // runs in counting mode exactly as before the fused path existed.
+          // cycles and the cursor cannot pay for itself. Stage only when the
+          // span can plausibly amortize it.
           constexpr u64 kFusedMinWindow = 32;
           SegmentCursor* cursor = window >= kFusedMinWindow
                                        ? hooks_->open_segment_cursor(*this, window)
@@ -574,9 +573,11 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
             // other port installed the fused path would bypass it.
             cursor = nullptr;
           }
-          if (cursor == nullptr) {
-            run_fast_path<FastMode::kCount>(stop_before, batch_end, nullptr);
-          } else if (cursor->produce) {
+          // Without a cursor the span runs the fused loop on an empty one:
+          // zero capacity bails every memory op to step() and keeps traces off.
+          SegmentCursor empty;
+          if (cursor == nullptr) cursor = &empty;
+          if (cursor->produce) {
             run_fast_path<FastMode::kProduce>(stop_before, batch_end, cursor);
           } else {
             run_fast_path<FastMode::kReplay>(stop_before, batch_end, cursor);
@@ -604,7 +605,6 @@ Core::Status Core::run_until(Cycle stop_before, u64 max_instructions) {
 template <Core::FastMode M>
 void Core::run_fast_path(Cycle stop_before, u64 instret_end,
                          SegmentCursor* cursor) {
-  (void)cursor;  // unused in kFull/kCount instantiations
   // Hoisted fetch window: while the PC stays inside the cached image,
   // straight-line fetch is a bounds check and an indexed load off the
   // pre-decoded stream (no registry lookup).
@@ -632,17 +632,13 @@ void Core::run_fast_path(Cycle stop_before, u64 instret_end,
   u64 instret = instret_;
   const u64 instret_start = instret_;
   Addr last_line = last_fetch_line_;
-  // Counting mode: live hooks must see every memory instruction (CommitInfo
-  // logging / replay verification / backpressure pre-check), so the fast set
-  // shrinks to the non-memory prefix [kAdd, kJalr] and traces stay off
-  // (recorded traces embed inlined loads/stores). The fused modes widen the
-  // set back to [kAdd, kSd]: the segment cursor carries the per-quantum MAL
-  // staging (produce) or the pre-staged log window (replay), so plain
-  // loads/stores commit in-loop and traces re-engage.
+  // Live hooks see every memory instruction the cursor cannot carry: the
+  // fused modes bail each load/store to step() once the cursor is full, so a
+  // zero-capacity cursor runs only the non-memory prefix [kAdd, kJalr] in
+  // the loop. Its traces stay off (recorded traces embed inlined
+  // loads/stores, which would bail at once), and with them heat counting.
   TraceCache* const traces =
-      (M == FastMode::kCount) ? nullptr : trace_cache_.get();
-  constexpr u8 max_fast_op = static_cast<u8>(
-      M == FastMode::kCount ? Opcode::kJalr : Opcode::kSd);
+      M == FastMode::kFull || cursor->capacity != 0 ? trace_cache_.get() : nullptr;
 
 trace_point:
   // Trace dispatch: reached on fast-path entry and after every control
@@ -652,10 +648,6 @@ trace_point:
   // replay loop skip every per-instruction bound/interrupt check without
   // becoming observable (no interrupt, quantum break or bound can land
   // mid-trace; hooks are passive by the fast path's precondition).
-  // The outer guard is constexpr so the kCount instantiation (traces is a
-  // literal nullptr) drops the block entirely instead of tripping GCC's
-  // null-deref analysis on the statically dead calls.
-  if constexpr (M != FastMode::kCount)
   if (traces != nullptr) {
     while (cycle < limit && instret < instret_end && pc - base < end - base) {
       const Trace* t = traces->lookup(pc);
@@ -740,8 +732,8 @@ trace_point:
                   "fast-path opcode range must stay contiguous");
     static_assert(static_cast<u8>(Opcode::kLb) ==
                       static_cast<u8>(Opcode::kJalr) + 1,
-                  "counting-mode opcode range must end where memory ops begin");
-    if (static_cast<u8>(inst.op) > max_fast_op) goto writeback;
+                  "memory ops must close the fast-path opcode range");
+    if (static_cast<u8>(inst.op) > static_cast<u8>(Opcode::kSd)) goto writeback;
 
     if constexpr (M == FastMode::kProduce || M == FastMode::kReplay) {
       // Memory ops must clear the cursor BEFORE the I-probe: a bail-out to
@@ -849,8 +841,6 @@ writeback:
 
 template void Core::run_fast_path<Core::FastMode::kFull>(Cycle, u64,
                                                          SegmentCursor*);
-template void Core::run_fast_path<Core::FastMode::kCount>(Cycle, u64,
-                                                          SegmentCursor*);
 template void Core::run_fast_path<Core::FastMode::kProduce>(Cycle, u64,
                                                             SegmentCursor*);
 template void Core::run_fast_path<Core::FastMode::kReplay>(Cycle, u64,

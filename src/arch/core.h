@@ -255,11 +255,6 @@ class Core : private ReservationObserver {
   /// Fast-path engagement modes for the batched engine (template parameter so
   /// each variant compiles to its own branch-free hot loop):
   ///   * kFull    — hooks passive: every fast-path opcode inlines, traces on.
-  ///   * kCount   — hooks active but batchable, no segment cursor: memory
-  ///     instructions bail to step() (full CommitInfo + backpressure
-  ///     pre-check) and traces stay off — with every load/store leaving the
-  ///     loop per instruction, trace replay would only add overhead. kCount
-  ///     never dispatches a trace, so execute_trace has no kCount variant.
   ///   * kProduce — segment cursor staging MAL records: plain loads/stores
   ///     execute normally and append (addr, data, post-commit cycle) records;
   ///     traces on, gated on cursor headroom.
@@ -267,9 +262,13 @@ class Core : private ReservationObserver {
   ///     served from the log, stores verified against it, mismatches reported
   ///     through the cursor callback at the pre-commit clock; traces on,
   ///     gated on a kind-for-kind match of the staged prefix.
-  /// The caller reports the retired count of kCount/kProduce/kReplay spans
-  /// through on_commit_batch, which also publishes/retires cursor records.
-  enum class FastMode : u8 { kFull, kCount, kProduce, kReplay };
+  /// A batchable span whose hook opens no cursor runs either fused mode on an
+  /// empty (zero-capacity) one: every memory instruction bails to step()
+  /// (full CommitInfo + backpressure pre-check) before its I-probe, and traces
+  /// and heat counting stay off, since each load/store leaves the loop anyway.
+  /// The caller reports the retired count of kProduce/kReplay spans through
+  /// on_commit_batch, which also publishes/retires cursor records.
+  enum class FastMode : u8 { kFull, kProduce, kReplay };
 
   /// Hot loop of the batched engine: executes fast-path instructions (ALU,
   /// branches, jumps, plain loads/stores) while no slow-path condition holds.

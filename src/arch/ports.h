@@ -127,12 +127,13 @@ class CoreHooks {
   bool passive() const { return passive_; }
 
   /// While non-passive, a hook may still let the batched engine run spans of
-  /// NON-MEMORY user-mode instructions without per-commit dispatch, provided
-  /// (a) every memory instruction takes the one-at-a-time path (full
-  /// CommitInfo + memory_can_commit pre-check), and (b) the span's commit
-  /// count is delivered afterwards through on_commit_batch. Returns how many
-  /// instructions may be batch-committed before the next boundary where the
-  /// hook needs a full per-instruction view (e.g. a segment about to close);
+  /// user-mode instructions without per-commit dispatch, provided (a) every
+  /// memory instruction the span's segment cursor does not carry (all of
+  /// them, when open_segment_cursor returns nullptr) takes the one-at-a-time
+  /// path (full CommitInfo + memory_can_commit pre-check), and (b) the span's
+  /// commit count is delivered afterwards through on_commit_batch. Returns how
+  /// many instructions may be batch-committed before the next boundary where
+  /// the hook needs a full per-instruction view (e.g. a segment about to close);
   /// 0 disables batching (the default, and mandatory whenever on_commit does
   /// anything beyond counting for non-memory commits).
   virtual u64 commit_batch_limit() const { return 0; }
@@ -148,11 +149,14 @@ class CoreHooks {
     (void)count;
   }
 
-  /// Bulk seam (see SegmentCursor): called once per batched span while the
-  /// hook is non-passive and batchable. Return a cursor to let the engine keep
-  /// plain loads/stores on the fast path — staging produced records or
+  /// Bulk seam (see SegmentCursor): called once per batched span of at least
+  /// 32 instructions and cycles while the hook is non-passive and batchable.
+  /// Return a cursor with a nonzero capacity to let the engine keep plain
+  /// loads/stores on the fast path — staging produced records or
   /// replay-verifying against staged ones — or nullptr to keep every memory
-  /// instruction on the one-at-a-time path (the default). `max_entries` is
+  /// instruction on the one-at-a-time path (the default). Without a cursor,
+  /// and on shorter spans, the engine runs the span on an empty cursor of its
+  /// own, with traces and their heat counting off. `max_entries` is
   /// the engine's upper bound on memory instructions the span can commit
   /// (instruction budget capped by the cycle window); staging more slots than
   /// that is wasted setup work, staging fewer is merely an earlier bail-out.

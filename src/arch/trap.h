@@ -32,6 +32,10 @@ struct TrapAction {
   Cycle kernel_cycles = 0;
 };
 
+/// Modelled cost of one ECALL's kernel excursion: the same for every handler
+/// that models the OS (the RTOS kernel and the verified-run driver).
+inline constexpr Cycle kEcallCost = 1200;
+
 class TrapHandler {
  public:
   virtual ~TrapHandler() = default;

@@ -48,13 +48,6 @@ u64 Rng::next_below(u64 bound) {
   }
 }
 
-i64 Rng::next_in(i64 lo, i64 hi) {
-  FLEX_CHECK(lo <= hi);
-  const u64 span = static_cast<u64>(hi - lo) + 1;
-  if (span == 0) return static_cast<i64>(next_u64());  // full 64-bit range
-  return lo + static_cast<i64>(next_below(span));
-}
-
 double Rng::next_double() {
   // 53 high-quality bits -> [0,1) with full double precision.
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

@@ -26,9 +26,6 @@ class Rng {
   /// Uniform in [0, bound). bound must be > 0. Debiased via rejection.
   u64 next_below(u64 bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  i64 next_in(i64 lo, i64 hi);
-
   /// Uniform double in [0, 1).
   double next_double();
 

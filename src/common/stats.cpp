@@ -7,43 +7,6 @@
 
 namespace flexstep {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double mean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double sum = 0.0;

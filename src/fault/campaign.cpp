@@ -32,6 +32,10 @@ void OutcomeTally::merge(const OutcomeTally& other) {
   detected += other.detected;
   sdc += other.sdc;
   due += other.due;
+  check_classified();
+}
+
+void OutcomeTally::check_classified() const {
   FLEX_CHECK_MSG(masked + detected + sdc + due == injected,
                  "campaign classification invariant violated: "
                  "masked + detected + sdc + due != injected");
@@ -149,15 +153,12 @@ FaultOutcome run_injection(sim::Session& victim, Rng& rng) {
     }
     return nullptr;
   };
-  // Only the reporter clears a pending fault (attributing an event as it
-  // does); a fault cleared without one resolves the run all the same.
-  victim.advance(~u64{0}, [&] {
-    return detection() != nullptr || !ch->fault_pending() ||
-           (ch->pending_fault().segment_end_seq != fs::kUnresolvedSegmentEnd &&
-            ch->last_popped_seq() > ch->pending_fault().segment_end_seq);
-  });
+  // The channel settles the fault: the reporter clears it on an attributed
+  // detection, and the checker's pop past its segment clears it as masked.
+  victim.advance(~u64{0}, [&] { return !ch->fault_pending(); });
 
-  // Detection first: one round can land both the detection and a clean pop.
+  // Whichever settled the fault first decides: an attributed event detected
+  // it, else it was masked.
   FaultOutcome outcome;
   outcome.target_kind = fault->item_kind;
   if (const fs::DetectionEvent* event = detection()) {
@@ -166,8 +167,7 @@ FaultOutcome run_injection(sim::Session& victim, Rng& rng) {
     outcome.detect_kind = event->kind;
     outcome.kind = OutcomeKind::kDetected;
   } else if (ch->fault_pending()) {
-    // The corrupted segment verified clean, or execution drained with the
-    // stream fully consumed: masked.
+    // Execution drained with the stream fully consumed: masked.
     ch->clear_fault();
   }
   return outcome;

@@ -136,17 +136,14 @@ struct OutcomeTally {
   double coverage() const {
     return injected == 0 ? 0.0 : static_cast<double>(detected) / injected;
   }
-  /// Silent-data-corruption rate: the fraction of injections FlexStep both
-  /// missed and that corrupted architectural state.
-  double sdc_rate() const {
-    return injected == 0 ? 0.0 : static_cast<double>(sdc) / injected;
-  }
 
   /// Count one classified injection.
   void add(OutcomeKind kind);
-  /// Fold another tally in. Enforces the classification invariant
-  /// masked + detected + sdc + due == injected on the sum.
+  /// Fold another tally in, then check_classified() the sum.
   void merge(const OutcomeTally& other);
+  /// FLEX_CHECKs the classification invariant
+  /// masked + detected + sdc + due == injected.
+  void check_classified() const;
 };
 
 /// A DBC-stream campaign's result: the outcome stream and its tally.

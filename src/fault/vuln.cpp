@@ -37,28 +37,14 @@ void VulnReport::merge(VulnReport&& shard) {
 }
 
 void VulnReport::check_invariant() const {
-  FLEX_CHECK_MSG(masked + detected + sdc + due == injected,
-                 "vuln campaign classification invariant violated: "
-                 "masked + detected + sdc + due != injected");
+  check_classified();
   u32 component_sum = 0;
   for (const OutcomeTally& comp : components) {
-    FLEX_CHECK_MSG(comp.masked + comp.detected + comp.sdc + comp.due ==
-                       comp.injected,
-                   "vuln campaign per-component classification invariant "
-                   "violated");
+    comp.check_classified();
     component_sum += comp.injected;
   }
   FLEX_CHECK_MSG(component_sum == injected,
                  "vuln campaign component totals do not sum to injected");
-}
-
-Histogram VulnReport::latency_histogram(double lo_us, double hi_us,
-                                        std::size_t bins) const {
-  Histogram hist(lo_us, hi_us, bins);
-  for (const InjectionRecord& record : records) {
-    if (record.outcome == OutcomeKind::kDetected) hist.add(record.latency_us);
-  }
-  return hist;
 }
 
 u64 VulnReport::digest() const {
@@ -123,21 +109,19 @@ constexpr CoreId kMainCore = 0;
 
 constexpr const char* kVulnName = "vuln campaign";
 
-/// Architectural compare of the victim against the golden session:
-/// main-core pc + x1..x31, then the memory image. `excl_reg` / `excl_word`
-/// exclude the flipped register slot / 8-byte word itself: a flip parked
-/// where the program never consumed it within the horizon is a latent fault
-/// (masked), and the residual flipped cell must not read as divergence.
-bool architecturally_equal(sim::Session& victim, sim::Session& golden,
-                           std::optional<u8> excl_reg, std::optional<Addr> excl_word) {
-  const arch::Core& v = victim.soc().core(kMainCore);
-  const arch::Core& g = golden.soc().core(kMainCore);
-  if (v.pc() != g.pc()) return false;
+/// Main-core pc + x1..x31 of two sessions agree. `excl_reg` excludes the
+/// flipped register slot itself (as the memory compare excludes a flipped
+/// word): a flip parked where the program never consumed it within the
+/// horizon is a latent fault (masked), and the residual flipped cell must not
+/// read as divergence.
+bool main_core_equal(sim::Session& a, sim::Session& b, std::optional<u8> excl_reg) {
+  const arch::Core& x = a.soc().core(kMainCore);
+  const arch::Core& y = b.soc().core(kMainCore);
+  if (x.pc() != y.pc()) return false;
   for (u8 r = 1; r < 32; ++r) {
-    if (excl_reg == r) continue;
-    if (v.reg(r) != g.reg(r)) return false;
+    if (excl_reg != r && x.reg(r) != y.reg(r)) return false;
   }
-  return victim.soc().memory().same_contents(golden.soc().memory(), excl_word);
+  return true;
 }
 
 /// Inject one whole-SoC fault into the victim, which stands at the pre-fault
@@ -197,9 +181,10 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
     const u64 golden_base = clean.total_instret();
     clean.advance_main_to(target);
     executed += clean.total_instret() - golden_base;
-    rec.outcome = architecturally_equal(victim, clean, excl_reg, excl_word)
-                      ? OutcomeKind::kMasked
-                      : OutcomeKind::kSdc;
+    const bool equal =
+        main_core_equal(victim, clean, excl_reg) &&
+        victim.soc().memory().same_contents(clean.soc().memory(), excl_word);
+    rec.outcome = equal ? OutcomeKind::kMasked : OutcomeKind::kSdc;
   }
   executed += victim.total_instret() - victim_base;
 
@@ -215,14 +200,9 @@ InjectionRecord run_one_injection(sim::Session& victim, const soc::Snapshot& sna
     for (u64 step = 0; step < config.horizon; ++step) {
       const bool flipped_alive = flipped.advance(1);
       const bool clean_alive = clean.advance(1);
-      arch::Core& mv = flipped.soc().core(kMainCore);
-      arch::Core& mg = clean.soc().core(kMainCore);
-      bool diverged = mv.pc() != mg.pc();
-      for (u8 r = 1; r < 32 && !diverged; ++r) {
-        if (excl_reg.has_value() && *excl_reg == r) continue;
-        diverged = mv.reg(r) != mg.reg(r);
-      }
-      if (diverged) {
+      if (!main_core_equal(flipped, clean, excl_reg)) {
+        const arch::Core& mv = flipped.soc().core(kMainCore);
+        const arch::Core& mg = clean.soc().core(kMainCore);
         rec.rc_valid = true;
         rec.rc_instret = mv.instret();
         rec.rc_victim_pc = mv.pc();

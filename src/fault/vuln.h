@@ -42,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/types.h"
 #include "fault/campaign.h"
 #include "fault/sites.h"
@@ -105,10 +104,6 @@ struct VulnReport : OutcomeTally {
   /// FLEX_CHECKs masked + detected + sdc + due == injected, per component
   /// and in total.
   void check_invariant() const;
-
-  /// Detection-latency histogram over all components (Fig. 7-style density).
-  Histogram latency_histogram(double lo_us = 0.0, double hi_us = 200.0,
-                              std::size_t bins = 40) const;
 
   /// Order-sensitive FNV-1a digest of the full record stream (site, outcome,
   /// detect kind, latency bits, root-cause fields). Two campaigns classified

@@ -133,6 +133,10 @@ StreamItem Channel::pop(Cycle now) {
   items_.pop_front();
   last_popped_seq_ = item.seq;
   last_pop_cycle_ = now;
+  // The checker has moved past the SegmentEnd that closes a pending fault's
+  // segment, which verified clean: the fault is masked. (An unresolved
+  // segment_end_seq is ~0, which no seq exceeds.)
+  if (fault_.has_value() && item.seq > fault_->segment_end_seq) fault_.reset();
   if (item.kind != StreamItem::Kind::kMem) checkpoints_.pop_front();
   if (item.kind == StreamItem::Kind::kSegmentEnd) {
     FLEX_CHECK(!segments_.empty());
@@ -192,9 +196,9 @@ std::optional<InjectedFault> Channel::corrupt_item(std::size_t index, Rng& rng,
     }
   }
 
-  // Locate the SegmentEnd that closes the segment containing this item (for
-  // undetected-fault resolution by the campaign driver). When the segment is
-  // still open, push_segment_end() fills it in later.
+  // Locate the SegmentEnd that closes the segment containing this item, past
+  // which pop() settles the fault as masked. When the segment is still open,
+  // push_segment_end() fills it in later.
   fault.segment_end_seq = kUnresolvedSegmentEnd;
   for (std::size_t i = index; i < items_.size(); ++i) {
     if (items_[i].kind == StreamItem::Kind::kSegmentEnd) {
@@ -309,16 +313,10 @@ std::optional<InjectedFault> Channel::inject_random_fault(Rng& rng, Cycle now) {
 std::optional<InjectedFault> Channel::inject_fault_at(std::size_t index, Rng& rng,
                                                       Cycle now) {
   if (index >= items_.size() || fault_.has_value()) return std::nullopt;
-  const Cycle pushed_at = items_[index].visible_at - config_.channel_latency;
-  return corrupt_item(index, rng, std::min(now, pushed_at));
-}
-
-std::optional<InjectedFault> Channel::inject_fault_at_tail(Rng& rng, Cycle now) {
-  if (items_.empty() || fault_.has_value()) return std::nullopt;
   // The corruption physically happens in the forwarding path, i.e. when the
   // producer pushed the item — not at the campaign's (later) wall time.
-  const Cycle pushed_at = items_.back().visible_at - config_.channel_latency;
-  return corrupt_item(items_.size() - 1, rng, std::min(now, pushed_at));
+  const Cycle pushed_at = items_[index].visible_at - config_.channel_latency;
+  return corrupt_item(index, rng, std::min(now, pushed_at));
 }
 
 }  // namespace flexstep::fs

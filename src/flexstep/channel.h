@@ -30,7 +30,11 @@ inline constexpr Cycle kNever = ~Cycle{0};
 /// (resolved when the SegmentEnd is eventually pushed).
 inline constexpr u64 kUnresolvedSegmentEnd = ~u64{0};
 
-/// An injected fault pending detection (campaign bookkeeping).
+/// An injected fault pending detection (campaign bookkeeping). The channel
+/// settles it: the reporter clears it when it attributes a detection, and
+/// pop() clears it as masked once the checker pops the item after the
+/// SegmentEnd that closes its segment. A fault still pending when the stream
+/// drains was masked too; the campaign clears it.
 struct InjectedFault {
   u64 seq = 0;           ///< Sequence number of the corrupted item.
   u64 segment_end_seq = kUnresolvedSegmentEnd;  ///< Seq of the closing SegmentEnd.
@@ -140,7 +144,8 @@ class Channel {
     return checkpoints_[checkpoint_slot(index)];
   }
   /// Dequeue the front item (and its checkpoint payload, which a caller that
-  /// needs it reads through checkpoint(0) first).
+  /// needs it reads through checkpoint(0) first). Settles a pending fault
+  /// whose segment the checker has passed (see InjectedFault).
   StreamItem pop(Cycle now);
 
   /// Bulk-retire `count` already-consumed kMem items from the front (fused
@@ -167,15 +172,18 @@ class Channel {
   /// if the queue is empty or a fault is already pending.
   std::optional<InjectedFault> inject_random_fault(Rng& rng, Cycle now);
 
+  /// Corrupt the queued item at `index` (0 = oldest still buffered) as of the
+  /// cycle the producer pushed it (or `now`, if earlier): targeted fault
+  /// models — e.g. deterministic checkpoint corruption — beyond the
+  /// campaign's tail placement. Fails if out of range or a fault is pending.
+  std::optional<InjectedFault> inject_fault_at(std::size_t index, Rng& rng, Cycle now);
+
   /// Corrupt the *most recently forwarded* item (the paper's fault model:
   /// the flip happens in the forwarding path as the main core produces the
   /// data, so detection latency spans the full buffering + replay pipeline).
-  std::optional<InjectedFault> inject_fault_at_tail(Rng& rng, Cycle now);
-
-  /// Corrupt the queued item at `index` (0 = oldest still buffered): targeted
-  /// fault models — e.g. deterministic checkpoint corruption — beyond the
-  /// campaign's tail placement. Fails if out of range or a fault is pending.
-  std::optional<InjectedFault> inject_fault_at(std::size_t index, Rng& rng, Cycle now);
+  std::optional<InjectedFault> inject_fault_at_tail(Rng& rng, Cycle now) {
+    return inject_fault_at(size() - 1, rng, now);
+  }
 
   bool fault_pending() const { return fault_.has_value(); }
   const InjectedFault& pending_fault() const { return *fault_; }

@@ -57,10 +57,7 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     MemResult r;
     const auto entry = next_entry(MemEntryKind::kLoadData);
     if (!entry.has_value()) return r;  // structural abort already flagged
-    if (entry->addr != addr) {
-      unit_.report(DetectKind::kLoadAddr);
-      unit_.s_.segment_verify_failed = true;
-    }
+    if (entry->addr != addr) unit_.report(DetectKind::kLoadAddr);
     r.data = entry->data;  // replay uses the logged value
     r.stall = kFifoReadStall;
     return r;
@@ -72,10 +69,8 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     if (!entry.has_value()) return r;
     if (entry->addr != addr) {
       unit_.report(DetectKind::kStoreAddr);
-      unit_.s_.segment_verify_failed = true;
     } else if (entry->data != data) {
       unit_.report(DetectKind::kStoreData);
-      unit_.s_.segment_verify_failed = true;
     }
     r.stall = kFifoReadStall;
     return r;
@@ -85,16 +80,12 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     MemResult r;
     const auto load_part = next_entry(MemEntryKind::kAmoLoad);
     if (!load_part.has_value()) return r;
-    if (load_part->addr != addr) {
-      unit_.report(DetectKind::kLoadAddr);
-      unit_.s_.segment_verify_failed = true;
-    }
+    if (load_part->addr != addr) unit_.report(DetectKind::kLoadAddr);
     const u64 old = load_part->data;
     const auto store_part = next_entry(MemEntryKind::kAmoStore);
     if (!store_part.has_value()) return r;
     if (store_part->addr != addr || store_part->data != isa::amo_result(op, old, operand)) {
       unit_.report(DetectKind::kAmoStore);
-      unit_.s_.segment_verify_failed = true;
     }
     r.data = old;
     r.stall = kFifoReadStall + 1;
@@ -105,10 +96,7 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
     MemResult r;
     const auto entry = next_entry(MemEntryKind::kLrLoad);
     if (!entry.has_value()) return r;
-    if (entry->addr != addr) {
-      unit_.report(DetectKind::kLoadAddr);
-      unit_.s_.segment_verify_failed = true;
-    }
+    if (entry->addr != addr) unit_.report(DetectKind::kLoadAddr);
     r.data = entry->data;
     r.stall = kFifoReadStall;
     return r;
@@ -126,7 +114,6 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
       if (!store_part.has_value()) return r;
       if (store_part->addr != addr || store_part->data != data) {
         unit_.report(DetectKind::kScMismatch);
-        unit_.s_.segment_verify_failed = true;
       }
     }
     r.data = flag->data;
@@ -142,7 +129,6 @@ class CoreUnit::ReplayPort final : public arch::MemPort {
         ch->front().kind != StreamItem::Kind::kMem ||
         ch->front().mem.kind != expected) {
       unit_.report(DetectKind::kStructural);
-      unit_.s_.segment_verify_failed = true;
       unit_.s_.segment_abort = true;
       return std::nullopt;
     }
@@ -236,12 +222,6 @@ bool CoreUnit::out_channels_have_space() const {
     if (!ch->producer_can_push(kProducerResumeHeadroom)) return false;
   }
   return true;
-}
-
-Cycle CoreUnit::out_channel_space_available_at() const {
-  Cycle at = 0;
-  for (const Channel* ch : out_channels_) at = std::max(at, ch->last_pop_cycle());
-  return at;
 }
 
 u64 CoreUnit::producer_burst_headroom() const {
@@ -475,6 +455,15 @@ void CoreUnit::begin_replay() {
   enter_replay();
 }
 
+bool CoreUnit::wake_at_next_segment() {
+  const Cycle ready_at = next_segment_ready_at();
+  if (ready_at == kNever) return false;
+  core_.advance_to(ready_at);
+  core_.activate();
+  begin_replay();
+  return true;
+}
+
 void CoreUnit::resume_replay() {
   FLEX_CHECK_MSG(s_.replay_suspended, "no suspended replay");
   s_.replay_suspended = false;
@@ -517,18 +506,21 @@ void CoreUnit::adopt_replay_context(const ReplayContext& ctx) {
   s_.replay_suspended = ctx.active;
 }
 
-void CoreUnit::report(DetectKind kind) {
+void CoreUnit::report(DetectKind kind, Cycle at) {
   FLEX_CHECK(in_channel_ != nullptr);
   // One error report per failing segment (hardware raises C.result once at
   // the segment boundary); a diverged replay would otherwise storm reports.
-  if (s_.segment_verify_failed) return;
-  reporter_.on_detect(*in_channel_, kind, core_.id(), core_.cycle());
+  if (!s_.segment_verify_failed) {
+    reporter_.on_detect(*in_channel_, kind, core_.id(), at);
+  }
+  s_.segment_verify_failed = true;
 }
 
-void CoreUnit::on_replay_fetch_fault() {
+bool CoreUnit::on_replay_fetch_fault() {
+  if (!s_.replay_active && !s_.replay_suspended) return false;
   report(DetectKind::kStructural);
-  s_.segment_verify_failed = true;
   abandon_segment();
+  return true;
 }
 
 void CoreUnit::abandon_segment() {
@@ -546,7 +538,6 @@ void CoreUnit::finish_segment(Addr checker_next_pc) {
   if (in_channel_->empty() ||
       in_channel_->front().kind != StreamItem::Kind::kSegmentEnd) {
     report(DetectKind::kStructural);
-    s_.segment_verify_failed = true;
     abandon_segment();
     return;
   }
@@ -554,18 +545,11 @@ void CoreUnit::finish_segment(Addr checker_next_pc) {
   pop_in(core_.cycle());
 
   // Compare the checker's architectural state with the ECP.
-  bool mismatch_reported = false;
-  if (ecp.pc != checker_next_pc) {
-    report(DetectKind::kEcpPc);
-    mismatch_reported = true;
+  if (ecp.pc != checker_next_pc) report(DetectKind::kEcpPc);
+  for (u8 r = 1; r < isa::kNumRegs && !s_.segment_verify_failed; ++r) {
+    if (core_.reg(r) != ecp.regs[r]) report(DetectKind::kEcpReg);
   }
-  for (u8 r = 1; r < isa::kNumRegs && !mismatch_reported; ++r) {
-    if (core_.reg(r) != ecp.regs[r]) {
-      report(DetectKind::kEcpReg);
-      mismatch_reported = true;
-    }
-  }
-  const bool ok = !mismatch_reported && !s_.segment_verify_failed;
+  const bool ok = !s_.segment_verify_failed;
   if (ok) {
     ++s_.segments_verified;
   } else {
@@ -603,7 +587,6 @@ Cycle CoreUnit::on_replay_commit(const CommitInfo& info) {
   if (s_.replayed >= static_cast<u64>(config_.segment_limit) * config_.max_replay_factor) {
     // Runaway replay (corrupted IC): declare structural failure.
     report(DetectKind::kStructural);
-    s_.segment_verify_failed = true;
     abandon_segment();
   }
   return 0;
@@ -779,12 +762,9 @@ void CoreUnit::cursor_mismatch_thunk(void* ctx, arch::ReplayMismatch kind,
     case arch::ReplayMismatch::kStoreAddr: detect = DetectKind::kStoreAddr; break;
     case arch::ReplayMismatch::kStoreData: detect = DetectKind::kStoreData; break;
   }
-  // Same one-report-per-segment rule as report(), but with the pre-commit
-  // clock of the diverging access (core_.cycle() is stale inside the batch).
-  if (!unit.s_.segment_verify_failed) {
-    unit.reporter_.on_detect(*unit.in_channel_, detect, unit.core_.id(), at);
-  }
-  unit.s_.segment_verify_failed = true;
+  // The pre-commit clock of the diverging access: core_.cycle() is stale
+  // inside the batch.
+  unit.report(detect, at);
 }
 
 Cycle CoreUnit::on_commit(arch::Core& core, const CommitInfo& info) {

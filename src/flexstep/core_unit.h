@@ -4,6 +4,7 @@
 // Sec. III) and implements the core's CoreHooks seam plus the replay MemPort.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -77,11 +78,18 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   bool segment_active() const { return s_.segment_active; }
   /// Remaining selective-checking budget (0 = unbounded or exhausted).
   u64 checking_budget() const { return s_.checking_budget; }
-  /// True when every out-channel currently has push space (SoC loop uses this
-  /// to decide when a backpressure-blocked main core may resume).
-  bool out_channels_have_space() const;
-  /// Latest consumer pop time across out channels (resume timestamp).
-  Cycle out_channel_space_available_at() const;
+  /// OS step of both drivers: a backpressure-blocked producer resumes once
+  /// every out channel has the resume headroom again, at the cycle the last
+  /// pop freed it (or its own clock, if later). No-op otherwise. Inline: the
+  /// stepwise driver asks every producer in every round.
+  void resume_blocked_producer() {
+    if (core_.status() != arch::Core::Status::kBlocked || !out_channels_have_space()) {
+      return;
+    }
+    Cycle at = core_.cycle();
+    for (const Channel* ch : out_channels_) at = std::max(at, ch->last_pop_cycle());
+    core_.unblock_at(at);
+  }
 
   /// Producer burst horizon for the relaxed co-simulation engine: how many
   /// instructions this core may commit before any DBC backpressure decision
@@ -128,6 +136,10 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// Resume a replay that was suspended by kernel preemption; the kernel must
   /// have restored the checker task's architectural context first.
   void resume_replay();
+  /// OS step of both drivers: wake this parked checker at its next ready
+  /// segment (its clock jumps there if it is behind) and begin replaying it.
+  /// False, and nothing changes, while no complete segment is queued.
+  bool wake_at_next_segment();
 
   /// Scheduler contract for the NEXT quantum of this (checker) core: every
   /// channel pop the quantum performs lands strictly before the producer's
@@ -213,9 +225,11 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   /// the default cache port otherwise, and the hooks passivity flag.
   void restore(const Snapshot& snapshot);
 
-  /// Fetch fault while replaying (corrupted SCP PC): report + abandon. Called
-  /// by the trap handler that owns the checker core.
-  void on_replay_fetch_fault();
+  /// Fetch fault on this core, for the trap handler that owns it. During a
+  /// replay (active, or suspended by the trap entry) a corrupted SCP PC
+  /// steered the checker off the image: report and abandon the segment (a
+  /// detection, not a crash) and return true. False outside a replay.
+  bool on_replay_fetch_fault();
 
   // ---- statistics ----
   u64 segments_produced() const { return s_.segments_produced; }
@@ -278,6 +292,9 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
     set_passive(!s_.replay_active && !(s_.checking_enabled && s_.segment_active));
   }
 
+  /// True when every out-channel has the resume headroom.
+  bool out_channels_have_space() const;
+
   // Main-core segment management (CPC working mechanism, Sec. III-A).
   void start_segment(Addr start_pc);
   Cycle end_segment(Addr resume_pc);
@@ -297,7 +314,10 @@ class CoreUnit final : public arch::CoreHooks, public arch::CodeWriteListener {
   void finish_segment(Addr checker_next_pc);
   void abandon_segment();
   void exit_replay_mode(bool ok);
-  void report(DetectKind kind);
+  /// The one report rule: the first mismatch of a segment reaches the
+  /// reporter, stamped `at`; every mismatch fails the segment.
+  void report(DetectKind kind, Cycle at);
+  void report(DetectKind kind) { report(kind, core_.cycle()); }
 
   arch::Core& core_;
   GlobalConfig& global_;

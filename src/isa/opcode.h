@@ -123,14 +123,6 @@ constexpr u8 opcode_latency(Opcode op) {
 constexpr bool is_cond_branch(Opcode op) { return opcode_format(op) == Format::kB; }
 constexpr bool is_jump(Opcode op) { return op == Opcode::kJal || op == Opcode::kJalr; }
 constexpr bool is_memory(Opcode op) { return opcode_mem_kind(op) != MemKind::kNone; }
-constexpr bool is_load_like(Opcode op) {
-  const MemKind k = opcode_mem_kind(op);
-  return k == MemKind::kLoad || k == MemKind::kLoadReserved || k == MemKind::kAmo;
-}
-constexpr bool is_store_like(Opcode op) {
-  const MemKind k = opcode_mem_kind(op);
-  return k == MemKind::kStore || k == MemKind::kStoreConditional || k == MemKind::kAmo;
-}
 constexpr bool is_flexstep_custom(Opcode op) {
   return op >= Opcode::kGIdsContain && op <= Opcode::kCResult;
 }

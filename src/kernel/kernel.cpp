@@ -15,7 +15,6 @@ using fs::CoreUnit;
 
 namespace {
 constexpr Cycle kContextSwitchCost = 2000;  ///< ~1.25 µs at 1.6 GHz.
-constexpr Cycle kEcallCost = 1200;
 constexpr Cycle kTickCost = 200;  ///< Non-switching timer tick excursion.
 }
 
@@ -282,7 +281,7 @@ TrapAction Kernel::on_trap(Core& core, TrapCause cause) {
   auto& state = cores_[core.id()];
   switch (cause) {
     case TrapCause::kEcall:
-      return {TrapAction::Kind::kResumeUser, kEcallCost};
+      return {TrapAction::Kind::kResumeUser, arch::kEcallCost};
 
     case TrapCause::kTimer: {
       release_due_jobs(core.id(), core.cycle());
@@ -308,15 +307,12 @@ TrapAction Kernel::on_trap(Core& core, TrapCause cause) {
       return {TrapAction::Kind::kContextSwitched, kContextSwitchCost};
     }
 
-    case TrapCause::kFetchFault: {
-      CoreUnit& unit = soc_.unit(core.id());
-      if (unit.replay_active() || unit.replay_suspended()) {
-        unit.on_replay_fetch_fault();  // detection, not a crash
+    case TrapCause::kFetchFault:
+      if (soc_.unit(core.id()).on_replay_fetch_fault()) {
         return {TrapAction::Kind::kContextSwitched, 0};
       }
       FLEX_CHECK_MSG(false, "fetch fault outside replay");
       return {TrapAction::Kind::kHalt, 0};
-    }
 
     case TrapCause::kIllegal:
       return {TrapAction::Kind::kHalt, 0};
@@ -356,18 +352,7 @@ void Kernel::check_checker_progress(CoreId core_id) {
     context_switch(core, /*requeue_current=*/false);
     return;
   }
-  if (job.in_channel->segment_ready(core.cycle())) {
-    core.activate();
-    unit.begin_replay();
-    return;
-  }
-  const Cycle ready_at = job.in_channel->next_segment_ready_at();
-  if (ready_at != fs::kNever) {
-    core.advance_to(ready_at);
-    core.activate();
-    unit.begin_replay();
-    return;
-  }
+  if (unit.wake_at_next_segment()) return;
   // Nothing to do yet: stay parked.
   if (core.status() == Core::Status::kRunning) core.set_idle();
 }
@@ -422,12 +407,7 @@ void Kernel::pump(Cycle min_running_cycle) {
     }
 
     // Backpressure resolution for blocked main cores.
-    if (core.status() == Core::Status::kBlocked) {
-      CoreUnit& unit = soc_.unit(id);
-      if (unit.out_channels_have_space()) {
-        core.unblock_at(std::max(core.cycle(), unit.out_channel_space_available_at()));
-      }
-    }
+    soc_.unit(id).resume_blocked_producer();
   }
 
   // ---- Phase B: timer delivery to still-blocked cores ----

@@ -28,6 +28,21 @@ std::vector<const Task*> sorted_by_utilization(const TaskSet& tasks, TaskType ty
   return out;
 }
 
+void accept_unless_overloaded(PartitionResult& result, const char* overload,
+                              bool (*extra)(const CorePlan&), const char* extra_reason) {
+  for (const CorePlan& core : result.cores) {
+    if (core.density > 1.0 + 1e-12) {
+      result.failure_reason = overload;
+      return;
+    }
+    if (extra != nullptr && !extra(core)) {
+      result.failure_reason = extra_reason;
+      return;
+    }
+  }
+  result.schedulable = true;
+}
+
 namespace {
 
 void place(CorePlan& core, const Task& task, bool is_check, double deadline,
@@ -36,9 +51,11 @@ void place(CorePlan& core, const Task& task, bool is_check, double deadline,
   core.density += density;
 }
 
-}  // namespace
-
-PartitionResult flexstep_partition(const TaskSet& tasks, u32 m) {
+/// Alg. 3's placement loop. With `virtual_deadlines` a verification task's
+/// original computation takes its virtual deadline D' and density δo, and
+/// each duplicated computation the window density δv; without (the
+/// fallback), every computation takes the task's deadline and utilisation.
+PartitionResult place_flexstep(const TaskSet& tasks, u32 m, bool virtual_deadlines) {
   PartitionResult result;
   result.cores.assign(m, {});
 
@@ -50,24 +67,23 @@ PartitionResult flexstep_partition(const TaskSet& tasks, u32 m) {
 
   // Verification tasks in descending utilisation (V3 first, matching Alg. 3's
   // iteration over {T^V3, T^V2}).
-  auto v3 = sorted_by_utilization(tasks, TaskType::kV3);
-  auto v2 = sorted_by_utilization(tasks, TaskType::kV2);
-  if (!v3.empty() && m < 3) {
+  std::vector<const Task*> verification = sorted_by_utilization(tasks, TaskType::kV3);
+  if (!verification.empty() && m < 3) {
     result.failure_reason = "triple-check task with fewer than 3 cores";
     return result;
   }
-
-  std::vector<const Task*> verification;
-  verification.insert(verification.end(), v3.begin(), v3.end());
+  const auto v2 = sorted_by_utilization(tasks, TaskType::kV2);
   verification.insert(verification.end(), v2.begin(), v2.end());
 
   for (const Task* task : verification) {
-    const double d_virtual = task->virtual_deadline();
-    const double delta_o = task->density_original();
-    const double delta_v = task->density_check();
+    const double u = task->utilization();
+    const double d_original =
+        virtual_deadlines ? task->virtual_deadline() : task->deadline();
+    const double delta_o = virtual_deadlines ? task->density_original() : u;
+    const double delta_v = virtual_deadlines ? task->density_check() : u;
 
     const u32 k = argmin_density(result.cores);
-    place(result.cores[k], *task, false, d_virtual, delta_o);
+    place(result.cores[k], *task, false, d_original, delta_o);
 
     const u32 k1 = argmin_density(result.cores, static_cast<i32>(k));
     place(result.cores[k1], *task, true, task->deadline(), delta_v);
@@ -84,57 +100,19 @@ PartitionResult flexstep_partition(const TaskSet& tasks, u32 m) {
     place(result.cores[k], *task, false, task->deadline(), task->utilization());
   }
 
-  for (const auto& core : result.cores) {
-    if (core.density > 1.0 + 1e-12) {
-      result.failure_reason = "core density exceeds 1";
-      return result;
-    }
-  }
-  result.schedulable = true;
+  accept_unless_overloaded(result, virtual_deadlines ? "core density exceeds 1"
+                                                     : "core utilisation exceeds 1");
   return result;
 }
 
-PartitionResult flexstep_partition_fallback(const TaskSet& tasks, u32 m) {
-  PartitionResult result;
-  result.cores.assign(m, {});
-  if (m < 2) {
-    result.failure_reason = "fewer than 2 cores";
-    return result;
-  }
-  auto v3 = sorted_by_utilization(tasks, TaskType::kV3);
-  if (!v3.empty() && m < 3) {
-    result.failure_reason = "triple-check task with fewer than 3 cores";
-    return result;
-  }
-  auto v2 = sorted_by_utilization(tasks, TaskType::kV2);
-  std::vector<const Task*> verification;
-  verification.insert(verification.end(), v3.begin(), v3.end());
-  verification.insert(verification.end(), v2.begin(), v2.end());
+}  // namespace
 
-  for (const Task* task : verification) {
-    const double u = task->utilization();
-    const u32 k = argmin_density(result.cores);
-    place(result.cores[k], *task, false, task->deadline(), u);
-    const u32 k1 = argmin_density(result.cores, static_cast<i32>(k));
-    place(result.cores[k1], *task, true, task->deadline(), u);
-    if (task->type == TaskType::kV3) {
-      const u32 k2 =
-          argmin_density(result.cores, static_cast<i32>(k), static_cast<i32>(k1));
-      place(result.cores[k2], *task, true, task->deadline(), u);
-    }
-  }
-  for (const Task* task : sorted_by_utilization(tasks, TaskType::kNormal)) {
-    const u32 k = argmin_density(result.cores);
-    place(result.cores[k], *task, false, task->deadline(), task->utilization());
-  }
-  for (const auto& core : result.cores) {
-    if (core.density > 1.0 + 1e-12) {
-      result.failure_reason = "core utilisation exceeds 1";
-      return result;
-    }
-  }
-  result.schedulable = true;
-  return result;
+PartitionResult flexstep_partition(const TaskSet& tasks, u32 m) {
+  return place_flexstep(tasks, m, /*virtual_deadlines=*/true);
+}
+
+PartitionResult flexstep_partition_fallback(const TaskSet& tasks, u32 m) {
+  return place_flexstep(tasks, m, /*virtual_deadlines=*/false);
 }
 
 bool flexstep_schedulable(const TaskSet& tasks, u32 m) {

@@ -112,17 +112,8 @@ PartitionResult hmr_partition(const TaskSet& tasks, u32 m) {
     place(result.cores[best], *task, false, /*blocking=*/false);
   }
 
-  for (const auto& core : result.cores) {
-    if (core.density > 1.0 + 1e-12) {
-      result.failure_reason = "core utilisation exceeds 1";
-      return result;
-    }
-    if (!edf_blocking_schedulable(core)) {
-      result.failure_reason = "EDF blocking test failed";
-      return result;
-    }
-  }
-  result.schedulable = true;
+  accept_unless_overloaded(result, "core utilisation exceeds 1",
+                           &edf_blocking_schedulable, "EDF blocking test failed");
   return result;
 }
 

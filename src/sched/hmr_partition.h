@@ -8,8 +8,8 @@
 // (ii) verification execution cannot be preempted by non-verification tasks,
 // which shows up as a blocking term in the per-core EDF test:
 //     ∀ τi on core k:  Σ_{Dj ≤ Di} δj + max{Cb : blocking source, Db > Di}/Di ≤ 1
-// (Baker-style non-preemption blocking under EDF; the paper does not
-// formalise its HMR test — DESIGN.md §2.5 documents this interpretation.)
+// (Baker-style non-preemption blocking under EDF. The paper does not
+// formalise its HMR test; this one is our reading of the two constraints.)
 #pragma once
 
 #include "sched/partition.h"

@@ -84,13 +84,7 @@ PartitionResult lockstep_partition(const TaskSet& tasks, u32 m) {
     place_task(result.cores[best], *task);
   }
 
-  for (const auto& core : result.cores) {
-    if (core.density > 1.0 + 1e-12) {
-      result.failure_reason = "core utilisation exceeds 1";
-      return result;
-    }
-  }
-  result.schedulable = true;
+  accept_unless_overloaded(result, "core utilisation exceeds 1");
   return result;
 }
 

@@ -39,4 +39,12 @@ u32 argmin_density(const std::vector<CorePlan>& cores, i32 exclude_a = -1,
 /// Tasks sorted by descending utilisation (stable on id for determinism).
 std::vector<const Task*> sorted_by_utilization(const TaskSet& tasks, TaskType type);
 
+/// The per-core test every partitioner ends with: marks `result` schedulable
+/// unless a core's density exceeds 1 (failing it with `overload`) or, where
+/// given, `extra` rejects the core (failing it with `extra_reason`). Cores are
+/// tested in order, both tests per core, and the first failure names it.
+void accept_unless_overloaded(PartitionResult& result, const char* overload,
+                              bool (*extra)(const CorePlan&) = nullptr,
+                              const char* extra_reason = nullptr);
+
 }  // namespace flexstep::sched

@@ -28,29 +28,27 @@ VerifiedExecution::VerifiedExecution(Soc& soc, VerifiedRunConfig config)
   FLEX_CHECK_MSG(!roles.empty(), "a run needs at least one producer role");
   core_role_.assign(soc_.num_cores(), -1);
   producer_halted_.assign(roles.size(), false);
-  u64 producer_mask = 0;
-  u64 checker_mask = 0;
   for (std::size_t r = 0; r < roles.size(); ++r) {
     const RoleBinding& role = roles[r];
     FLEX_CHECK_MSG(role.producer < soc_.num_cores(),
                    "role producer out of range");
     FLEX_CHECK_MSG(role.producer < 64, "G.Configure masks hold core ids 0..63");
-    FLEX_CHECK_MSG((producer_mask & (u64{1} << role.producer)) == 0,
+    FLEX_CHECK_MSG((producer_mask_ & (u64{1} << role.producer)) == 0,
                    "duplicate producer across roles");
-    producer_mask |= u64{1} << role.producer;
+    producer_mask_ |= u64{1} << role.producer;
     core_role_[role.producer] = static_cast<i32>(r);
     for (CoreId checker : role.checkers) {
       FLEX_CHECK_MSG(checker < soc_.num_cores(), "role checker out of range");
       FLEX_CHECK_MSG(checker < 64, "G.Configure masks hold core ids 0..63");
-      if ((checker_mask & (u64{1} << checker)) == 0) {
-        checker_mask |= u64{1} << checker;
+      if ((checker_mask_ & (u64{1} << checker)) == 0) {
+        checker_mask_ |= u64{1} << checker;
         checker_ids_.push_back(checker);
       }
     }
   }
   // G.Configure's mask registers are disjoint: no core both produces and
   // checks within one run.
-  FLEX_CHECK_MSG((producer_mask & checker_mask) == 0,
+  FLEX_CHECK_MSG((producer_mask_ & checker_mask_) == 0,
                  "a core cannot be both producer and checker in one run");
   for (const RoleBinding& role : roles) sched_order_.push_back(role.producer);
   sched_order_.insert(sched_order_.end(), checker_ids_.begin(),
@@ -114,15 +112,9 @@ void VerifiedExecution::prepare(const std::vector<isa::Program>& programs) {
   if (!checker_ids_.empty()) {
     // G.Configure: write the producer/checker ID sets into the global
     // registers (union across every role; the masks are disjoint).
-    u64 producer_mask = 0;
-    u64 checker_mask = 0;
-    for (const RoleBinding& role : config_.roles) {
-      producer_mask |= u64{1} << role.producer;
-      for (CoreId c : role.checkers) checker_mask |= u64{1} << c;
-    }
     Core& first = soc_.core(config_.roles.front().producer);
-    first.set_reg(5, producer_mask);
-    first.set_reg(6, checker_mask);
+    first.set_reg(5, producer_mask_);
+    first.set_reg(6, checker_mask_);
     first.exec_kernel_instruction(isa::make_r(isa::Opcode::kGConfigure, 0, 5, 6));
 
     // Checker side: C.check_state(busy) + C.record, then wait for SCPs.
@@ -192,7 +184,7 @@ TrapAction VerifiedExecution::on_trap(Core& core, TrapCause cause) {
   switch (cause) {
     case TrapCause::kEcall:
       // Workload kernel excursion (modelled cost), then back to user mode.
-      return {TrapAction::Kind::kResumeUser, kEcallCost};
+      return {TrapAction::Kind::kResumeUser, arch::kEcallCost};
 
     case TrapCause::kTaskExit: {
       const i32 role = role_of(core.id());
@@ -208,18 +200,11 @@ TrapAction VerifiedExecution::on_trap(Core& core, TrapCause cause) {
       return {TrapAction::Kind::kHalt, 0};
     }
 
-    case TrapCause::kFetchFault: {
-      CoreUnit& unit = soc_.unit(core.id());
-      // NB: the trap entry already suspended an active replay (the CPC
-      // privilege monitor fires before the handler), so check both states.
-      if (unit.replay_active() || unit.replay_suspended()) {
-        // Corrupted SCP PC steered the replay off the program image: that is
-        // a detection, not a crash.
-        unit.on_replay_fetch_fault();
+    case TrapCause::kFetchFault:
+      if (soc_.unit(core.id()).on_replay_fetch_fault()) {
         return {TrapAction::Kind::kContextSwitched, 0};
       }
       return {TrapAction::Kind::kHalt, 0};
-    }
 
     case TrapCause::kTimer:
       // Periodic OS tick: pay the excursion and re-arm.
@@ -242,22 +227,10 @@ void VerifiedExecution::pump_checkers() {
     CoreUnit& unit = soc_.unit(id);
     if (checker.status() != Core::Status::kIdle) continue;
     if (unit.replay_active() || unit.replay_suspended()) continue;
-    const Cycle ready_at = unit.next_segment_ready_at();
-    if (ready_at == fs::kNever) continue;
-    checker.advance_to(ready_at);
-    checker.activate();
-    unit.begin_replay();
+    unit.wake_at_next_segment();
   }
-  // Resolve backpressure: a blocked producer may resume once all its channels
-  // have space again (the consumer pop freed it).
   for (const RoleBinding& role : config_.roles) {
-    Core& producer = soc_.core(role.producer);
-    if (producer.status() != Core::Status::kBlocked) continue;
-    CoreUnit& unit = soc_.unit(role.producer);
-    if (unit.out_channels_have_space()) {
-      producer.unblock_at(
-          std::max(producer.cycle(), unit.out_channel_space_available_at()));
-    }
+    soc_.unit(role.producer).resume_blocked_producer();
   }
 }
 

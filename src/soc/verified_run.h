@@ -66,8 +66,8 @@ struct RoleBinding {
   friend bool operator==(const RoleBinding&, const RoleBinding&) = default;
 };
 
-/// Fixed costs of the modelled OS (cycles), and the driver's safety cap.
-inline constexpr Cycle kEcallCost = 1200;  ///< Kernel excursion per workload ECALL.
+/// Fixed cost of the modelled OS tick (cycles; an ECALL costs
+/// arch::kEcallCost), and the driver's safety cap.
 inline constexpr Cycle kTickCost = us_to_cycles(18.0);  ///< Per periodic OS tick.
 inline constexpr u64 kMaxProducerInstructions = 500'000'000;  ///< Commits per producer.
 
@@ -282,6 +282,8 @@ class VerifiedExecution final : public arch::TrapHandler {
   std::vector<CoreId> sched_order_;  ///< Scheduler priority: producers, checkers.
   std::vector<i32> core_role_;       ///< Core id -> producer role index or -1.
   std::vector<bool> producer_halted_;  ///< Per role: task-exit seen.
+  u64 producer_mask_ = 0;  ///< G.Configure main-core set (every role's producer).
+  u64 checker_mask_ = 0;   ///< G.Configure checker set (union of the roles').
   bool prepared_ = false;
   bool stalled_ = false;  ///< tolerate_stall: deadlock latched (DUE outcome).
 };

@@ -8,7 +8,7 @@
 // handler. The slowdown of the transformed program is *measured* on the
 // simulator, not assumed.
 //
-// Simplifications vs. the LLVM pass (documented in DESIGN.md): loads copy
+// Simplifications vs. the LLVM pass: loads copy
 // rather than re-load, stores check data (not address), branches check one
 // operand. These lighten the instruction overhead toward the ~1.6-1.9x band
 // the paper reports for nZDC on an in-order core.

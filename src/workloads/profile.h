@@ -6,7 +6,7 @@
 // relative to the cache hierarchy, branch predictability, and kernel-call
 // rate. The FlexStep / Nzdc overheads then *emerge* from the mechanisms
 // (checkpoint extraction, backpressure, duplicated instructions) rather than
-// being hard-coded. See DESIGN.md §2.6.
+// being hard-coded.
 #pragma once
 
 #include <string>

@@ -248,10 +248,4 @@ isa::Program build_workload(const WorkloadProfile& profile, const BuildOptions& 
   return a.finalize(profile.name, options.data_base, ws_bytes);
 }
 
-u64 estimated_instructions(const WorkloadProfile& profile, const BuildOptions& options) {
-  const u32 iterations =
-      options.iterations_override != 0 ? options.iterations_override : profile.iterations;
-  return static_cast<u64>(profile.body_instructions + 8) * iterations + 32;
-}
-
 }  // namespace flexstep::workloads

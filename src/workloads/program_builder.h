@@ -36,8 +36,4 @@ struct BuildOptions {
 /// Generate the simulator program realising `profile`.
 isa::Program build_workload(const WorkloadProfile& profile, const BuildOptions& options = {});
 
-/// Expected dynamic user-instruction count of the generated program (rough;
-/// used for sizing campaigns).
-u64 estimated_instructions(const WorkloadProfile& profile, const BuildOptions& options = {});
-
 }  // namespace flexstep::workloads

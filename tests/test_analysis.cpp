@@ -67,7 +67,6 @@ TEST(Cfg, LoopProgramStructure) {
   EXPECT_TRUE(body.has_direct_target);
   EXPECT_EQ(body.taken, 1u);          // back edge to itself
   EXPECT_EQ(body.fall_through, 2u);
-  EXPECT_TRUE(body.back_edge_target);
   EXPECT_TRUE(body.in_loop);
   EXPECT_TRUE(body.reachable);
 
@@ -146,10 +145,9 @@ TEST(Dataflow, ForwardEntryBoundTightensAfterLastAmo) {
   EXPECT_EQ(bound_at(program.code_base + ld_index * 4), 1u);
   EXPECT_EQ(bound_at(program.code_base + tail_index * 4), 0u);
 
-  // Exact block costs: the ld/sd block produces 2 entries, 2 mem ops.
+  // The ld/sd block's own worst instruction logs one entry.
   const u32 ld_block = report.cfg.block_of[ld_index];
-  EXPECT_EQ(report.costs[ld_block].dbc_entries, 2u);
-  EXPECT_EQ(report.costs[ld_block].mem_ops, 2u);
+  EXPECT_EQ(report.costs[ld_block].max_entries_per_inst, 1u);
 }
 
 TEST(Dataflow, LoopKeepsBoundAliveAroundBackEdge) {
@@ -178,21 +176,11 @@ TEST(Dataflow, LoopKeepsBoundAliveAroundBackEdge) {
   }
 }
 
-TEST(Dataflow, RegionsRollUpWorstPathCosts) {
+TEST(Dataflow, LoopBodyIsTheTraceSeed) {
   const isa::Program program = loop_program();
   const ProgramReport report = analyze(program);
-  ASSERT_FALSE(report.regions.empty());
-  // The loop body is its own region (back-edge target) and a hot candidate.
-  bool found_hot = false;
-  for (const Region& region : report.regions) {
-    if (region.hot_candidate) {
-      found_hot = true;
-      EXPECT_GT(region.worst_path_insts, 0u);
-      EXPECT_GT(region.worst_path_static_cost, 0u);
-    }
-  }
-  EXPECT_TRUE(found_hot);
-  EXPECT_FALSE(report.trace_seeds.empty());
+  // The loop body is the only block on a loop path.
+  EXPECT_EQ(report.trace_seeds, std::vector<Addr>{report.cfg.blocks[1].start_pc});
   EXPECT_EQ(report.total_insts, program.code.size());
   EXPECT_LT(report.reachable_insts, report.total_insts);  // dead tail
 }

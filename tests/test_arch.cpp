@@ -83,13 +83,6 @@ TEST(Cache, WorkingSetFittingHitsOnSecondPass) {
   EXPECT_EQ(c.misses(), misses_before);
 }
 
-TEST(Cache, InvalidateAll) {
-  Cache c({.size_bytes = 1024, .ways = 2, .line_bytes = 64, .latency = 2});
-  c.access(0x40);
-  c.invalidate_all();
-  EXPECT_FALSE(c.access(0x40));
-}
-
 TEST(CacheHierarchy, MissPenalties) {
   CacheConfig l1{.size_bytes = 1024, .ways = 2, .line_bytes = 64, .latency = 2};
   Cache l2({.size_bytes = 8 * 1024, .ways = 4, .line_bytes = 64, .latency = 40});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "flexstep/channel.h"
+#include "flexstep/error.h"
 
 namespace flexstep::fs {
 namespace {
@@ -159,6 +160,71 @@ TEST(ChannelFault, InjectOnEmptyQueueFails) {
   Channel ch(0, 1, small_config());
   Rng rng(3);
   EXPECT_FALSE(ch.inject_random_fault(rng, 1).has_value());
+  EXPECT_FALSE(ch.inject_fault_at_tail(rng, 1).has_value());
+}
+
+/// One segment (SCP seq 0, load seq 1, SegmentEnd seq 2) and the next one's
+/// SCP (seq 3); with `closed` false the SegmentEnd is not yet pushed.
+void push_segment(Channel& ch, bool closed) {
+  ch.push_scp(state_with(1), 0);
+  MemLogEntry load;
+  load.kind = MemEntryKind::kLoadData;
+  load.bytes = 8;
+  ch.push_mem(load, 1);
+  if (!closed) return;
+  ch.push_segment_end(state_with(2), 1, 2);
+  ch.push_scp(state_with(2), 3);
+}
+
+/// Pops the first segment through its SegmentEnd with the fault still
+/// pending, then the next segment's SCP, which settles it as masked.
+void expect_settles_after_segment_end(Channel& ch) {
+  using Kind = StreamItem::Kind;
+  for (const Kind kind : {Kind::kScp, Kind::kMem, Kind::kSegmentEnd}) {
+    EXPECT_EQ(ch.pop(20).kind, kind);
+    EXPECT_TRUE(ch.fault_pending());
+  }
+  EXPECT_EQ(ch.pop(23).kind, Kind::kScp);
+  EXPECT_FALSE(ch.fault_pending());
+}
+
+TEST(ChannelFault, OpenSegmentFaultSettlesAtThePopAfterItsSegmentEnd) {
+  Channel ch(0, 1, small_config());
+  push_segment(ch, /*closed=*/false);
+  Rng rng(5);
+  ASSERT_TRUE(ch.inject_fault_at_tail(rng, 10).has_value());  // the load
+  EXPECT_EQ(ch.pending_fault().segment_end_seq, kUnresolvedSegmentEnd);
+  ch.push_segment_end(state_with(2), 1, 2);
+  ch.push_scp(state_with(2), 3);
+  EXPECT_EQ(ch.pending_fault().segment_end_seq, 2u);
+  expect_settles_after_segment_end(ch);
+}
+
+TEST(ChannelFault, ClosedSegmentFaultSettlesAtThePopAfterItsSegmentEnd) {
+  Channel ch(0, 1, small_config());
+  push_segment(ch, /*closed=*/true);
+  Rng rng(6);
+  ASSERT_TRUE(ch.inject_fault_at(1, rng, 10).has_value());  // the load
+  EXPECT_EQ(ch.pending_fault().segment_end_seq, 2u);
+  expect_settles_after_segment_end(ch);
+}
+
+TEST(ChannelFault, AttributedDetectionSettlesTheFaultFirst) {
+  Channel ch(0, 1, small_config());
+  push_segment(ch, /*closed=*/true);
+  Rng rng(7);
+  ASSERT_TRUE(ch.inject_fault_at(1, rng, 10).has_value());
+  ErrorReporter reporter;
+  ch.pop(20);
+  ch.pop(21);
+  reporter.on_detect(ch, DetectKind::kLoadAddr, 1, 21);
+  EXPECT_FALSE(ch.fault_pending());
+  EXPECT_EQ(reporter.attributed_detections(), 1u);
+  // The pops past the segment find nothing left to settle.
+  ch.pop(22);
+  ch.pop(23);
+  EXPECT_FALSE(ch.fault_pending());
+  EXPECT_EQ(reporter.events().front().latency, 21u - 1u);
 }
 
 TEST(ChannelFault, SegmentEndSeqLocatesClosingBoundary) {

@@ -1,7 +1,7 @@
 // Unit tests for the common utilities (RNG, statistics, histogram, table).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -48,21 +48,6 @@ TEST(Rng, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(Rng, NextInInclusiveBounds) {
-  Rng rng(11);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 20000; ++i) {
-    const i64 v = rng.next_in(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo = saw_lo || v == -3;
-    saw_hi = saw_hi || v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, LogUniformWithinBounds) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
@@ -85,31 +70,6 @@ TEST(Rng, ShufflePreservesElements) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
-}
-
-TEST(RunningStats, MeanAndVariance) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStats, MergeMatchesCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  Rng rng(1);
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.next_double_in(-5, 5);
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
 }
 
 TEST(Stats, GeomeanOfSlowdowns) {

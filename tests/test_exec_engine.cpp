@@ -853,13 +853,7 @@ Outcome run_fault_schedule(const isa::Program& program, std::vector<CoreId> chec
   while (advance_to_instret(exec, engine, next_injection)) {
     auto channels = soc.fabric().channels();
     if (!channels.empty()) {
-      fs::Channel* ch = channels.front();
-      if (ch->fault_pending() &&
-          ch->pending_fault().segment_end_seq != fs::kUnresolvedSegmentEnd &&
-          ch->last_popped_seq() > ch->pending_fault().segment_end_seq) {
-        ch->clear_fault();  // masked
-      }
-      ch->inject_fault_at_tail(rng, soc.max_cycle());
+      channels.front()->inject_fault_at_tail(rng, soc.max_cycle());
     }
     next_injection += 10'000;
   }
@@ -908,11 +902,6 @@ Outcome run_seq_fault_schedule(const isa::Program& program,
     auto channels = soc.fabric().channels();
     if (channels.empty()) continue;
     fs::Channel* ch = channels.front();
-    if (ch->fault_pending() &&
-        ch->pending_fault().segment_end_seq != fs::kUnresolvedSegmentEnd &&
-        ch->last_popped_seq() > ch->pending_fault().segment_end_seq) {
-      ch->clear_fault();  // masked
-    }
     if (!ch->fault_pending() && !ch->empty() && ch->front().seq <= next_seq &&
         next_seq <= ch->back().seq) {
       Rng rng(0x5EED ^ next_seq);
@@ -1183,11 +1172,6 @@ Outcome run_waitlist_fault_schedule(const std::vector<isa::Program>& programs,
     auto channels = soc.fabric().channels();
     if (channels.size() < 2) continue;
     fs::Channel* ch = channels[1];  // producer 1 -> shared checker (parked)
-    if (ch->fault_pending() &&
-        ch->pending_fault().segment_end_seq != fs::kUnresolvedSegmentEnd &&
-        ch->last_popped_seq() > ch->pending_fault().segment_end_seq) {
-      ch->clear_fault();  // masked
-    }
     if (!ch->fault_pending() && !ch->empty() && ch->front().seq <= next_seq &&
         next_seq <= ch->back().seq) {
       Rng rng(0x5EED ^ next_seq);

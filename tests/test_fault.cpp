@@ -40,7 +40,7 @@ TEST(FaultCampaign, HighCoverage) {
                                         soc::SocConfig::paper_default(2),
                                         small_campaign(300));
   // Paper reports >99.9%; our synthetic workloads legitimately mask a few
-  // percent (dead temporaries, shifted-out bits) — see EXPERIMENTS.md.
+  // percent (dead temporaries, shifted-out bits).
   EXPECT_GT(stats.coverage(), 0.80);
 }
 
@@ -90,7 +90,6 @@ TEST(CampaignStats, MergeFoldsCountersAndAppendsOutcomes) {
   EXPECT_EQ(a.masked, 1u);
   EXPECT_EQ(a.sdc, 1u);
   EXPECT_EQ(a.due, 1u);
-  EXPECT_DOUBLE_EQ(a.sdc_rate(), 0.2);
   ASSERT_EQ(a.outcomes.size(), 5u);
   EXPECT_DOUBLE_EQ(a.outcomes[2].latency_us, 7.25);
   EXPECT_EQ(a.outcomes[2].detect_kind, fs::DetectKind::kEcpReg);
@@ -116,7 +115,6 @@ TEST(CampaignStats, LatenciesEmptyOnFreshStats) {
   const CampaignStats stats;
   EXPECT_TRUE(stats.latencies_us().empty());
   EXPECT_DOUBLE_EQ(stats.coverage(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.sdc_rate(), 0.0);
 }
 
 TEST(CampaignStats, LatenciesEmptyWhenAllMasked) {
@@ -507,7 +505,7 @@ TEST(VulnCampaign, DeterministicAcrossModesAndThreads) {
   EXPECT_GT(reexec.total_instructions, fork_serial.total_instructions);
 }
 
-TEST(VulnCampaign, LatencyHistogramCountsDetectionsOnly) {
+TEST(VulnCampaign, ComponentCoverageCountsDetectionsOnly) {
   VulnReport report;
   InjectionRecord detected;
   detected.site.component = Component::kDbcEntry;
@@ -518,7 +516,6 @@ TEST(VulnCampaign, LatencyHistogramCountsDetectionsOnly) {
   report.add(detected);
   report.add(masked);
   report.check_invariant();
-  EXPECT_EQ(report.latency_histogram().total(), 1u);
   EXPECT_DOUBLE_EQ(
       report.components[static_cast<std::size_t>(Component::kDbcEntry)]
           .coverage(),

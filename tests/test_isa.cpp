@@ -71,14 +71,10 @@ TEST(Encode, ImmediateBoundaries) {
 }
 
 TEST(OpcodeProperties, MemoryClassification) {
-  EXPECT_TRUE(is_load_like(Opcode::kLd));
-  EXPECT_TRUE(is_load_like(Opcode::kLrD));
-  EXPECT_TRUE(is_load_like(Opcode::kAmoaddD));
-  EXPECT_TRUE(is_store_like(Opcode::kSd));
-  EXPECT_TRUE(is_store_like(Opcode::kScD));
-  EXPECT_TRUE(is_store_like(Opcode::kAmoswapD));
+  EXPECT_TRUE(is_memory(Opcode::kLd));
+  EXPECT_TRUE(is_memory(Opcode::kScD));
+  EXPECT_TRUE(is_memory(Opcode::kAmoswapD));
   EXPECT_FALSE(is_memory(Opcode::kAdd));
-  EXPECT_FALSE(is_load_like(Opcode::kSd));
 }
 
 TEST(OpcodeProperties, AccessWidths) {

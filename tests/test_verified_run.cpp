@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,29 +68,22 @@ TEST(VerifiedRun, InjectedFaultsAreDetected) {
   VerifiedExecution exec(soc, VerifiedRunConfig{.roles = {{0, {1}}}});
   exec.prepare({tiny_workload("swaptions", 60)});
 
-  // Inject faults one at a time as the run progresses; individual flips can
-  // be masked (dead values), but across several injections the checker must
-  // attribute at least one detection.
+  // Inject faults one at a time as the run progresses: the channel settles
+  // each (a masked one once its segment verified clean), so a new one goes in
+  // whenever none is pending. Individual flips can be masked (dead values),
+  // but across several injections the checker must attribute at least one
+  // detection.
   Rng rng(99);
   u32 injected = 0;
   u32 guard = 0;
-  std::optional<fs::InjectedFault> outstanding;
   while (exec.step_round() && ++guard < 10'000'000) {
     if (soc.fabric().reporter().attributed_detections() > 0) break;
     auto channels = soc.fabric().channels();
     if (channels.empty()) continue;
     fs::Channel* ch = channels.front();
-    if (outstanding.has_value()) {
-      if (!ch->fault_pending()) {
-        outstanding.reset();  // detected (attributed) — loop exits above
-      } else if (ch->last_popped_seq() > outstanding->segment_end_seq) {
-        ch->clear_fault();  // masked: the segment verified clean
-        outstanding.reset();
-      }
-    }
-    if (!outstanding.has_value() && injected < 50 && ch->size() > 32) {
-      outstanding = ch->inject_random_fault(rng, soc.max_cycle());
-      if (outstanding.has_value()) ++injected;
+    if (injected < 50 && ch->size() > 32 &&
+        ch->inject_random_fault(rng, soc.max_cycle()).has_value()) {
+      ++injected;
     }
   }
   ASSERT_GE(injected, 1u);
@@ -118,24 +110,14 @@ TEST(VerifiedRun, TripleModeDetectsFaultInOneChannel) {
   Rng rng(7);
   u32 injected = 0;
   u32 guard = 0;
-  std::optional<fs::InjectedFault> outstanding;
   while (exec.step_round() && ++guard < 10'000'000) {
     if (soc.fabric().reporter().attributed_detections() > 0) break;
     auto channels = soc.fabric().channels();
     if (channels.size() < 2) continue;
     fs::Channel* ch = channels.front();  // the main->checker1 link only
-    if (outstanding.has_value()) {
-      if (!ch->fault_pending()) {
-        outstanding.reset();
-      } else if (ch->pending_fault().segment_end_seq != fs::kUnresolvedSegmentEnd &&
-                 ch->last_popped_seq() > ch->pending_fault().segment_end_seq) {
-        ch->clear_fault();
-        outstanding.reset();
-      }
-    }
-    if (!outstanding.has_value() && injected < 40 && ch->size() > 16) {
-      outstanding = ch->inject_fault_at_tail(rng, soc.max_cycle());
-      if (outstanding.has_value()) ++injected;
+    if (injected < 40 && ch->size() > 16 &&
+        ch->inject_fault_at_tail(rng, soc.max_cycle()).has_value()) {
+      ++injected;
     }
   }
   ASSERT_GE(soc.fabric().reporter().attributed_detections(), 1u);

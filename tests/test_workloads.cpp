@@ -109,16 +109,6 @@ TEST(Builder, RealisesTheInstructionMix) {
   EXPECT_GT(branches / n, profile.f_branch * 0.5);
 }
 
-TEST(Builder, EstimatedInstructionsTracksActual) {
-  const auto& profile = find_profile("hmmer");
-  BuildOptions options = tiny(10);
-  const auto program = build_workload(profile, options);
-  const auto state = run_to_halt(program);
-  (void)state;
-  const u64 estimate = estimated_instructions(profile, options);
-  EXPECT_GT(estimate, 10u * profile.body_instructions / 2);
-}
-
 // ---- Nzdc transformation ----
 
 TEST(Nzdc, ShadowMapping) {
